@@ -17,32 +17,25 @@ import json
 import os
 import re
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .errors import (
-    CacheCorrupt,
-    ComparisonError,
-    DigestSizeConflict,
-    LayerSchedError,
-    RegistryUnavailable,
-    ScenarioError,
-    TraceCorrupt,
-    UnknownImage,
-)
+from .errors import LayerSchedError, ScenarioError
 from .model import ImageRef, LayerCatalog
-from .registry import RegistryConfig, refresh_cache
+from .registry import (
+    ImageMetadataLists,
+    RegistryConfig,
+    RegistryWatcher,
+    refresh_cache,
+)
 from .scenario import (
     ScenarioFile,
-    SchedulerEntry,
     build_scenario,
     parse_scenario_file,
     resolve_catalog,
 )
 from .simulator import (
-    DELTA_METRICS,
-    _pct_delta,
+    compare,
+    deltas_against_reference,
     run,
     write_report_json,
     write_steps_csv,
@@ -72,51 +65,28 @@ def _registry_override(args) -> str | None:
     return getattr(args, "registry", None) or os.environ.get("LAYERSCHED_REGISTRY")
 
 
-def _ensemble(
-    sfile: ScenarioFile,
-    catalog: LayerCatalog,
-    entries: list[SchedulerEntry],
-    seeds: list[int],
-    jobs: int,
-    bandwidth_override: int | None = None,
-    node_count: int | None = None,
-) -> dict:
-    """Run every (scheduler, seed) leg and fold into per-scheduler means.
-
-    Legs are independent pure runs, so the pool changes nothing but wall
-    time; results are re-ordered deterministically afterwards.
-    """
-    legs = [(entry, seed) for entry in entries for seed in seeds]
-
-    def one(leg):
-        entry, seed = leg
-        scenario = build_scenario(sfile, catalog, entry, seed,
-                                  bandwidth_override=bandwidth_override,
-                                  node_count=node_count)
-        return run(scenario).aggregates()
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        outcomes = list(pool.map(one, legs))
-    by_leg = {(entry.label, seed): agg for (entry, seed), agg in zip(legs, outcomes)}
+def _ensemble(sfile: ScenarioFile, catalog: LayerCatalog, **overrides) -> dict:
+    """Compare the scenario's schedulers on each of its seeds and fold into
+    per-scheduler means, with deltas of the means against the reference.
+    ``overrides`` are :func:`build_scenario`'s sweep-point keywords."""
+    entries, seeds = sfile.schedulers, sfile.seeds
+    runs = {}
+    for seed in seeds:
+        legs = [(entry.label, build_scenario(sfile, catalog, entry, seed, **overrides))
+                for entry in entries]
+        runs[seed] = compare(legs).runs
 
     results: dict[str, dict] = {}
     for entry in entries:
-        per_seed = [{"seed": seed, **by_leg[(entry.label, seed)]} for seed in seeds]
+        per_seed = [{"seed": seed, **runs[seed][entry.label]} for seed in seeds]
         mean = {
             key: sum(row[key] for row in per_seed) / len(per_seed)
             for key in _AGGREGATE_KEYS
         }
         results[entry.label] = {"per_seed": per_seed, "mean": mean}
 
-    reference = "default" if "default" in results else entries[0].label
-    ref_mean = results[reference]["mean"]
-    deltas = {
-        label: {
-            metric: _pct_delta(data["mean"][metric], ref_mean[metric])
-            for metric in DELTA_METRICS
-        }
-        for label, data in results.items()
-    }
+    reference, deltas = deltas_against_reference(
+        {label: data["mean"] for label, data in results.items()})
     return {
         "reference": reference,
         "seeds": list(seeds),
@@ -172,31 +142,29 @@ def _print_ensemble(table: dict, heading: str) -> None:
 
 
 def cmd_fetch_registry(args) -> int:
-    url = args.registry or os.environ.get("LAYERSCHED_REGISTRY")
+    url = _registry_override(args)
     if not url:
         print("error: no registry URL (use --registry or LAYERSCHED_REGISTRY)",
               file=sys.stderr)
         return 2
-    config = RegistryConfig(base_url=url, cache_path=args.out,
-                            poll_interval=args.poll or 10.0)
 
-    def refresh_and_report() -> None:
-        snapshot = refresh_cache(config)
+    def report(snapshot: ImageMetadataLists) -> None:
         for warning in snapshot.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         state = "stale" if snapshot.stale else "fresh"
         print(f"{len(snapshot.lists)} images ({state}) -> {args.out}")
 
     if args.poll is None:
-        refresh_and_report()
+        report(refresh_cache(RegistryConfig(base_url=url, cache_path=args.out)))
         return 0
     try:
-        while True:
-            try:
-                refresh_and_report()
-            except RegistryUnavailable as exc:
-                print(f"warning: {exc}; retrying", file=sys.stderr)
-            time.sleep(args.poll)
+        config = RegistryConfig(base_url=url, cache_path=args.out, poll_interval=args.poll)
+    except ValueError as exc:
+        print(f"error: --poll {args.poll}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        RegistryWatcher(config, on_refresh=report, on_error=lambda exc: print(
+            f"warning: {exc}; retrying", file=sys.stderr)).run()
     except KeyboardInterrupt:
         return 0
 
@@ -231,7 +199,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     sfile = parse_scenario_file(args.scenario)
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
-    table = _ensemble(sfile, catalog, sfile.schedulers, sfile.seeds, args.jobs)
+    table = _ensemble(sfile, catalog)
     out = _out_dir(args, sfile)
     _write_json(table, out / "compare.json")
     _write_ensemble_csv(table, out / "compare.csv")
@@ -243,25 +211,19 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     sfile = parse_scenario_file(args.scenario)
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
-    if args.param == "bandwidth":
-        points = sfile.sweeps.bandwidth
-        if not points:
-            raise ScenarioError("sweeps.bandwidth", "no sweep points configured")
-        overrides = [{"bandwidth_override": value} for value in points]
-    else:
-        points = sfile.sweeps.node_count
-        if not points:
-            raise ScenarioError("sweeps.node_count", "no sweep points configured")
-        overrides = [{"node_count": value} for value in points]
+    axis, keyword = {"bandwidth": ("bandwidth", "bandwidth_override"),
+                     "nodes": ("node_count", "node_count")}[args.param]
+    points = getattr(sfile.sweeps, axis)
+    if not points:
+        raise ScenarioError(f"sweeps.{axis}", "no sweep points configured")
 
     out = _out_dir(args, sfile)
     summary_points = []
     failures = []
-    for value, override in zip(points, overrides):
+    for value in points:
         stem = f"sweep_{args.param}_{value}"
         try:
-            table = _ensemble(sfile, catalog, sfile.schedulers, sfile.seeds,
-                              args.jobs, **override)
+            table = _ensemble(sfile, catalog, **{keyword: value})
         except LayerSchedError as exc:
             failures.append(f"{args.param}={value}: {exc}")
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
@@ -305,9 +267,6 @@ def cmd_validate(args) -> int:
 
     for entry in sfile.schedulers:
         build_scenario(sfile, catalog, entry, sfile.seeds[0])
-    for value in sfile.sweeps.bandwidth:
-        build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0],
-                       bandwidth_override=value)
     for value in sfile.sweeps.node_count:
         build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0],
                        node_count=value)
@@ -343,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory "
                          "(default: scenario 'output' or LAYERSCHED_OUT)")
         cmd.add_argument("--registry", help="override the scenario registry URL")
-        cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel runs (default: logical CPUs)")
+        cmd.add_argument("--jobs", type=int,
+                         help="accepted for compatibility and ignored: "
+                              "runs are executed one after another")
 
     sim = sub.add_parser("simulate", help="run one scheduler once")
     common(sim)
@@ -378,8 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, CacheCorrupt, RegistryUnavailable, UnknownImage,
-            TraceCorrupt, DigestSizeConflict, ComparisonError) as exc:
+    except LayerSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,9 +72,6 @@ class LayerCatalog:
         """Sum of the image's layer sizes in bytes."""
         return sum(size for _, size in layers_of(self, image))
 
-    def total_layer_bytes(self) -> int:
-        return sum(self.layers.values())
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -175,6 +172,22 @@ def missing_layers(node: NodeState, layers: Iterable[LayerId]) -> set[LayerId]:
     return set(layers) - node.local_layers
 
 
+def first_violation(node: NodeState, task: TaskRequest, download_bytes: int,
+                    catalog: LayerCatalog) -> str | None:
+    """The first constraint (``storage``, ``container_count``, ``cpu_fit``,
+    ``mem_fit``) that placing ``task`` on ``node``, fetching
+    ``download_bytes``, would break; None if it fits."""
+    if node.stored_layer_bytes(catalog) + download_bytes > node.spec.storage_capacity:
+        return "storage"
+    if len(node.running) >= node.spec.max_containers:
+        return "container_count"
+    if node.cpu_committed + task.cpu_request > node.spec.cpu_capacity:
+        return "cpu_fit"
+    if node.mem_committed + task.mem_request > node.spec.mem_capacity:
+        return "mem_fit"
+    return None
+
+
 def commit_placement(
     node: NodeState, task: TaskRequest, catalog: LayerCatalog
 ) -> NodeState:
@@ -186,16 +199,9 @@ def commit_placement(
     """
     stack = layers_of(catalog, task.image)
     need = missing_layers(node, (digest for digest, _ in stack))
-    need_bytes = sum(catalog.layers[digest] for digest in need)
-
-    if node.stored_layer_bytes(catalog) + need_bytes > node.spec.storage_capacity:
-        raise CapacityViolation("storage")
-    if len(node.running) >= node.spec.max_containers:
-        raise CapacityViolation("container_count")
-    if node.cpu_committed + task.cpu_request > node.spec.cpu_capacity:
-        raise CapacityViolation("cpu_fit")
-    if node.mem_committed + task.mem_request > node.spec.mem_capacity:
-        raise CapacityViolation("mem_fit")
+    violated = first_violation(node, task, sum(catalog.layers[d] for d in need), catalog)
+    if violated is not None:
+        raise CapacityViolation(violated)
 
     placed = PlacedContainer(
         task_id=task.task_id,

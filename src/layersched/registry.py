@@ -10,18 +10,21 @@ metadata moves over the wire; blobs are never downloaded.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import requests
 
 from .errors import (
     CacheCorrupt,
     DigestSizeConflict,
+    LayerSchedError,
     RegistryProtocolError,
     RegistryUnavailable,
     UnknownImage,
@@ -128,8 +131,8 @@ class RegistryConfig:
     password: str | None = None
 
     def __post_init__(self):
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
+        if not 0 < self.poll_interval < math.inf:
+            raise ValueError("poll_interval must be a positive, finite number of seconds")
         self.base_url = self.base_url.rstrip("/")
 
 
@@ -227,7 +230,8 @@ class RegistryClient:
 
 
 def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:
-    """Write the cache atomically (temp file + rename), keys sorted."""
+    """Write the cache atomically (temp file synced to disk, then renamed),
+    keys sorted, so a crash leaves either the old file or the new one."""
     path = Path(path)
     payload = {key: lists.lists[key].to_json_dict() for key in sorted(lists.lists)}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -235,6 +239,8 @@ def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -265,29 +271,13 @@ def lookup(lists: ImageMetadataLists, name: str, tag: str) -> ImageMetadata:
         raise UnknownImage(f"{name}:{tag} not in cache") from None
 
 
-def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) -> ImageMetadataLists:
-    """Walk catalog -> tags -> manifests and rewrite the cache file.
-
-    Images that fail to resolve become warnings; the rest are kept. If the
-    registry is unreachable outright, a prior cache is returned flagged
-    stale instead of being destroyed; with no prior cache the outage is
-    raised.
-    """
-    client = client or RegistryClient(config)
-    cache_path = Path(config.cache_path)
-    try:
-        repositories = client.fetch_catalog()
-    except RegistryUnavailable:
-        if cache_path.exists():
-            snapshot = load_cache(cache_path)
-            snapshot.stale = True
-            snapshot.warnings.append(f"registry {config.base_url} unreachable; serving prior cache")
-            return snapshot
-        raise
-
+def walk_registry(client: RegistryClient) -> ImageMetadataLists:
+    """Walk catalog -> tags -> manifests into an unsaved snapshot. Images
+    that fail to resolve become ``warnings``; only a failure to list the
+    catalog itself is raised."""
     lists: dict[str, ImageMetadata] = {}
     warnings: list[str] = []
-    for name in repositories:
+    for name in client.fetch_catalog():
         try:
             tags = client.fetch_tags(name)
         except (RegistryUnavailable, RegistryProtocolError, UnknownImage) as exc:
@@ -300,15 +290,34 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
                 warnings.append(f"manifest {name}:{tag}: {exc}")
                 continue
             lists[image.key] = image
+    return ImageMetadataLists(lists=lists, warnings=warnings)
 
-    if not lists and warnings and cache_path.exists():
+
+def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) -> ImageMetadataLists:
+    """Walk the registry (:func:`walk_registry`) and rewrite the cache file.
+
+    If the registry is unreachable outright, or nothing at all resolves, a
+    prior cache is returned flagged stale instead of being destroyed; with
+    no prior cache an outage is raised.
+    """
+    client = client or RegistryClient(config)
+    cache_path = Path(config.cache_path)
+    try:
+        snapshot = walk_registry(client)
+    except RegistryUnavailable:
+        if not cache_path.exists():
+            raise
+        snapshot = ImageMetadataLists(
+            warnings=[f"registry {config.base_url} unreachable; serving prior cache"])
+
+    if not snapshot.lists and snapshot.warnings and cache_path.exists():
         # Nothing resolved at all: keep the previous snapshot.
-        snapshot = load_cache(cache_path)
-        snapshot.stale = True
-        snapshot.warnings.extend(warnings)
-        return snapshot
+        prior = load_cache(cache_path)
+        prior.stale = True
+        prior.warnings.extend(snapshot.warnings)
+        return prior
 
-    snapshot = ImageMetadataLists(catch_file=str(cache_path), lists=lists, warnings=warnings)
+    snapshot.catch_file = str(cache_path)
     save_cache(snapshot, cache_path)
     return snapshot
 
@@ -342,15 +351,22 @@ def catalog_from_cache(lists: ImageMetadataLists) -> LayerCatalog:
 
 
 class RegistryWatcher:
-    """Background refresher; readers always see a complete snapshot.
+    """Refreshes the cache every ``poll_interval`` until stopped; readers
+    always see a complete snapshot.
 
     The snapshot reference is swapped whole after each refresh, so handles
     returned by :meth:`snapshot` are safe to keep and share across threads.
+    Each new snapshot goes to ``on_refresh``; a tick that fails with any
+    :class:`LayerSchedError` goes to ``on_error`` and is retried next tick.
     """
 
-    def __init__(self, config: RegistryConfig, client: RegistryClient | None = None):
+    def __init__(self, config: RegistryConfig, client: RegistryClient | None = None,
+                 on_refresh: Callable[[ImageMetadataLists], None] = lambda snapshot: None,
+                 on_error: Callable[[LayerSchedError], None] = lambda exc: None):
         self.config = config
         self.client = client or RegistryClient(config)
+        self.on_refresh = on_refresh
+        self.on_error = on_error
         self._snapshot: ImageMetadataLists | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -363,20 +379,21 @@ class RegistryWatcher:
     def snapshot(self) -> ImageMetadataLists | None:
         return self._snapshot
 
+    def run(self) -> None:
+        """The refresh loop, in the calling thread; returns after :meth:`stop`."""
+        while not self._stop.is_set():
+            try:
+                self.on_refresh(self.refresh_once())
+            except LayerSchedError as exc:
+                self.on_error(exc)
+            self._stop.wait(self.config.poll_interval)
+
     def start(self) -> None:
         if self._thread is not None:
             return
         self._stop.clear()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread = threading.Thread(target=self.run, daemon=True)
         self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.refresh_once()
-            except RegistryUnavailable:
-                pass  # retry on the next tick
-            self._stop.wait(self.config.poll_interval)
 
     def stop(self) -> None:
         self._stop.set()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -18,12 +19,11 @@ from pathlib import Path
 from .errors import ScenarioError
 from .model import ImageRef, LayerCatalog, LayerId, NodeSpec
 from .registry import (
-    ImageMetadata,
-    ImageMetadataLists,
     RegistryClient,
     RegistryConfig,
     catalog_from_cache,
     load_cache,
+    walk_registry,
 )
 from .scheduler import POLICIES, TIE_BREAKS, SchedulerConfig
 from .scoring import PLUGIN_NAMES, WEIGHT_MODES, PluginConfig, WeightPolicy
@@ -87,6 +87,13 @@ def parse_cpu(value: int | str, path: str) -> int:
     raise ScenarioError(path, f"cannot parse cpu {value!r}")
 
 
+def _image_ref(key: str, path: str) -> ImageRef:
+    try:
+        return ImageRef.parse(key)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise ScenarioError(f"{path}.{key}" if path else key, "missing required key")
@@ -102,7 +109,7 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ScenarioError(where, "unknown key")
 
 
-def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[str]]:
+def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRef]]:
     _check_keys(obj, {"id", "cpu", "memory", "bandwidth", "storage",
                       "max_containers", "preloaded_layers", "preloaded_images"}, path)
     node_id = _require(obj, "id", path)
@@ -125,7 +132,8 @@ def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[str]]:
         raise ScenarioError(f"{path}.preloaded_layers", "must be a list of digests")
     if not isinstance(images, list) or not all(isinstance(x, str) for x in images):
         raise ScenarioError(f"{path}.preloaded_images", "must be a list of name:tag keys")
-    return spec, layers, images
+    refs = [_image_ref(key, f"{path}.preloaded_images[{j}]") for j, key in enumerate(images)]
+    return spec, layers, refs
 
 
 def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
@@ -151,6 +159,7 @@ def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
             raise ScenarioError(f"{path}.images", "must be a non-empty map of name:tag to weight")
         weights = {}
         for key, prob in raw.items():
+            _image_ref(key, f"{path}.images.{key}")
             if not isinstance(prob, (int, float)) or isinstance(prob, bool) or prob < 0:
                 raise ScenarioError(f"{path}.images.{key}", "weight must be a number >= 0")
             weights[key] = float(prob)
@@ -281,7 +290,7 @@ def _parse_catalog_inline(obj: dict, path: str) -> LayerCatalog:
     for key, stack in raw_images.items():
         if not isinstance(stack, list) or not all(isinstance(x, str) for x in stack):
             raise ScenarioError(f"{path}.images.{key}", "must be a list of digests")
-        images[ImageRef.parse(key)] = tuple(stack)
+        images[_image_ref(key, f"{path}.images.{key}")] = tuple(stack)
     try:
         return LayerCatalog(layers=layers, images=images)
     except ValueError as exc:
@@ -314,7 +323,7 @@ def _parse_sweeps(obj: dict, path: str) -> Sweeps:
 class ScenarioFile:
     nodes: list[NodeSpec]
     preloaded_layers: dict[str, list[str]]
-    preloaded_images: dict[str, list[str]]
+    preloaded_images: dict[str, list[ImageRef]]
     catalog_source: CatalogSource
     workload: WorkloadSpec
     schedulers: list[SchedulerEntry]
@@ -439,6 +448,8 @@ def resolve_catalog(sfile: ScenarioFile, registry_url: str | None = None) -> Lay
     """Materialize the catalog from whichever source the file names.
 
     ``registry_url`` overrides the file's URL (environment/flag override).
+    A live registry is walked like ``fetch-registry`` walks it: images that
+    fail to resolve are left out and named in ``warning:`` lines on stderr.
     """
     source = sfile.catalog_source
     if source.inline is not None:
@@ -447,24 +458,20 @@ def resolve_catalog(sfile: ScenarioFile, registry_url: str | None = None) -> Lay
         cache_path = sfile.base_dir / source.cache_file
         return catalog_from_cache(load_cache(cache_path))
     url = registry_url or source.registry_url
-    client = RegistryClient(RegistryConfig(base_url=url))
-    lists: dict[str, ImageMetadata] = {}
-    for name in client.fetch_catalog():
-        for tag in client.fetch_tags(name):
-            image = client.fetch_image_metadata(name, tag)
-            lists[image.key] = image
-    return catalog_from_cache(ImageMetadataLists(lists=lists))
+    snapshot = walk_registry(RegistryClient(RegistryConfig(base_url=url)))
+    for warning in snapshot.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return catalog_from_cache(snapshot)
 
 
 def _expand_preloads(sfile: ScenarioFile, catalog: LayerCatalog) -> dict[str, tuple[str, ...]]:
     preloaded: dict[str, tuple[str, ...]] = {}
     for node_id in sorted(set(sfile.preloaded_layers) | set(sfile.preloaded_images)):
         digests: list[str] = list(sfile.preloaded_layers.get(node_id, []))
-        for key in sfile.preloaded_images.get(node_id, []):
-            ref = ImageRef.parse(key)
+        for ref in sfile.preloaded_images.get(node_id, []):
             if ref not in catalog.images:
                 raise ScenarioError(
-                    f"nodes.{node_id}.preloaded_images", f"image {key!r} not in catalog"
+                    f"nodes.{node_id}.preloaded_images", f"image {ref.key!r} not in catalog"
                 )
             digests.extend(catalog.images[ref])
         seen: dict[str, None] = dict.fromkeys(digests)

@@ -13,6 +13,7 @@ from .model import (
     NodeState,
     TaskRequest,
     commit_placement,
+    first_violation,
 )
 from .scoring import (
     PluginConfig,
@@ -83,16 +84,8 @@ class Unschedulable:
 
 def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> FilterVerdict:
     """Feasibility check; the first failing constraint names the verdict."""
-    cost = download_cost(catalog, node, task.image)
-    if cost + node.stored_layer_bytes(catalog) > node.spec.storage_capacity:
-        return FilterVerdict(node.spec.id, False, "storage")
-    if len(node.running) >= node.spec.max_containers:
-        return FilterVerdict(node.spec.id, False, "container_count")
-    if node.cpu_committed + task.cpu_request > node.spec.cpu_capacity:
-        return FilterVerdict(node.spec.id, False, "cpu_fit")
-    if node.mem_committed + task.mem_request > node.spec.mem_capacity:
-        return FilterVerdict(node.spec.id, False, "mem_fit")
-    return FilterVerdict(node.spec.id, True)
+    violated = first_violation(node, task, download_cost(catalog, node, task.image), catalog)
+    return FilterVerdict(node.spec.id, violated is None, violated)
 
 
 def score_node(

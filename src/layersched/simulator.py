@@ -307,6 +307,23 @@ def _pct_delta(value: float, reference: float) -> float | None:
     return (value - reference) / reference * 100.0
 
 
+def deltas_against_reference(
+    aggregates: dict[str, dict],
+) -> tuple[str, dict[str, dict[str, float | None]]]:
+    """Pick the reference run (``default`` if present, else the first) and
+    the percentage delta of every run's :data:`DELTA_METRICS` against it."""
+    reference = "default" if "default" in aggregates else next(iter(aggregates))
+    ref_aggregates = aggregates[reference]
+    deltas = {
+        name: {
+            metric: _pct_delta(values[metric], ref_aggregates[metric])
+            for metric in DELTA_METRICS
+        }
+        for name, values in aggregates.items()
+    }
+    return reference, deltas
+
+
 def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
     """Run each named scenario and tabulate aggregates and deltas.
 
@@ -323,15 +340,7 @@ def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
             )
 
     runs = {name: run(scenario).aggregates() for name, scenario in scenarios}
-    reference = "default" if "default" in runs else scenarios[0][0]
-    ref_aggregates = runs[reference]
-    deltas = {
-        name: {
-            metric: _pct_delta(aggregates[metric], ref_aggregates[metric])
-            for metric in DELTA_METRICS
-        }
-        for name, aggregates in runs.items()
-    }
+    reference, deltas = deltas_against_reference(runs)
     return ComparisonReport(
         workload_fingerprint=base_fp,
         reference=reference,

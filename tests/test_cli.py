@@ -96,6 +96,23 @@ class TestFetchRegistry:
         assert "(stale)" in capsys.readouterr().out
         assert cache.read_bytes() == before
 
+    def test_protocol_error_exits_2(self, tmp_path, capsys):
+        with FakeRegistry(bundled_images()) as registry:
+            code = main(["fetch-registry", "--registry", f"{registry.url}/nope",
+                         "--out", str(tmp_path / "cache.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poll", ["-1", "0", "nan", "inf"])
+    def test_invalid_poll_exits_2(self, tmp_path, capsys, monkeypatch, poll):
+        # If the value got through, the watch loop would never return.
+        monkeypatch.setattr("layersched.cli.RegistryWatcher", None)
+        code = main(["fetch-registry", "--registry", "http://127.0.0.1:1",
+                     "--out", str(tmp_path / "cache.json"), "--poll", poll])
+        assert code == 2
+        assert "--poll" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+
 
 class TestSimulate:
     def test_writes_report_and_steps(self, tmp_path, capsys):
@@ -246,8 +263,51 @@ class TestValidate:
             assert main(["validate", str(path), "--fetch"]) == 0
         assert "3 images" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["catalog"]["images"].update(noTag=["sha256:web"]),
+         "catalog.images.noTag"),
+        (lambda d: d["workload"].update(images={"noTag": 1.0}),
+         "workload.images.noTag"),
+        (lambda d: d["nodes"][0].update(preloaded_images=["noTag"]),
+         "nodes[0].preloaded_images[0]"),
+    ], ids=["catalog", "workload", "preloaded"])
+    def test_image_key_without_tag_names_the_field(self, tmp_path, capsys,
+                                                   mutate, field):
+        doc = json.loads(write_scenario(tmp_path).read_text())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nodes": []}))
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestRegistryScenario:
+    """A scenario whose catalog comes from a live registry."""
+
+    def test_unresolvable_image_is_skipped_with_a_warning(self, tmp_path, capsys):
+        doc = json.loads(write_scenario(tmp_path).read_text())
+        del doc["catalog"]
+        del doc["workload"]["images"]
+        path = tmp_path / "live.json"
+        with FakeRegistry(bundled_images()) as registry:
+            registry.serve_schema1["alpine-db:1.0"] = True
+            doc["registry"] = registry.url
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path), "--fetch"]) == 0
+            validated = capsys.readouterr()
+            assert main(["simulate", str(path)]) == 0
+            simulated = capsys.readouterr()
+        assert "2 images" in validated.out
+        for stderr in (validated.err, simulated.err):
+            warnings = [line for line in stderr.splitlines()
+                        if line.startswith("warning:")]
+            assert len(warnings) == 1 and "alpine-db:1.0" in warnings[0]
+        report = json.loads(
+            (tmp_path / "out" / "simulate_default_seed1.json").read_text())
+        assert report["aggregates"]["total_pods"] == 12

@@ -293,6 +293,25 @@ class TestWatcher:
         finally:
             watcher.stop()
 
+    def test_loop_survives_protocol_errors(self, registry, tmp_path):
+        config = RegistryConfig(base_url=f"{registry.url}/nope", poll_interval=0.01,
+                                cache_path=str(tmp_path / "cache.json"))
+        ticks = threading.Semaphore(0)
+        errors = []
+
+        def on_error(exc):
+            errors.append(exc)
+            ticks.release()
+
+        watcher = RegistryWatcher(config, on_error=on_error)
+        watcher.start()
+        try:
+            assert ticks.acquire(timeout=5) and ticks.acquire(timeout=5)
+            assert watcher._thread.is_alive()
+        finally:
+            watcher.stop()
+        assert all(isinstance(exc, RegistryProtocolError) for exc in errors)
+
     def test_snapshot_survives_outage(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,
                                 cache_path=str(tmp_path / "cache.json"))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
@@ -37,6 +36,7 @@ from .simulator import (
     compare,
     deltas_against_reference,
     run,
+    write_json,
     write_report_json,
     write_steps_csv,
 )
@@ -113,11 +113,6 @@ def _fmt_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
 
 
 def _print_ensemble(table: dict, heading: str) -> None:
@@ -201,7 +196,7 @@ def cmd_compare(args) -> int:
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
     table = _ensemble(sfile, catalog)
     out = _out_dir(args, sfile)
-    _write_json(table, out / "compare.json")
+    write_json(table, out / "compare.json")
     _write_ensemble_csv(table, out / "compare.csv")
     _print_ensemble(table, f"compare over seeds {sfile.seeds}:")
     print(f"wrote {out / 'compare.json'} and {out / 'compare.csv'}")
@@ -229,7 +224,7 @@ def cmd_sweep(args) -> int:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             summary_points.append({"value": value, "error": str(exc)})
             continue
-        _write_json(table, out / f"{stem}.json")
+        write_json(table, out / f"{stem}.json")
         _write_ensemble_csv(table, out / f"{stem}.csv")
         _print_ensemble(table, f"{args.param} = {value}:")
         summary_points.append({
@@ -241,7 +236,7 @@ def cmd_sweep(args) -> int:
 
     summary = {"param": args.param, "points": summary_points,
                "failures": failures}
-    _write_json(summary, out / f"sweep_{args.param}_summary.json")
+    write_json(summary, out / f"sweep_{args.param}_summary.json")
     print(f"wrote {out / f'sweep_{args.param}_summary.json'}")
     return 1 if failures else 0
 

@@ -172,12 +172,13 @@ def missing_layers(node: NodeState, layers: Iterable[LayerId]) -> set[LayerId]:
     return set(layers) - node.local_layers
 
 
-def first_violation(node: NodeState, task: TaskRequest, download_bytes: int,
-                    catalog: LayerCatalog) -> str | None:
+def first_violation(node: NodeState, task: TaskRequest, stored_bytes: int,
+                    download_bytes: int) -> str | None:
     """The first constraint (``storage``, ``container_count``, ``cpu_fit``,
-    ``mem_fit``) that placing ``task`` on ``node``, fetching
-    ``download_bytes``, would break; None if it fits."""
-    if node.stored_layer_bytes(catalog) + download_bytes > node.spec.storage_capacity:
+    ``mem_fit``) that placing ``task`` on ``node``, which holds
+    ``stored_bytes`` of layers and must fetch ``download_bytes`` more, would
+    break; None if it fits."""
+    if stored_bytes + download_bytes > node.spec.storage_capacity:
         return "storage"
     if len(node.running) >= node.spec.max_containers:
         return "container_count"
@@ -199,7 +200,8 @@ def commit_placement(
     """
     stack = layers_of(catalog, task.image)
     need = missing_layers(node, (digest for digest, _ in stack))
-    violated = first_violation(node, task, sum(catalog.layers[d] for d in need), catalog)
+    violated = first_violation(node, task, node.stored_layer_bytes(catalog),
+                               sum(catalog.layers[d] for d in need))
     if violated is not None:
         raise CapacityViolation(violated)
 

@@ -9,21 +9,25 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .model import (
+    ImageRef,
     LayerCatalog,
     NodeState,
     TaskRequest,
     commit_placement,
     first_violation,
+    layers_of,
 )
+# layer_score is unused here but stays importable from this module:
+# benchmarks/tracer.py wraps it, with the other scoring calls, by this name.
 from .scoring import (
     PluginConfig,
     ScoreBreakdown,
     WeightPolicy,
     baseline_score,
+    blend_baseline,
+    blended_score,
     cpu_score,
     download_cost,
-    final_score,
-    gate_conditions,
     layer_score,
     local_layer_size,
     std_score,
@@ -84,8 +88,20 @@ class Unschedulable:
 
 def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> FilterVerdict:
     """Feasibility check; the first failing constraint names the verdict."""
-    violated = first_violation(node, task, download_cost(catalog, node, task.image), catalog)
+    cost = download_cost(catalog, node, task.image)
+    violated = first_violation(node, task, node.stored_layer_bytes(catalog), cost)
     return FilterVerdict(node.spec.id, violated is None, violated)
+
+
+def omega_policy(config: SchedulerConfig) -> WeightPolicy:
+    """The weight rule ``config.policy`` applies on top of its weight policy."""
+    if config.policy == "default":
+        # Weight forced to 0 rather than skipping the layer computation, so
+        # breakdowns stay comparable across policies.
+        return replace(config.weight_policy, mode="static", omega_static=0.0)
+    if config.policy == "layer_static":
+        return replace(config.weight_policy, mode="static")
+    return config.weight_policy
 
 
 def score_node(
@@ -94,27 +110,114 @@ def score_node(
     catalog: LayerCatalog,
     config: SchedulerConfig,
 ) -> ScoreBreakdown:
-    """Score one feasible node under the configured policy."""
-    layer = layer_score(catalog, node, task.image)
-    overlap = local_layer_size(catalog, node, task.image)
-    std = std_score(node)
-    cpu = cpu_score(node)
-    conditions = gate_conditions(config.weight_policy, overlap, cpu, std)
-    gate = int(all(conditions))
-    baseline = baseline_score(node, task, catalog, config.plugins)
-
-    if config.policy == "default":
-        # Weight forced to 0 rather than skipping the layer computation, so
-        # breakdowns stay comparable across policies.
-        policy = replace(config.weight_policy, mode="static", omega_static=0.0)
-    elif config.policy == "layer_static":
-        policy = replace(config.weight_policy, mode="static")
-    else:
-        policy = config.weight_policy
-    return final_score(
-        policy, layer, baseline, gate,
-        std=std, cpu=cpu, conditions_met=sum(conditions),
+    """Score one feasible node under the configured policy, from scratch."""
+    return blended_score(
+        config.weight_policy, omega_policy(config),
+        local_layer_size(catalog, node, task.image),
+        catalog.image_total_size(task.image),
+        cpu_score(node), std_score(node),
+        baseline_score(node, task, catalog, config.plugins),
     )
+
+
+class _Kernel:
+    """Filter, score and argmax over a cluster in which each commit changes
+    one node.
+
+    Everything a node-task needs that depends only on the node is kept per
+    node and dropped when that node is committed to: its stored layer bytes
+    (advanced by the download instead), the bytes of each image it already
+    holds, and its load. Each image's layer stack and total are resolved
+    once, and so are the config's weight rule and enabled plugins. The
+    results equal :func:`filter_node` and :func:`score_node` exactly.
+    """
+
+    def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
+                 config: SchedulerConfig, rng: random.Random | None):
+        self.nodes = list(nodes)
+        self.catalog = catalog
+        self.config = config
+        self.rng = rng
+        self.index = {node.spec.id: i for i, node in enumerate(self.nodes)}
+        self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
+        self.overlaps: list[dict[int, int]] = [{} for _ in self.nodes]
+        self.loads: list[tuple[float, float] | None] = [None] * len(self.nodes)
+        self.images: dict[ImageRef, tuple[int, list[tuple[str, int]], int]] = {}
+        self.omega_policy = omega_policy(config)
+        self.plugins = config.plugins.enabled()
+
+    def _image(self, image: ImageRef) -> tuple[int, list[tuple[str, int]], int]:
+        """A small key for the image, its layer stack and its total bytes."""
+        entry = self.images.get(image)
+        if entry is None:
+            stack = layers_of(self.catalog, image)
+            entry = self.images[image] = (
+                len(self.images), stack, sum(size for _, size in stack))
+        return entry
+
+    def decide(self, task: TaskRequest) -> Placement | Unschedulable:
+        """Filter, score and pick a node for ``task``, changing no state."""
+        nodes = self.nodes
+        if not nodes:
+            return Unschedulable(task.task_id, ())
+        key, stack, total = self._image(task.image)
+
+        violations = []
+        feasible = []  # (node index, local bytes of the image)
+        for i, node in enumerate(nodes):
+            overlaps = self.overlaps[i]
+            overlap = overlaps.get(key)
+            if overlap is None:
+                local = node.local_layers
+                overlap = overlaps[key] = sum(
+                    size for digest, size in stack if digest in local)
+            violated = first_violation(node, task, self.stored[i], total - overlap)
+            violations.append(violated)
+            if violated is None:
+                feasible.append((i, overlap))
+        if not feasible:
+            return Unschedulable(task.task_id, tuple(
+                FilterVerdict(node.spec.id, False, violated)
+                for node, violated in zip(nodes, violations)))
+
+        gate_policy, omega, plugins = self.config.weight_policy, self.omega_policy, self.plugins
+        scores = {}
+        for i, overlap in feasible:
+            node = nodes[i]
+            load = self.loads[i]
+            if load is None:
+                load = self.loads[i] = (cpu_score(node), std_score(node))
+            scores[node.spec.id] = blended_score(
+                gate_policy, omega, overlap, total, load[0], load[1],
+                blend_baseline(node, task, plugins))
+
+        best = max(b.final for b in scores.values())
+        tied = sorted(
+            ((nodes[i], overlap) for i, overlap in feasible
+             if scores[nodes[i].spec.id].final == best),
+            key=lambda pair: pair[0].spec.id,
+        )
+        if self.config.tie_break == "random_seeded" and len(tied) > 1:
+            chosen, overlap = (self.rng or random.Random(0)).choice(tied)
+        else:
+            chosen, overlap = tied[0]
+
+        cost = total - overlap
+        return Placement(
+            task_id=task.task_id,
+            node_id=chosen.spec.id,
+            download_bytes=cost,
+            download_seconds=cost / chosen.spec.bandwidth,
+            scores=scores,
+        )
+
+    def commit(self, task: TaskRequest, placement: Placement) -> None:
+        """Bind ``task`` where ``placement`` chose and refresh that node."""
+        i = self.index[placement.node_id]
+        self.nodes[i] = commit_placement(self.nodes[i], task, self.catalog)
+        self.stored[i] += placement.download_bytes
+        self.overlaps[i] = {}
+        self.loads[i] = None
 
 
 def schedule(
@@ -130,32 +233,7 @@ def schedule(
     random choice when configured. ``rng`` is only consulted for the
     latter.
     """
-    verdicts = [filter_node(node, task, catalog) for node in nodes]
-    feasible = [node for node, v in zip(nodes, verdicts) if v.feasible]
-    if not feasible:
-        return Unschedulable(task.task_id, tuple(verdicts))
-
-    breakdowns = {
-        node.spec.id: score_node(node, task, catalog, config) for node in feasible
-    }
-    best_score = max(b.final for b in breakdowns.values())
-    tied = sorted(
-        (node for node in feasible if breakdowns[node.spec.id].final == best_score),
-        key=lambda n: n.spec.id,
-    )
-    if config.tie_break == "random_seeded" and len(tied) > 1:
-        chosen = (rng or random.Random(0)).choice(tied)
-    else:
-        chosen = tied[0]
-
-    cost = download_cost(catalog, chosen, task.image)
-    return Placement(
-        task_id=task.task_id,
-        node_id=chosen.spec.id,
-        download_bytes=cost,
-        download_seconds=cost / chosen.spec.bandwidth,
-        scores=breakdowns,
-    )
+    return _Kernel(nodes, catalog, config, rng).decide(task)
 
 
 @dataclass
@@ -184,16 +262,13 @@ def iter_schedule_trace(
     """Schedule tasks in arrival order, yielding each outcome with the node
     states after it was applied. Unschedulable tasks leave state untouched.
     """
-    rng = random.Random(seed)
-    current = list(nodes)
-    index = {node.spec.id: i for i, node in enumerate(current)}
+    kernel = _Kernel(nodes, catalog, config, random.Random(seed))
     for task in tasks:
-        outcome = schedule(task, current, catalog, config, rng)
+        outcome = kernel.decide(task)
         if isinstance(outcome, Placement):
-            i = index[outcome.node_id]
-            current[i] = commit_placement(current[i], task, catalog)
+            kernel.commit(task, outcome)
         # Copy so consumers hold a stable snapshot, not the live list.
-        yield outcome, list(current)
+        yield outcome, list(kernel.nodes)
 
 
 def schedule_trace(

@@ -165,7 +165,13 @@ def baseline_score(
     way a real scheduler ranks the outcome). image_locality is all-or-
     nothing on the exact image. Assumes the node already passed filtering.
     """
-    enabled = plugins.enabled()
+    return blend_baseline(node, task, plugins.enabled())
+
+
+def blend_baseline(
+    node: NodeState, task: TaskRequest, enabled: list[tuple[str, float]]
+) -> float:
+    """:func:`baseline_score` with ``plugins.enabled()`` already resolved."""
     if not enabled:
         return 0.0
 
@@ -220,4 +226,28 @@ def final_score(
         weight_gate=gate,
         omega_used=omega,
         final=omega * layer + baseline,
+    )
+
+
+def blended_score(
+    gate_policy: WeightPolicy,
+    omega_policy: WeightPolicy,
+    local_layer_bytes: int,
+    image_bytes: int,
+    cpu: float,
+    std: float,
+    baseline: float,
+) -> ScoreBreakdown:
+    """The score of one feasible node from its precomputed parts.
+
+    ``local_layer_bytes`` of the image's ``image_bytes`` are already on the
+    node; ``cpu`` and ``std`` are its load. The gate thresholds come from
+    ``gate_policy`` and the weight rule from ``omega_policy``, which differ
+    when a scheduler policy overrides the weight mode.
+    """
+    layer = local_layer_bytes / image_bytes * 100.0 if image_bytes else 0.0
+    conditions = gate_conditions(gate_policy, local_layer_bytes, cpu, std)
+    return final_score(
+        omega_policy, layer, baseline, int(all(conditions)),
+        std=std, cpu=cpu, conditions_met=sum(conditions),
     )

@@ -178,19 +178,16 @@ class SimulationReport:
         }
 
 
-def _usage(nodes: list[NodeState], catalog: LayerCatalog) -> dict[str, dict[str, float]]:
+def _node_usage(node: NodeState, catalog: LayerCatalog) -> dict[str, float]:
     return {
-        node.spec.id: {
-            "cpu": node.cpu_ratio(),
-            "mem": node.mem_ratio(),
-            "disk": node.stored_layer_bytes(catalog) / node.spec.storage_capacity,
-        }
-        for node in nodes
+        "cpu": node.cpu_ratio(),
+        "mem": node.mem_ratio(),
+        "disk": node.stored_layer_bytes(catalog) / node.spec.storage_capacity,
     }
 
 
-def _cluster_std(nodes: list[NodeState]) -> float:
-    return sum(std_score(node) for node in nodes) / len(nodes)
+def _usage(nodes: list[NodeState], catalog: LayerCatalog) -> dict[str, dict[str, float]]:
+    return {node.spec.id: _node_usage(node, catalog) for node in nodes}
 
 
 def run(scenario: Scenario) -> SimulationReport:
@@ -205,9 +202,21 @@ def run(scenario: Scenario) -> SimulationReport:
     cumulative: list[int] = []
     running_total = 0
     final_nodes = nodes
+    # A step changes at most one node: the per-node usage dicts and balance
+    # scores of the previous step are reused for every node state it shares.
+    # The usage dicts are never mutated, so steps may share them.
+    ids = [node.spec.id for node in nodes]
+    previous: list[NodeState | None] = [None] * len(nodes)
+    usage: list[dict[str, float]] = [{}] * len(nodes)
+    stds = [0.0] * len(nodes)
     for step_index, (outcome, current) in enumerate(
         iter_schedule_trace(tasks, nodes, catalog, scenario.scheduler, seed=scenario.seed)
     ):
+        for i, node in enumerate(current):
+            if node is not previous[i]:
+                usage[i] = _node_usage(node, catalog)
+                stds[i] = std_score(node)
+        previous = current
         placed = isinstance(outcome, Placement)
         download = outcome.download_bytes if placed else 0
         running_total += download
@@ -218,8 +227,8 @@ def run(scenario: Scenario) -> SimulationReport:
             node_id=outcome.node_id if placed else None,
             download_bytes=download,
             download_seconds=outcome.download_seconds if placed else 0.0,
-            cluster_std=_cluster_std(current),
-            node_usage=_usage(current, catalog),
+            cluster_std=sum(stds) / len(stds),
+            node_usage=dict(zip(ids, usage)),
         ))
         final_nodes = current
 
@@ -270,7 +279,6 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
             per_node = {node.spec.id: len(node.running) for node in current}
             return MaxPodsResult(per_node=per_node, total=sum(per_node.values()),
                                  stopped_by=outcome.task_id)
-        nodes = current
     raise ScenarioError("workload", f"no task became unschedulable within {limit} steps")
 
 
@@ -349,10 +357,15 @@ def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
     )
 
 
+def write_json(payload: dict, path: str | Path) -> None:
+    """Write ``payload`` as sorted, indented JSON, streamed into the file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
 def write_report_json(report: SimulationReport | ComparisonReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(report.to_dict(), path)
 
 
 def write_steps_csv(report: SimulationReport, path: str | Path) -> None:

@@ -6,6 +6,7 @@ behind that line. The ordering claims run the bundled shared_layers file
 over its full 20-seed ensemble; nothing here is sampled down for speed.
 """
 
+import hashlib
 import json
 import random
 import statistics
@@ -50,6 +51,7 @@ from layersched.scoring import download_cost, local_layer_size
 from layersched.simulator import max_pods, run
 
 GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports.json"
 
 POLICY_LABELS = ("default", "layer_static", "lr_dynamic")
 
@@ -402,3 +404,32 @@ def test_cli_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     detail = ", ".join(f"{name} x{count}" for name, _, count in stable)
     _line("cli determinism", ok, f"reruns byte-identical: {detail}")
     assert all(same for _, same, _ in stable), stable
+
+
+def test_cli_reports_match_golden_hashes(tmp_path, capsys, monkeypatch):
+    """The bundled scenarios' reports hash to values recorded from an
+    earlier, from-scratch scheduler: a faster path may not move a byte."""
+    monkeypatch.delenv("LAYERSCHED_REGISTRY", raising=False)
+    monkeypatch.delenv("LAYERSCHED_OUT", raising=False)
+    produced = {}
+    for name in ("shared_layers", "storage_tight"):
+        path = bundled_scenario_path(name)
+        outputs = [(f"simulate-{entry.label}",
+                    ["simulate", str(path), "--scheduler", entry.label])
+                   for entry in parse_scenario_file(path).schedulers]
+        if name == "shared_layers":
+            outputs.append(("compare", ["compare", str(path)]))
+        for stem, argv in outputs:
+            out = tmp_path / name / stem
+            assert main(argv + ["--out", str(out)]) == 0
+            for report in sorted(out.iterdir()):
+                produced[f"{name}/{report.name}"] = hashlib.sha256(
+                    report.read_bytes()).hexdigest()
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    differing = sorted(key for key in golden.keys() | produced.keys()
+                       if golden.get(key) != produced.get(key))
+    capsys.readouterr()
+    _line("report golden hashes", not differing,
+          f"{len(golden) - len(differing)} of {len(golden)} reports byte-identical, "
+          f"differing: {differing or 'none'}")
+    assert not differing

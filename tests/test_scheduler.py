@@ -1,6 +1,7 @@
 """Filter, argmax selection, trace folding, and policy behavior."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,10 @@ from helpers import (
     micro_scenario,
     node_dict,
     params_dict,
+    random_catalog,
+    random_config,
+    random_node,
+    random_task,
     task_dict,
 )
 from oracles import oracle_trace
@@ -20,15 +25,19 @@ from layersched.model import (
     PlacedContainer,
     TaskRequest,
 )
+from layersched.model import commit_placement
 from layersched.scheduler import (
+    POLICIES,
     Placement,
     SchedulerConfig,
     Unschedulable,
     filter_node,
+    iter_schedule_trace,
     schedule,
     schedule_trace,
+    score_node,
 )
-from layersched.scoring import MB, WeightPolicy
+from layersched.scoring import MB, WeightPolicy, download_cost
 
 GB = 1024 ** 3
 WEB = ImageRef("web", "1")
@@ -229,3 +238,90 @@ class TestPolicyBehavior:
         with pytest.raises(ValueError):
             SchedulerConfig(policy="lr_dynamic",
                             weight_policy=WeightPolicy(mode="static"))
+
+
+
+def kernel_instance(seed: int):
+    """A warm cluster and a task trace for the kernel equivalence check.
+
+    Some nodes get a disk just above what they hold and room for only a few
+    more containers, so storage and container-count rejections occur. With
+    ``random_seeded`` tie-breaking the nodes are copies of one node under
+    different ids, so the first placements tie.
+    """
+    rng = random.Random(seed)
+    catalog = random_catalog(rng, max_layers=10, max_images=6)
+    config = random_config(rng, policy=POLICIES[seed % len(POLICIES)])
+    if seed % 4 == 3:
+        config = replace(config, tie_break="random_seeded")
+        template = random_node(rng, catalog, "template")
+        nodes = [replace(template, spec=replace(template.spec, id=f"node-{i}"))
+                 for i in range(rng.randint(2, 5))]
+    else:
+        nodes = [random_node(rng, catalog, f"node-{i}")
+                 for i in range(rng.randint(1, 6))]
+    for i, state in enumerate(nodes):
+        if rng.random() < 0.4:
+            spec = replace(
+                state.spec,
+                storage_capacity=state.stored_layer_bytes(catalog)
+                + rng.randint(1, 400 * MB),
+                max_containers=len(state.running) + rng.randint(1, 4),
+            )
+            nodes[i] = replace(state, spec=spec)
+    tasks = [random_task(rng, catalog, f"task-{seed}-{j}")
+             for j in range(rng.randint(5, 25))]
+    return catalog, nodes, tasks, config
+
+
+class TestKernelEquivalence:
+    """Every step of the incremental kernel equals the from-scratch public
+    functions evaluated on the states before that step."""
+
+    def test_each_step_matches_from_scratch(self):
+        ties = unschedulable = 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            tie_rng = random.Random(seed)
+            before = list(nodes)
+            steps = iter_schedule_trace(tasks, nodes, catalog, config, seed=seed)
+            for t, (outcome, after) in zip(tasks, steps):
+                verdicts = tuple(filter_node(n, t, catalog) for n in before)
+                if isinstance(outcome, Unschedulable):
+                    unschedulable += 1
+                    assert outcome.verdicts == verdicts, f"seed {seed} {t.task_id}"
+                    assert after == before
+                    continue
+
+                feasible = [n for n, v in zip(before, verdicts) if v.feasible]
+                assert list(outcome.scores) == [n.spec.id for n in feasible]
+                for n in feasible:
+                    assert outcome.scores[n.spec.id] == score_node(n, t, catalog, config), \
+                        f"seed {seed} {t.task_id} {n.spec.id}"
+
+                best = max(b.final for b in outcome.scores.values())
+                tied = sorted((n for n in feasible
+                               if outcome.scores[n.spec.id].final == best),
+                              key=lambda n: n.spec.id)
+                if config.tie_break == "random_seeded" and len(tied) > 1:
+                    ties += 1
+                    chosen = tie_rng.choice(tied)
+                else:
+                    chosen = tied[0]
+                assert outcome.node_id == chosen.spec.id, f"seed {seed} {t.task_id}"
+                cost = download_cost(catalog, chosen, t.image)
+                assert outcome.download_bytes == cost
+                assert outcome.download_seconds == cost / chosen.spec.bandwidth
+                want = [commit_placement(n, t, catalog) if n is chosen else n
+                        for n in before]
+                assert after == want
+                before = after
+        # The instances must reach the branches they are meant to cover.
+        assert ties > 0 and unschedulable > 0
+
+    def test_schedule_is_one_kernel_step(self):
+        for seed in range(40):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            first, _ = next(iter_schedule_trace(tasks, nodes, catalog, config, seed=seed))
+            assert schedule(tasks[0], nodes, catalog, config,
+                            random.Random(seed)) == first

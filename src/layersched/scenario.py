@@ -10,6 +10,7 @@ experiment.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -43,7 +44,7 @@ def parse_size(value: int | float | str, path: str) -> int:
             raise ScenarioError(path, "size must be >= 0")
         return value
     if isinstance(value, float):
-        if value < 0 or value != int(value):
+        if not math.isfinite(value) or value < 0 or value != int(value):
             raise ScenarioError(path, "fractional byte counts need a unit suffix")
         return int(value)
     match = _SIZE_RE.match(value) if isinstance(value, str) else None
@@ -52,7 +53,7 @@ def parse_size(value: int | float | str, path: str) -> int:
     number = float(match.group(1))
     unit = (match.group(2) or "B").upper()
     exact = number * _SIZE_UNITS[unit]
-    if exact != int(exact):
+    if not math.isfinite(exact) or exact != int(exact):
         raise ScenarioError(path, f"size {value!r} is not a whole number of bytes")
     return int(exact)
 
@@ -81,10 +82,22 @@ def parse_cpu(value: int | str, path: str) -> int:
         except ValueError:
             raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
         millis = cores * 1000
-        if millis <= 0 or millis != int(millis):
+        if not math.isfinite(millis) or millis <= 0 or millis != int(millis):
             raise ScenarioError(path, f"cpu {value!r} is not a whole number of millicores")
         return int(millis)
     raise ScenarioError(path, f"cannot parse cpu {value!r}")
+
+
+def _number(value, path: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(path, "must be a finite number")
 
 
 def _image_ref(key: str, path: str) -> ImageRef:
@@ -160,9 +173,9 @@ def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
         weights = {}
         for key, prob in raw.items():
             _image_ref(key, f"{path}.images.{key}")
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool) or prob < 0:
+            weights[key] = _number(prob, f"{path}.images.{key}")
+            if weights[key] < 0:
                 raise ScenarioError(f"{path}.images.{key}", "weight must be a number >= 0")
-            weights[key] = float(prob)
 
     def _range(key: str, parse, default):
         if key not in obj:
@@ -194,10 +207,7 @@ def _parse_weights(obj: dict, path: str) -> WeightPolicy:
         kwargs["mode"] = obj["mode"]
     for key in ("omega_static", "omega_high", "omega_low", "h_cpu", "h_std"):
         if key in obj:
-            value = obj[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ScenarioError(f"{path}.{key}", "must be a number")
-            kwargs[key] = float(value)
+            kwargs[key] = _number(obj[key], f"{path}.{key}")
     if "h_size" in obj:
         kwargs["h_size"] = parse_size(obj["h_size"], f"{path}.h_size")
     if "custom_table" in obj:
@@ -206,9 +216,9 @@ def _parse_weights(obj: dict, path: str) -> WeightPolicy:
             raise ScenarioError(f"{path}.custom_table", "must map condition counts to weights")
         table = {}
         for key, value in raw.items():
-            if not str(key).isdigit():
+            if key not in ("0", "1", "2", "3"):
                 raise ScenarioError(f"{path}.custom_table.{key}", "keys must be counts 0..3")
-            table[int(key)] = float(value)
+            table[int(key)] = _number(value, f"{path}.custom_table.{key}")
         kwargs["custom_table"] = table
     try:
         return WeightPolicy(**kwargs)
@@ -222,9 +232,7 @@ def _parse_plugins(obj: dict, path: str) -> PluginConfig:
     for name in PLUGIN_NAMES:
         if name in obj:
             value = obj[name]
-            if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
-                raise ScenarioError(f"{path}.{name}", "must be a number or null")
-            kwargs[name] = None if value is None else float(value)
+            kwargs[name] = None if value is None else _number(value, f"{path}.{name}")
     try:
         return PluginConfig(**kwargs)
     except ValueError as exc:
@@ -305,8 +313,11 @@ class Sweeps:
 
 def _parse_sweeps(obj: dict, path: str) -> Sweeps:
     _check_keys(obj, {"bandwidth", "node_count"}, path)
+    raw_bandwidth = obj.get("bandwidth", [])
+    if not isinstance(raw_bandwidth, list):
+        raise ScenarioError(f"{path}.bandwidth", "must be a list of sizes")
     bandwidth = []
-    for i, value in enumerate(obj.get("bandwidth", [])):
+    for i, value in enumerate(raw_bandwidth):
         parsed = parse_size(value, f"{path}.bandwidth[{i}]")
         if parsed <= 0:
             raise ScenarioError(f"{path}.bandwidth[{i}]", "must be > 0")
@@ -418,7 +429,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(path), f"cannot read scenario file: {exc}") from None
     try:
         data = json.loads(text)
@@ -455,8 +466,11 @@ def resolve_catalog(sfile: ScenarioFile, registry_url: str | None = None) -> Lay
     if source.inline is not None:
         return source.inline
     if source.cache_file is not None:
-        cache_path = sfile.base_dir / source.cache_file
-        return catalog_from_cache(load_cache(cache_path))
+        try:
+            cache = load_cache(sfile.base_dir / source.cache_file)
+        except OSError as exc:
+            raise ScenarioError("catalog.cache_file", f"cannot read cache: {exc}") from None
+        return catalog_from_cache(cache)
     url = registry_url or source.registry_url
     snapshot = walk_registry(RegistryClient(RegistryConfig(base_url=url)))
     for warning in snapshot.warnings:

@@ -5,7 +5,7 @@ survivors, pick the argmax node, and fold placements over a task stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .model import (
@@ -24,7 +24,6 @@ from .scoring import (
     ScoreBreakdown,
     WeightPolicy,
     baseline_score,
-    blend_baseline,
     blended_score,
     cpu_score,
     download_cost,
@@ -58,6 +57,16 @@ class SchedulerConfig:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if self.policy == "lr_dynamic" and self.weight_policy.mode == "static":
             raise ValueError("lr_dynamic needs a dynamic or custom weight policy")
+
+    def omegas(self) -> tuple[float, float, float, float]:
+        """The weight this policy applies when k gate conditions hold, at k."""
+        if self.policy == "default":
+            # Weight 0 rather than skipping the layer computation, so
+            # breakdowns stay comparable across policies.
+            return (0.0,) * 4
+        if self.policy == "layer_static":
+            return (self.weight_policy.omega_static,) * 4
+        return self.weight_policy.omegas()
 
 
 @dataclass(frozen=True)
@@ -93,17 +102,6 @@ def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> Fi
     return FilterVerdict(node.spec.id, violated is None, violated)
 
 
-def omega_policy(config: SchedulerConfig) -> WeightPolicy:
-    """The weight rule ``config.policy`` applies on top of its weight policy."""
-    if config.policy == "default":
-        # Weight forced to 0 rather than skipping the layer computation, so
-        # breakdowns stay comparable across policies.
-        return replace(config.weight_policy, mode="static", omega_static=0.0)
-    if config.policy == "layer_static":
-        return replace(config.weight_policy, mode="static")
-    return config.weight_policy
-
-
 def score_node(
     node: NodeState,
     task: TaskRequest,
@@ -112,7 +110,7 @@ def score_node(
 ) -> ScoreBreakdown:
     """Score one feasible node under the configured policy, from scratch."""
     return blended_score(
-        config.weight_policy, omega_policy(config),
+        config.weight_policy, config.omegas(),
         local_layer_size(catalog, node, task.image),
         catalog.image_total_size(task.image),
         cpu_score(node), std_score(node),
@@ -128,8 +126,8 @@ class _Kernel:
     node and dropped when that node is committed to: its stored layer bytes
     (advanced by the download instead), the bytes of each image it already
     holds, and its load. Each image's layer stack and total are resolved
-    once, and so are the config's weight rule and enabled plugins. The
-    results equal :func:`filter_node` and :func:`score_node` exactly.
+    once, and so is the config's weight table (:meth:`SchedulerConfig.omegas`).
+    The results equal :func:`filter_node` and :func:`score_node` exactly.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -143,8 +141,7 @@ class _Kernel:
         self.overlaps: list[dict[int, int]] = [{} for _ in self.nodes]
         self.loads: list[tuple[float, float] | None] = [None] * len(self.nodes)
         self.images: dict[ImageRef, tuple[int, list[tuple[str, int]], int]] = {}
-        self.omega_policy = omega_policy(config)
-        self.plugins = config.plugins.enabled()
+        self.omegas = config.omegas()
 
     def _image(self, image: ImageRef) -> tuple[int, list[tuple[str, int]], int]:
         """A small key for the image, its layer stack and its total bytes."""
@@ -180,7 +177,7 @@ class _Kernel:
                 FilterVerdict(node.spec.id, False, violated)
                 for node, violated in zip(nodes, violations)))
 
-        gate_policy, omega, plugins = self.config.weight_policy, self.omega_policy, self.plugins
+        config, omegas, catalog = self.config, self.omegas, self.catalog
         scores = {}
         for i, overlap in feasible:
             node = nodes[i]
@@ -188,8 +185,8 @@ class _Kernel:
             if load is None:
                 load = self.loads[i] = (cpu_score(node), std_score(node))
             scores[node.spec.id] = blended_score(
-                gate_policy, omega, overlap, total, load[0], load[1],
-                blend_baseline(node, task, plugins))
+                config.weight_policy, omegas, overlap, total, load[0], load[1],
+                baseline_score(node, task, catalog, config.plugins))
 
         best = max(b.final for b in scores.values())
         tied = sorted(
@@ -197,7 +194,7 @@ class _Kernel:
              if scores[nodes[i].spec.id].final == best),
             key=lambda pair: pair[0].spec.id,
         )
-        if self.config.tie_break == "random_seeded" and len(tied) > 1:
+        if config.tie_break == "random_seeded" and len(tied) > 1:
             chosen, overlap = (self.rng or random.Random(0)).choice(tied)
         else:
             chosen, overlap = tied[0]
@@ -236,22 +233,6 @@ def schedule(
     return _Kernel(nodes, catalog, config, rng).decide(task)
 
 
-@dataclass
-class TraceResult:
-    """Outcome of replaying a task trace: per-task outcomes plus final state."""
-
-    outcomes: list[Placement | Unschedulable]
-    nodes: list[NodeState]
-
-    @property
-    def placements(self) -> list[Placement]:
-        return [o for o in self.outcomes if isinstance(o, Placement)]
-
-    @property
-    def unschedulable(self) -> list[Unschedulable]:
-        return [o for o in self.outcomes if isinstance(o, Unschedulable)]
-
-
 def iter_schedule_trace(
     tasks: Iterator[TaskRequest] | list[TaskRequest],
     nodes: list[NodeState],
@@ -270,18 +251,3 @@ def iter_schedule_trace(
         # Copy so consumers hold a stable snapshot, not the live list.
         yield outcome, list(kernel.nodes)
 
-
-def schedule_trace(
-    tasks: list[TaskRequest],
-    nodes: list[NodeState],
-    catalog: LayerCatalog,
-    config: SchedulerConfig,
-    seed: int = 0,
-) -> TraceResult:
-    """Fold :func:`schedule` + commit over an ordered task list."""
-    outcomes: list[Placement | Unschedulable] = []
-    final = list(nodes)
-    for outcome, current in iter_schedule_trace(tasks, nodes, catalog, config, seed):
-        outcomes.append(outcome)
-        final = current
-    return TraceResult(outcomes=outcomes, nodes=list(final))

@@ -8,6 +8,7 @@ All functions here are pure; evaluating them per node in parallel is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
 
@@ -33,13 +34,11 @@ class PluginConfig:
     balanced_allocation: float | None = 1.0
     image_locality: float | None = 1.0
 
-    def enabled(self) -> list[tuple[str, float]]:
-        out = []
-        for name in PLUGIN_NAMES:
-            weight = getattr(self, name)
-            if weight is not None:
-                out.append((name, weight))
-        return out
+    @cached_property
+    def enabled(self) -> tuple[tuple[str, float], ...]:
+        """(name, weight) of each enabled plugin, resolved once per config."""
+        return tuple((name, weight) for name in PLUGIN_NAMES
+                     if (weight := getattr(self, name)) is not None)
 
 
 @dataclass
@@ -81,6 +80,14 @@ class WeightPolicy:
                 raise ValueError(
                     f"custom_table must map condition counts 0..3, missing {missing}"
                 )
+
+    def omegas(self) -> tuple[float, float, float, float]:
+        """The weight applied when k of the three gate conditions hold, at k."""
+        if self.mode == "static":
+            return (self.omega_static,) * 4
+        if self.mode == "dynamic":
+            return (self.omega_low,) * 3 + (self.omega_high,)
+        return tuple(self.custom_table[k] for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -165,13 +172,7 @@ def baseline_score(
     way a real scheduler ranks the outcome). image_locality is all-or-
     nothing on the exact image. Assumes the node already passed filtering.
     """
-    return blend_baseline(node, task, plugins.enabled())
-
-
-def blend_baseline(
-    node: NodeState, task: TaskRequest, enabled: list[tuple[str, float]]
-) -> float:
-    """:func:`baseline_score` with ``plugins.enabled()`` already resolved."""
+    enabled = plugins.enabled
     if not enabled:
         return 0.0
 
@@ -196,12 +197,18 @@ def blend_baseline(
     return total / len(enabled)
 
 
-def select_omega(policy: WeightPolicy, gate: int, conditions_met: int) -> float:
-    if policy.mode == "static":
-        return policy.omega_static
-    if policy.mode == "dynamic":
-        return policy.omega_high if gate == 1 else policy.omega_low
-    return policy.custom_table[conditions_met]
+def _breakdown(
+    omega: float, layer: float, baseline: float, gate: int, std: float, cpu: float
+) -> ScoreBreakdown:
+    return ScoreBreakdown(
+        layer_score=layer,
+        baseline_score=baseline,
+        std_score=std,
+        cpu_score=cpu,
+        weight_gate=gate,
+        omega_used=omega,
+        final=omega * layer + baseline,
+    )
 
 
 def final_score(
@@ -217,21 +224,12 @@ def final_score(
     """Resolve the weight per ``policy`` and blend: final = omega * layer + baseline."""
     if conditions_met is None:
         conditions_met = 3 if gate == 1 else 0
-    omega = select_omega(policy, gate, conditions_met)
-    return ScoreBreakdown(
-        layer_score=layer,
-        baseline_score=baseline,
-        std_score=std,
-        cpu_score=cpu,
-        weight_gate=gate,
-        omega_used=omega,
-        final=omega * layer + baseline,
-    )
+    return _breakdown(policy.omegas()[conditions_met], layer, baseline, gate, std, cpu)
 
 
 def blended_score(
     gate_policy: WeightPolicy,
-    omega_policy: WeightPolicy,
+    omegas: tuple[float, float, float, float],
     local_layer_bytes: int,
     image_bytes: int,
     cpu: float,
@@ -242,12 +240,9 @@ def blended_score(
 
     ``local_layer_bytes`` of the image's ``image_bytes`` are already on the
     node; ``cpu`` and ``std`` are its load. The gate thresholds come from
-    ``gate_policy`` and the weight rule from ``omega_policy``, which differ
-    when a scheduler policy overrides the weight mode.
+    ``gate_policy``; the weight is ``omegas`` at the number of gate
+    conditions met (see :meth:`SchedulerConfig.omegas`).
     """
     layer = local_layer_bytes / image_bytes * 100.0 if image_bytes else 0.0
-    conditions = gate_conditions(gate_policy, local_layer_bytes, cpu, std)
-    return final_score(
-        omega_policy, layer, baseline, int(all(conditions)),
-        std=std, cpu=cpu, conditions_met=sum(conditions),
-    )
+    met = sum(gate_conditions(gate_policy, local_layer_bytes, cpu, std))
+    return _breakdown(omegas[met], layer, baseline, int(met == 3), std, cpu)

@@ -23,7 +23,7 @@ from .scheduler import (
     Unschedulable,
     iter_schedule_trace,
 )
-from .scoring import std_score
+from .scoring import PLUGIN_NAMES, std_score
 from .workload import WorkloadSpec, generate, stream
 
 CSV_HEADER = ["step", "task", "node", "download_bytes", "download_seconds", "cluster_std"]
@@ -98,8 +98,7 @@ def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
             "policy": cfg.policy,
             "tie_break": cfg.tie_break,
             "weight": vars(cfg.weight_policy),
-            "plugins": {name: getattr(cfg.plugins, name) for name in
-                        ("least_allocated", "balanced_allocation", "image_locality")},
+            "plugins": {name: getattr(cfg.plugins, name) for name in PLUGIN_NAMES},
         }
     raw = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(raw).hexdigest()
@@ -186,10 +185,6 @@ def _node_usage(node: NodeState, catalog: LayerCatalog) -> dict[str, float]:
     }
 
 
-def _usage(nodes: list[NodeState], catalog: LayerCatalog) -> dict[str, dict[str, float]]:
-    return {node.spec.id: _node_usage(node, catalog) for node in nodes}
-
-
 def run(scenario: Scenario) -> SimulationReport:
     """Replay the scenario's workload and collect per-step metrics."""
     scenario.validate()
@@ -202,22 +197,20 @@ def run(scenario: Scenario) -> SimulationReport:
     cumulative: list[int] = []
     running_total = 0
     final_nodes = nodes
-    # A step changes at most one node: the per-node usage dicts and balance
-    # scores of the previous step are reused for every node state it shares.
-    # The usage dicts are never mutated, so steps may share them.
-    ids = [node.spec.id for node in nodes]
-    previous: list[NodeState | None] = [None] * len(nodes)
-    usage: list[dict[str, float]] = [{}] * len(nodes)
-    stds = [0.0] * len(nodes)
+    # A placement changes one node, so only that node's usage dict and
+    # balance score are recomputed. The usage dicts are never mutated, so
+    # steps may share them.
+    index = {node.spec.id: i for i, node in enumerate(nodes)}
+    usage = {node.spec.id: _node_usage(node, catalog) for node in nodes}
+    stds = [std_score(node) for node in nodes]
     for step_index, (outcome, current) in enumerate(
         iter_schedule_trace(tasks, nodes, catalog, scenario.scheduler, seed=scenario.seed)
     ):
-        for i, node in enumerate(current):
-            if node is not previous[i]:
-                usage[i] = _node_usage(node, catalog)
-                stds[i] = std_score(node)
-        previous = current
         placed = isinstance(outcome, Placement)
+        if placed:
+            i = index[outcome.node_id]
+            usage[outcome.node_id] = _node_usage(current[i], catalog)
+            stds[i] = std_score(current[i])
         download = outcome.download_bytes if placed else 0
         running_total += download
         cumulative.append(running_total)
@@ -228,7 +221,7 @@ def run(scenario: Scenario) -> SimulationReport:
             download_bytes=download,
             download_seconds=outcome.download_seconds if placed else 0.0,
             cluster_std=sum(stds) / len(stds),
-            node_usage=dict(zip(ids, usage)),
+            node_usage=dict(usage),
         ))
         final_nodes = current
 
@@ -247,7 +240,7 @@ def run(scenario: Scenario) -> SimulationReport:
         max_pods=pods,
         total_pods=sum(pods.values()),
         unschedulable_count=sum(1 for s in steps if s.node_id is None),
-        final_usage=_usage(final_nodes, catalog),
+        final_usage=usage,
     )
 
 

@@ -14,12 +14,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .errors import TraceCorrupt, UnknownImage
+from .errors import ScenarioError, TraceCorrupt, UnknownImage
 from .model import ImageRef, LayerCatalog, TaskRequest
-
-MB = 1024 * 1024
-
-TRACE_FIELDS = ("task_id", "image_name", "image_tag", "cpu_millicores", "mem_bytes")
+from .scoring import MB
 
 
 @dataclass
@@ -111,8 +108,12 @@ def save_trace(tasks: list[TaskRequest], path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> list[TaskRequest]:
+    """The tasks of a trace file, the file a workload's ``trace_file`` names."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("workload.trace_file", f"cannot read trace: {exc}") from None
     tasks = []
-    text = Path(path).read_text(encoding="utf-8")
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -124,6 +125,6 @@ def load_trace(path: str | Path) -> list[TaskRequest]:
                 cpu_request=int(record["cpu_millicores"]),
                 mem_request=int(record["mem_bytes"]),
             ))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise TraceCorrupt(number, f"line {number}: {exc}") from exc
     return tasks

@@ -46,7 +46,7 @@ from layersched.scenario import (
     parse_scenario_file,
     resolve_catalog,
 )
-from layersched.scheduler import Placement, schedule_trace, score_node
+from layersched.scheduler import Placement, iter_schedule_trace, score_node
 from layersched.scoring import download_cost, local_layer_size
 from layersched.simulator import max_pods, run
 
@@ -132,9 +132,8 @@ def test_trace_matches_exhaustive_argmax():
     divergent = 0
     for seed in range(100):
         catalog, nodes, tasks, config = micro_scenario(seed)
-        result = schedule_trace(tasks, nodes, catalog, config)
         got = [o.node_id if isinstance(o, Placement) else None
-               for o in result.outcomes]
+               for o, _ in iter_schedule_trace(tasks, nodes, catalog, config)]
         want = oracle_trace(
             catalog_dict(catalog),
             [node_dict(n) for n in nodes],

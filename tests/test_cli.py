@@ -280,11 +280,59 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "simulate"])
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["nodes"][0].update(cpu="inf"), "nodes[0].cpu"),
+        (lambda d: d["nodes"][0].update(cpu="1e999"), "nodes[0].cpu"),
+        (lambda d: d["nodes"][0].update(cpu="nan"), "nodes[0].cpu"),
+        (lambda d: d["workload"].update(cpu_request=["1e999", "2"]),
+         "workload.cpu_request[0]"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
+            "mode": "custom", "custom_table": {"0": "x", "1": 1, "2": 1, "3": 1}}}]),
+         "schedulers[0].weights.custom_table.0"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
+            "mode": "custom", "custom_table": {"0": [1], "1": 1, "2": 1, "3": 1}}}]),
+         "schedulers[0].weights.custom_table.0"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
+            "mode": "custom", "custom_table": {"0": True, "1": 1, "2": 1, "3": 1}}}]),
+         "schedulers[0].weights.custom_table.0"),
+        (lambda d: d.update(catalog={"cache_file": "missing.json"}), "catalog.cache_file"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": "missing.jsonl"}),
+         "workload.trace_file"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": "a-directory"}),
+         "workload.trace_file"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": "binary.jsonl"}),
+         "workload.trace_file"),
+        (lambda d: d.update(schedulers=[{"policy": "layer_static",
+                                         "weights": {"omega_static": float("nan")}}]),
+         "schedulers[0].weights.omega_static"),
+        (lambda d: d.update(sweeps={"bandwidth": 5}), "sweeps.bandwidth"),
+    ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
+            "custom-table-string", "custom-table-list", "custom-table-bool",
+            "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
+            "trace-file-not-utf8", "omega-nan", "sweep-bandwidth-not-a-list"])
+    def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                mutate, field, verb):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe")
+        doc = json.loads(write_scenario(tmp_path).read_text())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([verb, str(path)]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nodes": []}))
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 class TestRegistryScenario:

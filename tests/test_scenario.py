@@ -4,8 +4,10 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layersched.errors import ScenarioError
+from layersched.errors import LayerSchedError, ScenarioError
 from layersched.fake_registry import FakeRegistry, bundled_images
 from layersched.model import ImageRef
 from layersched.registry import RegistryConfig, refresh_cache
@@ -61,6 +63,7 @@ class TestParseSize:
 
     @pytest.mark.parametrize("value", [
         True, -1, 1.5, "1.5B", "0.001MB", "abc", "12 QB", None,
+        float("inf"), float("nan"), pytest.param("1" + "0" * 400, id="401-digits"),
     ])
     def test_rejected(self, value):
         with pytest.raises(ScenarioError):
@@ -80,6 +83,7 @@ class TestParseCpu:
 
     @pytest.mark.parametrize("value", [
         True, 0, -3, "0m", "-100m", "0.0005", "abc", "m", None,
+        "inf", "nan", "1e999",
     ])
     def test_rejected(self, value):
         with pytest.raises(ScenarioError):
@@ -306,3 +310,71 @@ class TestBundledScenarios:
         with pytest.raises(ScenarioError) as err:
             bundled_scenario_path("no_such_bundle")
         assert "shared_layers" in str(err.value)
+
+
+def _bundled_documents() -> list[dict]:
+    """Each bundled scenario as JSON, and again with its schedulers written
+    out as objects, so mutations also reach weights, plugins and tie-breaks."""
+    docs = [json.loads(bundled_scenario_path(name).read_text())
+            for name in BUNDLED_SCENARIOS]
+    spelled_out = [
+        {"policy": "default",
+         "plugins": {"least_allocated": 1, "balanced_allocation": 1.5,
+                     "image_locality": None}},
+        {"policy": "layer_static", "tie_break": "random_seeded",
+         "weights": {"mode": "static", "omega_static": 4}},
+        {"policy": "lr_dynamic", "label": "custom",
+         "weights": {"mode": "custom", "h_size": "10MB", "h_cpu": 0.6, "h_std": 0.16,
+                     "omega_high": 2, "omega_low": 0.5,
+                     "custom_table": {"0": 0.5, "1": 1, "2": 1.5, "3": 2}}},
+    ]
+    return docs + [{**copy.deepcopy(doc), "schedulers": spelled_out} for doc in docs]
+
+
+def _paths(node, prefix=()) -> list[tuple]:
+    """The path (keys and indexes from the root) of every value in ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(_paths(value, prefix + (key,)))
+    return paths
+
+
+FUZZ_DOCUMENTS = _bundled_documents()
+# No generated dict key is long enough to be "registry", so no mutation
+# points a scenario at a network registry.
+FUZZ_VALUES = st.one_of(
+    st.integers(), st.integers(max_value=-1), st.floats(),
+    st.sampled_from(["inf", "nan", "-inf", "1e999"]), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_bundle_builds_or_raises_a_layersched_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    path = data.draw(st.sampled_from(_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(FUZZ_VALUES)
+    assert "registry" not in doc
+    try:
+        sfile = parse_scenario_data(
+            doc, base_dir=bundled_scenario_path(BUNDLED_SCENARIOS[0]).parent)
+        catalog = resolve_catalog(sfile)
+        for entry in sfile.schedulers:
+            build_scenario(sfile, catalog, entry, sfile.seeds[0])
+    except LayerSchedError:
+        pass

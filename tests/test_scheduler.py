@@ -34,7 +34,6 @@ from layersched.scheduler import (
     filter_node,
     iter_schedule_trace,
     schedule,
-    schedule_trace,
     score_node,
 )
 from layersched.scoring import MB, WeightPolicy, download_cost
@@ -150,39 +149,39 @@ class TestSchedule:
 class TestScheduleTrace:
     def test_empty_trace_changes_nothing(self):
         nodes = [node()]
-        result = schedule_trace([], nodes, catalog_ab(), SchedulerConfig())
-        assert result.outcomes == []
-        assert result.nodes == nodes
+        steps = list(iter_schedule_trace([], nodes, catalog_ab(), SchedulerConfig()))
+        assert steps == []
+        assert nodes == [node()]
 
     def test_single_task_single_node(self):
-        result = schedule_trace([task()], [node()], catalog_ab(),
-                                SchedulerConfig())
-        assert [p.node_id for p in result.placements] == ["node-0"]
-        assert result.nodes[0].local_layers == {"sha256:a", "sha256:b"}
+        steps = list(iter_schedule_trace([task()], [node()], catalog_ab(),
+                                         SchedulerConfig()))
+        assert [o.node_id for o, _ in steps if isinstance(o, Placement)] == ["node-0"]
+        assert steps[-1][1][0].local_layers == {"sha256:a", "sha256:b"}
 
     def test_unschedulable_skipped_without_state_change(self):
         tasks = [task("t1", cpu=500), task("t2", cpu=9999), task("t3", cpu=500)]
-        result = schedule_trace(tasks, [node()], catalog_ab(), SchedulerConfig())
-        assert [type(o).__name__ for o in result.outcomes] == \
+        steps = list(iter_schedule_trace(tasks, [node()], catalog_ab(), SchedulerConfig()))
+        assert [type(o).__name__ for o, _ in steps] == \
             ["Placement", "Unschedulable", "Placement"]
-        assert result.nodes[0].cpu_committed == 1000
+        assert steps[-1][1][0].cpu_committed == 1000
 
     def test_each_task_placed_at_most_once(self):
         for seed in range(20):
             catalog, nodes, tasks, config = micro_scenario(seed)
-            result = schedule_trace(tasks, nodes, catalog, config)
-            placed_ids = [p.task_id for p in result.placements]
+            outcomes = [o for o, _ in iter_schedule_trace(tasks, nodes, catalog, config)]
+            placed_ids = [o.task_id for o in outcomes if isinstance(o, Placement)]
             assert len(placed_ids) == len(set(placed_ids))
-            assert len(result.outcomes) == len(tasks)
+            assert len(outcomes) == len(tasks)
 
     def test_determinism_across_runs(self):
         catalog, nodes, tasks, config = micro_scenario(3)
-        first = schedule_trace(tasks, nodes, catalog, config, seed=11)
-        second = schedule_trace(tasks, nodes, catalog, config, seed=11)
+        first = iter_schedule_trace(tasks, nodes, catalog, config, seed=11)
+        second = iter_schedule_trace(tasks, nodes, catalog, config, seed=11)
         assert [o.node_id if isinstance(o, Placement) else None
-                for o in first.outcomes] == \
+                for o, _ in first] == \
                [o.node_id if isinstance(o, Placement) else None
-                for o in second.outcomes]
+                for o, _ in second]
 
     def test_matches_per_step_argmax_oracle(self):
         for seed in range(30):
@@ -191,9 +190,8 @@ class TestScheduleTrace:
                                 [node_dict(n) for n in nodes],
                                 [task_dict(t) for t in tasks],
                                 params_dict(config))
-            result = schedule_trace(tasks, nodes, catalog, config)
             got = [o.node_id if isinstance(o, Placement) else None
-                   for o in result.outcomes]
+                   for o, _ in iter_schedule_trace(tasks, nodes, catalog, config)]
             assert got == want, f"seed {seed}"
 
 
@@ -206,9 +204,8 @@ class TestPolicyBehavior:
                 policy="default",
                 weight_policy=WeightPolicy(mode="static", omega_static=omega),
             )
-            result = schedule_trace(tasks, nodes, catalog, config)
             placements.append([o.node_id if isinstance(o, Placement) else None
-                               for o in result.outcomes])
+                               for o, _ in iter_schedule_trace(tasks, nodes, catalog, config)])
         assert placements[0] == placements[1] == placements[2]
 
     def test_static_layer_policy_piles_onto_one_node(self):
@@ -230,8 +227,8 @@ class TestPolicyBehavior:
             policy="layer_static",
             weight_policy=WeightPolicy(mode="static", omega_static=4.0),
         )
-        result = schedule_trace(tasks, nodes, catalog, config)
-        chosen = {p.node_id for p in result.placements}
+        chosen = {o.node_id for o, _ in iter_schedule_trace(tasks, nodes, catalog, config)
+                  if isinstance(o, Placement)}
         assert chosen == {"node-0"}
 
     def test_lr_dynamic_rejects_static_mode(self):

@@ -106,6 +106,14 @@ class TestTraceFiles:
             load_trace(path)
         assert err.value.line_number == 2
 
+    def test_infinite_request_reports_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"task_id": "t0", "image_name": "web", "image_tag": "1", '
+                        '"cpu_millicores": 1e999, "mem_bytes": 0}\n')
+        with pytest.raises(TraceCorrupt) as err:
+            load_trace(path)
+        assert err.value.line_number == 1
+
     def test_generate_from_trace_file(self, tmp_path):
         tasks = generate(WorkloadSpec(count=6, seed=9), two_image_catalog())
         path = tmp_path / "trace.jsonl"

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import LayerSchedError, ScenarioError
-from .model import ImageRef, LayerCatalog
+from .model import LayerCatalog
 from .registry import (
     ImageMetadataLists,
     RegistryConfig,
@@ -250,10 +250,6 @@ def cmd_validate(args) -> int:
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
 
     workload = sfile.workload
-    if workload.kind == "random" and workload.image_weights:
-        for key in workload.image_weights:
-            if ImageRef.parse(key) not in catalog.images:
-                raise ScenarioError("workload.images", f"image {key!r} not in catalog")
     if workload.kind == "trace_file":
         for task in load_trace(sfile.base_dir / workload.trace_path):
             if task.image not in catalog.images:

@@ -21,6 +21,7 @@ from typing import Callable
 
 import requests
 
+from ._jsonout import iter_indented_json
 from .errors import (
     CacheCorrupt,
     DigestSizeConflict,
@@ -234,11 +235,11 @@ def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:
     keys sorted, so a crash leaves either the old file or the new one."""
     path = Path(path)
     payload = {key: lists.lists[key].to_json_dict() for key in sorted(lists.lists)}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(iter_indented_json(payload))
+            handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -513,6 +513,10 @@ def build_scenario(
     kept = {node.id for node in nodes}
     preloaded = {k: v for k, v in preloaded.items() if k in kept}
     workload = sfile.workload
+    if workload.kind == "random":
+        for key in workload.image_weights or ():
+            if ImageRef.parse(key) not in catalog.images:
+                raise ScenarioError("workload.images", f"image {key!r} not in catalog")
     if workload.kind == "trace_file" and workload.trace_path is not None:
         workload = replace(workload, trace_path=str(sfile.base_dir / workload.trace_path))
     scenario = Scenario(

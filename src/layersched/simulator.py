@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
+from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
 from .model import LayerCatalog, LayerId, NodeSpec, NodeState
 from .scheduler import (
@@ -351,9 +352,10 @@ def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    """Write ``payload`` as sorted, indented JSON, streamed into the file."""
+    """Write ``payload`` as sorted, indented JSON, streamed into the file;
+    each object the payload shares is rendered once."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.writelines(iter_indented_json(payload))
         handle.write("\n")
 
 

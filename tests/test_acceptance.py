@@ -418,6 +418,8 @@ def test_cli_reports_match_golden_hashes(tmp_path, capsys, monkeypatch):
                    for entry in parse_scenario_file(path).schedulers]
         if name == "shared_layers":
             outputs.append(("compare", ["compare", str(path)]))
+            outputs.append(("sweep-bandwidth",
+                            ["sweep", str(path), "--param", "bandwidth"]))
         for stem, argv in outputs:
             out = tmp_path / name / stem
             assert main(argv + ["--out", str(out)]) == 0

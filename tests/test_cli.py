@@ -236,11 +236,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "OK" in out and "3 nodes" in out
 
-    def test_unknown_weighted_image(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["validate", "simulate", "compare"])
+    def test_unknown_weighted_image(self, tmp_path, capsys, verb):
         scenario = write_scenario(
             tmp_path, workload={"count": 5, "images": {"ghost:1": 1.0}})
-        assert main(["validate", str(scenario)]) == 2
-        assert "ghost:1" in capsys.readouterr().err
+        assert main([verb, str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert "error: workload.images:" in err and "ghost:1" in err
 
     def test_registry_scenario_skipped_without_fetch(self, tmp_path, capsys):
         doc = json.loads(write_scenario(tmp_path).read_text())

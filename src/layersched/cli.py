@@ -57,8 +57,20 @@ def _safe_name(label: str) -> str:
 def _out_dir(args, sfile: ScenarioFile) -> Path:
     out = args.out or os.environ.get("LAYERSCHED_OUT") or str(sfile.base_dir / sfile.output)
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LayerSchedError(f"--out: {out}: {exc.strerror}") from None
     return path
+
+
+def _check_cache_path(out: str) -> None:
+    """Fail before any registry traffic if the cache file cannot be written."""
+    path = Path(out)
+    if path.is_dir():
+        raise LayerSchedError(f"--out: {out}: is a directory")
+    if not path.parent.is_dir():
+        raise LayerSchedError(f"--out: {out}: {path.parent} is not a directory")
 
 
 def _registry_override(args) -> str | None:
@@ -142,6 +154,7 @@ def cmd_fetch_registry(args) -> int:
         print("error: no registry URL (use --registry or LAYERSCHED_REGISTRY)",
               file=sys.stderr)
         return 2
+    _check_cache_path(args.out)
 
     def report(snapshot: ImageMetadataLists) -> None:
         for warning in snapshot.warnings:

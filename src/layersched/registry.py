@@ -15,7 +15,9 @@ import os
 import re
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -165,15 +167,37 @@ class RegistryClient:
             raise RegistryUnavailable(f"GET {url}: {exc}") from exc
         return response
 
+    @staticmethod
+    def _json_object(response: requests.Response, what: str,
+                     malformed: Callable[[str], LayerSchedError]) -> dict:
+        """The reply's body, which must be a JSON object; else ``malformed``."""
+        try:
+            body = response.json()
+        except ValueError:
+            raise malformed(f"{what}: reply is not JSON") from None
+        if not isinstance(body, dict):
+            raise malformed(f"{what}: reply is a JSON {type(body).__name__}, "
+                            f"not an object")
+        return body
+
     def _get_paginated(self, path: str, list_key: str) -> list[str]:
+        """Every page's ``list_key`` names; a reply of another shape raises
+        :class:`RegistryProtocolError`."""
         items: list[str] = []
         url = path
         while True:
             response = self._get(url)
             if response.status_code != 200:
                 raise RegistryProtocolError(response.status_code, f"GET {url}")
-            body = response.json()
-            items.extend(body.get(list_key) or [])
+            body = self._json_object(response, f"GET {url}",
+                                     partial(RegistryProtocolError, 200))
+            page = body.get(list_key)
+            if page is None:  # registries send "tags": null for an empty repository
+                page = []
+            if not isinstance(page, list) or not all(isinstance(item, str) for item in page):
+                raise RegistryProtocolError(
+                    200, f"GET {url}: {list_key!r} is not a list of names")
+            items.extend(page)
             link = response.links.get("next")
             if not link:
                 return items
@@ -190,7 +214,8 @@ class RegistryClient:
         """Resolve the image's v2 manifest into layer digests and sizes.
 
         Manifest lists (multi-arch) resolve through their first platform
-        entry. The record id is the manifest's config digest.
+        entry. The record id is the manifest's config digest. A reply that is
+        not such a manifest raises :class:`UnsupportedManifest`.
         """
         manifest = self._fetch_manifest(name, tag)
         media_type = manifest.get("mediaType", "")
@@ -198,19 +223,23 @@ class RegistryClient:
             entries = manifest.get("manifests") or []
             if not entries:
                 raise UnsupportedManifest(f"{name}:{tag}: empty manifest list")
-            manifest = self._fetch_manifest(name, entries[0]["digest"])
+            with _malformed_manifest(name, tag):
+                digest = str(entries[0]["digest"])
+            manifest = self._fetch_manifest(name, digest)
             media_type = manifest.get("mediaType", "")
         if manifest.get("schemaVersion") != 2 or media_type not in (MANIFEST_V2, OCI_MANIFEST):
             raise UnsupportedManifest(
                 f"{name}:{tag}: schemaVersion={manifest.get('schemaVersion')} "
                 f"mediaType={media_type!r}"
             )
-        layers = [
-            LayerMetadata(size=int(entry["size"]), layer=str(entry["digest"]))
-            for entry in manifest.get("layers", [])
-        ]
+        with _malformed_manifest(name, tag):
+            layers = [
+                LayerMetadata(size=int(entry["size"]), layer=str(entry["digest"]))
+                for entry in manifest.get("layers", [])
+            ]
+            config_digest = str(manifest.get("config", {}).get("digest", ""))
         return ImageMetadata(
-            id=str(manifest.get("config", {}).get("digest", "")),
+            id=config_digest,
             name=name,
             name_without_repo=strip_repo_host(name),
             tag=tag,
@@ -227,7 +256,18 @@ class RegistryClient:
             raise UnknownImage(f"{name}:{reference} not in registry")
         if response.status_code != 200:
             raise RegistryProtocolError(response.status_code, f"manifest {name}:{reference}")
-        return response.json()
+        return self._json_object(response, f"{name}:{reference}", UnsupportedManifest)
+
+
+@contextmanager
+def _malformed_manifest(name: str, tag: str):
+    """Turn a manifest field of the wrong shape (a missing key, a list that
+    is not one, a negative or non-numeric size) into UnsupportedManifest."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UnsupportedManifest(
+            f"{name}:{tag}: malformed manifest ({type(exc).__name__}: {exc})") from None
 
 
 def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:

@@ -25,7 +25,6 @@ from .scoring import (
     WeightPolicy,
     baseline_score,
     blended_score,
-    cpu_score,
     download_cost,
     layer_score,
     local_layer_size,
@@ -42,7 +41,8 @@ class SchedulerConfig:
 
     ``default`` ignores layer sharing (weight 0, pure baseline score),
     ``layer_static`` applies ``weight_policy.omega_static`` unconditionally,
-    ``lr_dynamic`` gates between the high and low weight per node load.
+    ``lr_dynamic`` picks a weight per node load: the high or low weight
+    (mode ``dynamic``) or an entry of ``custom_table`` (mode ``custom``).
     """
 
     policy: str = "lr_dynamic"
@@ -59,14 +59,18 @@ class SchedulerConfig:
             raise ValueError("lr_dynamic needs a dynamic or custom weight policy")
 
     def omegas(self) -> tuple[float, float, float, float]:
-        """The weight this policy applies when k gate conditions hold, at k."""
+        """The weight this policy applies when k gate conditions hold, at k;
+        the only weight table :func:`blended_score` is given."""
         if self.policy == "default":
             # Weight 0 rather than skipping the layer computation, so
             # breakdowns stay comparable across policies.
             return (0.0,) * 4
+        weights = self.weight_policy
         if self.policy == "layer_static":
-            return (self.weight_policy.omega_static,) * 4
-        return self.weight_policy.omegas()
+            return (weights.omega_static,) * 4
+        if weights.mode == "dynamic":
+            return (weights.omega_low,) * 3 + (weights.omega_high,)
+        return tuple(weights.custom_table[k] for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def score_node(
         config.weight_policy, config.omegas(),
         local_layer_size(catalog, node, task.image),
         catalog.image_total_size(task.image),
-        cpu_score(node), std_score(node),
+        node.cpu_ratio(), std_score(node),
         baseline_score(node, task, catalog, config.plugins),
     )
 
@@ -183,7 +187,7 @@ class _Kernel:
             node = nodes[i]
             load = self.loads[i]
             if load is None:
-                load = self.loads[i] = (cpu_score(node), std_score(node))
+                load = self.loads[i] = (node.cpu_ratio(), std_score(node))
             scores[node.spec.id] = blended_score(
                 config.weight_policy, omegas, overlap, total, load[0], load[1],
                 baseline_score(node, task, catalog, config.plugins))

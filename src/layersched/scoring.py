@@ -1,6 +1,6 @@
 """Node scoring: download cost, layer-sharing score, baseline plugin scores,
-resource-balance and CPU load, the dynamic-weight gate, and the blended final
-score.
+resource balance, and :func:`blended_score`, the one formula that gates the
+layer weight and blends the final score.
 
 All functions here are pure; evaluating them per node in parallel is safe.
 """
@@ -43,13 +43,15 @@ class PluginConfig:
 
 @dataclass
 class WeightPolicy:
-    """How the layer-score weight is chosen.
+    """The layer-score weights and the thresholds of the gate that picks one.
 
-    ``static`` always applies ``omega_static``. ``dynamic`` applies
-    ``omega_high`` when the gate fires (large overlap on a lightly loaded,
-    balanced node) and ``omega_low`` otherwise. ``custom`` looks the weight
-    up in a piecewise table keyed by how many of the three gate conditions
-    hold, generalising the two-valued dynamic rule.
+    ``dynamic`` applies ``omega_high`` when the gate fires (large overlap on
+    a lightly loaded, balanced node) and ``omega_low`` otherwise. ``custom``
+    looks the weight up in a piecewise table keyed by how many of the three
+    gate conditions hold, generalising the two-valued dynamic rule.
+    ``static`` pairs with the ``layer_static`` policy, which always applies
+    ``omega_static``. :meth:`SchedulerConfig.omegas` turns policy and mode
+    into the weight table.
     """
 
     mode: str = "dynamic"
@@ -80,14 +82,6 @@ class WeightPolicy:
                 raise ValueError(
                     f"custom_table must map condition counts 0..3, missing {missing}"
                 )
-
-    def omegas(self) -> tuple[float, float, float, float]:
-        """The weight applied when k of the three gate conditions hold, at k."""
-        if self.mode == "static":
-            return (self.omega_static,) * 4
-        if self.mode == "dynamic":
-            return (self.omega_low,) * 3 + (self.omega_high,)
-        return tuple(self.custom_table[k] for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -135,29 +129,6 @@ def std_score(node: NodeState) -> float:
     return abs(node.cpu_ratio() - node.mem_ratio()) / 2.0
 
 
-def cpu_score(node: NodeState) -> float:
-    """Committed CPU as a fraction of capacity."""
-    return node.cpu_ratio()
-
-
-def gate_conditions(
-    policy: WeightPolicy, local_layer_bytes: int, cpu: float, std: float
-) -> tuple[bool, bool, bool]:
-    """The three dynamic-weight conditions, each a strict inequality."""
-    return (
-        local_layer_bytes > policy.h_size,
-        cpu < policy.h_cpu,
-        std < policy.h_std,
-    )
-
-
-def weight_gate(
-    policy: WeightPolicy, local_layer_bytes: int, cpu: float, std: float
-) -> int:
-    """1 iff all three gate conditions hold, else 0."""
-    return int(all(gate_conditions(policy, local_layer_bytes, cpu, std)))
-
-
 def baseline_score(
     node: NodeState,
     task: TaskRequest,
@@ -197,36 +168,6 @@ def baseline_score(
     return total / len(enabled)
 
 
-def _breakdown(
-    omega: float, layer: float, baseline: float, gate: int, std: float, cpu: float
-) -> ScoreBreakdown:
-    return ScoreBreakdown(
-        layer_score=layer,
-        baseline_score=baseline,
-        std_score=std,
-        cpu_score=cpu,
-        weight_gate=gate,
-        omega_used=omega,
-        final=omega * layer + baseline,
-    )
-
-
-def final_score(
-    policy: WeightPolicy,
-    layer: float,
-    baseline: float,
-    gate: int,
-    *,
-    std: float = 0.0,
-    cpu: float = 0.0,
-    conditions_met: int | None = None,
-) -> ScoreBreakdown:
-    """Resolve the weight per ``policy`` and blend: final = omega * layer + baseline."""
-    if conditions_met is None:
-        conditions_met = 3 if gate == 1 else 0
-    return _breakdown(policy.omegas()[conditions_met], layer, baseline, gate, std, cpu)
-
-
 def blended_score(
     gate_policy: WeightPolicy,
     omegas: tuple[float, float, float, float],
@@ -239,10 +180,22 @@ def blended_score(
     """The score of one feasible node from its precomputed parts.
 
     ``local_layer_bytes`` of the image's ``image_bytes`` are already on the
-    node; ``cpu`` and ``std`` are its load. The gate thresholds come from
-    ``gate_policy``; the weight is ``omegas`` at the number of gate
-    conditions met (see :meth:`SchedulerConfig.omegas`).
+    node; ``cpu`` (committed CPU fraction) and ``std`` are its load. The
+    gate counts three strict conditions against ``gate_policy``'s
+    thresholds: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
+    below ``h_std``. The weight is ``omegas`` at that count (see
+    :meth:`SchedulerConfig.omegas`); the gate fires when all three hold.
     """
     layer = local_layer_bytes / image_bytes * 100.0 if image_bytes else 0.0
-    met = sum(gate_conditions(gate_policy, local_layer_bytes, cpu, std))
-    return _breakdown(omegas[met], layer, baseline, int(met == 3), std, cpu)
+    met = ((local_layer_bytes > gate_policy.h_size) + (cpu < gate_policy.h_cpu)
+           + (std < gate_policy.h_std))
+    omega = omegas[met]
+    return ScoreBreakdown(
+        layer_score=layer,
+        baseline_score=baseline,
+        std_score=std,
+        cpu_score=cpu,
+        weight_gate=int(met == 3),
+        omega_used=omega,
+        final=omega * layer + baseline,
+    )

@@ -229,6 +229,31 @@ class TestSweep:
         assert target.read_bytes() == first
 
 
+class TestUnusableOut:
+    @pytest.mark.parametrize("verb", ["simulate", "compare", "sweep",
+                                      "fetch-registry"])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, verb):
+        scenario = write_scenario(tmp_path, sweeps={"bandwidth": ["10MB"]})
+        a_file = tmp_path / "a-file"
+        a_file.write_text("keep")
+        if verb == "fetch-registry":
+            bad_outs = [tmp_path / "missing" / "cache.json", tmp_path]
+        else:
+            bad_outs = [a_file, a_file / "sub"]
+        with FakeRegistry(bundled_images()) as registry:
+            for out in bad_outs:
+                if verb == "fetch-registry":
+                    argv = [verb, "--registry", registry.url]
+                elif verb == "sweep":
+                    argv = [verb, str(scenario), "--param", "bandwidth"]
+                else:
+                    argv = [verb, str(scenario)]
+                assert main(argv + ["--out", str(out)]) == 2
+                assert "error: --out: " in capsys.readouterr().err
+        assert a_file.read_text() == "keep"
+        assert not (tmp_path / "missing").exists()
+
+
 class TestValidate:
     def test_good_scenario(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

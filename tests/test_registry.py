@@ -225,6 +225,107 @@ class TestRefreshCache:
             refresh_cache(config)
 
 
+STUB_URL = "http://registry.stub"
+MANIFEST = {"schemaVersion": 2,
+            "mediaType": "application/vnd.docker.distribution.manifest.v2+json",
+            "config": {"digest": "sha256:cfg"},
+            "layers": [{"size": 5, "digest": "sha256:one"}]}
+INDEX = {"schemaVersion": 2,
+         "mediaType": "application/vnd.oci.image.index.v1+json",
+         "manifests": [{"digest": "sha256:arch", "size": 0}]}
+
+
+class StubResponse:
+    def __init__(self, status_code: int, text: str):
+        self.status_code = status_code
+        self.text = text
+        self.links = {}
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class StubSession:
+    """Answers each GET from a path -> body table with 200, else 404. A body
+    that is not a string is sent as its JSON encoding."""
+
+    def __init__(self, replies: dict):
+        self.replies = replies
+        self.headers = {}
+
+    def get(self, url, headers=None, timeout=None):
+        body = self.replies.get(url.removeprefix(STUB_URL))
+        if body is None:
+            return StubResponse(404, "{}")
+        return StubResponse(200, body if isinstance(body, str) else json.dumps(body))
+
+
+def stub_client(replies: dict) -> RegistryClient:
+    return RegistryClient(RegistryConfig(base_url=STUB_URL),
+                          session=StubSession(replies))
+
+
+def stub_walk(tmp_path, bad: dict) -> ImageMetadataLists:
+    """Refresh from a stub holding the good image ``good:1`` and the
+    repository ``bad`` (tag ``1``), whose replies ``bad`` sets."""
+    replies = {"/v2/_catalog": {"repositories": ["bad", "good"]},
+               "/v2/bad/tags/list": {"tags": ["1"]},
+               "/v2/good/tags/list": {"tags": ["1"]},
+               "/v2/good/manifests/1": MANIFEST, **bad}
+    config = RegistryConfig(base_url=STUB_URL,
+                            cache_path=str(tmp_path / "cache.json"))
+    return refresh_cache(config, stub_client(replies))
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("body", [
+        "not json",
+        ["bad", "good"],
+        {"repositories": "abc"},
+        {"repositories": ["good", 7]},
+    ], ids=["not-json", "list", "string", "non-string-name"])
+    def test_bad_catalog_is_a_protocol_error(self, tmp_path, body):
+        with pytest.raises(RegistryProtocolError):
+            stub_client({"/v2/_catalog": body}).fetch_catalog()
+        with pytest.raises(RegistryProtocolError):
+            stub_walk(tmp_path, {"/v2/_catalog": body})
+
+    @pytest.mark.parametrize("body", ["not json", ["1"], {"tags": "1"}],
+                             ids=["not-json", "list", "string"])
+    def test_bad_tags_reply_becomes_a_warning(self, tmp_path, body):
+        with pytest.raises(RegistryProtocolError):
+            stub_client({"/v2/bad/tags/list": body}).fetch_tags("bad")
+        snapshot = stub_walk(tmp_path, {"/v2/bad/tags/list": body})
+        assert list(snapshot.lists) == ["good:1"]
+        assert len(snapshot.warnings) == 1
+        assert snapshot.warnings[0].startswith("tags for bad: ")
+
+    def test_null_tags_is_an_empty_repository(self, tmp_path):
+        snapshot = stub_walk(tmp_path, {"/v2/bad/tags/list": {"tags": None}})
+        assert list(snapshot.lists) == ["good:1"]
+        assert snapshot.warnings == []
+
+    @pytest.mark.parametrize("replies", [
+        {"/v2/bad/manifests/1": "not json"},
+        {"/v2/bad/manifests/1": [MANIFEST]},
+        {"/v2/bad/manifests/1": {**MANIFEST, "layers": [{"digest": "sha256:x"}]}},
+        {"/v2/bad/manifests/1": {**MANIFEST,
+                                 "layers": [{"size": -1, "digest": "sha256:x"}]}},
+        {"/v2/bad/manifests/1": {**MANIFEST, "layers": "abc"}},
+        {"/v2/bad/manifests/1": {**MANIFEST, "config": "sha256:cfg"}},
+        {"/v2/bad/manifests/1": {**INDEX, "manifests": [{"size": 0}]},
+         "/v2/bad/manifests/sha256:arch": MANIFEST},
+    ], ids=["not-json", "list", "no-size", "negative-size", "layers-string",
+            "config-string", "index-entry-without-digest"])
+    def test_bad_manifest_becomes_a_warning(self, tmp_path, replies):
+        with pytest.raises(UnsupportedManifest):
+            stub_client(replies).fetch_image_metadata("bad", "1")
+        snapshot = stub_walk(tmp_path, replies)
+        assert list(snapshot.lists) == ["good:1"]
+        assert len(snapshot.warnings) == 1
+        assert snapshot.warnings[0].startswith("manifest bad:1: ")
+
+
 class TestCatalogBridge:
     def test_shared_digests_collapse(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,

@@ -236,6 +236,23 @@ class TestPolicyBehavior:
             SchedulerConfig(policy="lr_dynamic",
                             weight_policy=WeightPolicy(mode="static"))
 
+    @pytest.mark.parametrize("policy,mode,table", [
+        ("default", "static", (0.0, 0.0, 0.0, 0.0)),
+        ("default", "dynamic", (0.0, 0.0, 0.0, 0.0)),
+        ("default", "custom", (0.0, 0.0, 0.0, 0.0)),
+        ("layer_static", "static", (4.0, 4.0, 4.0, 4.0)),
+        ("layer_static", "dynamic", (4.0, 4.0, 4.0, 4.0)),
+        ("layer_static", "custom", (4.0, 4.0, 4.0, 4.0)),
+        ("lr_dynamic", "dynamic", (0.5, 0.5, 0.5, 2.0)),
+        ("lr_dynamic", "custom", (0.1, 0.2, 0.3, 0.4)),
+    ])
+    def test_weight_table(self, policy, mode, table):
+        # omegas()[k] is the weight when k of the three gate conditions hold
+        weights = WeightPolicy(mode=mode, omega_static=4.0, omega_high=2.0,
+                               omega_low=0.5,
+                               custom_table={0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4})
+        config = SchedulerConfig(policy=policy, weight_policy=weights)
+        assert config.omegas() == table
 
 
 def kernel_instance(seed: int):

@@ -1,4 +1,5 @@
-"""Scoring math: layer/baseline/balance scores, the weight gate, blending."""
+"""Scoring math: layer/baseline/balance scores, and blended_score (the weight
+gate and the blend)."""
 
 import random
 
@@ -21,18 +22,17 @@ from layersched.model import (
     NodeState,
     TaskRequest,
 )
+from layersched.scheduler import SchedulerConfig
 from layersched.scoring import (
     MB,
     PluginConfig,
     WeightPolicy,
     baseline_score,
-    cpu_score,
+    blended_score,
     download_cost,
-    final_score,
     layer_score,
     local_layer_size,
     std_score,
-    weight_gate,
 )
 
 GB = 1024 ** 3
@@ -104,9 +104,16 @@ class TestBalanceScores:
         assert std_score(node) == 0.5
 
     def test_cpu_score_is_committed_fraction(self):
-        assert cpu_score(node_with()) == 0.0
-        assert cpu_score(node_with(cpu_committed=4000)) == 1.0
-        assert cpu_score(node_with(cpu_committed=1500)) == 0.375
+        assert node_with().cpu_ratio() == 0.0
+        assert node_with(cpu_committed=4000).cpu_ratio() == 1.0
+        assert node_with(cpu_committed=1500).cpu_ratio() == 0.375
+
+
+def blend(config, local_layer_bytes, image_bytes=100 * MB, cpu=0.0, std=0.0,
+          baseline=40.0):
+    """blended_score with ``config``'s gate thresholds and weight table."""
+    return blended_score(config.weight_policy, config.omegas(),
+                         local_layer_bytes, image_bytes, cpu, std, baseline)
 
 
 class TestWeightGate:
@@ -114,32 +121,34 @@ class TestWeightGate:
         return WeightPolicy(mode="dynamic", omega_high=2.0, omega_low=0.5,
                             h_size=10 * MB, h_cpu=0.6, h_std=0.16)
 
+    def weight_gate(self, local_layer_bytes, cpu, std):
+        config = SchedulerConfig(policy="lr_dynamic", weight_policy=self.policy())
+        return blend(config, local_layer_bytes, cpu=cpu, std=std).weight_gate
+
     def test_all_conditions_met_fires(self):
-        assert weight_gate(self.policy(), 50 * MB, 0.3, 0.05) == 1
+        assert self.weight_gate(50 * MB, 0.3, 0.05) == 1
 
     def test_hot_cpu_blocks(self):
-        assert weight_gate(self.policy(), 50 * MB, 1.0, 0.05) == 0
+        assert self.weight_gate(50 * MB, 1.0, 0.05) == 0
 
     def test_imbalance_blocks(self):
-        assert weight_gate(self.policy(), 50 * MB, 0.3, 0.3) == 0
+        assert self.weight_gate(50 * MB, 0.3, 0.3) == 0
 
     def test_boundary_is_strict(self):
-        policy = self.policy()
-        assert weight_gate(policy, 10 * MB, 0.3, 0.05) == 0  # == h_size
-        assert weight_gate(policy, 50 * MB, 0.6, 0.05) == 0  # == h_cpu
-        assert weight_gate(policy, 50 * MB, 0.3, 0.16) == 0  # == h_std
+        assert self.weight_gate(10 * MB, 0.3, 0.05) == 0  # == h_size
+        assert self.weight_gate(50 * MB, 0.6, 0.05) == 0  # == h_cpu
+        assert self.weight_gate(50 * MB, 0.3, 0.16) == 0  # == h_std
 
     def test_monotone_in_every_argument(self):
-        policy = self.policy()
         rng = random.Random(5)
         for _ in range(200):
             size = rng.randint(0, 30 * MB)
             cpu = rng.random()
             std = rng.random() / 2
-            before = weight_gate(policy, size, cpu, std)
+            before = self.weight_gate(size, cpu, std)
             # more overlap, less load, better balance: gate never drops
-            after = weight_gate(policy, size + rng.randint(0, 10 * MB),
-                                cpu * rng.random(), std * rng.random())
+            after = self.weight_gate(size + rng.randint(0, 10 * MB),
+                                     cpu * rng.random(), std * rng.random())
             assert after >= before
 
 
@@ -188,42 +197,47 @@ class TestBaselineScore:
 
 
 class TestFinalScore:
+    def static(self, omega):
+        return SchedulerConfig(policy="layer_static", weight_policy=WeightPolicy(
+            mode="static", omega_static=omega))
+
+    def dynamic(self):
+        return SchedulerConfig(policy="lr_dynamic", weight_policy=WeightPolicy(
+            mode="dynamic", omega_high=2.0, omega_low=0.5))
+
     def test_zero_weight_degenerates_to_baseline(self):
-        policy = WeightPolicy(mode="static", omega_static=0.0)
-        breakdown = final_score(policy, layer=70.0, baseline=40.0, gate=0)
+        breakdown = blend(self.static(0.0), 70 * MB)  # layer 70, baseline 40
         assert breakdown.final == 40.0
 
     def test_static_weight_4(self):
-        policy = WeightPolicy(mode="static", omega_static=4.0)
-        breakdown = final_score(policy, layer=70.0, baseline=40.0, gate=0)
+        breakdown = blend(self.static(4.0), 70 * MB)
         assert breakdown.final == 320.0
         assert breakdown.omega_used == 4.0
 
     def test_dynamic_gate_fired(self):
-        policy = WeightPolicy(mode="dynamic", omega_high=2.0, omega_low=0.5)
-        breakdown = final_score(policy, layer=70.0, baseline=40.0, gate=1)
+        breakdown = blend(self.dynamic(), 70 * MB)  # all three conditions hold
+        assert breakdown.weight_gate == 1
         assert breakdown.final == 180.0
 
     def test_dynamic_gate_closed(self):
-        policy = WeightPolicy(mode="dynamic", omega_high=2.0, omega_low=0.5)
-        breakdown = final_score(policy, layer=70.0, baseline=40.0, gate=0)
+        breakdown = blend(self.dynamic(), 70 * MB, cpu=1.0)  # CPU too hot
+        assert breakdown.weight_gate == 0
         assert breakdown.final == 0.5 * 70.0 + 40.0
 
     def test_custom_table_keyed_by_condition_count(self):
-        policy = WeightPolicy(mode="custom",
-                              custom_table={0: 0.0, 1: 0.5, 2: 1.0, 3: 3.0})
-        got = final_score(policy, layer=10.0, baseline=0.0, gate=0,
-                          conditions_met=2)
+        config = SchedulerConfig(policy="lr_dynamic", weight_policy=WeightPolicy(
+            mode="custom", custom_table={0: 0.0, 1: 0.5, 2: 1.0, 3: 3.0}))
+        # layer 10; overlap and CPU hold, imbalance 0.3 does not: two met
+        got = blend(config, 20 * MB, image_bytes=200 * MB, std=0.3, baseline=0.0)
         assert got.final == 10.0
 
     def test_breakdown_identity_is_bit_exact(self):
         rng = random.Random(9)
         for _ in range(500):
-            policy = WeightPolicy(mode="static",
-                                  omega_static=rng.uniform(0, 6))
-            layer = rng.uniform(0, 100)
-            baseline = rng.uniform(0, 100)
-            b = final_score(policy, layer, baseline, gate=0)
+            config = self.static(rng.uniform(0, 6))
+            image_bytes = rng.randint(1, 100 * MB)
+            b = blend(config, rng.randint(0, image_bytes), image_bytes,
+                      baseline=rng.uniform(0, 100))
             assert b.final == b.omega_used * b.layer_score + b.baseline_score
 
 

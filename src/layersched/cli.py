@@ -187,9 +187,9 @@ def cmd_simulate(args) -> int:
                             f"no scheduler labelled {label!r} in {args.scenario}")
     seed = args.seed if args.seed is not None else sfile.seeds[0]
     scenario = build_scenario(sfile, catalog, entries[label], seed)
+    out = _out_dir(args, sfile)
     report = run(scenario)
 
-    out = _out_dir(args, sfile)
     stem = f"simulate_{_safe_name(label)}_seed{seed}"
     write_report_json(report, out / f"{stem}.json")
     write_steps_csv(report, out / f"{stem}.csv")
@@ -207,8 +207,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     sfile = parse_scenario_file(args.scenario)
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
-    table = _ensemble(sfile, catalog)
     out = _out_dir(args, sfile)
+    table = _ensemble(sfile, catalog)
     write_json(table, out / "compare.json")
     _write_ensemble_csv(table, out / "compare.csv")
     _print_ensemble(table, f"compare over seeds {sfile.seeds}:")

@@ -9,19 +9,22 @@ metadata moves over the wire; blobs are never downloaded.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
 import re
 import tempfile
 import threading
+import urllib.request as urlrequest
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from http.client import HTTPException
 from pathlib import Path
 from typing import Callable
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
 
 from ._jsonout import iter_indented_json
 from .errors import (
@@ -42,6 +45,7 @@ OCI_INDEX = "application/vnd.oci.image.index.v1+json"
 ACCEPT_MANIFESTS = ", ".join([MANIFEST_V2, OCI_MANIFEST, MANIFEST_LIST_V2, OCI_INDEX])
 
 _HOST_COMPONENT = re.compile(r"[.:]|^localhost$")
+_NEXT_LINK = re.compile(r'<([^>]*)>[^<]*\brel="?next\b')  # in a Link header
 
 
 @dataclass
@@ -149,30 +153,50 @@ def strip_repo_host(name: str) -> str:
 
 
 class RegistryClient:
-    """Thin HTTP client for the v2 catalog, tags, and manifest endpoints."""
+    """Thin HTTP client for the v2 catalog, tags, and manifest endpoints.
+    ``opener`` is anything with ``open(request, timeout=)``."""
 
-    def __init__(self, config: RegistryConfig, session: requests.Session | None = None):
+    def __init__(self, config: RegistryConfig, opener: urlrequest.OpenerDirector | None = None):
         self.config = config
-        self.session = session or requests.Session()
+        if opener is None:  # HTTP(S) only: no file:, ftp: or data: URL, not even by redirect
+            opener = urlrequest.OpenerDirector()
+            for handler in (urlrequest.ProxyHandler, urlrequest.UnknownHandler,
+                            urlrequest.HTTPHandler, urlrequest.HTTPSHandler,
+                            urlrequest.HTTPDefaultErrorHandler, urlrequest.HTTPRedirectHandler,
+                            urlrequest.HTTPErrorProcessor):
+                opener.add_handler(handler())
+        self.opener = opener
+        self._authorization = None
         if config.token:
-            self.session.headers["Authorization"] = f"Bearer {config.token}"
+            self._authorization = f"Bearer {config.token}"
         elif config.username is not None:
-            self.session.auth = (config.username, config.password or "")
+            pair = f"{config.username}:{config.password or ''}".encode()
+            self._authorization = f"Basic {base64.b64encode(pair).decode('ascii')}"
 
-    def _get(self, path: str, headers: dict | None = None) -> requests.Response:
-        url = path if path.startswith("http") else f"{self.config.base_url}{path}"
+    def _get(self, url: str, headers: dict | None = None) -> tuple[int, str, bytes]:
+        """Status, ``Link`` header and body; the only code that opens a connection."""
         try:
-            response = self.session.get(url, headers=headers, timeout=30)
-        except requests.RequestException as exc:
+            parts = urlsplit(url)  # raises ValueError on a malformed host; .port on a bad port
+            if parts.scheme not in ("http", "https") or parts.port == 0:
+                raise ValueError("not an http:// or https:// URL")
+            request = urlrequest.Request(url, headers=headers or {})
+            if self._authorization:  # unredirected: not sent on to where a redirect points
+                request.add_unredirected_header("Authorization", self._authorization)
+            try:
+                reply = self.opener.open(request, timeout=30)
+            except HTTPError as error_reply:  # a status outside 2xx is still a reply
+                reply = error_reply
+            with reply:
+                return reply.status, reply.headers.get("Link", ""), reply.read()
+        except (OSError, ValueError, HTTPException) as exc:
             raise RegistryUnavailable(f"GET {url}: {exc}") from exc
-        return response
 
     @staticmethod
-    def _json_object(response: requests.Response, what: str,
+    def _json_object(body: bytes, what: str,
                      malformed: Callable[[str], LayerSchedError]) -> dict:
-        """The reply's body, which must be a JSON object; else ``malformed``."""
+        """``body``, which must be a JSON object; else ``malformed``."""
         try:
-            body = response.json()
+            body = json.loads(body)
         except ValueError:
             raise malformed(f"{what}: reply is not JSON") from None
         if not isinstance(body, dict):
@@ -184,12 +208,12 @@ class RegistryClient:
         """Every page's ``list_key`` names; a reply of another shape raises
         :class:`RegistryProtocolError`."""
         items: list[str] = []
-        url = path
+        url = f"{self.config.base_url}{path}"
         while True:
-            response = self._get(url)
-            if response.status_code != 200:
-                raise RegistryProtocolError(response.status_code, f"GET {url}")
-            body = self._json_object(response, f"GET {url}",
+            status, link, body = self._get(url)
+            if status != 200:
+                raise RegistryProtocolError(status, f"GET {url}: HTTP {status}")
+            body = self._json_object(body, f"GET {url}",
                                      partial(RegistryProtocolError, 200))
             page = body.get(list_key)
             if page is None:  # registries send "tags": null for an empty repository
@@ -198,10 +222,12 @@ class RegistryClient:
                 raise RegistryProtocolError(
                     200, f"GET {url}: {list_key!r} is not a list of names")
             items.extend(page)
-            link = response.links.get("next")
-            if not link:
+            next_link = _NEXT_LINK.search(link)
+            if not next_link:
                 return items
-            url = link["url"]
+            url = next_link[1]
+            if not url.startswith("http"):
+                url = f"{self.config.base_url}{url}"
 
     def fetch_catalog(self) -> list[str]:
         """All repository names, following pagination Link headers."""
@@ -248,15 +274,13 @@ class RegistryClient:
         )
 
     def _fetch_manifest(self, name: str, reference: str) -> dict:
-        response = self._get(
-            f"/v2/{name}/manifests/{reference}",
-            headers={"Accept": ACCEPT_MANIFESTS},
-        )
-        if response.status_code == 404:
+        url = f"{self.config.base_url}/v2/{name}/manifests/{reference}"
+        status, _, body = self._get(url, headers={"Accept": ACCEPT_MANIFESTS})
+        if status == 404:
             raise UnknownImage(f"{name}:{reference} not in registry")
-        if response.status_code != 200:
-            raise RegistryProtocolError(response.status_code, f"manifest {name}:{reference}")
-        return self._json_object(response, f"{name}:{reference}", UnsupportedManifest)
+        if status != 200:
+            raise RegistryProtocolError(status, f"GET {url}: HTTP {status}")
+        return self._json_object(body, f"{name}:{reference}", UnsupportedManifest)
 
 
 @contextmanager
@@ -359,7 +383,10 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
         return prior
 
     snapshot.catch_file = str(cache_path)
-    save_cache(snapshot, cache_path)
+    try:
+        save_cache(snapshot, cache_path)
+    except OSError as exc:
+        raise LayerSchedError(f"cache {cache_path}: {exc.strerror or exc}") from exc
     return snapshot
 
 

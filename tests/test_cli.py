@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from layersched import cli
 from layersched.cli import ENSEMBLE_CSV_HEADER, main
 from layersched.fake_registry import FakeRegistry, bundled_images
 from layersched.scoring import MB
@@ -101,7 +106,9 @@ class TestFetchRegistry:
             code = main(["fetch-registry", "--registry", f"{registry.url}/nope",
                          "--out", str(tmp_path / "cache.json")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: GET {registry.url}/nope/v2/_catalog: ")
+        assert "HTTP 404" in err
 
     @pytest.mark.parametrize("poll", ["-1", "0", "nan", "inf"])
     def test_invalid_poll_exits_2(self, tmp_path, capsys, monkeypatch, poll):
@@ -232,7 +239,12 @@ class TestSweep:
 class TestUnusableOut:
     @pytest.mark.parametrize("verb", ["simulate", "compare", "sweep",
                                       "fetch-registry"])
-    def test_exits_2_naming_the_flag(self, tmp_path, capsys, verb):
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, verb):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("--out is checked only after the run")
+
+        monkeypatch.setattr(cli, "run", must_not_run)
+        monkeypatch.setattr(cli, "compare", must_not_run)
         scenario = write_scenario(tmp_path, sweeps={"bandwidth": ["10MB"]})
         a_file = tmp_path / "a-file"
         a_file.write_text("keep")
@@ -386,3 +398,19 @@ class TestRegistryScenario:
         report = json.loads(
             (tmp_path / "out" / "simulate_default_seed1.json").read_text())
         assert report["aggregates"]["total_pods"] == 12
+
+
+def test_importing_the_cli_loads_no_third_party_module():
+    # Only what the import adds counts: an interpreter's site hooks may load
+    # one of these (certifi) at startup.
+    code = ("import sys; before = set(sys.modules); import layersched.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert not added & {"requests", "urllib3", "certifi", "idna", "charset_normalizer"}
+    assert added <= set(sys.stdlib_module_names) | {"layersched"}

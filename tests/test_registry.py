@@ -1,15 +1,24 @@
 """Registry client, metadata cache file, and the catalog bridge."""
 
+import io
 import json
+import re
+import shutil
 import threading
+from functools import partial
+from urllib.error import HTTPError
+from urllib.response import addinfourl
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersched import registry as registry_module
+from layersched.cli import main
 from layersched.errors import (
     CacheCorrupt,
     DigestSizeConflict,
+    LayerSchedError,
     RegistryProtocolError,
     RegistryUnavailable,
     UnknownImage,
@@ -30,6 +39,7 @@ from layersched.registry import (
     refresh_cache,
     save_cache,
     strip_repo_host,
+    walk_registry,
 )
 
 
@@ -235,34 +245,30 @@ INDEX = {"schemaVersion": 2,
          "manifests": [{"digest": "sha256:arch", "size": 0}]}
 
 
-class StubResponse:
-    def __init__(self, status_code: int, text: str):
-        self.status_code = status_code
-        self.text = text
-        self.links = {}
-
-    def json(self):
-        return json.loads(self.text)
-
-
-class StubSession:
-    """Answers each GET from a path -> body table with 200, else 404. A body
-    that is not a string is sent as its JSON encoding."""
+class StubOpener:
+    """Answers each GET from a path -> reply table with 200, else with a 404
+    raised as an HTTPError, as a urllib opener does, and keeps every request.
+    A reply is a body or a ``(body, Link header)`` pair; a body that is not a
+    string is sent as its JSON encoding."""
 
     def __init__(self, replies: dict):
         self.replies = replies
-        self.headers = {}
+        self.requests = []
 
-    def get(self, url, headers=None, timeout=None):
-        body = self.replies.get(url.removeprefix(STUB_URL))
-        if body is None:
-            return StubResponse(404, "{}")
-        return StubResponse(200, body if isinstance(body, str) else json.dumps(body))
+    def open(self, request, timeout=None):
+        self.requests.append(request)
+        url = request.full_url
+        reply = self.replies.get(url.removeprefix(STUB_URL))
+        if reply is None:
+            raise HTTPError(url, 404, "Not Found", {}, io.BytesIO(b"{}"))
+        body, link = reply if isinstance(reply, tuple) else (reply, None)
+        raw = (body if isinstance(body, str) else json.dumps(body)).encode()
+        return addinfourl(io.BytesIO(raw), {"Link": link} if link else {}, url, 200)
 
 
-def stub_client(replies: dict) -> RegistryClient:
-    return RegistryClient(RegistryConfig(base_url=STUB_URL),
-                          session=StubSession(replies))
+def stub_client(replies: dict, **credentials) -> RegistryClient:
+    return RegistryClient(RegistryConfig(base_url=STUB_URL, **credentials),
+                          opener=StubOpener(replies))
 
 
 def stub_walk(tmp_path, bad: dict) -> ImageMetadataLists:
@@ -324,6 +330,61 @@ class TestMalformedReplies:
         assert list(snapshot.lists) == ["good:1"]
         assert len(snapshot.warnings) == 1
         assert snapshot.warnings[0].startswith("manifest bad:1: ")
+
+
+class TestTransport:
+    """What the client's one GET does for every request, seen through the
+    stub opener."""
+
+    @pytest.mark.parametrize("credentials,header", [
+        ({}, None),
+        ({"token": "t0k"}, "Bearer t0k"),
+        ({"token": "t0k", "username": "ann", "password": "pw"}, "Bearer t0k"),
+        ({"username": "ann", "password": "pw"}, "Basic YW5uOnB3"),
+        ({"username": "ann"}, "Basic YW5uOg=="),
+    ], ids=["none", "token", "token-over-basic", "basic", "basic-no-password"])
+    def test_authorization_is_sent_on_every_request(self, credentials, header):
+        client = stub_client({
+            "/v2/_catalog": ({"repositories": ["good"]},
+                             '</v2/_catalog?page=2>; rel="next"'),
+            "/v2/_catalog?page=2": {"repositories": []},
+            "/v2/good/tags/list": {"tags": ["1"]},
+            "/v2/good/manifests/1": MANIFEST,
+        }, **credentials)
+        assert list(walk_registry(client).lists) == ["good:1"]
+        requests = client.opener.requests
+        assert len(requests) == 4
+        assert [r.get_header("Authorization") for r in requests] == [header] * 4
+
+    def test_next_link_after_a_prev_link_and_absolute_next_link_are_followed(self):
+        client = stub_client({
+            "/v2/_catalog": ({"repositories": ["a"]},
+                             f'<{STUB_URL}/v2/_catalog?page=0>; rel="prev", '
+                             f'</v2/_catalog?page=2>; rel="next"'),
+            "/v2/_catalog?page=2": ({"repositories": ["b"]},
+                                    f'<{STUB_URL}/v2/_catalog?page=3>; rel="next"'),
+            "/v2/_catalog?page=3": {"repositories": ["c"]},
+        })
+        assert client.fetch_catalog() == ["a", "b", "c"]
+        assert [r.full_url.removeprefix(STUB_URL) for r in client.opener.requests] == \
+            ["/v2/_catalog", "/v2/_catalog?page=2", "/v2/_catalog?page=3"]
+
+    @pytest.mark.parametrize("base_url", ["foo", "http://[::1", "ftp://x", "file://{tmp}"],
+                             ids=["no-scheme", "bad-host", "ftp", "file"])
+    def test_unusable_base_url_exits_2_before_any_request(self, tmp_path, monkeypatch,
+                                                           capsys, base_url):
+        (tmp_path / "v2").mkdir()
+        (tmp_path / "v2" / "_catalog").write_text('{"repositories": []}')
+        opener = StubOpener({})
+        monkeypatch.setattr(registry_module, "RegistryClient",
+                            partial(RegistryClient, opener=opener))
+        cache = tmp_path / "cache.json"
+        code = main(["fetch-registry", "--registry", base_url.format(tmp=tmp_path),
+                     "--out", str(cache)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert opener.requests == []
+        assert not cache.exists()
 
 
 class TestCatalogBridge:
@@ -412,6 +473,32 @@ class TestWatcher:
         finally:
             watcher.stop()
         assert all(isinstance(exc, RegistryProtocolError) for exc in errors)
+
+    @pytest.mark.parametrize("breakage", ["directory-removed", "path-is-a-directory"])
+    def test_unwritable_cache_is_an_error_the_loop_survives(self, registry, tmp_path,
+                                                            breakage):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        path = cache_dir / "cache.json"
+        ticks = threading.Semaphore(0)
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url=registry.url, poll_interval=0.01, cache_path=str(path)),
+            on_error=lambda exc: ticks.release())
+        watcher.refresh_once()
+        if breakage == "directory-removed":
+            shutil.rmtree(cache_dir)
+        else:
+            path.unlink()
+            path.mkdir()
+        with pytest.raises(LayerSchedError, match=re.escape(f"cache {path}: ")):
+            watcher.refresh_once()
+        watcher.start()
+        try:
+            assert ticks.acquire(timeout=5)
+            assert watcher._thread.is_alive()
+        finally:
+            watcher.stop()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_snapshot_survives_outage(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,

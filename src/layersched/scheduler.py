@@ -5,9 +5,11 @@ survivors, pick the argmax node, and fold placements over a task stream.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .errors import ScenarioError
 from .model import (
     ImageRef,
     LayerCatalog,
@@ -82,13 +84,15 @@ class FilterVerdict:
 
 @dataclass(frozen=True)
 class Placement:
-    """One task bound to one node, with the full per-node score audit."""
+    """One task bound to one node. ``scores`` is the per-node score audit: a
+    read-only mapping from each feasible node's id, in node order, to its
+    :class:`ScoreBreakdown`, computed when read."""
 
     task_id: str
     node_id: str
     download_bytes: int
     download_seconds: float
-    scores: dict[str, ScoreBreakdown]
+    scores: Mapping[str, ScoreBreakdown]
 
 
 @dataclass(frozen=True)
@@ -122,16 +126,52 @@ def score_node(
     )
 
 
+class _ScoreAudit(Mapping):
+    """The score breakdowns of one decision, each built on read from the
+    decision-time node and the overlap the kernel used for it."""
+
+    def __init__(self, feasible: list[tuple[NodeState, int]], task: TaskRequest,
+                 total: int, catalog: LayerCatalog, config: SchedulerConfig,
+                 omegas: tuple[float, float, float, float]):
+        self._feasible = feasible
+        self._task = task
+        self._total = total
+        self._catalog = catalog
+        self._config = config
+        self._omegas = omegas
+        self._by_id: dict[str, tuple[NodeState, int]] | None = None
+
+    def __getitem__(self, node_id: str) -> ScoreBreakdown:
+        if self._by_id is None:
+            self._by_id = {node.spec.id: (node, overlap)
+                           for node, overlap in self._feasible}
+        node, overlap = self._by_id[node_id]
+        config = self._config
+        return blended_score(
+            config.weight_policy, self._omegas, overlap, self._total,
+            node.cpu_ratio(), std_score(node),
+            baseline_score(node, self._task, self._catalog, config.plugins))
+
+    def __iter__(self) -> Iterator[str]:
+        return (node.spec.id for node, _ in self._feasible)
+
+    def __len__(self) -> int:
+        return len(self._feasible)
+
+
 class _Kernel:
     """Filter, score and argmax over a cluster in which each commit changes
     one node.
 
     Everything a node-task needs that depends only on the node is kept per
-    node and dropped when that node is committed to: its stored layer bytes
-    (advanced by the download instead), the bytes of each image it already
-    holds, and its load. Each image's layer stack and total are resolved
-    once, and so is the config's weight table (:meth:`SchedulerConfig.omegas`).
-    The results equal :func:`filter_node` and :func:`score_node` exactly.
+    node: its stored layer bytes and the bytes of each image it already
+    holds, both advanced by each commit to it, and its load, dropped by
+    one. Each image's layer stack and total are resolved once, and so is
+    the config's weight table (:meth:`SchedulerConfig.omegas`). A decision
+    scores each feasible node as one float, with the formula of
+    :func:`blended_score`, and leaves the breakdowns to
+    :class:`_ScoreAudit`. The results equal :func:`filter_node` and
+    :func:`score_node` exactly.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -141,19 +181,25 @@ class _Kernel:
         self.config = config
         self.rng = rng
         self.index = {node.spec.id: i for i, node in enumerate(self.nodes)}
+        if len(self.index) != len(self.nodes):
+            raise ScenarioError("nodes", "node ids must be unique")
         self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
         self.overlaps: list[dict[int, int]] = [{} for _ in self.nodes]
         self.loads: list[tuple[float, float] | None] = [None] * len(self.nodes)
         self.images: dict[ImageRef, tuple[int, list[tuple[str, int]], int]] = {}
+        self.users: dict[str, list[int]] = {}  # layer -> keys of images using it
         self.omegas = config.omegas()
 
     def _image(self, image: ImageRef) -> tuple[int, list[tuple[str, int]], int]:
         """A small key for the image, its layer stack and its total bytes."""
         entry = self.images.get(image)
         if entry is None:
+            key = len(self.images)
             stack = layers_of(self.catalog, image)
+            for digest, _ in stack:
+                self.users.setdefault(digest, []).append(key)
             entry = self.images[image] = (
-                len(self.images), stack, sum(size for _, size in stack))
+                key, stack, sum(size for _, size in stack))
         return entry
 
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
@@ -162,9 +208,13 @@ class _Kernel:
         if not nodes:
             return Unschedulable(task.task_id, ())
         key, stack, total = self._image(task.image)
+        config, catalog, omegas, loads = self.config, self.catalog, self.omegas, self.loads
+        plugins, policy = config.plugins, config.weight_policy
+        h_size, h_cpu, h_std = policy.h_size, policy.h_cpu, policy.h_std
 
         violations = []
-        feasible = []  # (node index, local bytes of the image)
+        feasible = []  # (node, local bytes of the image)
+        best, tied = float("-inf"), []
         for i, node in enumerate(nodes):
             overlaps = self.overlaps[i]
             overlap = overlaps.get(key)
@@ -174,30 +224,27 @@ class _Kernel:
                     size for digest, size in stack if digest in local)
             violated = first_violation(node, task, self.stored[i], total - overlap)
             violations.append(violated)
-            if violated is None:
-                feasible.append((i, overlap))
+            if violated is not None:
+                continue
+            pair = (node, overlap)
+            feasible.append(pair)
+            load = loads[i]
+            if load is None:
+                load = loads[i] = (node.cpu_ratio(), std_score(node))
+            cpu, std = load
+            layer = overlap / total * 100.0 if total else 0.0
+            final = (omegas[(overlap > h_size) + (cpu < h_cpu) + (std < h_std)] * layer
+                     + baseline_score(node, task, catalog, plugins))
+            if final > best:
+                best, tied = final, [pair]
+            elif final == best:
+                tied.append(pair)
         if not feasible:
             return Unschedulable(task.task_id, tuple(
                 FilterVerdict(node.spec.id, False, violated)
                 for node, violated in zip(nodes, violations)))
 
-        config, omegas, catalog = self.config, self.omegas, self.catalog
-        scores = {}
-        for i, overlap in feasible:
-            node = nodes[i]
-            load = self.loads[i]
-            if load is None:
-                load = self.loads[i] = (node.cpu_ratio(), std_score(node))
-            scores[node.spec.id] = blended_score(
-                config.weight_policy, omegas, overlap, total, load[0], load[1],
-                baseline_score(node, task, catalog, config.plugins))
-
-        best = max(b.final for b in scores.values())
-        tied = sorted(
-            ((nodes[i], overlap) for i, overlap in feasible
-             if scores[nodes[i].spec.id].final == best),
-            key=lambda pair: pair[0].spec.id,
-        )
+        tied.sort(key=lambda pair: pair[0].spec.id)
         if config.tie_break == "random_seeded" and len(tied) > 1:
             chosen, overlap = (self.rng or random.Random(0)).choice(tied)
         else:
@@ -209,16 +256,23 @@ class _Kernel:
             node_id=chosen.spec.id,
             download_bytes=cost,
             download_seconds=cost / chosen.spec.bandwidth,
-            scores=scores,
+            scores=_ScoreAudit(feasible, task, total, catalog, config, omegas),
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:
         """Bind ``task`` where ``placement`` chose and refresh that node."""
         i = self.index[placement.node_id]
-        self.nodes[i] = commit_placement(self.nodes[i], task, self.catalog)
+        old = self.nodes[i]
+        new = self.nodes[i] = commit_placement(old, task, self.catalog)
         self.stored[i] += placement.download_bytes
-        self.overlaps[i] = {}
         self.loads[i] = None
+        # Each newly held layer adds its bytes to every cached image using it.
+        overlaps, sizes = self.overlaps[i], self.catalog.layers
+        for digest in new.local_layers - old.local_layers:
+            size = sizes[digest]
+            for key in self.users[digest]:
+                if key in overlaps:
+                    overlaps[key] += size
 
 
 def schedule(

@@ -17,6 +17,8 @@ from helpers import (
     task_dict,
 )
 from oracles import oracle_trace
+from layersched import scheduler
+from layersched.errors import ScenarioError
 from layersched.model import (
     ImageRef,
     LayerCatalog,
@@ -339,3 +341,76 @@ class TestKernelEquivalence:
             first, _ = next(iter_schedule_trace(tasks, nodes, catalog, config, seed=seed))
             assert schedule(tasks[0], nodes, catalog, config,
                             random.Random(seed)) == first
+
+
+class TestDuplicateNodeIds:
+    """Two nodes under one id would let the kernel choose one and commit to
+    the other, and the score audit, keyed by id, would hide one of them."""
+
+    @staticmethod
+    def nodes():
+        return [node("n", cpu_capacity=4000), node("n", cpu_capacity=500)]
+
+    def test_schedule_refuses_duplicate_ids(self):
+        with pytest.raises(ScenarioError, match="node ids must be unique") as err:
+            schedule(task(), self.nodes(), catalog_ab(), SchedulerConfig())
+        assert err.value.field == "nodes"
+
+    def test_trace_refuses_duplicate_ids(self):
+        tasks = [task("t1"), task("t2")]
+        with pytest.raises(ScenarioError, match="node ids must be unique") as err:
+            list(iter_schedule_trace(tasks, self.nodes(), catalog_ab(),
+                                     SchedulerConfig()))
+        assert err.value.field == "nodes"
+
+
+class TestScoreAudit:
+    """``Placement.scores`` is built on read, from the state at decision
+    time, and only on read."""
+
+    def test_read_after_the_trace_equals_from_scratch(self):
+        rejected = 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            # The whole trace is replayed before any audit is read.
+            steps = list(iter_schedule_trace(tasks, nodes, catalog, config, seed=seed))
+            before = list(nodes)
+            for t, (outcome, after) in zip(tasks, steps):
+                if isinstance(outcome, Placement):
+                    verdicts = [filter_node(n, t, catalog) for n in before]
+                    feasible = [n for n, v in zip(before, verdicts) if v.feasible]
+                    for n in feasible:
+                        assert outcome.scores[n.spec.id] == \
+                            score_node(n, t, catalog, config), \
+                            f"seed {seed} {t.task_id} {n.spec.id}"
+                    scores = outcome.scores
+                    assert scores == dict(scores) and dict(scores) == scores
+                    assert len(scores) == len(feasible)
+                    assert list(scores) == [n.spec.id for n in feasible]
+                    for n, v in zip(before, verdicts):
+                        if not v.feasible:
+                            rejected += 1
+                            assert n.spec.id not in scores
+                            with pytest.raises(KeyError):
+                                scores[n.spec.id]
+                before = after
+        assert rejected > 0
+
+    def test_decide_builds_no_breakdown(self, monkeypatch):
+        calls = []
+        blended = scheduler.blended_score
+
+        def counting(*args):
+            calls.append(args)
+            return blended(*args)
+
+        monkeypatch.setattr(scheduler, "blended_score", counting)
+        placements = []
+        for seed in range(12):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            placements += [o for o, _ in iter_schedule_trace(
+                tasks, nodes, catalog, config, seed=seed)
+                if isinstance(o, Placement)]
+        assert placements and calls == []
+        placements[0].scores[placements[0].node_id]
+        assert len(calls) == 1

@@ -35,13 +35,14 @@ from .scenario import (
 from .simulator import (
     compare,
     deltas_against_reference,
+    ordered_sum,
     run,
     write_json,
     write_report_json,
     write_steps_csv,
 )
 from .scoring import MB
-from .workload import load_trace
+from .workload import generate
 
 ENSEMBLE_CSV_HEADER = ["scheduler", "seed", "total_download_bytes",
                        "total_download_seconds", "mean_cluster_std",
@@ -92,7 +93,7 @@ def _ensemble(sfile: ScenarioFile, catalog: LayerCatalog, **overrides) -> dict:
     for entry in entries:
         per_seed = [{"seed": seed, **runs[seed][entry.label]} for seed in seeds]
         mean = {
-            key: sum(row[key] for row in per_seed) / len(per_seed)
+            key: ordered_sum(row[key] for row in per_seed) / len(per_seed)
             for key in _AGGREGATE_KEYS
         }
         results[entry.label] = {"per_seed": per_seed, "mean": mean}
@@ -151,9 +152,7 @@ def _print_ensemble(table: dict, heading: str) -> None:
 def cmd_fetch_registry(args) -> int:
     url = _registry_override(args)
     if not url:
-        print("error: no registry URL (use --registry or LAYERSCHED_REGISTRY)",
-              file=sys.stderr)
-        return 2
+        raise LayerSchedError("no registry URL (use --registry or LAYERSCHED_REGISTRY)")
     _check_cache_path(args.out)
 
     def report(snapshot: ImageMetadataLists) -> None:
@@ -168,8 +167,7 @@ def cmd_fetch_registry(args) -> int:
     try:
         config = RegistryConfig(base_url=url, cache_path=args.out, poll_interval=args.poll)
     except ValueError as exc:
-        print(f"error: --poll {args.poll}: {exc}", file=sys.stderr)
-        return 2
+        raise LayerSchedError(f"--poll {args.poll}: {exc}") from None
     try:
         RegistryWatcher(config, on_refresh=report, on_error=lambda exc: print(
             f"warning: {exc}; retrying", file=sys.stderr)).run()
@@ -261,16 +259,9 @@ def cmd_validate(args) -> int:
               f"(live registry catalog not fetched; pass --fetch to check)")
         return 0
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
-
-    workload = sfile.workload
-    if workload.kind == "trace_file":
-        for task in load_trace(sfile.base_dir / workload.trace_path):
-            if task.image not in catalog.images:
-                raise ScenarioError("workload.trace_file",
-                                    f"image {task.image.key!r} not in catalog")
-
-    for entry in sfile.schedulers:
-        build_scenario(sfile, catalog, entry, sfile.seeds[0])
+    scenarios = [build_scenario(sfile, catalog, entry, sfile.seeds[0])
+                 for entry in sfile.schedulers]
+    generate(scenarios[0].workload, catalog)
     for value in sfile.sweeps.node_count:
         build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0],
                        node_count=value)

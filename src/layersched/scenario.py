@@ -480,13 +480,13 @@ def resolve_catalog(sfile: ScenarioFile, registry_url: str | None = None) -> Lay
 
 def _expand_preloads(sfile: ScenarioFile, catalog: LayerCatalog) -> dict[str, tuple[str, ...]]:
     preloaded: dict[str, tuple[str, ...]] = {}
+    position = {node.id: i for i, node in enumerate(sfile.nodes)}
     for node_id in sorted(set(sfile.preloaded_layers) | set(sfile.preloaded_images)):
         digests: list[str] = list(sfile.preloaded_layers.get(node_id, []))
-        for ref in sfile.preloaded_images.get(node_id, []):
+        for j, ref in enumerate(sfile.preloaded_images.get(node_id, [])):
             if ref not in catalog.images:
-                raise ScenarioError(
-                    f"nodes.{node_id}.preloaded_images", f"image {ref.key!r} not in catalog"
-                )
+                raise ScenarioError(f"nodes[{position[node_id]}].preloaded_images[{j}]",
+                                    f"image {ref.key!r} not in catalog")
             digests.extend(catalog.images[ref])
         seen: dict[str, None] = dict.fromkeys(digests)
         preloaded[node_id] = tuple(seen)

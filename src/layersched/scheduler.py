@@ -163,13 +163,13 @@ class _Kernel:
     """Filter, score and argmax over a cluster in which each commit changes
     one node.
 
-    Everything a node-task needs that depends only on the node is kept per
-    node: its stored layer bytes and the bytes of each image it already
-    holds, both advanced by each commit to it, and its load, dropped by
-    one. Each image's layer stack and total are resolved once, and so is
-    the config's weight table (:meth:`SchedulerConfig.omegas`). A decision
-    scores each feasible node as one float, with the formula of
-    :func:`blended_score`, and leaves the breakdowns to
+    Per-node state is plain columns indexed like the nodes: stored layer
+    bytes, the load count (how many of the gate's CPU and balance conditions
+    hold) and one overlap column per image, filled for every node when the
+    image is first seen. A commit refreshes only the node it changes. The
+    weight table (:meth:`SchedulerConfig.omegas`) and the gate thresholds
+    are read once. A decision scores each feasible node as one float, with
+    the formula of :func:`blended_score`, and leaves the breakdowns to
     :class:`_ScoreAudit`. The results equal :func:`filter_node` and
     :func:`score_node` exactly.
     """
@@ -183,23 +183,28 @@ class _Kernel:
         self.index = {node.spec.id: i for i, node in enumerate(self.nodes)}
         if len(self.index) != len(self.nodes):
             raise ScenarioError("nodes", "node ids must be unique")
-        self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
-        self.overlaps: list[dict[int, int]] = [{} for _ in self.nodes]
-        self.loads: list[tuple[float, float] | None] = [None] * len(self.nodes)
-        self.images: dict[ImageRef, tuple[int, list[tuple[str, int]], int]] = {}
-        self.users: dict[str, list[int]] = {}  # layer -> keys of images using it
         self.omegas = config.omegas()
+        policy = config.weight_policy
+        self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
+        self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
+        self.calm = [self._calm(node) for node in self.nodes]
+        self.images: dict[ImageRef, tuple[list[int], int]] = {}
+        self.users: dict[str, list[list[int]]] = {}  # layer -> columns using it
 
-    def _image(self, image: ImageRef) -> tuple[int, list[tuple[str, int]], int]:
-        """A small key for the image, its layer stack and its total bytes."""
+    def _calm(self, node: NodeState) -> int:
+        """How many of the gate's two load conditions ``node`` meets."""
+        return (node.cpu_ratio() < self.h_cpu) + (std_score(node) < self.h_std)
+
+    def _image(self, image: ImageRef) -> tuple[list[int], int]:
+        """The image's overlap column and its total bytes."""
         entry = self.images.get(image)
         if entry is None:
-            key = len(self.images)
             stack = layers_of(self.catalog, image)
+            column = [sum(size for digest, size in stack if digest in node.local_layers)
+                      for node in self.nodes]
             for digest, _ in stack:
-                self.users.setdefault(digest, []).append(key)
-            entry = self.images[image] = (
-                key, stack, sum(size for _, size in stack))
+                self.users.setdefault(digest, []).append(column)
+            entry = self.images[image] = (column, sum(size for _, size in stack))
         return entry
 
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
@@ -207,33 +212,23 @@ class _Kernel:
         nodes = self.nodes
         if not nodes:
             return Unschedulable(task.task_id, ())
-        key, stack, total = self._image(task.image)
-        config, catalog, omegas, loads = self.config, self.catalog, self.omegas, self.loads
-        plugins, policy = config.plugins, config.weight_policy
-        h_size, h_cpu, h_std = policy.h_size, policy.h_cpu, policy.h_std
+        column, total = self._image(task.image)
+        config, catalog, omegas = self.config, self.catalog, self.omegas
+        plugins, h_size, calm, stored = config.plugins, self.h_size, self.calm, self.stored
 
         violations = []
         feasible = []  # (node, local bytes of the image)
         best, tied = float("-inf"), []
         for i, node in enumerate(nodes):
-            overlaps = self.overlaps[i]
-            overlap = overlaps.get(key)
-            if overlap is None:
-                local = node.local_layers
-                overlap = overlaps[key] = sum(
-                    size for digest, size in stack if digest in local)
-            violated = first_violation(node, task, self.stored[i], total - overlap)
+            overlap = column[i]
+            violated = first_violation(node, task, stored[i], total - overlap)
             violations.append(violated)
             if violated is not None:
                 continue
             pair = (node, overlap)
             feasible.append(pair)
-            load = loads[i]
-            if load is None:
-                load = loads[i] = (node.cpu_ratio(), std_score(node))
-            cpu, std = load
             layer = overlap / total * 100.0 if total else 0.0
-            final = (omegas[(overlap > h_size) + (cpu < h_cpu) + (std < h_std)] * layer
+            final = (omegas[(overlap > h_size) + calm[i]] * layer
                      + baseline_score(node, task, catalog, plugins))
             if final > best:
                 best, tied = final, [pair]
@@ -265,14 +260,12 @@ class _Kernel:
         old = self.nodes[i]
         new = self.nodes[i] = commit_placement(old, task, self.catalog)
         self.stored[i] += placement.download_bytes
-        self.loads[i] = None
-        # Each newly held layer adds its bytes to every cached image using it.
-        overlaps, sizes = self.overlaps[i], self.catalog.layers
+        self.calm[i] = self._calm(new)
+        # Each newly held layer adds its bytes to every column using it.
+        sizes = self.catalog.layers
         for digest in new.local_layers - old.local_layers:
-            size = sizes[digest]
-            for key in self.users[digest]:
-                if key in overlaps:
-                    overlaps[key] += size
+            for column in self.users[digest]:
+                column[i] += sizes[digest]
 
 
 def schedule(

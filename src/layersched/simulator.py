@@ -12,7 +12,9 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import islice
+from operator import add
 from pathlib import Path
 
 from ._jsonout import iter_indented_json
@@ -26,6 +28,14 @@ from .scheduler import (
 )
 from .scoring import PLUGIN_NAMES, std_score
 from .workload import WorkloadSpec, generate, stream
+
+
+def ordered_sum(values):
+    """Add ``values`` left to right, rounding after each addition, as
+    ``sum`` did before Python 3.12; since then ``sum`` compensates float
+    rounding, which would make reports differ across Python versions."""
+    return reduce(add, values, 0)
+
 
 CSV_HEADER = ["step", "task", "node", "download_bytes", "download_seconds", "cluster_std"]
 
@@ -46,19 +56,22 @@ class Scenario:
     def validate(self) -> None:
         if not self.nodes:
             raise ScenarioError("nodes", "at least one node required")
-        ids = [node.id for node in self.nodes]
-        if len(set(ids)) != len(ids):
+        specs = {node.id: node for node in self.nodes}
+        if len(specs) != len(self.nodes):
             raise ScenarioError("nodes", "node ids must be unique")
         if self.bandwidth_override is not None and self.bandwidth_override <= 0:
             raise ScenarioError("bandwidth_override", "must be > 0")
         for node_id, layers in self.preloaded.items():
-            if node_id not in ids:
+            if node_id not in specs:
                 raise ScenarioError(f"preloaded.{node_id}", "unknown node id")
             for digest in layers:
                 if digest not in self.catalog.layers:
                     raise ScenarioError(
                         f"preloaded.{node_id}", f"layer {digest!r} not in catalog"
                     )
+            stored = sum(self.catalog.layers[digest] for digest in set(layers))
+            if stored > specs[node_id].storage_capacity:
+                raise ScenarioError(f"preloaded.{node_id}", "preloaded layers exceed storage")
 
 
 def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
@@ -109,14 +122,8 @@ def initial_nodes(scenario: Scenario) -> list[NodeState]:
     specs = scenario.nodes
     if scenario.bandwidth_override is not None:
         specs = [replace(spec, bandwidth=scenario.bandwidth_override) for spec in specs]
-    states = []
-    for spec in specs:
-        layers = frozenset(scenario.preloaded.get(spec.id, ()))
-        state = NodeState(spec=spec, local_layers=layers)
-        if state.stored_layer_bytes(scenario.catalog) > spec.storage_capacity:
-            raise ScenarioError(f"preloaded.{spec.id}", "preloaded layers exceed storage")
-        states.append(state)
-    return states
+    return [NodeState(spec=spec, local_layers=frozenset(scenario.preloaded.get(spec.id, ())))
+            for spec in specs]
 
 
 @dataclass
@@ -221,7 +228,7 @@ def run(scenario: Scenario) -> SimulationReport:
             node_id=outcome.node_id if placed else None,
             download_bytes=download,
             download_seconds=outcome.download_seconds if placed else 0.0,
-            cluster_std=sum(stds) / len(stds),
+            cluster_std=ordered_sum(stds) / len(stds),
             node_usage=dict(usage),
         ))
         final_nodes = current
@@ -234,9 +241,9 @@ def run(scenario: Scenario) -> SimulationReport:
         steps=steps,
         total_download_bytes=running_total,
         cumulative_download_bytes=cumulative,
-        total_download_seconds=sum(s.download_seconds for s in steps),
+        total_download_seconds=ordered_sum(s.download_seconds for s in steps),
         mean_cluster_std=(
-            sum(s.cluster_std for s in steps) / len(steps) if steps else 0.0
+            ordered_sum(s.cluster_std for s in steps) / len(steps) if steps else 0.0
         ),
         max_pods=pods,
         total_pods=sum(pods.values()),

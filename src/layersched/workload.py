@@ -88,9 +88,15 @@ def stream(spec: WorkloadSpec, catalog: LayerCatalog) -> Iterator[TaskRequest]:
 
 
 def generate(spec: WorkloadSpec, catalog: LayerCatalog) -> list[TaskRequest]:
-    """Produce the trace for ``spec``: ``count`` seeded tasks, or the file."""
+    """Produce the trace for ``spec``: ``count`` seeded tasks, or the file,
+    every image of which must be in ``catalog``."""
     if spec.kind == "trace_file":
-        return load_trace(spec.trace_path)
+        tasks = load_trace(spec.trace_path)
+        for task in tasks:
+            if task.image not in catalog.images:
+                raise ScenarioError("workload.trace_file",
+                                    f"image {task.image.key!r} not in catalog")
+        return tasks
     return list(islice(stream(spec, catalog), spec.count))
 
 

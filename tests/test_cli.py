@@ -55,6 +55,17 @@ class TestFetchRegistry:
         assert code == 2
         assert "LAYERSCHED_REGISTRY" in capsys.readouterr().err
 
+    def test_errors_are_one_line_from_main(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LAYERSCHED_REGISTRY", raising=False)
+        assert main(["fetch-registry", "--out", str(tmp_path / "cache.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: no registry URL (use --registry or LAYERSCHED_REGISTRY)\n")
+        assert main(["fetch-registry", "--registry", "http://localhost:1",
+                     "--out", str(tmp_path / "cache.json"), "--poll", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --poll -1.0: poll_interval must be a positive, finite number "
+            "of seconds\n")
+
     def test_writes_cache_and_reports(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         with FakeRegistry(bundled_images()) as registry:
@@ -346,14 +357,25 @@ class TestValidate:
                                          "weights": {"omega_static": float("nan")}}]),
          "schedulers[0].weights.omega_static"),
         (lambda d: d.update(sweeps={"bandwidth": 5}), "sweeps.bandwidth"),
+        (lambda d: d["nodes"][0].update(storage="10MB", preloaded_layers=["sha256:base"]),
+         "preloaded.node-0"),
+        (lambda d: d["nodes"][1].update(preloaded_images=["ghost:1"]),
+         "nodes[1].preloaded_images[0]"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": "ghost.jsonl"}),
+         "workload.trace_file"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
-            "trace-file-not-utf8", "omega-nan", "sweep-bandwidth-not-a-list"])
+            "trace-file-not-utf8", "omega-nan", "sweep-bandwidth-not-a-list",
+            "preloads-exceed-storage", "preloaded-image-not-in-catalog",
+            "trace-image-not-in-catalog"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()
         (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe")
+        (tmp_path / "ghost.jsonl").write_text(json.dumps({
+            "task_id": "t1", "image_name": "ghost", "image_tag": "1",
+            "cpu_millicores": 100, "mem_bytes": MB}) + "\n")
         doc = json.loads(write_scenario(tmp_path).read_text())
         mutate(doc)
         path = tmp_path / "bad.json"

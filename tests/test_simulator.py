@@ -16,6 +16,7 @@ from layersched.simulator import (
     compare,
     fingerprint,
     max_pods,
+    ordered_sum,
     run,
     write_report_json,
     write_steps_csv,
@@ -307,3 +308,11 @@ class TestReportFiles:
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["aggregates"]["total_download_bytes"] == 100 * MB
+
+
+def test_ordered_sum_rounds_after_each_addition():
+    """Left to right with one rounding per step on every Python version;
+    the built-in sum of 3.12+ compensates and would give exactly 1.0."""
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
+    assert ordered_sum(x for x in [1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0 and ordered_sum([2, 3]) == 5

@@ -33,6 +33,7 @@ from .scenario import (
     resolve_catalog,
 )
 from .simulator import (
+    AGGREGATES,
     compare,
     deltas_against_reference,
     ordered_sum,
@@ -44,11 +45,7 @@ from .simulator import (
 from .scoring import MB
 from .workload import generate
 
-ENSEMBLE_CSV_HEADER = ["scheduler", "seed", "total_download_bytes",
-                       "total_download_seconds", "mean_cluster_std",
-                       "total_pods", "unschedulable_count"]
-
-_AGGREGATE_KEYS = ENSEMBLE_CSV_HEADER[2:]
+ENSEMBLE_CSV_HEADER = ["scheduler", "seed", *AGGREGATES]
 
 
 def _safe_name(label: str) -> str:
@@ -94,7 +91,7 @@ def _ensemble(sfile: ScenarioFile, catalog: LayerCatalog, **overrides) -> dict:
         per_seed = [{"seed": seed, **runs[seed][entry.label]} for seed in seeds]
         mean = {
             key: ordered_sum(row[key] for row in per_seed) / len(per_seed)
-            for key in _AGGREGATE_KEYS
+            for key in AGGREGATES
         }
         results[entry.label] = {"per_seed": per_seed, "mean": mean}
 
@@ -117,9 +114,9 @@ def _write_ensemble_csv(table: dict, path: Path) -> None:
             data = table["results"][label]
             for row in data["per_seed"]:
                 writer.writerow([label, row["seed"]] +
-                                [_fmt_cell(row[k]) for k in _AGGREGATE_KEYS])
+                                [_fmt_cell(row[k]) for k in AGGREGATES])
             writer.writerow([label, "mean"] +
-                            [_fmt_cell(data["mean"][k]) for k in _AGGREGATE_KEYS])
+                            [_fmt_cell(data["mean"][k]) for k in AGGREGATES])
 
 
 def _fmt_cell(value) -> str:

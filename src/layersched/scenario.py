@@ -517,6 +517,11 @@ def build_scenario(
         for key in workload.image_weights or ():
             if ImageRef.parse(key) not in catalog.images:
                 raise ScenarioError("workload.images", f"image {key!r} not in catalog")
+        if workload.image_weights is None and not catalog.images:
+            source = sfile.catalog_source
+            path = ("catalog.images" if source.inline is not None else
+                    "catalog.cache_file" if source.cache_file is not None else "registry")
+            raise ScenarioError(path, "catalog holds no images to draw from")
     if workload.kind == "trace_file" and workload.trace_path is not None:
         workload = replace(workload, trace_path=str(sfile.base_dir / workload.trace_path))
     scenario = Scenario(

@@ -130,30 +130,23 @@ class _ScoreAudit(Mapping):
     """The score breakdowns of one decision, each built on read from the
     decision-time node and the overlap the kernel used for it."""
 
-    def __init__(self, feasible: list[tuple[NodeState, int]], task: TaskRequest,
-                 total: int, catalog: LayerCatalog, config: SchedulerConfig,
-                 omegas: tuple[float, float, float, float]):
+    def __init__(self, feasible: dict[str, tuple[NodeState, int]], task: TaskRequest,
+                 catalog: LayerCatalog, config: SchedulerConfig):
         self._feasible = feasible
         self._task = task
-        self._total = total
         self._catalog = catalog
         self._config = config
-        self._omegas = omegas
-        self._by_id: dict[str, tuple[NodeState, int]] | None = None
 
     def __getitem__(self, node_id: str) -> ScoreBreakdown:
-        if self._by_id is None:
-            self._by_id = {node.spec.id: (node, overlap)
-                           for node, overlap in self._feasible}
-        node, overlap = self._by_id[node_id]
-        config = self._config
+        node, overlap = self._feasible[node_id]
+        task, catalog, config = self._task, self._catalog, self._config
         return blended_score(
-            config.weight_policy, self._omegas, overlap, self._total,
-            node.cpu_ratio(), std_score(node),
-            baseline_score(node, self._task, self._catalog, config.plugins))
+            config.weight_policy, config.omegas(), overlap,
+            catalog.image_total_size(task.image), node.cpu_ratio(), std_score(node),
+            baseline_score(node, task, catalog, config.plugins))
 
     def __iter__(self) -> Iterator[str]:
-        return (node.spec.id for node, _ in self._feasible)
+        return iter(self._feasible)
 
     def __len__(self) -> int:
         return len(self._feasible)
@@ -217,7 +210,7 @@ class _Kernel:
         plugins, h_size, calm, stored = config.plugins, self.h_size, self.calm, self.stored
 
         violations = []
-        feasible = []  # (node, local bytes of the image)
+        feasible = {}  # node id -> (node, local bytes of the image)
         best, tied = float("-inf"), []
         for i, node in enumerate(nodes):
             overlap = column[i]
@@ -225,8 +218,7 @@ class _Kernel:
             violations.append(violated)
             if violated is not None:
                 continue
-            pair = (node, overlap)
-            feasible.append(pair)
+            pair = feasible[node.spec.id] = (node, overlap)
             layer = overlap / total * 100.0 if total else 0.0
             final = (omegas[(overlap > h_size) + calm[i]] * layer
                      + baseline_score(node, task, catalog, plugins))
@@ -251,7 +243,7 @@ class _Kernel:
             node_id=chosen.spec.id,
             download_bytes=cost,
             download_seconds=cost / chosen.spec.bandwidth,
-            scores=_ScoreAudit(feasible, task, total, catalog, config, omegas),
+            scores=_ScoreAudit(feasible, task, catalog, config),
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:

@@ -2,13 +2,13 @@
 resource balance, and :func:`blended_score`, the one formula that gates the
 layer weight and blends the final score.
 
-All functions here are pure; evaluating them per node in parallel is safe.
+All functions here are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
 
@@ -21,24 +21,33 @@ WEIGHT_MODES = ("static", "dynamic", "custom")
 PLUGIN_NAMES = ("least_allocated", "balanced_allocation", "image_locality")
 
 
+def _finite(weight: float) -> bool:
+    """Whether ``weight`` is a number scoring's float arithmetic can use."""
+    try:
+        return math.isfinite(weight)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class PluginConfig:
     """Which baseline plugins contribute to the blended score, with weights.
 
     A weight of ``None`` disables the plugin. The combined baseline score is
-    ``sum(weight_i * score_i) / enabled_count`` so that with default weights
-    of 1 it stays within [0, 100], commensurate with the layer score.
+    ``sum(weight_i * score_i) / enabled_count``, added in
+    :data:`PLUGIN_NAMES` order, so that with default weights of 1 it stays
+    within [0, 100], commensurate with the layer score.
     """
 
     least_allocated: float | None = 1.0
     balanced_allocation: float | None = 1.0
     image_locality: float | None = 1.0
 
-    @cached_property
-    def enabled(self) -> tuple[tuple[str, float], ...]:
-        """(name, weight) of each enabled plugin, resolved once per config."""
-        return tuple((name, weight) for name in PLUGIN_NAMES
-                     if (weight := getattr(self, name)) is not None)
+    def __post_init__(self):
+        for name in PLUGIN_NAMES:
+            weight = getattr(self, name)
+            if weight is not None and not _finite(weight):
+                raise ValueError(f"{name} weight must be finite")
 
 
 @dataclass
@@ -66,12 +75,16 @@ class WeightPolicy:
     def __post_init__(self):
         if self.mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.mode!r}")
+        weights = (self.omega_static, self.omega_high, self.omega_low,
+                   *self.custom_table.values())
+        if not all(map(_finite, weights)):
+            raise ValueError("weights must be finite")
         if not self.omega_high >= self.omega_low >= 0:
             raise ValueError("need omega_high >= omega_low >= 0")
         if self.omega_static < 0:
             raise ValueError("omega_static must be >= 0")
-        if self.h_size < 0:
-            raise ValueError("h_size must be >= 0")
+        if not 0 <= self.h_size < math.inf:
+            raise ValueError("h_size must be finite and >= 0")
         if not 0 <= self.h_cpu <= 1:
             raise ValueError("h_cpu must be within [0, 1]")
         if not 0 <= self.h_std <= 0.5:
@@ -99,10 +112,7 @@ class ScoreBreakdown:
 
 def download_cost(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> int:
     """Bytes the node must fetch to run the image: sizes of absent layers."""
-    return sum(
-        size for digest, size in layers_of(catalog, image)
-        if digest not in node.local_layers
-    )
+    return catalog.image_total_size(image) - local_layer_size(catalog, node, image)
 
 
 def local_layer_size(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> int:
@@ -143,29 +153,26 @@ def baseline_score(
     way a real scheduler ranks the outcome). image_locality is all-or-
     nothing on the exact image. Assumes the node already passed filtering.
     """
-    enabled = plugins.enabled
-    if not enabled:
-        return 0.0
-
-    total = 0.0
-    for name, weight in enabled:
-        if name == "least_allocated":
-            free_cpu = (
-                node.spec.cpu_capacity - node.cpu_committed - task.cpu_request
-            ) / node.spec.cpu_capacity * 100.0
-            free_mem = (
-                node.spec.mem_capacity - node.mem_committed - task.mem_request
-            ) / node.spec.mem_capacity * 100.0
-            score = (free_cpu + free_mem) / 2.0
-        elif name == "balanced_allocation":
-            cpu_after = (node.cpu_committed + task.cpu_request) / node.spec.cpu_capacity
-            mem_after = (node.mem_committed + task.mem_request) / node.spec.mem_capacity
-            std_after = abs(cpu_after - mem_after) / 2.0
-            score = (1.0 - 2.0 * std_after) * 100.0
-        else:  # image_locality
-            score = 100.0 if task.image in node.local_images else 0.0
-        total += weight * score
-    return total / len(enabled)
+    total, enabled = 0.0, 0
+    if plugins.least_allocated is not None:
+        free_cpu = (
+            node.spec.cpu_capacity - node.cpu_committed - task.cpu_request
+        ) / node.spec.cpu_capacity * 100.0
+        free_mem = (
+            node.spec.mem_capacity - node.mem_committed - task.mem_request
+        ) / node.spec.mem_capacity * 100.0
+        total += plugins.least_allocated * ((free_cpu + free_mem) / 2.0)
+        enabled += 1
+    if plugins.balanced_allocation is not None:
+        cpu_after = (node.cpu_committed + task.cpu_request) / node.spec.cpu_capacity
+        mem_after = (node.mem_committed + task.mem_request) / node.spec.mem_capacity
+        std_after = abs(cpu_after - mem_after) / 2.0
+        total += plugins.balanced_allocation * ((1.0 - 2.0 * std_after) * 100.0)
+        enabled += 1
+    if plugins.image_locality is not None:
+        total += plugins.image_locality * (100.0 if task.image in node.local_images else 0.0)
+        enabled += 1
+    return total / enabled if enabled else 0.0
 
 
 def blended_score(

@@ -37,6 +37,10 @@ def ordered_sum(values):
     return reduce(add, values, 0)
 
 
+# The run totals of a report, in the column order of the ensemble CSV.
+AGGREGATES = ("total_download_bytes", "total_download_seconds", "mean_cluster_std",
+              "total_pods", "unschedulable_count")
+
 CSV_HEADER = ["step", "task", "node", "download_bytes", "download_seconds", "cluster_std"]
 
 
@@ -56,22 +60,23 @@ class Scenario:
     def validate(self) -> None:
         if not self.nodes:
             raise ScenarioError("nodes", "at least one node required")
-        specs = {node.id: node for node in self.nodes}
-        if len(specs) != len(self.nodes):
+        position = {node.id: i for i, node in enumerate(self.nodes)}
+        if len(position) != len(self.nodes):
             raise ScenarioError("nodes", "node ids must be unique")
         if self.bandwidth_override is not None and self.bandwidth_override <= 0:
             raise ScenarioError("bandwidth_override", "must be > 0")
         for node_id, layers in self.preloaded.items():
-            if node_id not in specs:
+            if node_id not in position:
                 raise ScenarioError(f"preloaded.{node_id}", "unknown node id")
+            i = position[node_id]
             for digest in layers:
                 if digest not in self.catalog.layers:
                     raise ScenarioError(
-                        f"preloaded.{node_id}", f"layer {digest!r} not in catalog"
+                        f"nodes[{i}].preloaded_layers", f"layer {digest!r} not in catalog"
                     )
             stored = sum(self.catalog.layers[digest] for digest in set(layers))
-            if stored > specs[node_id].storage_capacity:
-                raise ScenarioError(f"preloaded.{node_id}", "preloaded layers exceed storage")
+            if stored > self.nodes[i].storage_capacity:
+                raise ScenarioError(f"nodes[{i}].storage", "preloaded layers exceed storage")
 
 
 def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
@@ -164,13 +169,7 @@ class SimulationReport:
     final_usage: dict[str, dict[str, float]]
 
     def aggregates(self) -> dict:
-        return {
-            "total_download_bytes": self.total_download_bytes,
-            "total_download_seconds": self.total_download_seconds,
-            "mean_cluster_std": self.mean_cluster_std,
-            "total_pods": self.total_pods,
-            "unschedulable_count": self.unschedulable_count,
-        }
+        return {name: getattr(self, name) for name in AGGREGATES}
 
     def to_dict(self) -> dict:
         return {
@@ -302,12 +301,7 @@ class ComparisonReport:
         }
 
 
-DELTA_METRICS = (
-    "total_download_bytes",
-    "total_download_seconds",
-    "mean_cluster_std",
-    "total_pods",
-)
+DELTA_METRICS = AGGREGATES[:4]  # every total but the unschedulable count
 
 
 def _pct_delta(value: float, reference: float) -> float | None:

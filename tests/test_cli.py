@@ -358,17 +358,22 @@ class TestValidate:
          "schedulers[0].weights.omega_static"),
         (lambda d: d.update(sweeps={"bandwidth": 5}), "sweeps.bandwidth"),
         (lambda d: d["nodes"][0].update(storage="10MB", preloaded_layers=["sha256:base"]),
-         "preloaded.node-0"),
+         "nodes[0].storage"),
+        (lambda d: d["nodes"][1].update(preloaded_layers=["sha256:ghost"]),
+         "nodes[1].preloaded_layers"),
         (lambda d: d["nodes"][1].update(preloaded_images=["ghost:1"]),
          "nodes[1].preloaded_images[0]"),
         (lambda d: d.update(workload={"kind": "trace_file", "trace_file": "ghost.jsonl"}),
          "workload.trace_file"),
+        (lambda d: (d["catalog"].update(images={}), d["workload"].pop("images")),
+         "catalog.images"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
             "trace-file-not-utf8", "omega-nan", "sweep-bandwidth-not-a-list",
-            "preloads-exceed-storage", "preloaded-image-not-in-catalog",
-            "trace-image-not-in-catalog"])
+            "preloads-exceed-storage", "preloaded-layer-not-in-catalog",
+            "preloaded-image-not-in-catalog", "trace-image-not-in-catalog",
+            "empty-catalog"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()

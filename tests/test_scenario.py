@@ -281,6 +281,19 @@ class TestBuildScenario:
         scenario = self.build(raw, node_count=1)
         assert scenario.preloaded == {}
 
+    def test_empty_catalog_names_its_source(self, tmp_path):
+        (tmp_path / "empty.json").write_text("{}")
+        cached = data(catalog={"cache_file": "empty.json"})
+        live = data()
+        del live["catalog"]
+        with FakeRegistry([]) as registry:
+            live["registry"] = registry.url
+            for raw, field in [(cached, "catalog.cache_file"), (live, "registry")]:
+                sfile = parse_scenario_data(raw, base_dir=tmp_path)
+                with pytest.raises(ScenarioError) as err:
+                    build_scenario(sfile, resolve_catalog(sfile), sfile.schedulers[0], 0)
+                assert err.value.field == field
+
     def test_trace_path_resolves_against_base_dir(self, tmp_path):
         trace = tmp_path / "work.jsonl"
         trace.write_text(json.dumps({

@@ -195,6 +195,17 @@ class TestBaselineScore:
         got = baseline_score(nodes[0], task, catalog, config.plugins)
         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_operand_order_matches_reference_exactly(self):
+        # Sums in another order can differ in the last bit, which could flip a
+        # tie; random_plugins draws non-default weights, so the order shows.
+        for seed in range(3000):
+            catalog, nodes, task, config = random_scoring_instance(seed)
+            cd, td = catalog_dict(catalog), task_dict(task)
+            plugins = params_dict(config)["plugins"]
+            for node in nodes:
+                assert (baseline_score(node, task, catalog, config.plugins)
+                        == oracle_baseline(cd, node_dict(node), td, plugins)), seed
+
 
 class TestFinalScore:
     def static(self, omega):
@@ -318,3 +329,25 @@ class TestConfigValidation:
     def test_custom_table_must_cover_all_counts(self):
         with pytest.raises(ValueError):
             WeightPolicy(mode="custom", custom_table={0: 1.0, 3: 2.0})
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: WeightPolicy(mode="static", omega_static=bad),
+        lambda bad: WeightPolicy(omega_high=bad),
+        lambda bad: WeightPolicy(omega_low=bad),
+        lambda bad: WeightPolicy(mode="custom", custom_table={0: 1.0, 1: bad, 2: 1.0, 3: 1.0}),
+        lambda bad: PluginConfig(least_allocated=bad),
+        lambda bad: PluginConfig(balanced_allocation=bad),
+        lambda bad: PluginConfig(image_locality=bad),
+    ], ids=["omega_static", "omega_high", "omega_low", "custom_table",
+            "least_allocated", "balanced_allocation", "image_locality"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "int-beyond-float"])
+    def test_non_finite_weights_rejected(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
+
+    def test_h_size_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                WeightPolicy(h_size=bad)
+        WeightPolicy(h_size=10 ** 400)  # an int of any size is a valid threshold

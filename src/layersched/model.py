@@ -7,7 +7,7 @@ node state and leaves its input untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import CapacityViolation, UnknownImage
@@ -190,17 +190,22 @@ def first_violation(node: NodeState, task: TaskRequest, stored_bytes: int,
 
 
 def commit_placement(
-    node: NodeState, task: TaskRequest, catalog: LayerCatalog
+    node: NodeState, task: TaskRequest, catalog: LayerCatalog,
+    stored_bytes: int | None = None,
 ) -> NodeState:
     """Place ``task`` on ``node``, returning the successor state.
 
     Re-checks the filter constraints and raises :class:`CapacityViolation`
     naming the first violated one, so a caller that skipped filtering
-    cannot corrupt node state.
+    cannot corrupt node state. ``stored_bytes`` is what
+    :meth:`NodeState.stored_layer_bytes` returns for ``node``; a caller that
+    keeps that figure passes it to spare the re-summing of every layer.
     """
     stack = layers_of(catalog, task.image)
     need = missing_layers(node, (digest for digest, _ in stack))
-    violated = first_violation(node, task, node.stored_layer_bytes(catalog),
+    if stored_bytes is None:
+        stored_bytes = node.stored_layer_bytes(catalog)
+    violated = first_violation(node, task, stored_bytes,
                                sum(catalog.layers[d] for d in need))
     if violated is not None:
         raise CapacityViolation(violated)
@@ -211,8 +216,8 @@ def commit_placement(
         cpu_request=task.cpu_request,
         mem_request=task.mem_request,
     )
-    return replace(
-        node,
+    return NodeState(
+        spec=node.spec,
         local_layers=node.local_layers | need,
         local_images=node.local_images | {task.image},
         running=node.running + (placed,),

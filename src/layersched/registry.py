@@ -46,6 +46,7 @@ ACCEPT_MANIFESTS = ", ".join([MANIFEST_V2, OCI_MANIFEST, MANIFEST_LIST_V2, OCI_I
 
 _HOST_COMPONENT = re.compile(r"[.:]|^localhost$")
 _NEXT_LINK = re.compile(r'<([^>]*)>[^<]*\brel="?next\b')  # in a Link header
+MAX_PAGES = 10_000  # per listing, so a registry that never ends one cannot hang a walk
 
 
 @dataclass
@@ -152,6 +153,13 @@ def strip_repo_host(name: str) -> str:
     return name
 
 
+def _origin(url: str) -> tuple[str, str | None, int | None]:
+    """Scheme, host and port of ``url``, the port defaulted by scheme."""
+    parts = urlsplit(url)
+    port = parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+    return parts.scheme, parts.hostname, port
+
+
 class RegistryClient:
     """Thin HTTP client for the v2 catalog, tags, and manifest endpoints.
     ``opener`` is anything with ``open(request, timeout=)``."""
@@ -205,11 +213,17 @@ class RegistryClient:
         return body
 
     def _get_paginated(self, path: str, list_key: str) -> list[str]:
-        """Every page's ``list_key`` names; a reply of another shape raises
-        :class:`RegistryProtocolError`."""
+        """Every page's ``list_key`` names. A reply of another shape, a
+        ``next`` link to another origin than the base URL's (it would be sent
+        the credentials), a page already fetched, or more than
+        :data:`MAX_PAGES` pages raise :class:`RegistryProtocolError`."""
         items: list[str] = []
         url = f"{self.config.base_url}{path}"
-        while True:
+        seen = set()
+        for _ in range(MAX_PAGES):
+            if url in seen:
+                raise RegistryProtocolError(200, f"next link {url} repeats an earlier page")
+            seen.add(url)
             status, link, body = self._get(url)
             if status != 200:
                 raise RegistryProtocolError(status, f"GET {url}: HTTP {status}")
@@ -226,8 +240,16 @@ class RegistryClient:
             if not next_link:
                 return items
             url = next_link[1]
-            if not url.startswith("http"):
-                url = f"{self.config.base_url}{url}"
+            try:
+                if not urlsplit(url).scheme:  # a path on the base URL
+                    url = f"{self.config.base_url}{url}"
+                foreign = _origin(url) != _origin(self.config.base_url)
+            except ValueError:  # a malformed host or port
+                foreign = True
+            if foreign:
+                raise RegistryProtocolError(
+                    200, f"next link {url} leaves {self.config.base_url}")
+        raise RegistryProtocolError(200, f"{path}: more than {MAX_PAGES} pages")
 
     def fetch_catalog(self) -> list[str]:
         """All repository names, following pagination Link headers."""

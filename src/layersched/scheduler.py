@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ScenarioError
@@ -37,9 +38,11 @@ POLICIES = ("default", "layer_static", "lr_dynamic")
 TIE_BREAKS = ("lowest_node_id", "random_seeded")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
-    """Which policy to run and how to weight/tie-break.
+    """Which policy to run and how to weight/tie-break. Frozen, like its
+    weight policy and plugins, so a decision's score audit, which reads the
+    config when it is read, always shows the weights the decision used.
 
     ``default`` ignores layer sharing (weight 0, pure baseline score),
     ``layer_static`` applies ``weight_policy.omega_static`` unconditionally,
@@ -97,10 +100,18 @@ class Placement:
 
 @dataclass(frozen=True)
 class Unschedulable:
-    """No node survived filtering; per-node rejection reasons attached."""
+    """No node survived filtering. ``rejected_by`` names the constraint each
+    node, in ``node_ids`` order, broke; ``verdicts`` are those as
+    :class:`FilterVerdict` objects, built when first read."""
 
     task_id: str
-    verdicts: tuple[FilterVerdict, ...]
+    node_ids: tuple[str, ...] = field(repr=False)
+    rejected_by: tuple[str, ...] = field(repr=False)
+
+    @cached_property
+    def verdicts(self) -> tuple[FilterVerdict, ...]:
+        return tuple(FilterVerdict(node_id, False, violated)
+                     for node_id, violated in zip(self.node_ids, self.rejected_by))
 
 
 def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> FilterVerdict:
@@ -156,14 +167,16 @@ class _Kernel:
     """Filter, score and argmax over a cluster in which each commit changes
     one node.
 
-    Per-node state is plain columns indexed like the nodes: stored layer
+    Per-node state is plain columns indexed like the nodes: ids, stored layer
     bytes, the load count (how many of the gate's CPU and balance conditions
     hold) and one overlap column per image, filled for every node when the
-    image is first seen. A commit refreshes only the node it changes. The
+    image is first seen. A commit hands the node's stored bytes to
+    :func:`commit_placement` and refreshes only the node it changes. The
     weight table (:meth:`SchedulerConfig.omegas`) and the gate thresholds
     are read once. A decision scores each feasible node as one float, with
     the formula of :func:`blended_score`, and leaves the breakdowns to
-    :class:`_ScoreAudit`. The results equal :func:`filter_node` and
+    :class:`_ScoreAudit`, and a task no node can take keeps only the
+    constraint each node broke. The results equal :func:`filter_node` and
     :func:`score_node` exactly.
     """
 
@@ -173,7 +186,8 @@ class _Kernel:
         self.catalog = catalog
         self.config = config
         self.rng = rng
-        self.index = {node.spec.id: i for i, node in enumerate(self.nodes)}
+        self.ids = tuple(node.spec.id for node in self.nodes)
+        self.index = {node_id: i for i, node_id in enumerate(self.ids)}
         if len(self.index) != len(self.nodes):
             raise ScenarioError("nodes", "node ids must be unique")
         self.omegas = config.omegas()
@@ -204,7 +218,7 @@ class _Kernel:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
         if not nodes:
-            return Unschedulable(task.task_id, ())
+            return Unschedulable(task.task_id, (), ())
         column, total = self._image(task.image)
         config, catalog, omegas = self.config, self.catalog, self.omegas
         plugins, h_size, calm, stored = config.plugins, self.h_size, self.calm, self.stored
@@ -227,9 +241,7 @@ class _Kernel:
             elif final == best:
                 tied.append(pair)
         if not feasible:
-            return Unschedulable(task.task_id, tuple(
-                FilterVerdict(node.spec.id, False, violated)
-                for node, violated in zip(nodes, violations)))
+            return Unschedulable(task.task_id, self.ids, tuple(violations))
 
         tied.sort(key=lambda pair: pair[0].spec.id)
         if config.tie_break == "random_seeded" and len(tied) > 1:
@@ -250,7 +262,7 @@ class _Kernel:
         """Bind ``task`` where ``placement`` chose and refresh that node."""
         i = self.index[placement.node_id]
         old = self.nodes[i]
-        new = self.nodes[i] = commit_placement(old, task, self.catalog)
+        new = self.nodes[i] = commit_placement(old, task, self.catalog, self.stored[i])
         self.stored[i] += placement.download_bytes
         self.calm[i] = self._calm(new)
         # Each newly held layer adds its bytes to every column using it.

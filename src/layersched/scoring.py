@@ -8,7 +8,9 @@ All functions here are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
 
@@ -50,7 +52,7 @@ class PluginConfig:
                 raise ValueError(f"{name} weight must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightPolicy:
     """The layer-score weights and the thresholds of the gate that picks one.
 
@@ -60,7 +62,8 @@ class WeightPolicy:
     gate conditions hold, generalising the two-valued dynamic rule.
     ``static`` pairs with the ``layer_static`` policy, which always applies
     ``omega_static``. :meth:`SchedulerConfig.omegas` turns policy and mode
-    into the weight table.
+    into the weight table. Frozen; ``custom_table`` is a read-only copy of
+    the mapping given.
     """
 
     mode: str = "dynamic"
@@ -70,9 +73,10 @@ class WeightPolicy:
     h_size: int = 10 * MB  # overlap bytes threshold
     h_cpu: float = 0.6
     h_std: float = 0.16
-    custom_table: dict[int, float] = field(default_factory=dict)
+    custom_table: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "custom_table", MappingProxyType(dict(self.custom_table)))
         if self.mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.mode!r}")
         weights = (self.omega_static, self.omega_high, self.omega_low,

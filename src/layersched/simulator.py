@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
-from .model import LayerCatalog, LayerId, NodeSpec, NodeState
+from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest
 from .scheduler import (
     Placement,
     SchedulerConfig,
@@ -116,7 +116,8 @@ def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
         payload["scheduler"] = {
             "policy": cfg.policy,
             "tie_break": cfg.tie_break,
-            "weight": vars(cfg.weight_policy),
+            "weight": {**vars(cfg.weight_policy),
+                       "custom_table": dict(cfg.weight_policy.custom_table)},
             "plugins": {name: getattr(cfg.plugins, name) for name in PLUGIN_NAMES},
         }
     raw = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
@@ -192,62 +193,88 @@ def _node_usage(node: NodeState, catalog: LayerCatalog) -> dict[str, float]:
     }
 
 
-def run(scenario: Scenario) -> SimulationReport:
-    """Replay the scenario's workload and collect per-step metrics."""
-    scenario.validate()
-    nodes = initial_nodes(scenario)
-    catalog = scenario.catalog
-    workload = replace(scenario.workload, seed=scenario.seed)
-    tasks = generate(workload, catalog)
+@dataclass
+class Replay:
+    """A replayed task list: the run totals named by :data:`AGGREGATES`,
+    pods and usage per node at the end, and, when recorded, every step's
+    metrics and the cumulative download after each step."""
 
+    aggregates: dict
+    pods: dict[str, int]
+    usage: dict[str, dict[str, float]]
+    steps: list[StepMetrics]
+    cumulative: list[int]
+
+
+def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -> Replay:
+    """Schedule ``tasks`` in order on the scenario's initial cluster and fold
+    the outcomes into their totals.
+
+    The totals add in step order, as :func:`ordered_sum` adds the per-step
+    values, so they equal a report's aggregates exactly; on an empty list
+    they stay the int ``0``. Per-step records are built only if ``record``.
+    """
+    catalog = scenario.catalog
+    nodes = initial_nodes(scenario)
+    # A placement changes one node, so only that node's balance score (and,
+    # when recording, usage dict) is recomputed. The usage dicts are never
+    # mutated, so steps may share them.
+    index = {node.spec.id: i for i, node in enumerate(nodes)}
+    stds = [std_score(node) for node in nodes]
+    usage = {node.spec.id: _node_usage(node, catalog) for node in nodes} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
-    running_total = 0
-    final_nodes = nodes
-    # A placement changes one node, so only that node's usage dict and
-    # balance score are recomputed. The usage dicts are never mutated, so
-    # steps may share them.
-    index = {node.spec.id: i for i, node in enumerate(nodes)}
-    usage = {node.spec.id: _node_usage(node, catalog) for node in nodes}
-    stds = [std_score(node) for node in nodes]
-    for step_index, (outcome, current) in enumerate(
+    download_bytes = download_seconds = std_total = unschedulable = 0
+    for step_index, (outcome, nodes) in enumerate(
         iter_schedule_trace(tasks, nodes, catalog, scenario.scheduler, seed=scenario.seed)
     ):
-        placed = isinstance(outcome, Placement)
-        if placed:
-            i = index[outcome.node_id]
-            usage[outcome.node_id] = _node_usage(current[i], catalog)
-            stds[i] = std_score(current[i])
-        download = outcome.download_bytes if placed else 0
-        running_total += download
-        cumulative.append(running_total)
-        steps.append(StepMetrics(
-            step=step_index,
-            task_id=outcome.task_id,
-            node_id=outcome.node_id if placed else None,
-            download_bytes=download,
-            download_seconds=outcome.download_seconds if placed else 0.0,
-            cluster_std=ordered_sum(stds) / len(stds),
-            node_usage=dict(usage),
-        ))
-        final_nodes = current
+        if isinstance(outcome, Placement):
+            node_id, download, seconds = (outcome.node_id, outcome.download_bytes,
+                                          outcome.download_seconds)
+            i = index[node_id]
+            stds[i] = std_score(nodes[i])
+            if record:
+                usage[node_id] = _node_usage(nodes[i], catalog)
+        else:
+            node_id, download, seconds = None, 0, 0.0
+            unschedulable += 1
+        cluster_std = ordered_sum(stds) / len(stds)
+        download_bytes += download
+        download_seconds += seconds
+        std_total += cluster_std
+        if record:
+            cumulative.append(download_bytes)
+            steps.append(StepMetrics(step_index, outcome.task_id, node_id, download,
+                                     seconds, cluster_std, dict(usage)))
 
-    pods = {node.spec.id: len(node.running) for node in final_nodes}
+    pods = {node.spec.id: len(node.running) for node in nodes}
+    if not record:
+        usage = {node.spec.id: _node_usage(node, catalog) for node in nodes}
+    count = len(tasks)
+    totals = (download_bytes, download_seconds, std_total / count if count else 0.0,
+              sum(pods.values()), unschedulable)
+    return Replay(dict(zip(AGGREGATES, totals)), pods, usage, steps, cumulative)
+
+
+def _tasks(scenario: Scenario) -> list[TaskRequest]:
+    """The scenario's task list, drawn with the scenario's seed."""
+    return generate(replace(scenario.workload, seed=scenario.seed), scenario.catalog)
+
+
+def run(scenario: Scenario) -> SimulationReport:
+    """Replay the scenario's workload and report every step (see
+    :func:`replay`)."""
+    scenario.validate()
+    result = replay(scenario, _tasks(scenario), record=True)
     return SimulationReport(
         scenario_fingerprint=fingerprint(scenario),
         policy=scenario.scheduler.policy,
         label=scenario.label or scenario.scheduler.policy,
-        steps=steps,
-        total_download_bytes=running_total,
-        cumulative_download_bytes=cumulative,
-        total_download_seconds=ordered_sum(s.download_seconds for s in steps),
-        mean_cluster_std=(
-            ordered_sum(s.cluster_std for s in steps) / len(steps) if steps else 0.0
-        ),
-        max_pods=pods,
-        total_pods=sum(pods.values()),
-        unschedulable_count=sum(1 for s in steps if s.node_id is None),
-        final_usage=usage,
+        steps=result.steps,
+        cumulative_download_bytes=result.cumulative,
+        max_pods=result.pods,
+        final_usage=result.usage,
+        **result.aggregates,
     )
 
 
@@ -328,10 +355,13 @@ def deltas_against_reference(
 
 
 def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
-    """Run each named scenario and tabulate aggregates and deltas.
+    """Replay each named scenario and tabulate aggregates and deltas.
 
     All scenarios must share everything except the scheduler; otherwise the
     comparison would not be apples-to-apples and ComparisonError is raised.
+    Because they do, the first is validated and its task list drawn once for
+    all; each leg folds to its :data:`AGGREGATES` (see :func:`replay`), which
+    equal ``run(scenario).aggregates()`` exactly.
     """
     if not scenarios:
         raise ComparisonError("nothing to compare")
@@ -342,7 +372,10 @@ def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
                 f"scenario {name!r} differs from {scenarios[0][0]!r} beyond the scheduler"
             )
 
-    runs = {name: run(scenario).aggregates() for name, scenario in scenarios}
+    first = scenarios[0][1]
+    first.validate()
+    tasks = _tasks(first)
+    runs = {name: replay(scenario, tasks).aggregates for name, scenario in scenarios}
     reference, deltas = deltas_against_reference(runs)
     return ComparisonReport(
         workload_fingerprint=base_fp,

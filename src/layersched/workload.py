@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -69,14 +69,17 @@ def stream(spec: WorkloadSpec, catalog: LayerCatalog) -> Iterator[TaskRequest]:
     """Unbounded seeded task stream; ``generate`` is a finite prefix of it.
 
     Per task the draw order is image, then CPU, then memory; that order is
-    part of the determinism contract.
+    part of the determinism contract. The cumulative weights are summed
+    once, as ``choices(weights=)`` would sum them for every draw, so the
+    draws are the same.
     """
     images, weights = _image_population(spec, catalog)
+    cum_weights = list(accumulate(weights))
     rng = random.Random(spec.seed)
     counter = 0
     while True:
         counter += 1
-        image = rng.choices(images, weights=weights)[0]
+        image = rng.choices(images, cum_weights=cum_weights)[0]
         cpu = rng.randint(*spec.cpu_range)
         mem = rng.randint(*spec.mem_range)
         yield TaskRequest(

@@ -120,6 +120,16 @@ class TestCommitPlacement:
         # sha256:a is shared; stored bytes must count it once
         assert node.stored_layer_bytes(catalog) == (30 + 70 + 10) * MB
 
+    def test_given_stored_bytes_are_the_ones_checked(self):
+        catalog = small_catalog()
+        node = commit_placement(idle_node(storage_capacity=200 * MB), self.task(), catalog)
+        stored = node.stored_layer_bytes(catalog)
+        assert commit_placement(node, self.task("db:1"), catalog, stored) == \
+            commit_placement(node, self.task("db:1"), catalog)
+        with pytest.raises(CapacityViolation) as err:
+            commit_placement(node, self.task("db:1"), catalog, 200 * MB)
+        assert err.value.constraint == "storage"
+
     def test_storage_violation_detected_first(self):
         catalog = small_catalog()
         node = idle_node(storage_capacity=50 * MB, cpu_capacity=1)

@@ -369,6 +369,76 @@ class TestTransport:
         assert [r.full_url.removeprefix(STUB_URL) for r in client.opener.requests] == \
             ["/v2/_catalog", "/v2/_catalog?page=2", "/v2/_catalog?page=3"]
 
+    @pytest.mark.parametrize("next_url", [
+        "http://elsewhere.stub/v2/_catalog?page=2",
+        "https://registry.stub/v2/_catalog?page=2",
+        "http://registry.stub:8080/v2/_catalog?page=2",
+        "http://registry.stub:bad/v2/_catalog?page=2",
+    ], ids=["host", "scheme", "port", "malformed-port"])
+    def test_next_link_to_another_origin_is_refused(self, tmp_path, next_url):
+        foreign = {"/v2/_catalog": ({"repositories": ["good"]}, f'<{next_url}>; rel="next"')}
+        client = stub_client(foreign, token="t0k")
+        with pytest.raises(RegistryProtocolError, match="leaves http://registry.stub"):
+            client.fetch_catalog()
+        assert [r.full_url for r in client.opener.requests] == [f"{STUB_URL}/v2/_catalog"]
+
+        # In a tags listing the refusal is one image's warning.
+        replies = {"/v2/_catalog": {"repositories": ["bad", "good"]},
+                   "/v2/bad/tags/list": ({"tags": ["1"]}, f'<{next_url}>; rel="next"'),
+                   "/v2/good/tags/list": {"tags": ["1"]},
+                   "/v2/good/manifests/1": MANIFEST}
+        client = stub_client(replies, token="t0k")
+        snapshot = refresh_cache(
+            RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json")), client)
+        assert list(snapshot.lists) == ["good:1"]
+        assert [w.split(":")[0] for w in snapshot.warnings] == ["tags for bad"]
+        foreign_requests = [r for r in client.opener.requests
+                            if not r.full_url.startswith(f"{STUB_URL}/")]
+        assert foreign_requests == []
+        assert all(r.get_header("Authorization") == "Bearer t0k"
+                   for r in client.opener.requests)
+
+    @pytest.mark.parametrize("next_url,key", [
+        (f"{STUB_URL}:80/v2/_catalog?page=2", ":80/v2/_catalog?page=2"),
+        ("HTTP://Registry.STUB/v2/_catalog?page=2", "HTTP://Registry.STUB/v2/_catalog?page=2"),
+    ], ids=["default-port", "case"])
+    def test_next_link_spelling_the_same_origin_is_followed(self, next_url, key):
+        client = stub_client({
+            "/v2/_catalog": ({"repositories": ["a"]}, f'<{next_url}>; rel="next"'),
+            key: {"repositories": ["b"]},
+        })
+        assert client.fetch_catalog() == ["a", "b"]
+
+    @pytest.mark.parametrize("loop", [
+        {"/v2/_catalog": ({"repositories": ["a"]}, '</v2/_catalog>; rel="next"')},
+        {"/v2/_catalog": ({"repositories": ["a"]}, '</v2/_catalog?page=2>; rel="next"'),
+         "/v2/_catalog?page=2": ({"repositories": ["b"]},
+                                 f'<{STUB_URL}/v2/_catalog>; rel="next"')},
+    ], ids=["self", "two-pages"])
+    def test_repeated_next_link_stops_the_listing(self, tmp_path, loop):
+        client = stub_client(loop)
+        with pytest.raises(RegistryProtocolError, match="repeats an earlier page"):
+            client.fetch_catalog()
+        assert len(client.opener.requests) == len(loop)
+        # A watcher tick over the same registry ends rather than hangs.
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json")),
+            client=stub_client(loop))
+        with pytest.raises(RegistryProtocolError):
+            watcher.refresh_once()
+
+    def test_page_count_is_capped(self):
+        pages = {f"/v2/_catalog?page={n}": ({"repositories": [f"r{n}"]},
+                                            f'</v2/_catalog?page={n + 1}>; rel="next"')
+                 for n in range(1, registry_module.MAX_PAGES + 1)}
+        client = stub_client({"/v2/_catalog": ({"repositories": ["r0"]},
+                                               '</v2/_catalog?page=1>; rel="next"'),
+                              **pages})
+        with pytest.raises(RegistryProtocolError,
+                           match=f"more than {registry_module.MAX_PAGES} pages"):
+            client.fetch_catalog()
+        assert len(client.opener.requests) == registry_module.MAX_PAGES
+
     @pytest.mark.parametrize("base_url", ["foo", "http://[::1", "ftp://x", "file://{tmp}"],
                              ids=["no-scheme", "bad-host", "ftp", "file"])
     def test_unusable_base_url_exits_2_before_any_request(self, tmp_path, monkeypatch,

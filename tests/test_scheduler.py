@@ -414,3 +414,35 @@ class TestScoreAudit:
         assert placements and calls == []
         placements[0].scores[placements[0].node_id]
         assert len(calls) == 1
+
+    def test_unschedulable_builds_verdicts_on_read(self, monkeypatch):
+        calls = []
+        verdict = scheduler.FilterVerdict
+
+        def counting(*args):
+            calls.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(scheduler, "FilterVerdict", counting)
+        nodes = [node("node-0", cpu_capacity=100), node("node-1", storage_capacity=MB)]
+        outcome = schedule(task(), nodes, catalog_ab(), SchedulerConfig())
+        assert isinstance(outcome, Unschedulable) and calls == []
+        assert outcome.verdicts == (verdict("node-0", False, "cpu_fit"),
+                                    verdict("node-1", False, "storage"))
+        assert outcome.verdicts is outcome.verdicts and len(calls) == 2
+
+    def test_frozen_config_keeps_the_audit_of_a_returned_decision(self):
+        policy = {0: 0.5, 1: 0.5, 2: 0.5, 3: 2.0}
+        config = SchedulerConfig(weight_policy=WeightPolicy(
+            mode="custom", custom_table=policy))
+        placement = schedule(task(), [node("n0")], catalog_ab(), config)
+        before = placement.scores["n0"]
+        with pytest.raises(AttributeError):
+            config.weight_policy.omega_high = 9.0
+        with pytest.raises(AttributeError):
+            config.policy = "default"
+        with pytest.raises(TypeError):
+            config.weight_policy.custom_table[0] = 9.0
+        policy[0] = 9.0  # the table was copied, not aliased
+        assert config.weight_policy.custom_table == {0: 0.5, 1: 0.5, 2: 0.5, 3: 2.0}
+        assert placement.scores["n0"] == before

@@ -8,8 +8,15 @@ import pytest
 
 from layersched.errors import ComparisonError, ScenarioError
 from layersched.model import ImageRef, LayerCatalog, NodeSpec, TaskRequest
-from layersched.scheduler import SchedulerConfig
-from layersched.scoring import MB
+from layersched.scenario import (
+    BUNDLED_SCENARIOS,
+    build_scenario,
+    bundled_scenario_path,
+    parse_scenario_file,
+    resolve_catalog,
+)
+from layersched.scheduler import POLICIES, SchedulerConfig
+from layersched.scoring import MB, WeightPolicy
 from layersched.simulator import (
     CSV_HEADER,
     Scenario,
@@ -259,6 +266,80 @@ class TestCompare:
                 report.runs["default"]["total_download_bytes"]
 
 
+def typed(aggregates: dict) -> dict:
+    """``aggregates`` with each value paired with its type, so that ``==``
+    tells the int ``0`` from ``0.0``."""
+    return {name: (type(value), value) for name, value in aggregates.items()}
+
+
+class TestCompareFoldsLikeRun:
+    """A compare leg folds to exactly the aggregates a full run reports."""
+
+    @staticmethod
+    def assert_legs_match_runs(legs):
+        runs = compare(legs).runs
+        assert list(runs) == [label for label, _ in legs]
+        for label, scenario in legs:
+            assert typed(runs[label]) == typed(run(scenario).aggregates()), label
+
+    @staticmethod
+    def legs(catalog, nodes, workload, seed=3, tie_break="lowest_node_id"):
+        return [(policy, Scenario(nodes=nodes, catalog=catalog, workload=workload,
+                                  scheduler=SchedulerConfig(policy=policy,
+                                                            tie_break=tie_break),
+                                  seed=seed))
+                for policy in POLICIES]
+
+    @staticmethod
+    def two_image_catalog():
+        return LayerCatalog(
+            layers={"sha256:base": 50 * MB, "sha256:u": 5 * MB, "sha256:v": 400 * MB},
+            images={ImageRef("u", "1"): ("sha256:base", "sha256:u"),
+                    ImageRef("v", "1"): ("sha256:base", "sha256:v")},
+        )
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_bundled_scenarios_every_scheduler_and_seed(self, name):
+        sfile = parse_scenario_file(bundled_scenario_path(name))
+        catalog = resolve_catalog(sfile)
+        for seed in sfile.seeds:
+            self.assert_legs_match_runs(
+                [(entry.label, build_scenario(sfile, catalog, entry, seed))
+                 for entry in sfile.schedulers])
+
+    def test_random_seeded_tie_break(self):
+        nodes = [ample_node(f"node-{i}") for i in range(4)]
+        self.assert_legs_match_runs(self.legs(
+            single_image_catalog(), nodes, WorkloadSpec(count=25),
+            tie_break="random_seeded"))
+
+    def test_weighted_workload_with_unschedulable_tasks(self):
+        nodes = [ample_node(f"node-{i}", storage_capacity=1000 * MB, max_containers=6)
+                 for i in range(3)]
+        workload = WorkloadSpec(count=40, image_weights={"u:1": 0.7, "v:1": 0.3})
+        legs = self.legs(self.two_image_catalog(), nodes, workload)
+        assert run(legs[0][1]).unschedulable_count > 0
+        self.assert_legs_match_runs(legs)
+
+    def test_trace_file_workload(self, tmp_path):
+        catalog = self.two_image_catalog()
+        images = [ImageRef("u", "1"), ImageRef("v", "1")]
+        trace = tmp_path / "trace.jsonl"
+        save_trace([TaskRequest(f"t{i}", images[1] if i % 3 == 0 else images[0],
+                                100 + 10 * i, 64 * MB)
+                    for i in range(20)], trace)
+        nodes = [ample_node(f"node-{i}") for i in range(3)]
+        self.assert_legs_match_runs(self.legs(
+            catalog, nodes, WorkloadSpec(kind="trace_file", trace_path=str(trace))))
+
+    def test_zero_tasks_keep_the_empty_sums(self):
+        legs = self.legs(single_image_catalog(), [ample_node()], WorkloadSpec(count=0))
+        self.assert_legs_match_runs(legs)
+        assert typed(compare(legs).runs["default"]) == typed({
+            "total_download_bytes": 0, "total_download_seconds": 0,
+            "mean_cluster_std": 0.0, "total_pods": 0, "unschedulable_count": 0})
+
+
 class TestFingerprint:
     def base(self):
         return scenario_for(single_image_catalog(), [ample_node()],
@@ -271,6 +352,15 @@ class TestFingerprint:
         other = scenario_for(single_image_catalog(), [ample_node()],
                              WorkloadSpec(count=5), seed=2)
         assert fingerprint(self.base()) != fingerprint(other)
+
+    def test_custom_table_hashes_as_a_plain_dict(self):
+        # Pinned before the table became a read-only mapping.
+        scenario = scenario_for(single_image_catalog(), [ample_node()],
+                                WorkloadSpec(count=5), seed=1)
+        scenario.scheduler = SchedulerConfig(weight_policy=WeightPolicy(
+            mode="custom", custom_table={0: 0.5, 1: 1.0, 2: 1.5, 3: 3.0}))
+        assert fingerprint(scenario) == \
+            "d608bd81c2c3e47c770ca4ef3391d5caeb2b20ee1f93db75e7a0fcff6432b81e"
 
     def test_scheduler_excluded_when_asked(self):
         a = scenario_for(single_image_catalog(), [ample_node()],

@@ -1,13 +1,15 @@
 """Trace generation: seeding, distributions, file round-trips."""
 
 import json
+import random
+from itertools import count, islice
 
 import pytest
 
 from layersched.errors import TraceCorrupt, UnknownImage
-from layersched.model import ImageRef, LayerCatalog
+from layersched.model import ImageRef, LayerCatalog, TaskRequest
 from layersched.scoring import MB
-from layersched.workload import WorkloadSpec, generate, load_trace, save_trace
+from layersched.workload import WorkloadSpec, generate, load_trace, save_trace, stream
 
 
 def two_image_catalog():
@@ -71,6 +73,41 @@ class TestGenerate:
     def test_task_ids_are_sequential(self):
         tasks = generate(WorkloadSpec(count=3), two_image_catalog())
         assert [t.task_id for t in tasks] == ["task-0001", "task-0002", "task-0003"]
+
+
+def reference_stream(spec, catalog):
+    """The documented draw: per task, ``choices(images, weights=)`` over the
+    images in key order, then CPU, then memory."""
+    if spec.image_weights is not None:
+        keys = sorted(spec.image_weights)
+        images = [ImageRef.parse(key) for key in keys]
+        weights = [spec.image_weights[key] for key in keys]
+    else:
+        images = sorted(catalog.images, key=lambda ref: ref.key)
+        weights = [1.0] * len(images)
+    rng = random.Random(spec.seed)
+    for number in count(1):
+        image = rng.choices(images, weights=weights)[0]
+        cpu = rng.randint(*spec.cpu_range)
+        mem = rng.randint(*spec.mem_range)
+        yield TaskRequest(f"task-{number:04d}", image, cpu, mem)
+
+
+class TestStream:
+    @pytest.mark.parametrize("weights", [
+        None,
+        {"a:1": 0.1, "b:1": 0.2, "c:1": 0.3, "d:1": 0.4},
+        {"d:1": 0.05, "a:1": 0.9, "c:1": 0.05},
+    ], ids=["unweighted", "weighted", "weighted-subset"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draws_equal_a_per_task_weighted_choice(self, weights, seed):
+        catalog = LayerCatalog(
+            layers={"sha256:x": MB},
+            images={ImageRef(name, "1"): ("sha256:x",) for name in "dcba"})
+        spec = WorkloadSpec(count=1000, image_weights=weights, seed=seed)
+        expected = list(islice(reference_stream(spec, catalog), 1000))
+        assert list(islice(stream(spec, catalog), 1000)) == expected
+        assert generate(spec, catalog) == expected
 
 
 class TestTraceFiles:

@@ -7,8 +7,10 @@ per-node usage dicts until a placement replaces one. The stdlib encoder is
 pure Python once ``indent`` is set and renders every occurrence again. Here
 a container whose children are all scalars is rendered once per nesting
 depth (its indentation depends on the depth) and reused for the rest of the
-call. The top two levels are produced piece by piece, so a writer never
-holds more than one of their children's text at a time.
+call. Each dict key order is sorted and its keys encoded once per call,
+so the many usage dicts with one node set share one plan. The top two
+levels are produced piece by piece, so a writer never holds more than one
+of their children's text at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterator
 _INDENT = "  "
 _STREAMED_LEVELS = 2
 _INF = float("inf")
+_CONTAINERS = (dict, list, tuple)
 
 
 def _scalar(value) -> str | None:
@@ -44,39 +47,60 @@ def _scalar(value) -> str | None:
     return None
 
 
-def _entries(obj) -> tuple[str, str, list[tuple[str, object]]]:
+def _plan(keys: tuple) -> tuple[list[tuple[object, str]], bool]:
+    """The sorted ``(key, '"key": ')`` pairs of a dict with ``keys``, and
+    whether the plan may be reused for any dict with equal keys: only
+    string keys render by value alone (``1``, ``1.0`` and ``True`` are
+    equal keys that render differently)."""
+    plan, reusable = [], True
+    for key in sorted(keys):
+        text = key
+        if not isinstance(key, str):
+            reusable = False
+            text = _scalar(key)
+            if text is None:
+                raise TypeError("keys must be str, int, float, bool or None")
+        plan.append((key, _encode_str(text) + ": "))
+    return plan, reusable
+
+
+def _entries(obj, plans: dict) -> tuple[str, str, list[tuple[str, object]]]:
     """A container's brackets and its ``(label, child)`` pairs, where the
-    label is ``'"key": '`` for a dict entry and empty for a list item."""
+    label is ``'"key": '`` for a dict entry and empty for a list item.
+    ``plans`` keeps each reusable key order's plan for the whole write."""
     if isinstance(obj, dict):
-        entries = []
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                key = _scalar(key)
-                if key is None:
-                    raise TypeError("keys must be str, int, float, bool or None")
-            entries.append((_encode_str(key) + ": ", value))
-        return "{", "}", entries
+        keys = tuple(obj)
+        plan = plans.get(keys)
+        if plan is None:
+            plan, reusable = _plan(keys)
+            if reusable:
+                plans[keys] = plan
+        return "{", "}", [(label, obj[key]) for key, label in plan]
     if isinstance(obj, (list, tuple)):
         return "[", "]", [("", value) for value in obj]
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _container(obj, depth: int, memo: dict) -> str:
+def _container(obj, depth: int, memo: dict, plans: dict) -> str:
     """The text of a container nested ``depth`` levels deep."""
     text = memo.get((id(obj), depth))
     if text is not None:
         return text
-    open_, close, entries = _entries(obj)
+    open_, close, entries = _entries(obj, plans)
     if not entries:
         return open_ + close
     inner = "\n" + _INDENT * (depth + 1)
     flat = True
     parts = []
     for label, child in entries:
-        text = _scalar(child)
-        if text is None:
+        if isinstance(child, _CONTAINERS):
             flat = False
-            text = _container(child, depth + 1, memo)
+            text = (memo.get((id(child), depth + 1))
+                    or _container(child, depth + 1, memo, plans))
+        else:
+            text = _scalar(child)
+            if text is None:
+                text = _container(child, depth + 1, memo, plans)  # raises TypeError
         parts.append(label + text)
     text = open_ + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + close
     if flat:
@@ -84,12 +108,12 @@ def _container(obj, depth: int, memo: dict) -> str:
     return text
 
 
-def _stream(obj, depth: int, memo: dict) -> Iterator[str]:
+def _stream(obj, depth: int, memo: dict, plans: dict) -> Iterator[str]:
     text = _scalar(obj)
     if text is not None or depth == _STREAMED_LEVELS:
-        yield text or _container(obj, depth, memo)
+        yield text or _container(obj, depth, memo, plans)
         return
-    open_, close, entries = _entries(obj)
+    open_, close, entries = _entries(obj, plans)
     if not entries:
         yield open_ + close
         return
@@ -97,7 +121,7 @@ def _stream(obj, depth: int, memo: dict) -> Iterator[str]:
     separator = open_ + inner
     for label, child in entries:
         yield separator + label
-        yield from _stream(child, depth + 1, memo)
+        yield from _stream(child, depth + 1, memo, plans)
         separator = "," + inner
     yield "\n" + _INDENT * depth + close
 
@@ -115,4 +139,7 @@ def iter_indented_json(payload) -> Iterator[str]:
     # Keyed by (id, depth), not id: the same dict may sit at two depths,
     # and its indentation differs between them.
     memo: dict[tuple[int, int], str] = {}
-    yield from _stream(payload, 0, memo)
+    # Kept apart from the memo so a key tuple and an (id, depth) pair
+    # cannot collide.
+    plans: dict[tuple, list[tuple[object, str]]] = {}
+    yield from _stream(payload, 0, memo, plans)

@@ -199,14 +199,19 @@ def commit_placement(
     naming the first violated one, so a caller that skipped filtering
     cannot corrupt node state. ``stored_bytes`` is what
     :meth:`NodeState.stored_layer_bytes` returns for ``node``; a caller that
-    keeps that figure passes it to spare the re-summing of every layer.
+    keeps that figure passes it to spare the re-summing of every layer. The
+    successor shares ``node``'s layer and image sets when nothing is added
+    to them.
     """
-    stack = layers_of(catalog, task.image)
-    need = missing_layers(node, (digest for digest, _ in stack))
+    try:
+        stack = catalog.images[task.image]
+    except KeyError:
+        raise UnknownImage(f"image not in catalog: {task.image.key}") from None
+    held, sizes = node.local_layers, catalog.layers
+    need = [digest for digest in stack if digest not in held]
     if stored_bytes is None:
         stored_bytes = node.stored_layer_bytes(catalog)
-    violated = first_violation(node, task, stored_bytes,
-                               sum(catalog.layers[d] for d in need))
+    violated = first_violation(node, task, stored_bytes, sum([sizes[d] for d in need]))
     if violated is not None:
         raise CapacityViolation(violated)
 
@@ -216,10 +221,11 @@ def commit_placement(
         cpu_request=task.cpu_request,
         mem_request=task.mem_request,
     )
+    images = node.local_images
     return NodeState(
         spec=node.spec,
-        local_layers=node.local_layers | need,
-        local_images=node.local_images | {task.image},
+        local_layers=held.union(need) if need else held,
+        local_images=images if task.image in images else images | {task.image},
         running=node.running + (placed,),
         cpu_committed=node.cpu_committed + task.cpu_request,
         mem_committed=node.mem_committed + task.mem_request,

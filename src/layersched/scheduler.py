@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add, le, sub
 from typing import Iterator
 
 from .errors import ScenarioError
@@ -20,8 +22,11 @@ from .model import (
     first_violation,
     layers_of,
 )
-# layer_score is unused here but stays importable from this module:
-# benchmarks/tracer.py wraps it, with the other scoring calls, by this name.
+# benchmarks/tracer.py wraps filter_node, score_node, commit_placement,
+# baseline_score, layer_score and local_layer_size by their names on this
+# module, so all six stay importable from it; layer_score is imported only
+# for that. The kernel calls none of them per node: only commit_placement,
+# once per commit, so the other spans see from-scratch and audit calls only.
 from .scoring import (
     PluginConfig,
     ScoreBreakdown,
@@ -139,22 +144,25 @@ def score_node(
 
 class _ScoreAudit(Mapping):
     """The score breakdowns of one decision, each built on read from the
-    decision-time node and the overlap the kernel used for it."""
+    decision-time node and the overlap the kernel used for it. Its
+    ``final`` is the float the kernel compared, so an audit that equals
+    :func:`score_node` proves the kernel's arithmetic too."""
 
-    def __init__(self, feasible: dict[str, tuple[NodeState, int]], task: TaskRequest,
-                 catalog: LayerCatalog, config: SchedulerConfig):
+    def __init__(self, feasible: dict[str, tuple[NodeState, int, float]],
+                 task: TaskRequest, catalog: LayerCatalog, config: SchedulerConfig):
         self._feasible = feasible
         self._task = task
         self._catalog = catalog
         self._config = config
 
     def __getitem__(self, node_id: str) -> ScoreBreakdown:
-        node, overlap = self._feasible[node_id]
+        node, overlap, final = self._feasible[node_id]
         task, catalog, config = self._task, self._catalog, self._config
-        return blended_score(
+        breakdown = blended_score(
             config.weight_policy, config.omegas(), overlap,
             catalog.image_total_size(task.image), node.cpu_ratio(), std_score(node),
             baseline_score(node, task, catalog, config.plugins))
+        return replace(breakdown, final=final)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._feasible)
@@ -168,16 +176,24 @@ class _Kernel:
     one node.
 
     Per-node state is plain columns indexed like the nodes: ids, stored layer
-    bytes, the load count (how many of the gate's CPU and balance conditions
-    hold) and one overlap column per image, filled for every node when the
-    image is first seen. A commit hands the node's stored bytes to
+    bytes, storage capacity, free container slots, committed and total CPU
+    and memory, the load count (how many of the gate's CPU and balance
+    conditions hold), and per image an overlap column and a "holds the
+    image" column (0.0 or 100.0), both filled for every node when the image
+    is first seen. A commit hands the node's stored bytes to
     :func:`commit_placement` and refreshes only the node it changes. The
-    weight table (:meth:`SchedulerConfig.omegas`) and the gate thresholds
-    are read once. A decision scores each feasible node as one float, with
-    the formula of :func:`blended_score`, and leaves the breakdowns to
-    :class:`_ScoreAudit`, and a task no node can take keeps only the
-    constraint each node broke. The results equal :func:`filter_node` and
-    :func:`score_node` exactly.
+    weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds and
+    the plugin weights are read once.
+
+    A decision runs the storage test over all nodes as one C-level pass,
+    then the container, CPU and memory tests and the three baseline plugins
+    inline on the survivors, with the expressions of
+    :func:`first_violation` and :func:`baseline_score` in the same operand
+    order, and scores each feasible node as one float with the formula of
+    :func:`blended_score`. It calls no Python function per node and leaves
+    the breakdowns to :class:`_ScoreAudit`. Only a task no node can take
+    asks :func:`first_violation` which constraint each node broke. The
+    results equal :func:`filter_node` and :func:`score_node` exactly.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -194,24 +210,36 @@ class _Kernel:
         policy = config.weight_policy
         self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
         self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
-        self.calm = [self._calm(node) for node in self.nodes]
-        self.images: dict[ImageRef, tuple[list[int], int]] = {}
+        self.storage_cap = [node.spec.storage_capacity for node in self.nodes]
+        self.cpu_cap = [node.spec.cpu_capacity for node in self.nodes]
+        self.mem_cap = [node.spec.mem_capacity for node in self.nodes]
+        self.slots, self.cpu_used, self.mem_used, self.calm = (
+            [0] * len(self.nodes) for _ in range(4))
+        for i, node in enumerate(self.nodes):
+            self._load(i, node)
+        # image -> (overlap column, holds column, total bytes)
+        self.images: dict[ImageRef, tuple[list[int], list[float], int]] = {}
         self.users: dict[str, list[list[int]]] = {}  # layer -> columns using it
 
-    def _calm(self, node: NodeState) -> int:
-        """How many of the gate's two load conditions ``node`` meets."""
-        return (node.cpu_ratio() < self.h_cpu) + (std_score(node) < self.h_std)
+    def _load(self, i: int, node: NodeState) -> None:
+        """Set node ``i``'s free slots, committed CPU and memory and load
+        count (how many of the gate's two load conditions it meets)."""
+        self.slots[i] = node.spec.max_containers - len(node.running)
+        self.cpu_used[i] = node.cpu_committed
+        self.mem_used[i] = node.mem_committed
+        self.calm[i] = (node.cpu_ratio() < self.h_cpu) + (std_score(node) < self.h_std)
 
-    def _image(self, image: ImageRef) -> tuple[list[int], int]:
-        """The image's overlap column and its total bytes."""
+    def _image(self, image: ImageRef) -> tuple[list[int], list[float], int]:
+        """The image's overlap and holds columns and its total bytes."""
         entry = self.images.get(image)
         if entry is None:
             stack = layers_of(self.catalog, image)
             column = [sum(size for digest, size in stack if digest in node.local_layers)
                       for node in self.nodes]
+            holds = [100.0 if image in node.local_images else 0.0 for node in self.nodes]
             for digest, _ in stack:
                 self.users.setdefault(digest, []).append(column)
-            entry = self.images[image] = (column, sum(size for _, size in stack))
+            entry = self.images[image] = (column, holds, sum(size for _, size in stack))
         return entry
 
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
@@ -219,43 +247,73 @@ class _Kernel:
         nodes = self.nodes
         if not nodes:
             return Unschedulable(task.task_id, (), ())
-        column, total = self._image(task.image)
-        config, catalog, omegas = self.config, self.catalog, self.omegas
-        plugins, h_size, calm, stored = config.plugins, self.h_size, self.calm, self.stored
+        column, holds, total = self._image(task.image)
+        config, omegas, h_size, calm = self.config, self.omegas, self.h_size, self.calm
+        ids, slots = self.ids, self.slots
+        cpu_used, cpu_cap, mem_used, mem_cap = (
+            self.cpu_used, self.cpu_cap, self.mem_used, self.mem_cap)
+        cpu_request, mem_request = task.cpu_request, task.mem_request
+        plugins = config.plugins
+        least, balanced, locality = (
+            plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
+        enabled = (least is not None) + (balanced is not None) + (locality is not None)
 
-        violations = []
-        feasible = {}  # node id -> (node, local bytes of the image)
+        feasible = {}  # node id -> (node, local bytes of the image, final score)
         best, tied = float("-inf"), []
-        for i, node in enumerate(nodes):
-            overlap = column[i]
-            violated = first_violation(node, task, stored[i], total - overlap)
-            violations.append(violated)
-            if violated is not None:
+        # first_violation's storage test, stored + download > capacity,
+        # negated: the nodes with room for the image's missing bytes.
+        for i in compress(range(len(nodes)), map(
+                le, map(add, self.stored, map(sub, repeat(total), column)),
+                self.storage_cap)):
+            if slots[i] <= 0:
                 continue
-            pair = feasible[node.spec.id] = (node, overlap)
+            cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
+            if cpu + cpu_request > cpu_capacity:
+                continue
+            mem, mem_capacity = mem_used[i], mem_cap[i]
+            if mem + mem_request > mem_capacity:
+                continue
+            # baseline_score, term by term.
+            baseline = 0.0
+            if least is not None:
+                free_cpu = (cpu_capacity - cpu - cpu_request) / cpu_capacity * 100.0
+                free_mem = (mem_capacity - mem - mem_request) / mem_capacity * 100.0
+                baseline += least * ((free_cpu + free_mem) / 2.0)
+            if balanced is not None:
+                cpu_after = (cpu + cpu_request) / cpu_capacity
+                mem_after = (mem + mem_request) / mem_capacity
+                std_after = abs(cpu_after - mem_after) / 2.0
+                baseline += balanced * ((1.0 - 2.0 * std_after) * 100.0)
+            if locality is not None:
+                baseline += locality * holds[i]
+            overlap = column[i]
             layer = overlap / total * 100.0 if total else 0.0
             final = (omegas[(overlap > h_size) + calm[i]] * layer
-                     + baseline_score(node, task, catalog, plugins))
+                     + (baseline / enabled if enabled else 0.0))
+            feasible[ids[i]] = (nodes[i], overlap, final)
             if final > best:
-                best, tied = final, [pair]
+                best, tied = final, [i]
             elif final == best:
-                tied.append(pair)
+                tied.append(i)
         if not feasible:
-            return Unschedulable(task.task_id, self.ids, tuple(violations))
+            stored = self.stored
+            return Unschedulable(task.task_id, ids, tuple(
+                first_violation(node, task, stored[i], total - column[i])
+                for i, node in enumerate(nodes)))
 
-        tied.sort(key=lambda pair: pair[0].spec.id)
+        tied.sort(key=ids.__getitem__)
         if config.tie_break == "random_seeded" and len(tied) > 1:
-            chosen, overlap = (self.rng or random.Random(0)).choice(tied)
+            i = (self.rng or random.Random(0)).choice(tied)
         else:
-            chosen, overlap = tied[0]
+            i = tied[0]
 
-        cost = total - overlap
+        cost = total - column[i]
         return Placement(
             task_id=task.task_id,
-            node_id=chosen.spec.id,
+            node_id=ids[i],
             download_bytes=cost,
-            download_seconds=cost / chosen.spec.bandwidth,
-            scores=_ScoreAudit(feasible, task, catalog, config),
+            download_seconds=cost / nodes[i].spec.bandwidth,
+            scores=_ScoreAudit(feasible, task, self.catalog, config),
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:
@@ -264,7 +322,8 @@ class _Kernel:
         old = self.nodes[i]
         new = self.nodes[i] = commit_placement(old, task, self.catalog, self.stored[i])
         self.stored[i] += placement.download_bytes
-        self.calm[i] = self._calm(new)
+        self._load(i, new)
+        self._image(task.image)[1][i] = 100.0
         # Each newly held layer adds its bytes to every column using it.
         sizes = self.catalog.layers
         for digest in new.local_layers - old.local_layers:

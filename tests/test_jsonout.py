@@ -78,3 +78,68 @@ def test_value_json_cannot_hold_raises_type_error(payload):
         json.dumps(payload, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _encoded(payload)
+
+
+# Keys equal to an int that render differently: 1, 1.0 and True are one dict
+# key, written "1", "1.0" and "true".
+def _equal_keys(key: int) -> list:
+    variants = [key, float(key)]
+    if key in (0, 1):
+        variants.append(bool(key))
+    if key == 0:
+        variants.append(-0.0)
+    return variants
+
+
+int_key_sets = st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True)
+float_key_sets = st.lists(st.sampled_from([0.5, -2.25, 1e16, math.inf, -math.inf, math.nan]),
+                          min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def one_key_set_in_many_orders(draw):
+    """Dicts over one key set, each in its own insertion order and, for
+    numeric keys, each with its own choice among equal keys, nested at
+    several depths."""
+    kind = draw(st.sampled_from(["str", "int", "float", "none"]))
+    if kind == "str":
+        key_set = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    elif kind == "int":
+        key_set = draw(int_key_sets)
+    elif kind == "float":
+        key_set = draw(float_key_sets)
+    else:
+        key_set = [None]
+    nested = []
+    for _ in range(draw(st.integers(2, 5))):
+        order = draw(st.permutations(key_set))
+        if kind == "int":
+            order = [draw(st.sampled_from(_equal_keys(key))) for key in order]
+        obj = {key: draw(st.one_of(scalars, st.builds(dict))) for key in order}
+        wrappers = draw(st.lists(st.one_of(st.none(), keys), max_size=4))
+        nested.append(_nest(obj, wrappers))
+    return {"nested": nested, "shared": [nested[0], nested[-1]]}
+
+
+@given(payload=one_key_set_in_many_orders())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_key_set_in_many_orders_matches_json_dumps(payload):
+    assert _encoded(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@given(key_set=st.lists(keys, min_size=1, max_size=4, unique=True),
+       number=st.one_of(st.integers(-3, 3), st.floats(allow_nan=False), st.booleans()),
+       position=st.integers(0, 4),
+       wrappers=st.lists(st.one_of(st.none(), keys), max_size=4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_mixed_str_and_number_keys_raise_type_error(key_set, number, position, wrappers):
+    # The all-str dict comes first, so its key order is planned before the
+    # mixed one is met.
+    order = list(key_set)
+    order.insert(position, number)
+    payload = [_nest(dict.fromkeys(key_set, 1), wrappers),
+               _nest(dict.fromkeys(order, 1), wrappers)]
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _encoded(payload)

@@ -130,6 +130,24 @@ class TestCommitPlacement:
             commit_placement(node, self.task("db:1"), catalog, 200 * MB)
         assert err.value.constraint == "storage"
 
+    def test_sets_with_nothing_new_are_shared(self):
+        catalog = small_catalog()
+        node = commit_placement(idle_node(), self.task("web:1"), catalog)
+        again = commit_placement(node, self.task("web:1"), catalog)
+        assert again.local_layers is node.local_layers
+        assert again.local_images is node.local_images
+        # db:1 adds a layer and an image; web:1's layers stay held.
+        db = commit_placement(node, self.task("db:1"), catalog)
+        assert db.local_layers == node.local_layers | {"sha256:c"}
+        assert db.local_images == {ImageRef("web", "1"), ImageRef("db", "1")}
+
+    def test_unknown_image_named_as_layers_of_names_it(self):
+        with pytest.raises(UnknownImage) as err:
+            commit_placement(idle_node(), self.task("ghost:1"), small_catalog())
+        with pytest.raises(UnknownImage) as want:
+            layers_of(small_catalog(), ImageRef("ghost", "1"))
+        assert str(err.value) == str(want.value) == "image not in catalog: ghost:1"
+
     def test_storage_violation_detected_first(self):
         catalog = small_catalog()
         node = idle_node(storage_capacity=50 * MB, cpu_capacity=1)

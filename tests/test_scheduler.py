@@ -1,5 +1,6 @@
 """Filter, argmax selection, trace folding, and policy behavior."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -38,7 +39,13 @@ from layersched.scheduler import (
     schedule,
     score_node,
 )
-from layersched.scoring import MB, WeightPolicy, download_cost
+from layersched.scoring import (
+    MB,
+    PLUGIN_NAMES,
+    PluginConfig,
+    WeightPolicy,
+    download_cost,
+)
 
 GB = 1024 ** 3
 WEB = ImageRef("web", "1")
@@ -341,6 +348,71 @@ class TestKernelEquivalence:
             first, _ = next(iter_schedule_trace(tasks, nodes, catalog, config, seed=seed))
             assert schedule(tasks[0], nodes, catalog, config,
                             random.Random(seed)) == first
+
+
+class TestKernelArithmetic:
+    """The kernel filters and scores inline. The audit reports the float the
+    kernel compared as ``final``, so it must equal the from-scratch score
+    exactly, for every set of enabled plugins and every weight table."""
+
+    @pytest.mark.parametrize("enabled", list(itertools.product((False, True), repeat=3)),
+                             ids=lambda on: "".join("+" if x else "-" for x in on))
+    def test_final_equals_score_node_for_every_plugin_set(self, enabled):
+        weights = (1.0, 0.7, 2.3)
+        plugins = PluginConfig(**{name: weight if on else None for name, weight, on
+                                  in zip(PLUGIN_NAMES, weights, enabled)})
+        checked, modes = 0, set()
+        for seed in range(24):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            config = replace(config, plugins=plugins)
+            modes.add((config.policy, config.weight_policy.mode))
+            before = {n.spec.id: n for n in nodes}
+            for t, (outcome, after) in zip(tasks, iter_schedule_trace(
+                    tasks, nodes, catalog, config, seed=seed)):
+                if isinstance(outcome, Placement):
+                    for node_id, breakdown in outcome.scores.items():
+                        want = score_node(before[node_id], t, catalog, config)
+                        assert breakdown.final == want.final, \
+                            f"seed {seed} {t.task_id} {node_id}"
+                        checked += 1
+                before = {n.spec.id: n for n in after}
+        assert checked > 0
+        assert ("lr_dynamic", "custom") in modes and ("layer_static", "static") in modes
+
+    def test_unschedulable_names_each_constraint(self):
+        warm = PlacedContainer(task_id="w", image=WEB, cpu_request=100, mem_request=0)
+        nodes = [node("n-storage", storage_capacity=MB),
+                 node("n-count", max_containers=1, running=(warm,), cpu_committed=100),
+                 node("n-cpu", cpu_capacity=400),
+                 node("n-mem", mem_capacity=128 * MB)]
+        t, catalog = task(), catalog_ab()
+        outcome = schedule(t, nodes, catalog, SchedulerConfig())
+        assert isinstance(outcome, Unschedulable)
+        assert outcome.rejected_by == ("storage", "container_count", "cpu_fit", "mem_fit")
+        assert outcome.verdicts == tuple(filter_node(n, t, catalog) for n in nodes)
+
+    @pytest.mark.parametrize("constraint, overrides", [
+        ("storage", {"storage_capacity": 120 * MB}),
+        ("container_count", {"max_containers": 2}),
+        ("cpu_fit", {"cpu_capacity": 1200}),
+        ("mem_fit", {"mem_capacity": 600 * MB}),
+    ])
+    def test_commits_refresh_the_columns_the_filter_reads(self, constraint, overrides):
+        # Two placements fit; the third task breaks ``constraint`` only
+        # because of what the first two committed.
+        api = ImageRef("api", "1")
+        catalog = LayerCatalog(
+            layers={"sha256:a": 30 * MB, "sha256:b": 70 * MB, "sha256:c": 30 * MB},
+            images={WEB: ("sha256:a", "sha256:b"), api: ("sha256:c",)},
+        )
+        images = [WEB, WEB, api]
+        tasks = [task(f"t{j}", image=image) for j, image in enumerate(images)]
+        steps = list(iter_schedule_trace(tasks, [node("n0", **overrides)], catalog,
+                                         SchedulerConfig()))
+        assert [isinstance(o, Placement) for o, _ in steps] == [True, True, False]
+        outcome, _ = steps[2]
+        assert outcome.rejected_by == (constraint,)
+        assert outcome.verdicts == (filter_node(steps[1][1][0], tasks[2], catalog),)
 
 
 class TestDuplicateNodeIds:

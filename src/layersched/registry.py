@@ -344,11 +344,14 @@ def load_cache(path: str | Path) -> ImageMetadataLists:
         lists = {
             key: ImageMetadata.from_json_dict(entry) for key, entry in payload.items()
         }
+        for key, image in lists.items():
+            if not image.name or not image.tag:
+                raise CacheCorrupt(f"{path}: {key!r}: image name and tag must be non-empty")
+        return ImageMetadataLists(catch_file=str(path), lists=lists)
     except CacheCorrupt:
         raise
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise CacheCorrupt(f"{path}: {exc}") from exc
-    return ImageMetadataLists(catch_file=str(path), lists=lists)
 
 
 def lookup(lists: ImageMetadataLists, name: str, tag: str) -> ImageMetadata:
@@ -416,8 +419,10 @@ def catalog_from_cache(lists: ImageMetadataLists) -> LayerCatalog:
     """Bridge cached metadata into the scheduling model.
 
     Identical digests across images collapse into a single catalog layer;
-    that collapse is exactly what layer sharing exploits. Zero-byte layers
-    are dropped: they add nothing to download cost, storage, or sharing.
+    that collapse is exactly what layer sharing exploits. A digest repeated
+    within one image's stack keeps its first place only: the layer is
+    stored and pulled once. Zero-byte layers are dropped: they add nothing
+    to download cost, storage, or sharing.
     """
     sizes_seen: dict[str, int] = {}
     layers: dict[str, int] = {}
@@ -432,7 +437,7 @@ def catalog_from_cache(lists: ImageMetadataLists) -> LayerCatalog:
                     f"layer {layer.layer} reported as {known} and {layer.size} bytes"
                 )
             sizes_seen[layer.layer] = layer.size
-            if layer.size == 0:
+            if layer.size == 0 or layer.layer in stack:
                 continue
             layers[layer.layer] = layer.size
             stack.append(layer.layer)

@@ -58,6 +58,14 @@ def parse_size(value: int | float | str, path: str) -> int:
     return int(exact)
 
 
+def _positive_size(value: int | float | str, path: str) -> int:
+    """A byte size that must not be zero: a capacity, rate or layer."""
+    size = parse_size(value, path)
+    if size == 0:
+        raise ScenarioError(path, "must be > 0")
+    return size
+
+
 def parse_cpu(value: int | str, path: str) -> int:
     """Millicores from an int (already millicores) or a k8s-style string:
     '500m' is millicores, a bare number is whole cores."""
@@ -131,12 +139,14 @@ def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRe
     max_containers = obj.get("max_containers", 110)
     if not isinstance(max_containers, int) or isinstance(max_containers, bool):
         raise ScenarioError(f"{path}.max_containers", "must be an integer")
+    if max_containers < 1:
+        raise ScenarioError(f"{path}.max_containers", "must be >= 1")
     spec = NodeSpec(
         id=node_id,
         cpu_capacity=parse_cpu(_require(obj, "cpu", path), f"{path}.cpu"),
-        mem_capacity=parse_size(_require(obj, "memory", path), f"{path}.memory"),
-        bandwidth=parse_size(_require(obj, "bandwidth", path), f"{path}.bandwidth"),
-        storage_capacity=parse_size(_require(obj, "storage", path), f"{path}.storage"),
+        mem_capacity=_positive_size(_require(obj, "memory", path), f"{path}.memory"),
+        bandwidth=_positive_size(_require(obj, "bandwidth", path), f"{path}.bandwidth"),
+        storage_capacity=_positive_size(_require(obj, "storage", path), f"{path}.storage"),
         max_containers=max_containers,
     )
     layers = obj.get("preloaded_layers", [])
@@ -293,7 +303,7 @@ def _parse_catalog_inline(obj: dict, path: str) -> LayerCatalog:
         raise ScenarioError(f"{path}.images", "must map name:tag to a digest list")
     layers: dict[LayerId, int] = {}
     for digest, size in raw_layers.items():
-        layers[digest] = parse_size(size, f"{path}.layers.{digest}")
+        layers[digest] = _positive_size(size, f"{path}.layers.{digest}")
     images: dict[ImageRef, tuple[LayerId, ...]] = {}
     for key, stack in raw_images.items():
         if not isinstance(stack, list) or not all(isinstance(x, str) for x in stack):
@@ -318,10 +328,7 @@ def _parse_sweeps(obj: dict, path: str) -> Sweeps:
         raise ScenarioError(f"{path}.bandwidth", "must be a list of sizes")
     bandwidth = []
     for i, value in enumerate(raw_bandwidth):
-        parsed = parse_size(value, f"{path}.bandwidth[{i}]")
-        if parsed <= 0:
-            raise ScenarioError(f"{path}.bandwidth[{i}]", "must be > 0")
-        bandwidth.append(parsed)
+        bandwidth.append(_positive_size(value, f"{path}.bandwidth[{i}]"))
     node_count = obj.get("node_count", [])
     if not isinstance(node_count, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in node_count
@@ -356,10 +363,7 @@ def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
         raise ScenarioError("nodes", "must be a non-empty list")
     nodes, pre_layers, pre_images = [], {}, {}
     for i, entry in enumerate(raw_nodes):
-        try:
-            spec, layers, images = _parse_node(entry, f"nodes[{i}]")
-        except ValueError as exc:
-            raise ScenarioError(f"nodes[{i}]", str(exc)) from None
+        spec, layers, images = _parse_node(entry, f"nodes[{i}]")
         nodes.append(spec)
         if layers:
             pre_layers[spec.id] = layers

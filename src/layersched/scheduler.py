@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, le, sub
+from types import MappingProxyType
 from typing import Iterator
 
 from .errors import ScenarioError
@@ -92,31 +93,52 @@ class FilterVerdict:
 
 @dataclass(frozen=True)
 class Placement:
-    """One task bound to one node. ``scores`` is the per-node score audit: a
-    read-only mapping from each feasible node's id, in node order, to its
-    :class:`ScoreBreakdown`, computed when read."""
+    """One task bound to one node. It keeps the decision's inputs (the
+    decision-time ``nodes``, the ``task``, the ``catalog`` and the
+    ``config``) and ``finals``, the score the kernel compared for each
+    feasible node. ``scores``, the per-node score audit, is built from them
+    when first read: a read-only mapping from each feasible node's id, in
+    node order, to its :func:`score_node` breakdown, whose ``final`` is the
+    kernel's float."""
 
     task_id: str
     node_id: str
     download_bytes: int
     download_seconds: float
-    scores: Mapping[str, ScoreBreakdown]
+    finals: Mapping[str, float] = field(repr=False)
+    nodes: tuple[NodeState, ...] = field(repr=False)
+    task: TaskRequest = field(repr=False)
+    catalog: LayerCatalog = field(repr=False)
+    config: SchedulerConfig = field(repr=False)
+
+    @cached_property
+    def scores(self) -> Mapping[str, ScoreBreakdown]:
+        finals, task, catalog, config = self.finals, self.task, self.catalog, self.config
+        return MappingProxyType({
+            node.spec.id: replace(score_node(node, task, catalog, config),
+                                  final=finals[node.spec.id])
+            for node in self.nodes if node.spec.id in finals})
 
 
 @dataclass(frozen=True)
 class Unschedulable:
-    """No node survived filtering. ``rejected_by`` names the constraint each
-    node, in ``node_ids`` order, broke; ``verdicts`` are those as
-    :class:`FilterVerdict` objects, built when first read."""
+    """No node survived filtering. It keeps the decision-time ``nodes``, the
+    ``task`` and the ``catalog``; ``verdicts``, each node's
+    :func:`filter_node` verdict in node order, are built when first read,
+    and ``rejected_by`` names the constraint each node broke."""
 
     task_id: str
-    node_ids: tuple[str, ...] = field(repr=False)
-    rejected_by: tuple[str, ...] = field(repr=False)
+    nodes: tuple[NodeState, ...] = field(repr=False)
+    task: TaskRequest = field(repr=False)
+    catalog: LayerCatalog = field(repr=False)
 
     @cached_property
     def verdicts(self) -> tuple[FilterVerdict, ...]:
-        return tuple(FilterVerdict(node_id, False, violated)
-                     for node_id, violated in zip(self.node_ids, self.rejected_by))
+        return tuple(filter_node(node, self.task, self.catalog) for node in self.nodes)
+
+    @property
+    def rejected_by(self) -> tuple[str, ...]:
+        return tuple(verdict.rejected_by for verdict in self.verdicts)
 
 
 def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> FilterVerdict:
@@ -142,35 +164,6 @@ def score_node(
     )
 
 
-class _ScoreAudit(Mapping):
-    """The score breakdowns of one decision, each built on read from the
-    decision-time node and the overlap the kernel used for it. Its
-    ``final`` is the float the kernel compared, so an audit that equals
-    :func:`score_node` proves the kernel's arithmetic too."""
-
-    def __init__(self, feasible: dict[str, tuple[NodeState, int, float]],
-                 task: TaskRequest, catalog: LayerCatalog, config: SchedulerConfig):
-        self._feasible = feasible
-        self._task = task
-        self._catalog = catalog
-        self._config = config
-
-    def __getitem__(self, node_id: str) -> ScoreBreakdown:
-        node, overlap, final = self._feasible[node_id]
-        task, catalog, config = self._task, self._catalog, self._config
-        breakdown = blended_score(
-            config.weight_policy, config.omegas(), overlap,
-            catalog.image_total_size(task.image), node.cpu_ratio(), std_score(node),
-            baseline_score(node, task, catalog, config.plugins))
-        return replace(breakdown, final=final)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._feasible)
-
-    def __len__(self) -> int:
-        return len(self._feasible)
-
-
 class _Kernel:
     """Filter, score and argmax over a cluster in which each commit changes
     one node.
@@ -190,10 +183,11 @@ class _Kernel:
     inline on the survivors, with the expressions of
     :func:`first_violation` and :func:`baseline_score` in the same operand
     order, and scores each feasible node as one float with the formula of
-    :func:`blended_score`. It calls no Python function per node and leaves
-    the breakdowns to :class:`_ScoreAudit`. Only a task no node can take
-    asks :func:`first_violation` which constraint each node broke. The
-    results equal :func:`filter_node` and :func:`score_node` exactly.
+    :func:`blended_score`. It calls no Python function per node. The
+    outcome keeps a snapshot of the nodes with the task, the catalog and
+    the config, and, for a placement, one float per feasible node; its
+    audit is built from :func:`filter_node` or :func:`score_node` when
+    read, and equals them exactly.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -246,7 +240,7 @@ class _Kernel:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
         if not nodes:
-            return Unschedulable(task.task_id, (), ())
+            return Unschedulable(task.task_id, (), task, self.catalog)
         column, holds, total = self._image(task.image)
         config, omegas, h_size, calm = self.config, self.omegas, self.h_size, self.calm
         ids, slots = self.ids, self.slots
@@ -258,7 +252,7 @@ class _Kernel:
             plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
         enabled = (least is not None) + (balanced is not None) + (locality is not None)
 
-        feasible = {}  # node id -> (node, local bytes of the image, final score)
+        finals = {}  # feasible node id -> final score
         best, tied = float("-inf"), []
         # first_violation's storage test, stored + download > capacity,
         # negated: the nodes with room for the image's missing bytes.
@@ -290,16 +284,13 @@ class _Kernel:
             layer = overlap / total * 100.0 if total else 0.0
             final = (omegas[(overlap > h_size) + calm[i]] * layer
                      + (baseline / enabled if enabled else 0.0))
-            feasible[ids[i]] = (nodes[i], overlap, final)
+            finals[ids[i]] = final
             if final > best:
                 best, tied = final, [i]
             elif final == best:
                 tied.append(i)
-        if not feasible:
-            stored = self.stored
-            return Unschedulable(task.task_id, ids, tuple(
-                first_violation(node, task, stored[i], total - column[i])
-                for i, node in enumerate(nodes)))
+        if not finals:
+            return Unschedulable(task.task_id, tuple(nodes), task, self.catalog)
 
         tied.sort(key=ids.__getitem__)
         if config.tie_break == "random_seeded" and len(tied) > 1:
@@ -313,7 +304,11 @@ class _Kernel:
             node_id=ids[i],
             download_bytes=cost,
             download_seconds=cost / nodes[i].spec.bandwidth,
-            scores=_ScoreAudit(feasible, task, self.catalog, config),
+            finals=finals,
+            nodes=tuple(nodes),
+            task=task,
+            catalog=self.catalog,
+            config=config,
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:

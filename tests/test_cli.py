@@ -11,7 +11,7 @@ import pytest
 
 from layersched import cli
 from layersched.cli import ENSEMBLE_CSV_HEADER, main
-from layersched.fake_registry import FakeRegistry, bundled_images
+from layersched.fake_registry import FakeImage, FakeRegistry, bundled_images
 from layersched.scoring import MB
 
 GB = 1024 ** 3
@@ -312,6 +312,20 @@ class TestValidate:
             path.write_text(json.dumps(doc))
             assert main(["validate", str(path), "--fetch"]) == 0
         assert "3 images" in capsys.readouterr().out
+
+    def test_fetched_image_listing_a_layer_twice_validates(self, tmp_path, capsys):
+        doc = json.loads(write_scenario(tmp_path).read_text())
+        del doc["catalog"]
+        del doc["workload"]["images"]
+        path = tmp_path / "live.json"
+        base = ("sha256:base0000", 5 * MB)
+        twice = FakeImage(name="twice", tag="1", config_digest="sha256:cfgtwice",
+                          layers=[base, ("sha256:top00000", MB), base])
+        with FakeRegistry([twice]) as registry:
+            doc["registry"] = registry.url
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path), "--fetch"]) == 0
+        assert "1 images" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mutate,field", [
         (lambda d: d["catalog"]["images"].update(noTag=["sha256:web"]),

@@ -164,6 +164,53 @@ class TestCacheFile:
         with pytest.raises(CacheCorrupt):
             load_cache(path)
 
+    @staticmethod
+    def write_record(path, key, name="a", tag="1", l_meta=(("sha256:l", 1),)):
+        record = {"id": "x", "name": name, "name_without_repo": name, "tag": tag,
+                  "total_size": sum(size for _, size in l_meta),
+                  "l_meta": [{"size": size, "layer": layer} for layer, size in l_meta]}
+        path.write_text(json.dumps({key: record}))
+
+    @pytest.mark.parametrize("key, name, tag", [
+        ("a:1", "b", "1"), (":1", "", "1"), ("a:", "a", ""),
+    ], ids=["key-mismatch", "empty-name", "empty-tag"])
+    def test_record_the_model_refuses_raises_naming_the_path(self, tmp_path,
+                                                               key, name, tag):
+        path = tmp_path / "cache.json"
+        self.write_record(path, key, name, tag)
+        with pytest.raises(CacheCorrupt, match=re.escape(str(path))):
+            load_cache(path)
+
+    def test_layer_repeated_in_one_stack_collapses_to_its_first_place(self, tmp_path):
+        path = tmp_path / "cache.json"
+        self.write_record(path, "a:1", l_meta=(("sha256:a", 1), ("sha256:b", 2),
+                                               ("sha256:a", 1)))
+        catalog = catalog_from_cache(load_cache(path))
+        assert catalog.images == {ImageRef("a", "1"): ("sha256:a", "sha256:b")}
+        assert catalog.layers == {"sha256:a": 1, "sha256:b": 2}
+
+    def test_layer_repeated_in_one_stack_with_two_sizes_conflicts(self, tmp_path):
+        path = tmp_path / "cache.json"
+        self.write_record(path, "a:1", l_meta=(("sha256:a", 1), ("sha256:a", 2)))
+        with pytest.raises(DigestSizeConflict):
+            catalog_from_cache(load_cache(path))
+
+    @pytest.mark.parametrize("key, name", [("a:1", "b"), (":1", "")],
+                             ids=["key-mismatch", "empty-name"])
+    def test_validate_exits_2_on_a_refused_cache(self, tmp_path, capsys, key, name):
+        cache = tmp_path / "cache.json"
+        self.write_record(cache, key, name)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "nodes": [{"id": "n0", "cpu": "4", "memory": "4GB",
+                       "bandwidth": "10MB", "storage": "30GB"}],
+            "catalog": {"cache_file": "cache.json"},
+            "workload": {"count": 1},
+        }))
+        assert main(["validate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+
     def test_lookup(self):
         lists = sample_lists()
         assert lookup(lists, "team/web", "1").id == "sha256:cfg"

@@ -121,6 +121,21 @@ class TestParse:
             parse_scenario_data(bad)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["nodes"][0].update(memory=0), "nodes[0].memory"),
+        (lambda d: d["nodes"][0].update(bandwidth=0), "nodes[0].bandwidth"),
+        (lambda d: d["nodes"][1].update(storage="0GB"), "nodes[1].storage"),
+        (lambda d: d["nodes"][0].update(max_containers=0), "nodes[0].max_containers"),
+        (lambda d: d["catalog"]["layers"].update({"sha256:a": 0}),
+         "catalog.layers.sha256:a"),
+    ])
+    def test_non_positive_values_point_at_the_field(self, mutate, field):
+        bad = data()
+        mutate(bad)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_data(bad)
+        assert err.value.field == field
+
     def test_both_catalog_and_registry_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario_data(data(registry="http://x"))

@@ -45,6 +45,8 @@ from layersched.scoring import (
     PluginConfig,
     WeightPolicy,
     download_cost,
+    local_layer_size,
+    std_score,
 )
 
 GB = 1024 ** 3
@@ -415,6 +417,43 @@ class TestKernelArithmetic:
         assert outcome.verdicts == (filter_node(steps[1][1][0], tasks[2], catalog),)
 
 
+class TestKernelColumns:
+    """The audit rebuilds breakdowns from the nodes, not from the kernel's
+    columns, so the columns are pinned here: after every commit each one
+    equals its value computed from scratch on the current nodes."""
+
+    def test_every_commit_leaves_the_columns_from_scratch(self):
+        commits = 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
+            weights = config.weight_policy
+            state = list(nodes)
+            for t in tasks:
+                outcome = kernel.decide(t)
+                if not isinstance(outcome, Placement):
+                    continue
+                kernel.commit(t, outcome)
+                commits += 1
+                j = kernel.index[outcome.node_id]
+                state[j] = commit_placement(state[j], t, catalog)
+                assert kernel.nodes == state
+                where = f"seed {seed} {t.task_id}"
+                for i, n in enumerate(state):
+                    assert kernel.stored[i] == n.stored_layer_bytes(catalog), where
+                    assert kernel.slots[i] == n.spec.max_containers - len(n.running), where
+                    assert kernel.cpu_used[i] == n.cpu_committed, where
+                    assert kernel.mem_used[i] == n.mem_committed, where
+                    assert kernel.calm[i] == ((n.cpu_ratio() < weights.h_cpu)
+                                              + (std_score(n) < weights.h_std)), where
+                    for image, (column, holds, _) in kernel.images.items():
+                        assert column[i] == local_layer_size(catalog, n, image), \
+                            f"{where} {n.spec.id} {image.key}"
+                        assert holds[i] == (100.0 if image in n.local_images else 0.0), \
+                            f"{where} {n.spec.id} {image.key}"
+        assert commits > 0
+
+
 class TestDuplicateNodeIds:
     """Two nodes under one id would let the kernel choose one and commit to
     the other, and the score audit, keyed by id, would hide one of them."""
@@ -484,8 +523,11 @@ class TestScoreAudit:
                 tasks, nodes, catalog, config, seed=seed)
                 if isinstance(o, Placement)]
         assert placements and calls == []
-        placements[0].scores[placements[0].node_id]
-        assert len(calls) == 1
+        p = placements[0]
+        p.scores[p.node_id]
+        feasible = sum(filter_node(n, p.task, p.catalog).feasible for n in p.nodes)
+        assert len(calls) == feasible
+        assert p.scores is p.scores and len(calls) == feasible
 
     def test_unschedulable_builds_verdicts_on_read(self, monkeypatch):
         calls = []

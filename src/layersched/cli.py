@@ -35,8 +35,6 @@ from .scenario import (
 from .simulator import (
     AGGREGATES,
     compare,
-    deltas_against_reference,
-    ordered_sum,
     run,
     write_json,
     write_report_json,
@@ -76,34 +74,21 @@ def _registry_override(args) -> str | None:
 
 
 def _ensemble(sfile: ScenarioFile, catalog: LayerCatalog, **overrides) -> dict:
-    """Compare the scenario's schedulers on each of its seeds and fold into
-    per-scheduler means, with deltas of the means against the reference.
+    """Compare the scenario's schedulers over its seeds (see :func:`compare`).
     ``overrides`` are :func:`build_scenario`'s sweep-point keywords."""
-    entries, seeds = sfile.schedulers, sfile.seeds
-    runs = {}
-    for seed in seeds:
-        legs = [(entry.label, build_scenario(sfile, catalog, entry, seed, **overrides))
-                for entry in entries]
-        runs[seed] = compare(legs).runs
+    scenario = build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0],
+                              **overrides)
+    return compare(scenario, {entry.label: entry.config for entry in sfile.schedulers},
+                   sfile.seeds)
 
-    results: dict[str, dict] = {}
-    for entry in entries:
-        per_seed = [{"seed": seed, **runs[seed][entry.label]} for seed in seeds]
-        mean = {
-            key: ordered_sum(row[key] for row in per_seed) / len(per_seed)
-            for key in AGGREGATES
-        }
-        results[entry.label] = {"per_seed": per_seed, "mean": mean}
 
-    reference, deltas = deltas_against_reference(
-        {label: data["mean"] for label, data in results.items()})
-    return {
-        "reference": reference,
-        "seeds": list(seeds),
-        "schedulers": [entry.label for entry in entries],
-        "results": results,
-        "deltas_pct": deltas,
-    }
+def _write(write, payload, path: Path) -> None:
+    """``write(payload, path)``; a file that cannot be opened is a usage
+    error naming the path."""
+    try:
+        write(payload, path)
+    except OSError as exc:
+        raise LayerSchedError(f"--out: {path}: {exc.strerror}") from None
 
 
 def _write_ensemble_csv(table: dict, path: Path) -> None:
@@ -186,8 +171,8 @@ def cmd_simulate(args) -> int:
     report = run(scenario)
 
     stem = f"simulate_{_safe_name(label)}_seed{seed}"
-    write_report_json(report, out / f"{stem}.json")
-    write_steps_csv(report, out / f"{stem}.csv")
+    _write(write_report_json, report, out / f"{stem}.json")
+    _write(write_steps_csv, report, out / f"{stem}.csv")
 
     agg = report.aggregates()
     print(f"{label} seed {seed}: "
@@ -204,8 +189,8 @@ def cmd_compare(args) -> int:
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
     out = _out_dir(args, sfile)
     table = _ensemble(sfile, catalog)
-    write_json(table, out / "compare.json")
-    _write_ensemble_csv(table, out / "compare.csv")
+    _write(write_json, table, out / "compare.json")
+    _write(_write_ensemble_csv, table, out / "compare.csv")
     _print_ensemble(table, f"compare over seeds {sfile.seeds}:")
     print(f"wrote {out / 'compare.json'} and {out / 'compare.csv'}")
     return 0
@@ -232,8 +217,8 @@ def cmd_sweep(args) -> int:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             summary_points.append({"value": value, "error": str(exc)})
             continue
-        write_json(table, out / f"{stem}.json")
-        _write_ensemble_csv(table, out / f"{stem}.csv")
+        _write(write_json, table, out / f"{stem}.json")
+        _write(_write_ensemble_csv, table, out / f"{stem}.csv")
         _print_ensemble(table, f"{args.param} = {value}:")
         summary_points.append({
             "value": value,
@@ -244,7 +229,7 @@ def cmd_sweep(args) -> int:
 
     summary = {"param": args.param, "points": summary_points,
                "failures": failures}
-    write_json(summary, out / f"sweep_{args.param}_summary.json")
+    _write(write_json, summary, out / f"sweep_{args.param}_summary.json")
     print(f"wrote {out / f'sweep_{args.param}_summary.json'}")
     return 1 if failures else 0
 

@@ -67,4 +67,4 @@ class ScenarioError(LayerSchedError):
 
 
 class ComparisonError(LayerSchedError):
-    """Scenarios handed to compare() do not share the same workload."""
+    """compare() was given no schedulers or no seeds."""

@@ -308,10 +308,11 @@ class RegistryClient:
 @contextmanager
 def _malformed_manifest(name: str, tag: str):
     """Turn a manifest field of the wrong shape (a missing key, a list that
-    is not one, a negative or non-numeric size) into UnsupportedManifest."""
+    is not one, a negative, non-numeric or infinite size) into
+    UnsupportedManifest."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UnsupportedManifest(
             f"{name}:{tag}: malformed manifest ({type(exc).__name__}: {exc})") from None
 
@@ -350,7 +351,7 @@ def load_cache(path: str | Path) -> ImageMetadataLists:
         return ImageMetadataLists(catch_file=str(path), lists=lists)
     except CacheCorrupt:
         raise
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, KeyError, OverflowError, TypeError) as exc:
         raise CacheCorrupt(f"{path}: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import islice
@@ -79,8 +80,9 @@ class Scenario:
                 raise ScenarioError(f"nodes[{i}].storage", "preloaded layers exceed storage")
 
 
-def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
+def fingerprint(scenario: Scenario) -> str:
     """Stable hash of a scenario's semantic content (no wall clock)."""
+    cfg = scenario.scheduler
     payload = {
         "nodes": [
             {
@@ -110,16 +112,14 @@ def fingerprint(scenario: Scenario, include_scheduler: bool = True) -> str:
         "preloaded": {k: list(v) for k, v in sorted(scenario.preloaded.items())},
         "seed": scenario.seed,
         "bandwidth_override": scenario.bandwidth_override,
-    }
-    if include_scheduler:
-        cfg = scenario.scheduler
-        payload["scheduler"] = {
+        "scheduler": {
             "policy": cfg.policy,
             "tie_break": cfg.tie_break,
             "weight": {**vars(cfg.weight_policy),
                        "custom_table": dict(cfg.weight_policy.custom_table)},
             "plugins": {name: getattr(cfg.plugins, name) for name in PLUGIN_NAMES},
-        }
+        },
+    }
     raw = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(raw).hexdigest()
 
@@ -309,25 +309,6 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
     raise ScenarioError("workload", f"no task became unschedulable within {limit} steps")
 
 
-@dataclass
-class ComparisonReport:
-    """Aggregates of same-workload runs under different policies, with
-    percentage deltas against the run labelled ``default`` (or the first)."""
-
-    workload_fingerprint: str
-    reference: str
-    runs: dict[str, dict]
-    deltas: dict[str, dict[str, float | None]]
-
-    def to_dict(self) -> dict:
-        return {
-            "workload_fingerprint": self.workload_fingerprint,
-            "reference": self.reference,
-            "runs": self.runs,
-            "deltas": self.deltas,
-        }
-
-
 DELTA_METRICS = AGGREGATES[:4]  # every total but the unschedulable count
 
 
@@ -337,52 +318,44 @@ def _pct_delta(value: float, reference: float) -> float | None:
     return (value - reference) / reference * 100.0
 
 
-def deltas_against_reference(
-    aggregates: dict[str, dict],
-) -> tuple[str, dict[str, dict[str, float | None]]]:
-    """Pick the reference run (``default`` if present, else the first) and
-    the percentage delta of every run's :data:`DELTA_METRICS` against it."""
-    reference = "default" if "default" in aggregates else next(iter(aggregates))
-    ref_aggregates = aggregates[reference]
-    deltas = {
-        name: {
-            metric: _pct_delta(values[metric], ref_aggregates[metric])
-            for metric in DELTA_METRICS
-        }
-        for name, values in aggregates.items()
-    }
-    return reference, deltas
+def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
+            seeds: Sequence[int]) -> dict:
+    """Replay ``scenario`` under each labelled scheduler config on each seed
+    and tabulate the ensemble.
 
-
-def compare(scenarios: list[tuple[str, Scenario]]) -> ComparisonReport:
-    """Replay each named scenario and tabulate aggregates and deltas.
-
-    All scenarios must share everything except the scheduler; otherwise the
-    comparison would not be apples-to-apples and ComparisonError is raised.
-    Because they do, the first is validated and its task list drawn once for
-    all; each leg folds to its :data:`AGGREGATES` (see :func:`replay`), which
-    equal ``run(scenario).aggregates()`` exactly.
+    Each seed's task list is drawn once and shared by every leg; a leg folds
+    to its :data:`AGGREGATES` (see :func:`replay`), equal to
+    ``run(replace(scenario, scheduler=config, seed=seed)).aggregates()``
+    exactly. ``results[label]`` holds the ``per_seed`` rows in seed order and
+    their ``mean``; ``deltas_pct`` is each mean's percentage delta of the
+    :data:`DELTA_METRICS` against the ``reference`` scheduler, labelled
+    ``default`` if there is one, else the first.
     """
-    if not scenarios:
-        raise ComparisonError("nothing to compare")
-    base_fp = fingerprint(scenarios[0][1], include_scheduler=False)
-    for name, scenario in scenarios[1:]:
-        if fingerprint(scenario, include_scheduler=False) != base_fp:
-            raise ComparisonError(
-                f"scenario {name!r} differs from {scenarios[0][0]!r} beyond the scheduler"
-            )
+    if not schedulers or not seeds:
+        raise ComparisonError("nothing to compare: no schedulers or no seeds")
+    scenario.validate()
+    per_seed: dict[str, list[dict]] = {label: [] for label in schedulers}
+    for seed in seeds:
+        seeded = replace(scenario, seed=seed)
+        tasks = _tasks(seeded)
+        for label, config in schedulers.items():
+            totals = replay(replace(seeded, scheduler=config), tasks).aggregates
+            per_seed[label].append({"seed": seed, **totals})
 
-    first = scenarios[0][1]
-    first.validate()
-    tasks = _tasks(first)
-    runs = {name: replay(scenario, tasks).aggregates for name, scenario in scenarios}
-    reference, deltas = deltas_against_reference(runs)
-    return ComparisonReport(
-        workload_fingerprint=base_fp,
-        reference=reference,
-        runs=runs,
-        deltas=deltas,
-    )
+    means = {label: {key: ordered_sum(row[key] for row in rows) / len(rows)
+                     for key in AGGREGATES}
+             for label, rows in per_seed.items()}
+    reference = "default" if "default" in means else next(iter(means))
+    return {
+        "reference": reference,
+        "seeds": list(seeds),
+        "schedulers": list(schedulers),
+        "results": {label: {"per_seed": per_seed[label], "mean": means[label]}
+                    for label in schedulers},
+        "deltas_pct": {label: {metric: _pct_delta(mean[metric], means[reference][metric])
+                               for metric in DELTA_METRICS}
+                       for label, mean in means.items()},
+    }
 
 
 def write_json(payload: dict, path: str | Path) -> None:
@@ -393,7 +366,7 @@ def write_json(payload: dict, path: str | Path) -> None:
         handle.write("\n")
 
 
-def write_report_json(report: SimulationReport | ComparisonReport, path: str | Path) -> None:
+def write_report_json(report: SimulationReport, path: str | Path) -> None:
     write_json(report.to_dict(), path)
 
 

@@ -276,6 +276,27 @@ class TestUnusableOut:
         assert a_file.read_text() == "keep"
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("verb, blocked", [
+        ("simulate", "simulate_default_seed1.json"),
+        ("simulate", "simulate_default_seed1.csv"),
+        ("compare", "compare.json"),
+        ("compare", "compare.csv"),
+        ("sweep", f"sweep_bandwidth_{10 * MB}.json"),
+        ("sweep", f"sweep_bandwidth_{10 * MB}.csv"),
+        ("sweep", "sweep_bandwidth_summary.json"),
+    ])
+    def test_an_output_file_that_cannot_be_opened_exits_2(self, tmp_path, capsys,
+                                                          verb, blocked):
+        scenario = write_scenario(tmp_path, sweeps={"bandwidth": ["10MB"]})
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [verb, str(scenario), "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--param", "bandwidth"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: {out / blocked}: ") and err.count("\n") == 1
+
 
 class TestValidate:
     def test_good_scenario(self, tmp_path, capsys):

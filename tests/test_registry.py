@@ -171,6 +171,21 @@ class TestCacheFile:
                   "l_meta": [{"size": size, "layer": layer} for layer, size in l_meta]}
         path.write_text(json.dumps({key: record}))
 
+    @staticmethod
+    def assert_validate_exits_2(cache, capsys):
+        """``validate`` of a scenario reading ``cache`` exits 2 with one
+        ``error:`` line naming the cache."""
+        scenario = cache.parent / "scenario.json"
+        scenario.write_text(json.dumps({
+            "nodes": [{"id": "n0", "cpu": "4", "memory": "4GB",
+                       "bandwidth": "10MB", "storage": "30GB"}],
+            "catalog": {"cache_file": cache.name},
+            "workload": {"count": 1},
+        }))
+        assert main(["validate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("key, name, tag", [
         ("a:1", "b", "1"), (":1", "", "1"), ("a:", "a", ""),
     ], ids=["key-mismatch", "empty-name", "empty-tag"])
@@ -180,6 +195,14 @@ class TestCacheFile:
         self.write_record(path, key, name, tag)
         with pytest.raises(CacheCorrupt, match=re.escape(str(path))):
             load_cache(path)
+
+    def test_size_beyond_float_raises_naming_the_path(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        self.write_record(cache, "a:1")
+        cache.write_text(cache.read_text().replace('"total_size": 1', '"total_size": Infinity'))
+        with pytest.raises(CacheCorrupt, match=re.escape(str(cache))):
+            load_cache(cache)
+        self.assert_validate_exits_2(cache, capsys)
 
     def test_layer_repeated_in_one_stack_collapses_to_its_first_place(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -200,16 +223,7 @@ class TestCacheFile:
     def test_validate_exits_2_on_a_refused_cache(self, tmp_path, capsys, key, name):
         cache = tmp_path / "cache.json"
         self.write_record(cache, key, name)
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps({
-            "nodes": [{"id": "n0", "cpu": "4", "memory": "4GB",
-                       "bandwidth": "10MB", "storage": "30GB"}],
-            "catalog": {"cache_file": "cache.json"},
-            "workload": {"count": 1},
-        }))
-        assert main(["validate", str(scenario)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+        self.assert_validate_exits_2(cache, capsys)
 
     def test_lookup(self):
         lists = sample_lists()
@@ -368,8 +382,9 @@ class TestMalformedReplies:
         {"/v2/bad/manifests/1": {**MANIFEST, "config": "sha256:cfg"}},
         {"/v2/bad/manifests/1": {**INDEX, "manifests": [{"size": 0}]},
          "/v2/bad/manifests/sha256:arch": MANIFEST},
+        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1e400')},
     ], ids=["not-json", "list", "no-size", "negative-size", "layers-string",
-            "config-string", "index-entry-without-digest"])
+            "config-string", "index-entry-without-digest", "size-beyond-float"])
     def test_bad_manifest_becomes_a_warning(self, tmp_path, replies):
         with pytest.raises(UnsupportedManifest):
             stub_client(replies).fetch_image_metadata("bad", "1")

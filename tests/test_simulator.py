@@ -3,9 +3,11 @@
 import csv
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from layersched import cli
 from layersched.errors import ComparisonError, ScenarioError
 from layersched.model import ImageRef, LayerCatalog, NodeSpec, TaskRequest
 from layersched.scenario import (
@@ -18,6 +20,7 @@ from layersched.scenario import (
 from layersched.scheduler import POLICIES, SchedulerConfig
 from layersched.scoring import MB, WeightPolicy
 from layersched.simulator import (
+    AGGREGATES,
     CSV_HEADER,
     Scenario,
     compare,
@@ -220,28 +223,50 @@ class TestMaxPods:
 
 
 class TestCompare:
-    def make(self, policy, seed=5):
-        catalog = single_image_catalog()
-        nodes = [ample_node(f"node-{i}") for i in range(2)]
-        return Scenario(nodes=nodes, catalog=catalog,
-                        workload=WorkloadSpec(count=10),
-                        scheduler=SchedulerConfig(policy=policy), seed=seed)
+    @staticmethod
+    def make(nodes=2):
+        return Scenario(nodes=[ample_node(f"node-{i}") for i in range(nodes)],
+                        catalog=single_image_catalog(), workload=WorkloadSpec(count=10))
+
+    @staticmethod
+    def configs(*policies):
+        return {policy: SchedulerConfig(policy=policy) for policy in policies}
 
     def test_identical_policies_have_zero_deltas(self):
-        report = compare([("a", self.make("default")),
-                          ("b", self.make("default"))])
-        for metric, delta in report.deltas["b"].items():
+        table = compare(self.make(), {"a": SchedulerConfig(), "b": SchedulerConfig()},
+                        [5])
+        for metric, delta in table["deltas_pct"]["b"].items():
             assert delta == 0.0, metric
 
     def test_reference_prefers_default_label(self):
-        report = compare([("lr_dynamic", self.make("lr_dynamic")),
-                          ("default", self.make("default"))])
-        assert report.reference == "default"
+        table = compare(self.make(), self.configs("lr_dynamic", "default"), [5])
+        assert table["reference"] == "default"
+        assert table["schedulers"] == ["lr_dynamic", "default"]
 
-    def test_mismatched_seeds_rejected(self):
+    def test_reference_falls_back_to_the_first_label(self):
+        table = compare(self.make(), self.configs("lr_dynamic", "layer_static"), [5])
+        assert table["reference"] == "lr_dynamic"
+
+    @pytest.mark.parametrize("schedulers, seeds", [({}, [1]), ({"a": SchedulerConfig()}, [])],
+                             ids=["no-schedulers", "no-seeds"])
+    def test_nothing_to_compare_rejected(self, schedulers, seeds):
         with pytest.raises(ComparisonError):
-            compare([("a", self.make("default", seed=1)),
-                     ("b", self.make("lr_dynamic", seed=2))])
+            compare(self.make(), schedulers, seeds)
+
+    def test_invalid_scenario_names_field(self):
+        with pytest.raises(ScenarioError, match="nodes"):
+            compare(self.make(nodes=0), self.configs("default"), [1])
+
+    def test_mean_folds_the_seeds_in_order(self):
+        seeds = [3, 1, 2]
+        table = compare(self.make(), self.configs("default", "lr_dynamic"), seeds)
+        assert table["seeds"] == seeds
+        for label in ("default", "lr_dynamic"):
+            rows = table["results"][label]["per_seed"]
+            assert [row["seed"] for row in rows] == seeds
+            assert table["results"][label]["mean"] == {
+                key: ordered_sum(row[key] for row in rows) / len(rows)
+                for key in AGGREGATES}
 
     def test_layer_static_downloads_no_more_than_default(self):
         # holds when nodes are far from saturation, so layer affinity is
@@ -254,16 +279,12 @@ class TestCompare:
         )
         nodes = [ample_node(f"node-{i}", cpu_capacity=400_000,
                             mem_capacity=400 * GB) for i in range(3)]
-        for seed in range(10):
-            legs = []
-            for policy in ("default", "layer_static"):
-                legs.append((policy, Scenario(
-                    nodes=nodes, catalog=catalog,
-                    workload=WorkloadSpec(count=20),
-                    scheduler=SchedulerConfig(policy=policy), seed=seed)))
-            report = compare(legs)
-            assert report.runs["layer_static"]["total_download_bytes"] <= \
-                report.runs["default"]["total_download_bytes"]
+        scenario = Scenario(nodes=nodes, catalog=catalog, workload=WorkloadSpec(count=20))
+        table = compare(scenario, self.configs("default", "layer_static"), range(10))
+        pairs = zip(table["results"]["layer_static"]["per_seed"],
+                    table["results"]["default"]["per_seed"])
+        for layered, default in pairs:
+            assert layered["total_download_bytes"] <= default["total_download_bytes"]
 
 
 def typed(aggregates: dict) -> dict:
@@ -273,22 +294,24 @@ def typed(aggregates: dict) -> dict:
 
 
 class TestCompareFoldsLikeRun:
-    """A compare leg folds to exactly the aggregates a full run reports."""
+    """A compare row folds to exactly the aggregates a full run reports."""
 
     @staticmethod
-    def assert_legs_match_runs(legs):
-        runs = compare(legs).runs
-        assert list(runs) == [label for label, _ in legs]
-        for label, scenario in legs:
-            assert typed(runs[label]) == typed(run(scenario).aggregates()), label
+    def assert_rows_match_runs(scenario, schedulers, seeds):
+        table = compare(scenario, schedulers, seeds)
+        assert table["schedulers"] == list(schedulers)
+        for label, config in schedulers.items():
+            rows = table["results"][label]["per_seed"]
+            assert len(rows) == len(seeds)
+            for row, seed in zip(rows, seeds):
+                leg = run(replace(scenario, scheduler=config, seed=seed))
+                assert typed(row) == typed({"seed": seed, **leg.aggregates()}), (label, seed)
+        return table
 
     @staticmethod
-    def legs(catalog, nodes, workload, seed=3, tie_break="lowest_node_id"):
-        return [(policy, Scenario(nodes=nodes, catalog=catalog, workload=workload,
-                                  scheduler=SchedulerConfig(policy=policy,
-                                                            tie_break=tie_break),
-                                  seed=seed))
-                for policy in POLICIES]
+    def every_policy(tie_break="lowest_node_id"):
+        return {policy: SchedulerConfig(policy=policy, tie_break=tie_break)
+                for policy in POLICIES}
 
     @staticmethod
     def two_image_catalog():
@@ -302,24 +325,24 @@ class TestCompareFoldsLikeRun:
     def test_bundled_scenarios_every_scheduler_and_seed(self, name):
         sfile = parse_scenario_file(bundled_scenario_path(name))
         catalog = resolve_catalog(sfile)
-        for seed in sfile.seeds:
-            self.assert_legs_match_runs(
-                [(entry.label, build_scenario(sfile, catalog, entry, seed))
-                 for entry in sfile.schedulers])
+        scenario = build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0])
+        self.assert_rows_match_runs(
+            scenario, {entry.label: entry.config for entry in sfile.schedulers},
+            sfile.seeds)
 
     def test_random_seeded_tie_break(self):
-        nodes = [ample_node(f"node-{i}") for i in range(4)]
-        self.assert_legs_match_runs(self.legs(
-            single_image_catalog(), nodes, WorkloadSpec(count=25),
-            tie_break="random_seeded"))
+        scenario = Scenario(nodes=[ample_node(f"node-{i}") for i in range(4)],
+                            catalog=single_image_catalog(), workload=WorkloadSpec(count=25))
+        self.assert_rows_match_runs(scenario, self.every_policy("random_seeded"), [3, 4])
 
     def test_weighted_workload_with_unschedulable_tasks(self):
         nodes = [ample_node(f"node-{i}", storage_capacity=1000 * MB, max_containers=6)
                  for i in range(3)]
         workload = WorkloadSpec(count=40, image_weights={"u:1": 0.7, "v:1": 0.3})
-        legs = self.legs(self.two_image_catalog(), nodes, workload)
-        assert run(legs[0][1]).unschedulable_count > 0
-        self.assert_legs_match_runs(legs)
+        scenario = Scenario(nodes=nodes, catalog=self.two_image_catalog(),
+                            workload=workload, seed=3)
+        assert run(scenario).unschedulable_count > 0
+        self.assert_rows_match_runs(scenario, self.every_policy(), [3])
 
     def test_trace_file_workload(self, tmp_path):
         catalog = self.two_image_catalog()
@@ -328,16 +351,30 @@ class TestCompareFoldsLikeRun:
         save_trace([TaskRequest(f"t{i}", images[1] if i % 3 == 0 else images[0],
                                 100 + 10 * i, 64 * MB)
                     for i in range(20)], trace)
-        nodes = [ample_node(f"node-{i}") for i in range(3)]
-        self.assert_legs_match_runs(self.legs(
-            catalog, nodes, WorkloadSpec(kind="trace_file", trace_path=str(trace))))
+        scenario = Scenario(nodes=[ample_node(f"node-{i}") for i in range(3)],
+                            catalog=catalog,
+                            workload=WorkloadSpec(kind="trace_file", trace_path=str(trace)))
+        self.assert_rows_match_runs(scenario, self.every_policy(), [3, 4])
 
     def test_zero_tasks_keep_the_empty_sums(self):
-        legs = self.legs(single_image_catalog(), [ample_node()], WorkloadSpec(count=0))
-        self.assert_legs_match_runs(legs)
-        assert typed(compare(legs).runs["default"]) == typed({
-            "total_download_bytes": 0, "total_download_seconds": 0,
+        scenario = Scenario(nodes=[ample_node()], catalog=single_image_catalog(),
+                            workload=WorkloadSpec(count=0))
+        table = self.assert_rows_match_runs(scenario, self.every_policy(), [3])
+        assert typed(table["results"]["default"]["per_seed"][0]) == typed({
+            "seed": 3, "total_download_bytes": 0, "total_download_seconds": 0,
             "mean_cluster_std": 0.0, "total_pods": 0, "unschedulable_count": 0})
+
+
+def test_compare_equals_the_cli_table(tmp_path):
+    """``compare`` returns the table ``layersched compare`` writes."""
+    path = bundled_scenario_path("shared_layers")
+    sfile = parse_scenario_file(path)
+    catalog = resolve_catalog(sfile)
+    scenario = build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0])
+    table = compare(scenario, {entry.label: entry.config for entry in sfile.schedulers},
+                    sfile.seeds)
+    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    assert table == json.loads((tmp_path / "compare.json").read_text(encoding="utf-8"))
 
 
 class TestFingerprint:
@@ -361,15 +398,6 @@ class TestFingerprint:
             mode="custom", custom_table={0: 0.5, 1: 1.0, 2: 1.5, 3: 3.0}))
         assert fingerprint(scenario) == \
             "d608bd81c2c3e47c770ca4ef3391d5caeb2b20ee1f93db75e7a0fcff6432b81e"
-
-    def test_scheduler_excluded_when_asked(self):
-        a = scenario_for(single_image_catalog(), [ample_node()],
-                         WorkloadSpec(count=5), policy="default")
-        b = scenario_for(single_image_catalog(), [ample_node()],
-                         WorkloadSpec(count=5), policy="layer_static")
-        assert fingerprint(a, include_scheduler=False) == \
-            fingerprint(b, include_scheduler=False)
-        assert fingerprint(a) != fingerprint(b)
 
 
 class TestReportFiles:

@@ -4,26 +4,22 @@ The cache file is JSON keyed by ``name:tag``; per-image records use the
 exact field names ``id``, ``name``, ``name_without_repo``, ``tag``,
 ``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer) so the
 file interoperates with other tooling that reads the same schema. Only
-metadata moves over the wire; blobs are never downloaded.
+metadata moves over the wire; blobs are never downloaded. The HTTP stack
+is imported on first use, so offline callers never load it.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
 import re
-import tempfile
 import threading
-import urllib.request as urlrequest
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from http.client import HTTPException
 from pathlib import Path
 from typing import Callable
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
 
 from ._jsonout import iter_indented_json
@@ -162,11 +158,14 @@ def _origin(url: str) -> tuple[str, str | None, int | None]:
 
 class RegistryClient:
     """Thin HTTP client for the v2 catalog, tags, and manifest endpoints.
-    ``opener`` is anything with ``open(request, timeout=)``."""
+    ``opener`` is anything with ``open(request, timeout=)``; by default an
+    HTTP(S)-only ``urllib`` opener."""
 
-    def __init__(self, config: RegistryConfig, opener: urlrequest.OpenerDirector | None = None):
+    def __init__(self, config: RegistryConfig, opener=None):
         self.config = config
         if opener is None:  # HTTP(S) only: no file:, ftp: or data: URL, not even by redirect
+            import urllib.request as urlrequest
+
             opener = urlrequest.OpenerDirector()
             for handler in (urlrequest.ProxyHandler, urlrequest.UnknownHandler,
                             urlrequest.HTTPHandler, urlrequest.HTTPSHandler,
@@ -178,11 +177,17 @@ class RegistryClient:
         if config.token:
             self._authorization = f"Bearer {config.token}"
         elif config.username is not None:
+            import base64
+
             pair = f"{config.username}:{config.password or ''}".encode()
             self._authorization = f"Basic {base64.b64encode(pair).decode('ascii')}"
 
     def _get(self, url: str, headers: dict | None = None) -> tuple[int, str, bytes]:
         """Status, ``Link`` header and body; the only code that opens a connection."""
+        import urllib.request as urlrequest
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+
         try:
             parts = urlsplit(url)  # raises ValueError on a malformed host; .port on a bad port
             if parts.scheme not in ("http", "https") or parts.port == 0:
@@ -320,6 +325,8 @@ def _malformed_manifest(name: str, tag: str):
 def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:
     """Write the cache atomically (temp file synced to disk, then renamed),
     keys sorted, so a crash leaves either the old file or the new one."""
+    import tempfile
+
     path = Path(path)
     payload = {key: lists.lists[key].to_json_dict() for key in sorted(lists.lists)}
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
@@ -387,9 +394,10 @@ def walk_registry(client: RegistryClient) -> ImageMetadataLists:
 def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) -> ImageMetadataLists:
     """Walk the registry (:func:`walk_registry`) and rewrite the cache file.
 
-    If the registry is unreachable outright, or nothing at all resolves, a
-    prior cache is returned flagged stale instead of being destroyed; with
-    no prior cache an outage is raised.
+    If the registry is unreachable outright, answers the catalog with a
+    transient status (5xx or 429), or nothing at all resolves, a prior cache
+    is returned flagged stale instead of being destroyed; with no prior
+    cache the error is raised. Any other catalog error is raised.
     """
     client = client or RegistryClient(config)
     cache_path = Path(config.cache_path)
@@ -400,6 +408,10 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
             raise
         snapshot = ImageMetadataLists(
             warnings=[f"registry {config.base_url} unreachable; serving prior cache"])
+    except RegistryProtocolError as exc:
+        if not (exc.status >= 500 or exc.status == 429) or not cache_path.exists():
+            raise
+        snapshot = ImageMetadataLists(warnings=[f"{exc}; serving prior cache"])
 
     if not snapshot.lists and snapshot.warnings and cache_path.exists():
         # Nothing resolved at all: keep the previous snapshot.

@@ -14,7 +14,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -449,6 +448,8 @@ BUNDLED_SCENARIOS = ("shared_layers", "storage_tight")
 
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario file shipped with the package."""
+    from importlib import resources
+
     root = resources.files(__package__) / "scenarios"
     candidate = Path(str(root / f"{name}.json"))
     if not candidate.is_file():

@@ -9,7 +9,6 @@ leave; the experiments are accumulate-only.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -82,6 +81,8 @@ class Scenario:
 
 def fingerprint(scenario: Scenario) -> str:
     """Stable hash of a scenario's semantic content (no wall clock)."""
+    import hashlib  # here, not at the top: only `run`'s reports carry a fingerprint
+
     cfg = scenario.scheduler
     payload = {
         "nodes": [

@@ -462,17 +462,73 @@ class TestRegistryScenario:
         assert report["aggregates"]["total_pods"] == 12
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
+NETWORK_MODULES = {"urllib.request", "http.client", "email", "ssl", "socket"}
+# Imported on first use; an offline verb never needs them.
+DEFERRED_MODULES = NETWORK_MODULES | {"base64", "hashlib", "tempfile", "importlib.resources"}
+RUN_MAIN = "import sys; from layersched.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_python(code, *args, flags=("-S", "-W", "error"), cwd=None):
+    """``code`` in a fresh interpreter that imports layersched from src; by
+    default with ``-S``, so no site hook preloads a module."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True,
+        timeout=60, cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
 def test_importing_the_cli_loads_no_third_party_module():
     # Only what the import adds counts: an interpreter's site hooks may load
     # one of these (certifi) at startup.
     code = ("import sys; before = set(sys.modules); import layersched.cli; "
-            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
-    root = Path(__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
+            "print(*sorted(set(sys.modules) - before))")
+    for flags in ((), ("-S",)):
+        result = run_python(code, flags=flags)
+        assert result.returncode == 0, result.stderr
+        added = set(result.stdout.split())
+        packages = {name.partition(".")[0] for name in added}
+        assert not packages & {"requests", "urllib3", "certifi", "idna", "charset_normalizer"}
+        assert packages <= set(sys.stdlib_module_names) | {"layersched"}
+    # The last run had -S: nothing was preloaded, so a module-level import shows.
+    assert not added & DEFERRED_MODULES
+
+
+def test_offline_verbs_load_no_network_module(tmp_path):
+    scenario = write_scenario(tmp_path, sweeps={"bandwidth": ["10MB", "5MB"]})
+    verbs = [["validate", str(scenario)], ["simulate", str(scenario)],
+             ["compare", str(scenario)], ["sweep", str(scenario), "--param", "bandwidth"]]
+    code = ("import json, sys; before = set(sys.modules); from layersched.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
+    result = run_python(code, json.dumps(verbs), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
-    assert not added & {"requests", "urllib3", "certifi", "idna", "charset_normalizer"}
-    assert added <= set(sys.stdlib_module_names) | {"layersched"}
+    codes, added = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(verbs)
+    assert (tmp_path / "out" / "sweep_bandwidth_summary.json").exists()
+    assert not set(added) & NETWORK_MODULES
+
+
+def test_registry_verbs_run_in_a_plain_interpreter(tmp_path):
+    # The registry tests import urllib themselves, so only a fresh
+    # interpreter shows that the client's deferred imports are complete.
+    cache = tmp_path / "cache.json"
+    doc = json.loads(write_scenario(tmp_path).read_text())
+    del doc["catalog"]
+    del doc["workload"]["images"]
+    live = tmp_path / "live.json"
+    with FakeRegistry(bundled_images()) as registry:
+        fetched = run_python(RUN_MAIN, "fetch-registry", "--registry", registry.url,
+                             "--out", str(cache))
+        registry.fail_manifests.add("alpine-db:1.0")
+        live.write_text(json.dumps({**doc, "registry": registry.url}))
+        validated = run_python(RUN_MAIN, "validate", str(live), "--fetch")
+    assert fetched.returncode == 0, fetched.stderr
+    assert "3 images (fresh)" in fetched.stdout
+    assert cache.read_bytes() == GOLDEN_CACHE.read_bytes()
+    assert validated.returncode == 0, validated.stderr
+    assert "2 images" in validated.stdout
+    warnings = [line for line in validated.stderr.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and "alpine-db:1.0" in warnings[0]

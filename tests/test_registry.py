@@ -310,7 +310,8 @@ class StubOpener:
     """Answers each GET from a path -> reply table with 200, else with a 404
     raised as an HTTPError, as a urllib opener does, and keeps every request.
     A reply is a body or a ``(body, Link header)`` pair; a body that is not a
-    string is sent as its JSON encoding."""
+    string is sent as its JSON encoding. An int reply is that status, raised
+    as an HTTPError."""
 
     def __init__(self, replies: dict):
         self.replies = replies
@@ -319,9 +320,9 @@ class StubOpener:
     def open(self, request, timeout=None):
         self.requests.append(request)
         url = request.full_url
-        reply = self.replies.get(url.removeprefix(STUB_URL))
-        if reply is None:
-            raise HTTPError(url, 404, "Not Found", {}, io.BytesIO(b"{}"))
+        reply = self.replies.get(url.removeprefix(STUB_URL), 404)
+        if isinstance(reply, int):
+            raise HTTPError(url, reply, "Error", {}, io.BytesIO(b"{}"))
         body, link = reply if isinstance(reply, tuple) else (reply, None)
         raw = (body if isinstance(body, str) else json.dumps(body)).encode()
         return addinfourl(io.BytesIO(raw), {"Link": link} if link else {}, url, 200)
@@ -392,6 +393,49 @@ class TestMalformedReplies:
         assert list(snapshot.lists) == ["good:1"]
         assert len(snapshot.warnings) == 1
         assert snapshot.warnings[0].startswith("manifest bad:1: ")
+
+
+class TestCatalogStatus:
+    """A catalog answered with an error status: a transient one (5xx, 429)
+    keeps a prior cache, any other is raised."""
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_transient_status_with_prior_cache_serves_stale(self, tmp_path, monkeypatch,
+                                                            capsys, status):
+        fresh = stub_walk(tmp_path, {})
+        cache = tmp_path / "cache.json"
+        before = cache.read_bytes()
+        snapshot = stub_walk(tmp_path, {"/v2/_catalog": status})
+        assert snapshot.stale
+        assert snapshot.lists == fresh.lists
+        assert snapshot.warnings == [
+            f"GET {STUB_URL}/v2/_catalog: HTTP {status}; serving prior cache"]
+        assert cache.read_bytes() == before
+
+        monkeypatch.setattr(registry_module, "RegistryClient", partial(
+            RegistryClient, opener=StubOpener({"/v2/_catalog": status})))
+        assert main(["fetch-registry", "--registry", STUB_URL, "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: GET {STUB_URL}/v2/_catalog: HTTP {status}; "
+                                f"serving prior cache\n")
+        assert "1 images (stale)" in captured.out
+        assert cache.read_bytes() == before
+
+    def test_transient_status_without_cache_raises(self, tmp_path):
+        with pytest.raises(RegistryProtocolError, match="HTTP 503"):
+            stub_walk(tmp_path, {"/v2/_catalog": 503})
+        assert not (tmp_path / "cache.json").exists()
+
+    @pytest.mark.parametrize("reply,message", [
+        (401, "HTTP 401"),
+        (404, "HTTP 404"),
+        ("not json", "not JSON"),
+        (({"repositories": ["good"]}, '</v2/_catalog>; rel="next"'), "repeats"),
+    ], ids=["401", "404", "not-json", "repeated-next"])
+    def test_other_catalog_error_with_prior_cache_raises(self, tmp_path, reply, message):
+        stub_walk(tmp_path, {})
+        with pytest.raises(RegistryProtocolError, match=message):
+            stub_walk(tmp_path, {"/v2/_catalog": reply})
 
 
 class TestTransport:

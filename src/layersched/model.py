@@ -34,9 +34,9 @@ class ImageRef:
 
     @classmethod
     def parse(cls, ref: str) -> "ImageRef":
-        """Split a ``name:tag`` string on the last colon."""
+        """Split a ``name:tag`` string on the last colon; a tag holds no ``/``."""
         name, sep, tag = ref.rpartition(":")
-        if not sep or not name or not tag:
+        if not sep or not name or not tag or "/" in tag:
             raise ValueError(f"not a name:tag reference: {ref!r}")
         return cls(name, tag)
 

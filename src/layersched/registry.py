@@ -369,10 +369,19 @@ def lookup(lists: ImageMetadataLists, name: str, tag: str) -> ImageMetadata:
         raise UnknownImage(f"{name}:{tag} not in cache") from None
 
 
-def walk_registry(client: RegistryClient) -> ImageMetadataLists:
+def _transient(exc: LayerSchedError) -> bool:
+    """Whether ``exc`` may pass on its own: a transport error, or a 5xx or
+    429 status."""
+    return isinstance(exc, RegistryUnavailable) or (
+        isinstance(exc, RegistryProtocolError) and (exc.status >= 500 or exc.status == 429))
+
+
+def walk_registry(client: RegistryClient,
+                  missed: set[tuple[str, str | None]] | None = None) -> ImageMetadataLists:
     """Walk catalog -> tags -> manifests into an unsaved snapshot. Images
     that fail to resolve become ``warnings``; only a failure to list the
-    catalog itself is raised."""
+    catalog itself is raised. Each failure that is :func:`_transient` also
+    adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag list."""
     lists: dict[str, ImageMetadata] = {}
     warnings: list[str] = []
     for name in client.fetch_catalog():
@@ -380,12 +389,16 @@ def walk_registry(client: RegistryClient) -> ImageMetadataLists:
             tags = client.fetch_tags(name)
         except (RegistryUnavailable, RegistryProtocolError, UnknownImage) as exc:
             warnings.append(f"tags for {name}: {exc}")
+            if missed is not None and _transient(exc):
+                missed.add((name, None))
             continue
         for tag in tags:
             try:
                 image = client.fetch_image_metadata(name, tag)
             except (RegistryUnavailable, RegistryProtocolError, UnknownImage, UnsupportedManifest) as exc:
                 warnings.append(f"manifest {name}:{tag}: {exc}")
+                if missed is not None and _transient(exc):
+                    missed.add((name, tag))
                 continue
             lists[image.key] = image
     return ImageMetadataLists(lists=lists, warnings=warnings)
@@ -397,21 +410,22 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
     If the registry is unreachable outright, answers the catalog with a
     transient status (5xx or 429), or nothing at all resolves, a prior cache
     is returned flagged stale instead of being destroyed; with no prior
-    cache the error is raised. Any other catalog error is raised.
+    cache the error is raised. Any other catalog error is raised. An image
+    whose tags or manifest failed transiently keeps its prior cache record,
+    and the snapshot is flagged stale; one answered 404 or with an
+    unsupported manifest is dropped.
     """
     client = client or RegistryClient(config)
     cache_path = Path(config.cache_path)
+    missed: set = set()
     try:
-        snapshot = walk_registry(client)
-    except RegistryUnavailable:
-        if not cache_path.exists():
+        snapshot = walk_registry(client, missed)
+    except (RegistryUnavailable, RegistryProtocolError) as exc:
+        if not _transient(exc) or not cache_path.exists():
             raise
-        snapshot = ImageMetadataLists(
-            warnings=[f"registry {config.base_url} unreachable; serving prior cache"])
-    except RegistryProtocolError as exc:
-        if not (exc.status >= 500 or exc.status == 429) or not cache_path.exists():
-            raise
-        snapshot = ImageMetadataLists(warnings=[f"{exc}; serving prior cache"])
+        reason = (f"registry {config.base_url} unreachable"
+                  if isinstance(exc, RegistryUnavailable) else str(exc))
+        snapshot = ImageMetadataLists(warnings=[f"{reason}; serving prior cache"])
 
     if not snapshot.lists and snapshot.warnings and cache_path.exists():
         # Nothing resolved at all: keep the previous snapshot.
@@ -419,6 +433,20 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
         prior.stale = True
         prior.warnings.extend(snapshot.warnings)
         return prior
+    if missed and cache_path.exists():
+        # Keep the prior record of each image a transient failure left out.
+        try:
+            prior = load_cache(cache_path).lists
+        except CacheCorrupt as exc:
+            prior = {}
+            snapshot.warnings.append(f"{exc}; no prior records kept")
+        kept = sorted(key for key, image in prior.items()
+                      if {(image.name, None), (image.name, image.tag)} & missed)
+        if kept:
+            snapshot.lists.update((key, prior[key]) for key in kept)
+            snapshot.stale = True
+            snapshot.warnings.append(f"serving {len(kept)} image(s) from the prior cache "
+                                     f"after a transient failure: {', '.join(kept)}")
 
     snapshot.catch_file = str(cache_path)
     try:

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ScenarioError
 from .model import (
@@ -25,15 +25,14 @@ from .model import (
 )
 # benchmarks/tracer.py wraps filter_node, score_node, commit_placement,
 # baseline_score, layer_score and local_layer_size by their names on this
-# module, so all six stay importable from it; layer_score is imported only
-# for that. The kernel calls none of them per node: only commit_placement,
-# once per commit, so the other spans see from-scratch and audit calls only.
+# module, so all six stay importable from it; the last three are imported only
+# for that. A decision calls none of them per node: only commit_placement, once
+# per commit, so the other spans see from-scratch and audit calls only.
 from .scoring import (
     PluginConfig,
     ScoreBreakdown,
     WeightPolicy,
     baseline_score,
-    blended_score,
     download_cost,
     layer_score,
     local_layer_size,
@@ -71,7 +70,7 @@ class SchedulerConfig:
 
     def omegas(self) -> tuple[float, float, float, float]:
         """The weight this policy applies when k gate conditions hold, at k;
-        the only weight table :func:`blended_score` is given."""
+        the only weight table the kernel reads."""
         if self.policy == "default":
             # Weight 0 rather than skipping the layer computation, so
             # breakdowns stay comparable across policies.
@@ -95,17 +94,15 @@ class FilterVerdict:
 class Placement:
     """One task bound to one node. It keeps the decision's inputs (the
     decision-time ``nodes``, the ``task``, the ``catalog`` and the
-    ``config``) and ``finals``, the score the kernel compared for each
-    feasible node. ``scores``, the per-node score audit, is built from them
-    when first read: a read-only mapping from each feasible node's id, in
-    node order, to its :func:`score_node` breakdown, whose ``final`` is the
-    kernel's float."""
+    ``config``). ``scores``, the per-node score audit, is built from them
+    when first read, by a kernel over those nodes: a read-only mapping from
+    each feasible node's id, in node order, to its :class:`ScoreBreakdown`,
+    whose ``final`` is the float the decision compared."""
 
     task_id: str
     node_id: str
     download_bytes: int
     download_seconds: float
-    finals: Mapping[str, float] = field(repr=False)
     nodes: tuple[NodeState, ...] = field(repr=False)
     task: TaskRequest = field(repr=False)
     catalog: LayerCatalog = field(repr=False)
@@ -113,11 +110,8 @@ class Placement:
 
     @cached_property
     def scores(self) -> Mapping[str, ScoreBreakdown]:
-        finals, task, catalog, config = self.finals, self.task, self.catalog, self.config
-        return MappingProxyType({
-            node.spec.id: replace(score_node(node, task, catalog, config),
-                                  final=finals[node.spec.id])
-            for node in self.nodes if node.spec.id in finals})
+        kernel = _Kernel(self.nodes, self.catalog, self.config, None)
+        return MappingProxyType(kernel.breakdowns(self.task))
 
 
 @dataclass(frozen=True)
@@ -154,19 +148,14 @@ def score_node(
     catalog: LayerCatalog,
     config: SchedulerConfig,
 ) -> ScoreBreakdown:
-    """Score one feasible node under the configured policy, from scratch."""
-    return blended_score(
-        config.weight_policy, config.omegas(),
-        local_layer_size(catalog, node, task.image),
-        catalog.image_total_size(task.image),
-        node.cpu_ratio(), std_score(node),
-        baseline_score(node, task, catalog, config.plugins),
-    )
+    """Score one node under the configured policy, from scratch: a
+    one-node kernel, scored whether or not the node passes the filter."""
+    return _Kernel([node], catalog, config, None).breakdowns(task, False)[node.spec.id]
 
 
 class _Kernel:
     """Filter, score and argmax over a cluster in which each commit changes
-    one node.
+    one node. It holds the package's only scoring arithmetic.
 
     Per-node state is plain columns indexed like the nodes: ids, stored layer
     bytes, storage capacity, free container slots, committed and total CPU
@@ -178,16 +167,12 @@ class _Kernel:
     weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds and
     the plugin weights are read once.
 
-    A decision runs the storage test over all nodes as one C-level pass,
-    then the container, CPU and memory tests and the three baseline plugins
-    inline on the survivors, with the expressions of
-    :func:`first_violation` and :func:`baseline_score` in the same operand
-    order, and scores each feasible node as one float with the formula of
-    :func:`blended_score`. It calls no Python function per node. The
-    outcome keeps a snapshot of the nodes with the task, the catalog and
-    the config, and, for a placement, one float per feasible node; its
-    audit is built from :func:`filter_node` or :func:`score_node` when
-    read, and equals them exactly.
+    A decision runs the storage test over all nodes as one C-level pass
+    (:meth:`_room`), then :meth:`_score` on the survivors, which calls no
+    Python function per node. The outcome keeps a snapshot of the nodes with
+    the task, the catalog and the config; its audit is built when read, as
+    :func:`filter_node` verdicts or as the :meth:`breakdowns` of a kernel
+    over the snapshot, the same floats from the same code as the decision's.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -236,64 +221,95 @@ class _Kernel:
             entry = self.images[image] = (column, holds, sum(size for _, size in stack))
         return entry
 
+    def _room(self, column: list[int], total: int) -> Iterator[int]:
+        """The rows with disk room for an image of ``total`` bytes whose
+        overlap column is ``column``: first_violation's storage test,
+        stored + download > capacity, negated, as one C-level pass."""
+        return compress(range(len(self.nodes)), map(
+            le, map(add, self.stored, map(sub, repeat(total), column)), self.storage_cap))
+
+    def _score(self, task: TaskRequest, image: tuple[list[int], list[float], int],
+               rows: Iterable[int], filtered: bool = True, parts: list | None = None) -> list[int]:
+        """Score ``task``, whose image's columns are ``image``, on each of
+        ``rows``; return the rows that tie for the best final score.
+
+        With ``filtered``, a row without a free container slot, or without
+        room for the task's CPU or memory, is skipped. The baseline is the
+        enabled plugins (:func:`baseline_score`) weighted, added in
+        :data:`PLUGIN_NAMES` order and averaged. The gate counts three strict
+        conditions: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
+        below ``h_std`` (the last two are the load count). The final score is
+        ``omegas[count] * layer + baseline``. ``parts``, if given, gets
+        ``(row, layer, baseline, count, final)`` per scored row.
+        """
+        column, holds, total = image
+        omegas, h_size, calm, slots = self.omegas, self.h_size, self.calm, self.slots
+        cpu_used, cpu_cap, mem_used, mem_cap = (
+            self.cpu_used, self.cpu_cap, self.mem_used, self.mem_cap)
+        cpu_request, mem_request = task.cpu_request, task.mem_request
+        plugins = self.config.plugins
+        least, balanced, locality = (
+            plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
+        enabled = (least is not None) + (balanced is not None) + (locality is not None)
+
+        best, tied = float("-inf"), []
+        for i in rows:
+            cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
+            mem, mem_capacity = mem_used[i], mem_cap[i]
+            if filtered and (slots[i] <= 0 or cpu + cpu_request > cpu_capacity
+                             or mem + mem_request > mem_capacity):
+                continue
+            weighted = 0.0
+            if least is not None:
+                free_cpu = (cpu_capacity - cpu - cpu_request) / cpu_capacity * 100.0
+                free_mem = (mem_capacity - mem - mem_request) / mem_capacity * 100.0
+                weighted += least * ((free_cpu + free_mem) / 2.0)
+            if balanced is not None:
+                cpu_after = (cpu + cpu_request) / cpu_capacity
+                mem_after = (mem + mem_request) / mem_capacity
+                std_after = abs(cpu_after - mem_after) / 2.0
+                weighted += balanced * ((1.0 - 2.0 * std_after) * 100.0)
+            if locality is not None:
+                weighted += locality * holds[i]
+            baseline = weighted / enabled if enabled else 0.0
+            overlap = column[i]
+            layer = overlap / total * 100.0 if total else 0.0
+            count = (overlap > h_size) + calm[i]
+            final = omegas[count] * layer + baseline
+            if parts is not None:
+                parts.append((i, layer, baseline, count, final))
+            if final > best:
+                best, tied = final, [i]
+            elif final == best:
+                tied.append(i)
+        return tied
+
+    def breakdowns(self, task: TaskRequest, filtered: bool = True) -> dict[str, ScoreBreakdown]:
+        """Each scored node's :class:`ScoreBreakdown` by id, in node order:
+        the nodes that pass the filter, or with ``filtered`` false every node."""
+        image = column, _, total = self._image(task.image)
+        rows = self._room(column, total) if filtered else range(len(self.nodes))
+        parts = []
+        self._score(task, image, rows, filtered, parts)
+        nodes, omegas = self.nodes, self.omegas
+        return {self.ids[i]: ScoreBreakdown(
+                    layer_score=layer, baseline_score=baseline,
+                    std_score=std_score(nodes[i]), cpu_score=nodes[i].cpu_ratio(),
+                    weight_gate=int(count == 3), omega_used=omegas[count], final=final)
+                for i, layer, baseline, count, final in parts}
+
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
         if not nodes:
             return Unschedulable(task.task_id, (), task, self.catalog)
-        column, holds, total = self._image(task.image)
-        config, omegas, h_size, calm = self.config, self.omegas, self.h_size, self.calm
-        ids, slots = self.ids, self.slots
-        cpu_used, cpu_cap, mem_used, mem_cap = (
-            self.cpu_used, self.cpu_cap, self.mem_used, self.mem_cap)
-        cpu_request, mem_request = task.cpu_request, task.mem_request
-        plugins = config.plugins
-        least, balanced, locality = (
-            plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
-        enabled = (least is not None) + (balanced is not None) + (locality is not None)
-
-        finals = {}  # feasible node id -> final score
-        best, tied = float("-inf"), []
-        # first_violation's storage test, stored + download > capacity,
-        # negated: the nodes with room for the image's missing bytes.
-        for i in compress(range(len(nodes)), map(
-                le, map(add, self.stored, map(sub, repeat(total), column)),
-                self.storage_cap)):
-            if slots[i] <= 0:
-                continue
-            cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
-            if cpu + cpu_request > cpu_capacity:
-                continue
-            mem, mem_capacity = mem_used[i], mem_cap[i]
-            if mem + mem_request > mem_capacity:
-                continue
-            # baseline_score, term by term.
-            baseline = 0.0
-            if least is not None:
-                free_cpu = (cpu_capacity - cpu - cpu_request) / cpu_capacity * 100.0
-                free_mem = (mem_capacity - mem - mem_request) / mem_capacity * 100.0
-                baseline += least * ((free_cpu + free_mem) / 2.0)
-            if balanced is not None:
-                cpu_after = (cpu + cpu_request) / cpu_capacity
-                mem_after = (mem + mem_request) / mem_capacity
-                std_after = abs(cpu_after - mem_after) / 2.0
-                baseline += balanced * ((1.0 - 2.0 * std_after) * 100.0)
-            if locality is not None:
-                baseline += locality * holds[i]
-            overlap = column[i]
-            layer = overlap / total * 100.0 if total else 0.0
-            final = (omegas[(overlap > h_size) + calm[i]] * layer
-                     + (baseline / enabled if enabled else 0.0))
-            finals[ids[i]] = final
-            if final > best:
-                best, tied = final, [i]
-            elif final == best:
-                tied.append(i)
-        if not finals:
+        image = column, _, total = self._image(task.image)
+        tied = self._score(task, image, self._room(column, total))
+        if not tied:
             return Unschedulable(task.task_id, tuple(nodes), task, self.catalog)
 
-        tied.sort(key=ids.__getitem__)
-        if config.tie_break == "random_seeded" and len(tied) > 1:
+        tied.sort(key=self.ids.__getitem__)
+        if self.config.tie_break == "random_seeded" and len(tied) > 1:
             i = (self.rng or random.Random(0)).choice(tied)
         else:
             i = tied[0]
@@ -301,14 +317,13 @@ class _Kernel:
         cost = total - column[i]
         return Placement(
             task_id=task.task_id,
-            node_id=ids[i],
+            node_id=self.ids[i],
             download_bytes=cost,
             download_seconds=cost / nodes[i].spec.bandwidth,
-            finals=finals,
             nodes=tuple(nodes),
             task=task,
             catalog=self.catalog,
-            config=config,
+            config=self.config,
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:

@@ -1,8 +1,9 @@
-"""Node scoring: download cost, layer-sharing score, baseline plugin scores,
-resource balance, and :func:`blended_score`, the one formula that gates the
-layer weight and blends the final score.
+"""Scoring's inputs and views: the weight policy, the baseline plugins, the
+score breakdown, download cost, layer overlap and resource balance.
 
-All functions here are pure.
+The score itself (the baseline plugins, the weight gate and the final
+``omega * layer + baseline``) is computed in one place, the scheduler's
+kernel; :func:`baseline_score` reads it there. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _finite(weight: float) -> bool:
 
 @dataclass(frozen=True)
 class PluginConfig:
-    """Which baseline plugins contribute to the blended score, with weights.
+    """Which baseline plugins contribute to the final score, with weights.
 
     A weight of ``None`` disables the plugin. The combined baseline score is
     ``sum(weight_i * score_i) / enabled_count``, added in
@@ -155,58 +156,11 @@ def baseline_score(
     memory. balanced_allocation rewards equal post-placement CPU/memory
     ratios (it looks at state *after* adding the candidate's requests, the
     way a real scheduler ranks the outcome). image_locality is all-or-
-    nothing on the exact image. Assumes the node already passed filtering.
+    nothing on the exact image. The node is scored whether or not it passes
+    the filter; this is the ``baseline_score`` of its
+    :func:`~layersched.scheduler.score_node` breakdown.
     """
-    total, enabled = 0.0, 0
-    if plugins.least_allocated is not None:
-        free_cpu = (
-            node.spec.cpu_capacity - node.cpu_committed - task.cpu_request
-        ) / node.spec.cpu_capacity * 100.0
-        free_mem = (
-            node.spec.mem_capacity - node.mem_committed - task.mem_request
-        ) / node.spec.mem_capacity * 100.0
-        total += plugins.least_allocated * ((free_cpu + free_mem) / 2.0)
-        enabled += 1
-    if plugins.balanced_allocation is not None:
-        cpu_after = (node.cpu_committed + task.cpu_request) / node.spec.cpu_capacity
-        mem_after = (node.mem_committed + task.mem_request) / node.spec.mem_capacity
-        std_after = abs(cpu_after - mem_after) / 2.0
-        total += plugins.balanced_allocation * ((1.0 - 2.0 * std_after) * 100.0)
-        enabled += 1
-    if plugins.image_locality is not None:
-        total += plugins.image_locality * (100.0 if task.image in node.local_images else 0.0)
-        enabled += 1
-    return total / enabled if enabled else 0.0
+    from .scheduler import SchedulerConfig, score_node  # scheduler imports this module
 
-
-def blended_score(
-    gate_policy: WeightPolicy,
-    omegas: tuple[float, float, float, float],
-    local_layer_bytes: int,
-    image_bytes: int,
-    cpu: float,
-    std: float,
-    baseline: float,
-) -> ScoreBreakdown:
-    """The score of one feasible node from its precomputed parts.
-
-    ``local_layer_bytes`` of the image's ``image_bytes`` are already on the
-    node; ``cpu`` (committed CPU fraction) and ``std`` are its load. The
-    gate counts three strict conditions against ``gate_policy``'s
-    thresholds: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
-    below ``h_std``. The weight is ``omegas`` at that count (see
-    :meth:`SchedulerConfig.omegas`); the gate fires when all three hold.
-    """
-    layer = local_layer_bytes / image_bytes * 100.0 if image_bytes else 0.0
-    met = ((local_layer_bytes > gate_policy.h_size) + (cpu < gate_policy.h_cpu)
-           + (std < gate_policy.h_std))
-    omega = omegas[met]
-    return ScoreBreakdown(
-        layer_score=layer,
-        baseline_score=baseline,
-        std_score=std,
-        cpu_score=cpu,
-        weight_gate=int(met == 3),
-        omega_used=omega,
-        final=omega * layer + baseline,
-    )
+    config = SchedulerConfig(policy="default", plugins=plugins)
+    return score_node(node, task, catalog, config).baseline_score

@@ -355,7 +355,9 @@ class TestValidate:
          "workload.images.noTag"),
         (lambda d: d["nodes"][0].update(preloaded_images=["noTag"]),
          "nodes[0].preloaded_images[0]"),
-    ], ids=["catalog", "workload", "preloaded"])
+        (lambda d: d["workload"].update(images={"registry.local:5000/team/web": 1.0}),
+         "workload.images.registry.local:5000/team/web"),
+    ], ids=["catalog", "workload", "preloaded", "host-port-without-tag"])
     def test_image_key_without_tag_names_the_field(self, tmp_path, capsys,
                                                    mutate, field):
         doc = json.loads(write_scenario(tmp_path).read_text())

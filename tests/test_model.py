@@ -48,7 +48,8 @@ class TestImageRef:
         ref = ImageRef("team/web", "latest")
         assert ImageRef.parse(ref.key) == ref
 
-    @pytest.mark.parametrize("bad", ["", "noTag", ":tag", "name:"])
+    @pytest.mark.parametrize("bad", ["", "noTag", ":tag", "name:",
+                                     "registry.local:5000/team/web"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             ImageRef.parse(bad)

@@ -438,6 +438,59 @@ class TestCatalogStatus:
             stub_walk(tmp_path, {"/v2/_catalog": reply})
 
 
+class TestTransientImageFailure:
+    """An image whose tags or manifest fail transiently (5xx, 429) keeps its
+    prior cache record and the snapshot is stale; a 404 drops the image."""
+
+    REPLIES = {"/v2/_catalog": {"repositories": ["a", "b"]},
+               "/v2/a/tags/list": {"tags": ["1"]},
+               "/v2/b/tags/list": {"tags": ["1"]},
+               "/v2/a/manifests/1": MANIFEST,
+               "/v2/b/manifests/1": MANIFEST}
+
+    def refresh(self, tmp_path, **faults) -> ImageMetadataLists:
+        config = RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json"))
+        return refresh_cache(config, stub_client({**self.REPLIES, **faults}))
+
+    @pytest.mark.parametrize("path,status", [
+        ("/v2/b/manifests/1", 503),
+        ("/v2/b/manifests/1", 429),
+        ("/v2/b/tags/list", 503),
+    ], ids=["manifest-503", "manifest-429", "tags-503"])
+    def test_transient_failure_keeps_the_prior_record(self, tmp_path, path, status):
+        fresh = self.refresh(tmp_path)
+        assert sorted(fresh.lists) == ["a:1", "b:1"] and not fresh.stale
+        before = (tmp_path / "cache.json").read_bytes()
+        snapshot = self.refresh(tmp_path, **{path: status})
+        assert snapshot.lists == fresh.lists
+        assert snapshot.stale
+        assert snapshot.warnings[-1] == ("serving 1 image(s) from the prior cache "
+                                         "after a transient failure: b:1")
+        assert len(snapshot.warnings) == 2
+        assert (tmp_path / "cache.json").read_bytes() == before
+
+    def test_not_found_drops_the_image_without_reading_the_prior_cache(
+            self, tmp_path, monkeypatch):
+        self.refresh(tmp_path)
+
+        def unread(path):
+            raise AssertionError("prior cache read")
+
+        monkeypatch.setattr(registry_module, "load_cache", unread)
+        snapshot = self.refresh(tmp_path, **{"/v2/b/manifests/1": 404})
+        assert list(snapshot.lists) == ["a:1"]
+        assert not snapshot.stale
+        assert snapshot.warnings == ["manifest b:1: b:1 not in registry"]
+
+    def test_corrupt_prior_cache_keeps_nothing(self, tmp_path):
+        self.refresh(tmp_path)
+        (tmp_path / "cache.json").write_text("{")
+        snapshot = self.refresh(tmp_path, **{"/v2/b/manifests/1": 503})
+        assert list(snapshot.lists) == ["a:1"]
+        assert not snapshot.stale
+        assert snapshot.warnings[-1].endswith("; no prior records kept")
+
+
 class TestTransport:
     """What the client's one GET does for every request, seen through the
     stub opener."""

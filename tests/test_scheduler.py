@@ -17,7 +17,7 @@ from helpers import (
     random_task,
     task_dict,
 )
-from oracles import oracle_trace
+from oracles import oracle_final, oracle_trace
 from layersched import scheduler
 from layersched.errors import ScenarioError
 from layersched.model import (
@@ -353,8 +353,9 @@ class TestKernelEquivalence:
 
 
 class TestKernelArithmetic:
-    """The kernel filters and scores inline. The audit reports the float the
-    kernel compared as ``final``, so it must equal the from-scratch score
+    """The kernel filters and scores inline, and the audit and score_node
+    read the same code, so the kernel is held to the independent reference
+    instead: every part of every audited breakdown equals oracle_final
     exactly, for every set of enabled plugins and every weight table."""
 
     @pytest.mark.parametrize("enabled", list(itertools.product((False, True), repeat=3)),
@@ -368,14 +369,15 @@ class TestKernelArithmetic:
             catalog, nodes, tasks, config = kernel_instance(seed)
             config = replace(config, plugins=plugins)
             modes.add((config.policy, config.weight_policy.mode))
+            cd, pd = catalog_dict(catalog), params_dict(config)
             before = {n.spec.id: n for n in nodes}
             for t, (outcome, after) in zip(tasks, iter_schedule_trace(
                     tasks, nodes, catalog, config, seed=seed)):
                 if isinstance(outcome, Placement):
+                    td = task_dict(t)
                     for node_id, breakdown in outcome.scores.items():
-                        want = score_node(before[node_id], t, catalog, config)
-                        assert breakdown.final == want.final, \
-                            f"seed {seed} {t.task_id} {node_id}"
+                        want = oracle_final(cd, node_dict(before[node_id]), td, pd)
+                        assert vars(breakdown) == want, f"seed {seed} {t.task_id} {node_id}"
                         checked += 1
                 before = {n.spec.id: n for n in after}
         assert checked > 0
@@ -509,13 +511,13 @@ class TestScoreAudit:
 
     def test_decide_builds_no_breakdown(self, monkeypatch):
         calls = []
-        blended = scheduler.blended_score
+        breakdown = scheduler.ScoreBreakdown
 
-        def counting(*args):
-            calls.append(args)
-            return blended(*args)
+        def counting(**parts):
+            calls.append(parts)
+            return breakdown(**parts)
 
-        monkeypatch.setattr(scheduler, "blended_score", counting)
+        monkeypatch.setattr(scheduler, "ScoreBreakdown", counting)
         placements = []
         for seed in range(12):
             catalog, nodes, tasks, config = kernel_instance(seed)

@@ -1,5 +1,5 @@
-"""Scoring math: layer/baseline/balance scores, and blended_score (the weight
-gate and the blend)."""
+"""Scoring math: layer/baseline/balance scores, and score_node's breakdown
+(the weight gate and the final score)."""
 
 import random
 
@@ -22,13 +22,12 @@ from layersched.model import (
     NodeState,
     TaskRequest,
 )
-from layersched.scheduler import SchedulerConfig
+from layersched.scheduler import SchedulerConfig, filter_node, score_node
 from layersched.scoring import (
     MB,
     PluginConfig,
     WeightPolicy,
     baseline_score,
-    blended_score,
     download_cost,
     layer_score,
     local_layer_size,
@@ -109,11 +108,25 @@ class TestBalanceScores:
         assert node_with(cpu_committed=1500).cpu_ratio() == 0.375
 
 
-def blend(config, local_layer_bytes, image_bytes=100 * MB, cpu=0.0, std=0.0,
-          baseline=40.0):
-    """blended_score with ``config``'s gate thresholds and weight table."""
-    return blended_score(config.weight_policy, config.omegas(),
-                         local_layer_bytes, image_bytes, cpu, std, baseline)
+def scored(config, local_layer_bytes, image_bytes=100 * MB, cpu=0, mem=0,
+           capacity=100, holds=False):
+    """score_node's breakdown under ``config`` for a node that holds
+    ``local_layer_bytes`` of an ``image_bytes`` image (and the image itself
+    if ``holds``), with ``cpu`` of ``capacity`` millicores and ``mem`` of
+    ``capacity`` bytes committed."""
+    parts = {"sha256:local": local_layer_bytes, "sha256:rest": image_bytes - local_layer_bytes}
+    layers = {digest: size for digest, size in parts.items() if size}
+    catalog = LayerCatalog(layers=layers, images={WEB: tuple(layers)})
+    node = NodeState(
+        spec=NodeSpec(id="n0", cpu_capacity=capacity, mem_capacity=capacity,
+                      bandwidth=10 * MB, storage_capacity=100 * GB),
+        local_layers=frozenset({"sha256:local"} & layers.keys()),
+        local_images=frozenset({WEB} if holds else ()),
+        cpu_committed=cpu,
+        mem_committed=mem,
+    )
+    task = TaskRequest(task_id="t", image=WEB, cpu_request=1, mem_request=0)
+    return score_node(node, task, catalog, config)
 
 
 class TestWeightGate:
@@ -121,34 +134,43 @@ class TestWeightGate:
         return WeightPolicy(mode="dynamic", omega_high=2.0, omega_low=0.5,
                             h_size=10 * MB, h_cpu=0.6, h_std=0.16)
 
-    def weight_gate(self, local_layer_bytes, cpu, std):
+    def breakdown(self, local_layer_bytes, cpu, mem, capacity=100):
         config = SchedulerConfig(policy="lr_dynamic", weight_policy=self.policy())
-        return blend(config, local_layer_bytes, cpu=cpu, std=std).weight_gate
+        return scored(config, local_layer_bytes, cpu=cpu, mem=mem, capacity=capacity)
+
+    def weight_gate(self, local_layer_bytes, cpu, mem, capacity=100):
+        return self.breakdown(local_layer_bytes, cpu, mem, capacity).weight_gate
 
     def test_all_conditions_met_fires(self):
-        assert self.weight_gate(50 * MB, 0.3, 0.05) == 1
+        assert self.weight_gate(50 * MB, 30, 40) == 1  # CPU 0.3, imbalance 0.05
 
     def test_hot_cpu_blocks(self):
-        assert self.weight_gate(50 * MB, 1.0, 0.05) == 0
+        assert self.weight_gate(50 * MB, 100, 90) == 0  # CPU 1.0
 
     def test_imbalance_blocks(self):
-        assert self.weight_gate(50 * MB, 0.3, 0.3) == 0
+        assert self.weight_gate(50 * MB, 30, 90) == 0  # imbalance 0.3
 
     def test_boundary_is_strict(self):
-        assert self.weight_gate(10 * MB, 0.3, 0.05) == 0  # == h_size
-        assert self.weight_gate(50 * MB, 0.6, 0.05) == 0  # == h_cpu
-        assert self.weight_gate(50 * MB, 0.3, 0.16) == 0  # == h_std
+        assert self.weight_gate(10 * MB, 30, 40) == 0  # == h_size
+        at_cpu = self.breakdown(50 * MB, 60, 70)
+        assert at_cpu.cpu_score == 0.6 and at_cpu.weight_gate == 0  # == h_cpu
+        at_std = self.breakdown(50 * MB, 30, 62)
+        assert at_std.std_score == 0.16 and at_std.weight_gate == 0  # == h_std
 
     def test_monotone_in_every_argument(self):
+        # Over a power-of-two capacity the ratios and their gap are exact,
+        # so rounding cannot move a condition across its threshold.
         rng = random.Random(5)
+        capacity = 1024
         for _ in range(200):
             size = rng.randint(0, 30 * MB)
-            cpu = rng.random()
-            std = rng.random() / 2
-            before = self.weight_gate(size, cpu, std)
+            cpu = rng.randint(0, capacity)
+            gap = rng.randint(0, capacity - cpu)
+            before = self.weight_gate(size, cpu, cpu + gap, capacity)
             # more overlap, less load, better balance: gate never drops
-            after = self.weight_gate(size + rng.randint(0, 10 * MB),
-                                     cpu * rng.random(), std * rng.random())
+            cpu_after, gap_after = rng.randint(0, cpu), rng.randint(0, gap)
+            after = self.weight_gate(size + rng.randint(0, 10 * MB), cpu_after,
+                                     cpu_after + gap_after, capacity)
             assert after >= before
 
 
@@ -208,48 +230,81 @@ class TestBaselineScore:
 
 
 class TestFinalScore:
-    def static(self, omega):
-        return SchedulerConfig(policy="layer_static", weight_policy=WeightPolicy(
-            mode="static", omega_static=omega))
+    # Only image locality, weighted 0.4: baseline 40 on a node that holds
+    # the image, 0 on one that does not.
+    LOCALITY = PluginConfig(least_allocated=None, balanced_allocation=None,
+                            image_locality=0.4)
+
+    def static(self, omega, plugins=LOCALITY):
+        return SchedulerConfig(policy="layer_static", plugins=plugins,
+                               weight_policy=WeightPolicy(mode="static", omega_static=omega))
 
     def dynamic(self):
-        return SchedulerConfig(policy="lr_dynamic", weight_policy=WeightPolicy(
-            mode="dynamic", omega_high=2.0, omega_low=0.5))
+        return SchedulerConfig(policy="lr_dynamic", plugins=self.LOCALITY,
+                               weight_policy=WeightPolicy(mode="dynamic", omega_high=2.0,
+                                                          omega_low=0.5))
 
     def test_zero_weight_degenerates_to_baseline(self):
-        breakdown = blend(self.static(0.0), 70 * MB)  # layer 70, baseline 40
+        breakdown = scored(self.static(0.0), 70 * MB, holds=True)  # layer 70, baseline 40
         assert breakdown.final == 40.0
 
     def test_static_weight_4(self):
-        breakdown = blend(self.static(4.0), 70 * MB)
+        breakdown = scored(self.static(4.0), 70 * MB, holds=True)
         assert breakdown.final == 320.0
         assert breakdown.omega_used == 4.0
 
     def test_dynamic_gate_fired(self):
-        breakdown = blend(self.dynamic(), 70 * MB)  # all three conditions hold
+        # all three conditions hold
+        breakdown = scored(self.dynamic(), 70 * MB, holds=True)
         assert breakdown.weight_gate == 1
         assert breakdown.final == 180.0
 
     def test_dynamic_gate_closed(self):
-        breakdown = blend(self.dynamic(), 70 * MB, cpu=1.0)  # CPU too hot
+        # CPU too hot
+        breakdown = scored(self.dynamic(), 70 * MB, cpu=100, mem=100, holds=True)
         assert breakdown.weight_gate == 0
         assert breakdown.final == 0.5 * 70.0 + 40.0
 
     def test_custom_table_keyed_by_condition_count(self):
-        config = SchedulerConfig(policy="lr_dynamic", weight_policy=WeightPolicy(
-            mode="custom", custom_table={0: 0.0, 1: 0.5, 2: 1.0, 3: 3.0}))
+        config = SchedulerConfig(policy="lr_dynamic", plugins=self.LOCALITY,
+                                 weight_policy=WeightPolicy(
+                                     mode="custom",
+                                     custom_table={0: 0.0, 1: 0.5, 2: 1.0, 3: 3.0}))
         # layer 10; overlap and CPU hold, imbalance 0.3 does not: two met
-        got = blend(config, 20 * MB, image_bytes=200 * MB, std=0.3, baseline=0.0)
+        got = scored(config, 20 * MB, image_bytes=200 * MB, mem=60)
+        assert got.std_score == 0.3 and got.baseline_score == 0.0
         assert got.final == 10.0
 
     def test_breakdown_identity_is_bit_exact(self):
         rng = random.Random(9)
         for _ in range(500):
-            config = self.static(rng.uniform(0, 6))
+            config = self.static(rng.uniform(0, 6), plugins=PluginConfig())
             image_bytes = rng.randint(1, 100 * MB)
-            b = blend(config, rng.randint(0, image_bytes), image_bytes,
-                      baseline=rng.uniform(0, 100))
+            capacity = rng.randint(1, 10_000)
+            b = scored(config, rng.randint(0, image_bytes), image_bytes,
+                       cpu=rng.randint(0, capacity), mem=rng.randint(0, capacity),
+                       capacity=capacity, holds=rng.random() < 0.5)
             assert b.final == b.omega_used * b.layer_score + b.baseline_score
+
+    def test_rejected_node_matches_reference(self):
+        # score_node scores a node the filter rejects: CPU overcommitted, so
+        # least_allocated is negative.
+        catalog = catalog_ab()
+        node = node_with(layers={"sha256:b"}, cpu_committed=4000,
+                         mem_committed=3 * GB, images={WEB})
+        task = TaskRequest(task_id="t", image=WEB, cpu_request=2000, mem_request=GB)
+        assert filter_node(node, task, catalog).rejected_by == "cpu_fit"
+        least_only = SchedulerConfig(plugins=PluginConfig(1.0, None, None))
+        assert score_node(node, task, catalog, least_only).baseline_score == -25.0
+        for config in (least_only, self.static(4.0, plugins=PluginConfig()), self.dynamic(),
+                       SchedulerConfig(plugins=PluginConfig(0.5, 1.5, 2.0))):
+            got = score_node(node, task, catalog, config)
+            want = oracle_final(catalog_dict(catalog), node_dict(node), task_dict(task),
+                                params_dict(config))
+            assert got.weight_gate == want["weight_gate"]
+            for name in ("layer_score", "baseline_score", "std_score", "cpu_score",
+                         "omega_used", "final"):
+                assert getattr(got, name) == pytest.approx(want[name], abs=1e-9), name
 
 
 class TestProperties:
@@ -300,8 +355,6 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_score_breakdown_matches_oracle(self, seed):
         catalog, nodes, task, config = random_scoring_instance(seed)
-        from layersched.scheduler import score_node
-
         cd, pd, td = catalog_dict(catalog), params_dict(config), task_dict(task)
         for node in nodes:
             want = oracle_final(cd, node_dict(node), td, pd)

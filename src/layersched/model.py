@@ -17,9 +17,20 @@ from .errors import CapacityViolation, UnknownImage
 LayerId = str
 
 
+def _record(cls, **fields):
+    """The frozen dataclass ``cls`` with ``fields``, all of them in field
+    order, built without the generated ``__init__`` and its per-field
+    ``object.__setattr__``; only for a class without ``__post_init__``."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
 @dataclass(frozen=True)
 class ImageRef:
-    """An image identified by name and tag; the pair is the unique key."""
+    """An image identified by name and tag; the pair is the unique key. Its
+    hash, ``hash((name, tag))``, is computed once; a pickle carries only the
+    pair, so a process with another string-hash seed recomputes it."""
 
     name: str
     tag: str
@@ -27,6 +38,13 @@ class ImageRef:
     def __post_init__(self):
         if not self.name or not self.tag:
             raise ValueError("image name and tag must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name, self.tag)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.name, self.tag)
 
     @property
     def key(self) -> str:
@@ -215,14 +233,11 @@ def commit_placement(
     if violated is not None:
         raise CapacityViolation(violated)
 
-    placed = PlacedContainer(
-        task_id=task.task_id,
-        image=task.image,
-        cpu_request=task.cpu_request,
-        mem_request=task.mem_request,
-    )
+    placed = _record(PlacedContainer, task_id=task.task_id, image=task.image,
+                     cpu_request=task.cpu_request, mem_request=task.mem_request)
     images = node.local_images
-    return NodeState(
+    return _record(
+        NodeState,
         spec=node.spec,
         local_layers=held.union(need) if need else held,
         local_images=images if task.image in images else images | {task.image},

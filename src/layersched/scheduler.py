@@ -19,6 +19,7 @@ from .model import (
     LayerCatalog,
     NodeState,
     TaskRequest,
+    _record,
     commit_placement,
     first_violation,
     layers_of,
@@ -159,10 +160,10 @@ class _Kernel:
 
     Per-node state is plain columns indexed like the nodes: ids, stored layer
     bytes, storage capacity, free container slots, committed and total CPU
-    and memory, the load count (how many of the gate's CPU and balance
-    conditions hold), and per image an overlap column and a "holds the
-    image" column (0.0 or 100.0), both filled for every node when the image
-    is first seen. A commit hands the node's stored bytes to
+    and memory, the balance score, the load count (how many of the gate's
+    CPU and balance conditions hold), and per image an overlap column and a
+    "holds the image" column (0.0 or 100.0), both filled for every node when
+    the image is first seen. A commit hands the node's stored bytes to
     :func:`commit_placement` and refreshes only the node it changes. The
     weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds and
     the plugin weights are read once.
@@ -192,8 +193,8 @@ class _Kernel:
         self.storage_cap = [node.spec.storage_capacity for node in self.nodes]
         self.cpu_cap = [node.spec.cpu_capacity for node in self.nodes]
         self.mem_cap = [node.spec.mem_capacity for node in self.nodes]
-        self.slots, self.cpu_used, self.mem_used, self.calm = (
-            [0] * len(self.nodes) for _ in range(4))
+        self.slots, self.cpu_used, self.mem_used, self.std, self.calm = (
+            [0] * len(self.nodes) for _ in range(5))
         for i, node in enumerate(self.nodes):
             self._load(i, node)
         # image -> (overlap column, holds column, total bytes)
@@ -201,12 +202,14 @@ class _Kernel:
         self.users: dict[str, list[list[int]]] = {}  # layer -> columns using it
 
     def _load(self, i: int, node: NodeState) -> None:
-        """Set node ``i``'s free slots, committed CPU and memory and load
-        count (how many of the gate's two load conditions it meets)."""
+        """Set node ``i``'s free slots, committed CPU and memory, balance
+        score (:func:`std_score`) and load count (how many of the gate's two
+        load conditions it meets)."""
         self.slots[i] = node.spec.max_containers - len(node.running)
         self.cpu_used[i] = node.cpu_committed
         self.mem_used[i] = node.mem_committed
-        self.calm[i] = (node.cpu_ratio() < self.h_cpu) + (std_score(node) < self.h_std)
+        std = self.std[i] = std_score(node)
+        self.calm[i] = (node.cpu_ratio() < self.h_cpu) + (std < self.h_std)
 
     def _image(self, image: ImageRef) -> tuple[list[int], list[float], int]:
         """The image's overlap and holds columns and its total bytes."""
@@ -306,7 +309,8 @@ class _Kernel:
         image = column, _, total = self._image(task.image)
         tied = self._score(task, image, self._room(column, total))
         if not tied:
-            return Unschedulable(task.task_id, tuple(nodes), task, self.catalog)
+            return _record(Unschedulable, task_id=task.task_id, nodes=tuple(nodes),
+                           task=task, catalog=self.catalog)
 
         tied.sort(key=self.ids.__getitem__)
         if self.config.tie_break == "random_seeded" and len(tied) > 1:
@@ -315,7 +319,8 @@ class _Kernel:
             i = tied[0]
 
         cost = total - column[i]
-        return Placement(
+        return _record(
+            Placement,
             task_id=task.task_id,
             node_id=self.ids[i],
             download_bytes=cost,

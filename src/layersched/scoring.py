@@ -3,7 +3,8 @@ score breakdown, download cost, layer overlap and resource balance.
 
 The score itself (the baseline plugins, the weight gate and the final
 ``omega * layer + baseline``) is computed in one place, the scheduler's
-kernel; :func:`baseline_score` reads it there. All functions here are pure.
+kernel; :func:`baseline_score` and :func:`layer_score` read it there. All
+functions here are pure.
 """
 
 from __future__ import annotations
@@ -131,12 +132,15 @@ def local_layer_size(catalog: LayerCatalog, node: NodeState, image: ImageRef) ->
 def layer_score(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> float:
     """Fraction of the image's bytes already local, scaled to [0, 100].
 
-    An image with no layer bytes scores 0: nothing can be shared.
+    An image with no layer bytes scores 0: nothing can be shared. This is
+    the ``layer_score`` of the node's
+    :func:`~layersched.scheduler.score_node` breakdown for a task running
+    ``image``.
     """
-    total = catalog.image_total_size(image)
-    if total == 0:
-        return 0.0
-    return local_layer_size(catalog, node, image) / total * 100.0
+    from .scheduler import SchedulerConfig, score_node  # scheduler imports this module
+
+    task = TaskRequest(task_id="", image=image, cpu_request=1, mem_request=0)
+    return score_node(node, task, catalog, SchedulerConfig()).layer_score
 
 
 def std_score(node: NodeState) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -24,9 +25,10 @@ from .scheduler import (
     Placement,
     SchedulerConfig,
     Unschedulable,
+    _Kernel,
     iter_schedule_trace,
 )
-from .scoring import PLUGIN_NAMES, std_score
+from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
 
 
@@ -216,26 +218,24 @@ def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -
     they stay the int ``0``. Per-step records are built only if ``record``.
     """
     catalog = scenario.catalog
-    nodes = initial_nodes(scenario)
-    # A placement changes one node, so only that node's balance score (and,
-    # when recording, usage dict) is recomputed. The usage dicts are never
-    # mutated, so steps may share them.
-    index = {node.spec.id: i for i, node in enumerate(nodes)}
-    stds = [std_score(node) for node in nodes]
+    kernel = _Kernel(initial_nodes(scenario), catalog, scenario.scheduler,
+                     random.Random(scenario.seed))
+    # A placement changes one node: the kernel refreshes only that node's
+    # balance score, and a recording replay only that node's usage dict. The
+    # usage dicts are never mutated, so steps may share them.
+    nodes, stds = kernel.nodes, kernel.std
     usage = {node.spec.id: _node_usage(node, catalog) for node in nodes} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
     download_bytes = download_seconds = std_total = unschedulable = 0
-    for step_index, (outcome, nodes) in enumerate(
-        iter_schedule_trace(tasks, nodes, catalog, scenario.scheduler, seed=scenario.seed)
-    ):
+    for step_index, task in enumerate(tasks):
+        outcome = kernel.decide(task)
         if isinstance(outcome, Placement):
+            kernel.commit(task, outcome)
             node_id, download, seconds = (outcome.node_id, outcome.download_bytes,
                                           outcome.download_seconds)
-            i = index[node_id]
-            stds[i] = std_score(nodes[i])
             if record:
-                usage[node_id] = _node_usage(nodes[i], catalog)
+                usage[node_id] = _node_usage(nodes[kernel.index[node_id]], catalog)
         else:
             node_id, download, seconds = None, 0, 0.0
             unschedulable += 1

@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps layersched functions by module attribute
 name; every name it wraps must still exist, or a traced benchmark run dies.
 A wrapped name must also still work when called through its wrapper, which
-a name that the package calls back into (score_node, baseline_score) could
-break by recursing."""
+a name that the package calls back into (score_node, baseline_score,
+layer_score) could break by recursing."""
 
 import os
 import subprocess
@@ -27,9 +27,11 @@ config = scheduler.SchedulerConfig()
 assert scheduler.schedule(task, [node], catalog, config).node_id == "n0"
 breakdown = scheduler.score_node(node, task, catalog, config)
 assert scheduler.baseline_score(node, task, catalog) == breakdown.baseline_score
+assert scheduler.layer_score(catalog, node, web) == breakdown.layer_score
 recorder.dump(sys.argv[1])
 spans = tracer.analyse(sys.argv[1])["spans"]
-for name in ("scheduler.schedule", "scheduler.score", "scoring.baseline"):
+for name in ("scheduler.schedule", "scheduler.score", "scoring.baseline",
+             "scoring.layer_score"):
     assert spans[name]["calls"] >= 1, name
 """
 

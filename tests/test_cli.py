@@ -534,3 +534,24 @@ def test_registry_verbs_run_in_a_plain_interpreter(tmp_path):
     warnings = [line for line in validated.stderr.splitlines()
                 if line.startswith("warning:")]
     assert len(warnings) == 1 and "alpine-db:1.0" in warnings[0]
+
+
+def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path, monkeypatch):
+    # Image refs and layer sets hash their strings; no report may show it.
+    scenario = ROOT / "src" / "layersched" / "scenarios" / "shared_layers.json"
+    code = ("import sys; from layersched.cli import main\n"
+            "sys.exit(main(['simulate', sys.argv[1], '--scheduler', 'lr_dynamic', "
+            "'--out', 'out']) or main(['compare', sys.argv[1], '--out', 'out']))")
+    runs = []
+    for seed in ("0", "4242"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        (tmp_path / seed).mkdir()
+        result = run_python(code, str(scenario), cwd=tmp_path / seed)
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / seed / "out"
+        runs.append((result.stdout, {path.name: path.read_bytes()
+                                     for path in sorted(out.iterdir())}))
+    assert sorted(runs[0][1]) == ["compare.csv", "compare.json",
+                                  "simulate_lr_dynamic_seed1.csv",
+                                  "simulate_lr_dynamic_seed1.json"]
+    assert runs[0] == runs[1]

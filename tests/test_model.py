@@ -1,5 +1,13 @@
 """Domain model: refs, catalog validation, node state, placement commits."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from layersched.errors import CapacityViolation, UnknownImage
@@ -16,6 +24,7 @@ from layersched.model import (
 from layersched.scoring import MB
 
 GB = 1024 ** 3
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_catalog():
@@ -53,6 +62,38 @@ class TestImageRef:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             ImageRef.parse(bad)
+
+    def test_hash_is_the_hash_of_the_pair(self):
+        assert hash(ImageRef("team/web", "2")) == hash(("team/web", "2"))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, replace,
+                                       lambda ref: pickle.loads(pickle.dumps(ref))])
+    def test_copies_keep_the_pair_hash(self, clone):
+        ref = ImageRef("team/web", "2")
+        twin = clone(ref)
+        assert twin == ref and hash(twin) == hash(("team/web", "2"))
+        assert {twin: 1}[ref] == 1
+
+    def test_replace_rehashes_the_new_pair(self):
+        ref = replace(ImageRef("team/web", "2"), tag="3")
+        assert ref == ImageRef("team/web", "3") and hash(ref) == hash(("team/web", "3"))
+
+    def test_pickled_keys_are_found_under_another_hash_seed(self):
+        # A pickle that carried the cached hash would file the key under the
+        # first process's string hash, where the second never looks.
+        def child(code, seed, data=b""):
+            result = subprocess.run(
+                [sys.executable, "-c", "import pickle, sys\n"
+                 "from layersched.model import ImageRef\n" + code],
+                input=data, capture_output=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed})
+            assert result.returncode == 0, result.stderr.decode()
+            return result.stdout
+
+        data = child("sys.stdout.buffer.write(pickle.dumps({ImageRef('web', '1'): 7}))", "1")
+        found = child("table = pickle.loads(sys.stdin.buffer.read())\n"
+                      "print(table.get(ImageRef('web', '1')))", "2", data)
+        assert found.split() == [b"7"]
 
 
 class TestLayerCatalog:

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -48,6 +48,8 @@ from layersched.scoring import (
     local_layer_size,
     std_score,
 )
+from layersched.simulator import Scenario, initial_nodes, ordered_sum, replay
+from layersched.workload import WorkloadSpec
 
 GB = 1024 ** 3
 WEB = ImageRef("web", "1")
@@ -446,6 +448,7 @@ class TestKernelColumns:
                     assert kernel.slots[i] == n.spec.max_containers - len(n.running), where
                     assert kernel.cpu_used[i] == n.cpu_committed, where
                     assert kernel.mem_used[i] == n.mem_committed, where
+                    assert kernel.std[i] == std_score(n), where
                     assert kernel.calm[i] == ((n.cpu_ratio() < weights.h_cpu)
                                               + (std_score(n) < weights.h_std)), where
                     for image, (column, holds, _) in kernel.images.items():
@@ -562,3 +565,79 @@ class TestScoreAudit:
         policy[0] = 9.0  # the table was copied, not aliased
         assert config.weight_policy.custom_table == {0: 0.5, 1: 0.5, 2: 0.5, 3: 2.0}
         assert placement.scores["n0"] == before
+
+
+class TestKernelRecords:
+    """The kernel builds each Placement and Unschedulable, and
+    commit_placement each successor NodeState and its PlacedContainer,
+    without the generated ``__init__``. Each must equal its twin from the
+    public constructor field by field, have the repr of its constructed copy,
+    and stay frozen."""
+
+    @staticmethod
+    def assert_twins(record, twin):
+        names = [f.name for f in fields(twin)]
+        assert type(record) is type(twin)
+        assert list(vars(record)) == names  # every field, in field order, nothing more
+        for name in names:
+            assert getattr(record, name) == getattr(twin, name), name
+        # replace() builds a copy through the constructor from the record's
+        # own field values: set reprs depend on insertion history, not value.
+        copy = replace(record)
+        assert record == twin == copy and repr(record) == repr(copy)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, names[0], getattr(twin, names[0]))
+
+    def test_kernel_records_equal_their_constructed_twins(self):
+        seen = set()
+        for seed in range(24):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            before = list(nodes)
+            steps = iter_schedule_trace(tasks, nodes, catalog, config, seed=seed)
+            for t, (outcome, after) in zip(tasks, steps):
+                seen.add(type(outcome))
+                if isinstance(outcome, Unschedulable):
+                    self.assert_twins(outcome, Unschedulable(
+                        t.task_id, tuple(before), t, catalog))
+                    continue
+                i = [n.spec.id for n in before].index(outcome.node_id)
+                old, new = before[i], after[i]
+                cost = download_cost(catalog, old, t.image)
+                self.assert_twins(outcome, Placement(
+                    t.task_id, old.spec.id, cost, cost / old.spec.bandwidth,
+                    tuple(before), t, catalog, config))
+                placed = PlacedContainer(t.task_id, t.image, t.cpu_request, t.mem_request)
+                self.assert_twins(new.running[-1], placed)
+                self.assert_twins(new, NodeState(
+                    spec=old.spec,
+                    local_layers=old.local_layers | set(catalog.images[t.image]),
+                    local_images=old.local_images | {t.image},
+                    running=old.running + (placed,),
+                    cpu_committed=old.cpu_committed + t.cpu_request,
+                    mem_committed=old.mem_committed + t.mem_request))
+                before = after
+        assert seen == {Placement, Unschedulable}
+
+    def test_scores_are_built_once(self):
+        placement = schedule(task(), [node("n0"), node("n1")], catalog_ab(),
+                             SchedulerConfig())
+        scores = placement.scores
+        assert placement.scores is scores and vars(placement)["scores"] is scores
+
+    def test_replay_balance_is_the_mean_over_the_trace_nodes(self):
+        # replay reads the balance scores the kernel keeps; they must be the
+        # trace's per-step mean of std_score, to the last bit.
+        steps = 0
+        for seed in range(30):
+            catalog, nodes, tasks, config = micro_scenario(seed)
+            scenario = Scenario(nodes=[n.spec for n in nodes], catalog=catalog,
+                                workload=WorkloadSpec(), scheduler=config, seed=seed)
+            recorded = replay(scenario, tasks, record=True).steps
+            trace = iter_schedule_trace(tasks, initial_nodes(scenario), catalog, config,
+                                        seed=seed)
+            for step, (outcome, after) in zip(recorded, trace, strict=True):
+                assert step.node_id == getattr(outcome, "node_id", None)
+                assert step.cluster_std == ordered_sum(map(std_score, after)) / len(after), \
+                    f"seed {seed} step {step.step}"
+                steps += 1
+        assert steps == 300

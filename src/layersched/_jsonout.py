@@ -15,8 +15,11 @@ of their children's text at a time.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Iterator
+from operator import add, is_
+from typing import Iterable, Iterator
 
 _INDENT = "  "
 _STREAMED_LEVELS = 2
@@ -47,27 +50,28 @@ def _scalar(value) -> str | None:
     return None
 
 
-def _plan(keys: tuple) -> tuple[list[tuple[object, str]], bool]:
-    """The sorted ``(key, '"key": ')`` pairs of a dict with ``keys``, and
-    whether the plan may be reused for any dict with equal keys: only
+def _plan(keys: tuple) -> tuple[tuple[list, list[str]], bool]:
+    """The sorted keys of a dict with ``keys`` with their ``'"key": '``
+    labels, and whether the plan may be reused for any dict with equal keys: only
     string keys render by value alone (``1``, ``1.0`` and ``True`` are
     equal keys that render differently)."""
-    plan, reusable = [], True
-    for key in sorted(keys):
+    order, labels, reusable = sorted(keys), [], True
+    for key in order:
         text = key
         if not isinstance(key, str):
             reusable = False
             text = _scalar(key)
             if text is None:
                 raise TypeError("keys must be str, int, float, bool or None")
-        plan.append((key, _encode_str(text) + ": "))
-    return plan, reusable
+        labels.append(_encode_str(text) + ": ")
+    return (order, labels), reusable
 
 
-def _entries(obj, plans: dict) -> tuple[str, str, list[tuple[str, object]]]:
-    """A container's brackets and its ``(label, child)`` pairs, where the
-    label is ``'"key": '`` for a dict entry and empty for a list item.
-    ``plans`` keeps each reusable key order's plan for the whole write."""
+def _entries(obj, plans: dict) -> tuple[str, str, Iterable[str], list]:
+    """A container's brackets, its labels (``'"key": '`` for a dict entry,
+    empty for a list item) and its children, in output order. ``plans``
+    keeps each reusable key order's sorted keys and labels for the whole
+    write."""
     if isinstance(obj, dict):
         keys = tuple(obj)
         plan = plans.get(keys)
@@ -75,51 +79,59 @@ def _entries(obj, plans: dict) -> tuple[str, str, list[tuple[str, object]]]:
             plan, reusable = _plan(keys)
             if reusable:
                 plans[keys] = plan
-        return "{", "}", [(label, obj[key]) for key, label in plan]
+        order, labels = plan
+        return "{", "}", labels, list(map(obj.__getitem__, order))
     if isinstance(obj, (list, tuple)):
-        return "[", "]", [("", value) for value in obj]
+        return "[", "]", repeat(""), list(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _container(obj, depth: int, memo: dict, plans: dict) -> str:
+def _container(obj, depth: int, memo: defaultdict, plans: dict) -> str:
     """The text of a container nested ``depth`` levels deep."""
-    text = memo.get((id(obj), depth))
+    text = memo[depth].get(id(obj))
     if text is not None:
         return text
-    open_, close, entries = _entries(obj, plans)
-    if not entries:
+    open_, close, labels, children = _entries(obj, plans)
+    if not children:
         return open_ + close
-    inner = "\n" + _INDENT * (depth + 1)
-    flat = True
-    parts = []
-    for label, child in entries:
+    below = depth + 1
+    # Look every child up in one pass: most children of a large container
+    # (a report step's node_usage) were rendered at this depth before. Only
+    # containers are memoised, so a hit means this one is not flat; only
+    # the misses are rendered one by one.
+    texts = list(map(memo[below].get, map(id, children)))
+    misses = list(compress(range(len(texts)), map(is_, texts, repeat(None))))
+    flat = len(misses) == len(texts)
+    for n in misses:
+        child = children[n]
         if isinstance(child, _CONTAINERS):
             flat = False
-            text = (memo.get((id(child), depth + 1))
-                    or _container(child, depth + 1, memo, plans))
+            text = _container(child, below, memo, plans)
         else:
             text = _scalar(child)
             if text is None:
-                text = _container(child, depth + 1, memo, plans)  # raises TypeError
-        parts.append(label + text)
-    text = open_ + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + close
+                text = _container(child, below, memo, plans)  # raises TypeError
+        texts[n] = text
+    inner = "\n" + _INDENT * below
+    text = (open_ + inner + ("," + inner).join(map(add, labels, texts))
+            + "\n" + _INDENT * depth + close)
     if flat:
-        memo[id(obj), depth] = text
+        memo[depth][id(obj)] = text
     return text
 
 
-def _stream(obj, depth: int, memo: dict, plans: dict) -> Iterator[str]:
+def _stream(obj, depth: int, memo: defaultdict, plans: dict) -> Iterator[str]:
     text = _scalar(obj)
     if text is not None or depth == _STREAMED_LEVELS:
         yield text or _container(obj, depth, memo, plans)
         return
-    open_, close, entries = _entries(obj, plans)
-    if not entries:
+    open_, close, labels, children = _entries(obj, plans)
+    if not children:
         yield open_ + close
         return
     inner = "\n" + _INDENT * (depth + 1)
     separator = open_ + inner
-    for label, child in entries:
+    for label, child in zip(labels, children):
         yield separator + label
         yield from _stream(child, depth + 1, memo, plans)
         separator = "," + inner
@@ -136,10 +148,9 @@ def iter_indented_json(payload) -> Iterator[str]:
     ``payload``, so an id cannot be reused while the generator runs, and
     ``payload`` must not change until the generator is exhausted.
     """
-    # Keyed by (id, depth), not id: the same dict may sit at two depths,
-    # and its indentation differs between them.
-    memo: dict[tuple[int, int], str] = {}
-    # Kept apart from the memo so a key tuple and an (id, depth) pair
-    # cannot collide.
-    plans: dict[tuple, list[tuple[object, str]]] = {}
+    # Keyed by depth, then id: the same dict may sit at two depths, and its
+    # indentation differs between them. A live scalar never shares an id
+    # with a memoised container, so looking up a scalar child misses.
+    memo: defaultdict[int, dict[int, str]] = defaultdict(dict)
+    plans: dict[tuple, tuple[list, list[str]]] = {}
     yield from _stream(payload, 0, memo, plans)

@@ -30,6 +30,7 @@ from .model import (
 # for that. A decision calls none of them per node: only commit_placement, once
 # per commit, so the other spans see from-scratch and audit calls only.
 from .scoring import (
+    PLUGIN_NAMES,
     PluginConfig,
     ScoreBreakdown,
     WeightPolicy,
@@ -170,7 +171,9 @@ class _Kernel:
 
     A decision runs the storage test over all nodes as one C-level pass
     (:meth:`_room`), then :meth:`_score` on the survivors, which calls no
-    Python function per node. The outcome keeps a snapshot of the nodes with
+    Python function per node and scores a row in full only while its layer
+    term plus the baseline ceiling (``bound``) can still reach the best
+    score so far. The outcome keeps a snapshot of the nodes with
     the task, the catalog and the config; its audit is built when read, as
     :func:`filter_node` verdicts or as the :meth:`breakdowns` of a kernel
     over the snapshot, the same floats from the same code as the decision's.
@@ -197,6 +200,16 @@ class _Kernel:
             [0] * len(self.nodes) for _ in range(5))
         for i, node in enumerate(self.nodes):
             self._load(i, node)
+        # The most a feasible row's baseline can be, added as _score adds it;
+        # see _score for why, and why negative commitments turn it off.
+        weights = [w for w in (getattr(config.plugins, name) for name in PLUGIN_NAMES)
+                   if w is not None]
+        ceiling = 0.0
+        for w in weights:
+            ceiling += max(w * 100.0, 0.0)
+        self.bound = ceiling / len(weights) if weights else 0.0
+        if min(self.cpu_used, default=0) < 0 or min(self.mem_used, default=0) < 0:
+            self.bound = float("inf")
         # image -> (overlap column, holds column, total bytes)
         self.images: dict[ImageRef, tuple[list[int], list[float], int]] = {}
         self.users: dict[str, list[list[int]]] = {}  # layer -> columns using it
@@ -242,8 +255,26 @@ class _Kernel:
         :data:`PLUGIN_NAMES` order and averaged. The gate counts three strict
         conditions: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
         below ``h_std`` (the last two are the load count). The final score is
-        ``omegas[count] * layer + baseline``. ``parts``, if given, gets
-        ``(row, layer, baseline, count, final)`` per scored row.
+        ``term + baseline``, with ``term = omegas[count] * layer``: the same
+        two float operations as ``omegas[count] * layer + baseline``.
+        ``parts``, if given, gets ``(row, layer, baseline, count, final)`` per
+        scored row.
+
+        Without ``parts``, a filtered row is skipped, before its filter
+        tests and baseline, when ``term + bound`` is below the best final so
+        far: it can neither win nor tie. Why: each plugin score of a feasible
+        row lies in [0, 100], since its CPU and memory tests passed,
+        ``TaskRequest`` refuses a CPU request at or below 0 and a memory
+        request below 0, and no committed amount is negative (``__init__``
+        sets ``bound`` to ``inf`` if a node starts with one). Float rounding
+        is monotone, so ``w * score <= max(w * 100.0, 0.0)`` for any weight
+        ``w``; the sums in the same order, the division by the enabled count
+        and the addition of ``term`` keep the order, so ``final <= term +
+        bound < best``. ``best`` only rises, so a skipped row ends below it;
+        the strict ``<`` drops no tie, and the tied rows, in order, are
+        those of a full scan. Nothing is skipped while ``best`` is ``-inf``,
+        before a feasible row has scored, and a NaN final never wins or ties
+        either way. With ``parts``, or unfiltered, every row is scored.
         """
         column, holds, total = image
         omegas, h_size, calm, slots = self.omegas, self.h_size, self.calm, self.slots
@@ -254,9 +285,16 @@ class _Kernel:
         least, balanced, locality = (
             plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
         enabled = (least is not None) + (balanced is not None) + (locality is not None)
+        bound = self.bound if filtered and parts is None else float("inf")
 
         best, tied = float("-inf"), []
         for i in rows:
+            overlap = column[i]
+            layer = overlap / total * 100.0 if total else 0.0
+            count = (overlap > h_size) + calm[i]
+            term = omegas[count] * layer
+            if term + bound < best:
+                continue
             cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
             mem, mem_capacity = mem_used[i], mem_cap[i]
             if filtered and (slots[i] <= 0 or cpu + cpu_request > cpu_capacity
@@ -275,10 +313,7 @@ class _Kernel:
             if locality is not None:
                 weighted += locality * holds[i]
             baseline = weighted / enabled if enabled else 0.0
-            overlap = column[i]
-            layer = overlap / total * 100.0 if total else 0.0
-            count = (overlap > h_size) + calm[i]
-            final = omegas[count] * layer + baseline
+            final = term + baseline
             if parts is not None:
                 parts.append((i, layer, baseline, count, final))
             if final > best:
@@ -332,13 +367,14 @@ class _Kernel:
         )
 
     def commit(self, task: TaskRequest, placement: Placement) -> None:
-        """Bind ``task`` where ``placement`` chose and refresh that node."""
+        """Bind ``task`` where ``placement``, this kernel's decision for it,
+        chose and refresh that node."""
         i = self.index[placement.node_id]
         old = self.nodes[i]
         new = self.nodes[i] = commit_placement(old, task, self.catalog, self.stored[i])
         self.stored[i] += placement.download_bytes
         self._load(i, new)
-        self._image(task.image)[1][i] = 100.0
+        self.images[task.image][1][i] = 100.0  # decide filled the entry in
         # Each newly held layer adds its bytes to every column using it.
         sizes = self.catalog.layers
         for digest in new.local_layers - old.local_layers:

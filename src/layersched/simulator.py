@@ -21,13 +21,7 @@ from pathlib import Path
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
 from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest
-from .scheduler import (
-    Placement,
-    SchedulerConfig,
-    Unschedulable,
-    _Kernel,
-    iter_schedule_trace,
-)
+from .scheduler import Placement, SchedulerConfig, Unschedulable, _Kernel
 from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
 
@@ -297,16 +291,16 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
     if scenario.workload.kind != "random":
         raise ScenarioError("workload.kind", "max_pods needs a random workload generator")
     catalog = scenario.catalog
-    nodes = initial_nodes(scenario)
+    kernel = _Kernel(initial_nodes(scenario), catalog, scenario.scheduler,
+                     random.Random(scenario.seed))
     workload = replace(scenario.workload, seed=scenario.seed)
-    tasks = islice(stream(workload, catalog), limit)
-    for outcome, current in iter_schedule_trace(
-        tasks, nodes, catalog, scenario.scheduler, seed=scenario.seed
-    ):
+    for task in islice(stream(workload, catalog), limit):
+        outcome = kernel.decide(task)
         if isinstance(outcome, Unschedulable):
-            per_node = {node.spec.id: len(node.running) for node in current}
+            per_node = {node.spec.id: len(node.running) for node in kernel.nodes}
             return MaxPodsResult(per_node=per_node, total=sum(per_node.values()),
                                  stopped_by=outcome.task_id)
+        kernel.commit(task, outcome)
     raise ScenarioError("workload", f"no task became unschedulable within {limit} steps")
 
 

@@ -31,6 +31,7 @@ from layersched.model import (
 from layersched.model import commit_placement
 from layersched.scheduler import (
     POLICIES,
+    TIE_BREAKS,
     Placement,
     SchedulerConfig,
     Unschedulable,
@@ -457,6 +458,85 @@ class TestKernelColumns:
                         assert holds[i] == (100.0 if image in n.local_images else 0.0), \
                             f"{where} {n.spec.id} {image.key}"
         assert commits > 0
+
+
+def bound_instance(seed: int):
+    """A cluster of 20-60 nodes for the bounded argmax, about half of them
+    copies of a few templates under new ids (so exact ties occur), a task
+    list, and a config whose plugin weights may be ``None``, zero, negative,
+    1 or above 1, with either tie-break."""
+    rng = random.Random(seed)
+    catalog = random_catalog(rng, max_layers=10, max_images=6)
+    templates = [random_node(rng, catalog, "template") for _ in range(rng.randint(2, 6))]
+    nodes = []
+    for i in range(rng.randint(20, 60)):
+        copied = rng.choice(templates) if rng.random() < 0.5 else random_node(rng, catalog, "")
+        nodes.append(replace(copied, spec=replace(copied.spec, id=f"node-{i:02d}")))
+    weights = (None, 0, 0.0, 1.0, 2, round(rng.uniform(1.1, 5.0), 3),
+               -round(rng.uniform(0.1, 3.0), 3), -1)
+    plugins = PluginConfig(**{name: rng.choice(weights) for name in PLUGIN_NAMES})
+    config = replace(random_config(rng, policy=POLICIES[seed % len(POLICIES)]),
+                     plugins=plugins, tie_break=TIE_BREAKS[seed // 3 % 2])
+    tasks = [random_task(rng, catalog, f"task-{seed}-{j}") for j in range(rng.randint(5, 15))]
+    return catalog, nodes, tasks, config
+
+
+class TestBoundedArgmax:
+    """The kernel skips a row whose layer term plus the baseline ceiling is
+    below the best final so far. Each decision must still be the argmax of
+    its full score audit, with the same set of tied rows as a full scan."""
+
+    def test_pruned_scan_ties_and_picks_as_the_full_scan(self):
+        ties = negative = custom = 0
+        for seed in range(90):
+            catalog, nodes, tasks, config = bound_instance(seed)
+            kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
+            twin_rng = random.Random(seed)
+            oracle = oracle_trace(catalog_dict(catalog), [node_dict(n) for n in nodes],
+                                  [task_dict(t) for t in tasks], params_dict(config))
+            weights = [getattr(config.plugins, name) for name in PLUGIN_NAMES]
+            negative += any(w is not None and w < 0 for w in weights)
+            custom += config.policy == "lr_dynamic" and config.weight_policy.mode == "custom"
+            for t, want_id in zip(tasks, oracle):
+                where = f"seed {seed} {t.task_id}"
+                image = column, _, total = kernel._image(t.image)
+                pruned = kernel._score(t, image, kernel._room(column, total))
+                full = kernel._score(t, image, kernel._room(column, total), parts=[])
+                assert pruned == full, where
+                outcome = kernel.decide(t)
+                if not full:
+                    assert isinstance(outcome, Unschedulable) and want_id is None, where
+                    continue
+                best = max(b.final for b in outcome.scores.values())
+                tied = sorted(node_id for node_id, b in outcome.scores.items()
+                              if b.final == best)
+                assert sorted(kernel.ids[i] for i in pruned) == tied, where
+                if config.tie_break == "random_seeded":
+                    # The oracle breaks ties to the lowest id; it is only
+                    # compared with this tie-break, whose trace it follows.
+                    chosen = twin_rng.choice(tied) if len(tied) > 1 else tied[0]
+                else:
+                    chosen = want_id
+                    assert tied[0] == want_id, where
+                assert outcome.node_id == chosen, where
+                ties += len(tied) > 1
+                kernel.commit(t, outcome)
+        # The instances must reach the cases the bound has to get right.
+        assert ties > 0 and negative > 0 and custom > 0
+
+    def test_negative_commitment_turns_the_bound_off(self):
+        # A hand-built node with negative committed CPU scores its free CPU
+        # above 100, past the ceiling; it must still be scored and win.
+        catalog = catalog_ab()
+        holder = node("n0", local_layers=frozenset(catalog.layers))
+        odd = node("n1", cpu_committed=-10 ** 6)
+        config = SchedulerConfig(policy="layer_static",
+                                 plugins=PluginConfig(balanced_allocation=None))
+        kernel = scheduler._Kernel([holder, odd], catalog, config, None)
+        assert kernel.bound == float("inf")
+        outcome = kernel.decide(task())
+        finals = {node_id: b.final for node_id, b in outcome.scores.items()}
+        assert finals["n1"] > finals["n0"] and outcome.node_id == "n1"
 
 
 class TestDuplicateNodeIds:

@@ -104,9 +104,9 @@ class NodeSpec:
 
     def __post_init__(self):
         for name in ("cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # negated, so NaN fails too
                 raise ValueError(f"node {self.id}: {name} must be > 0")
-        if self.max_containers < 1:
+        if not self.max_containers >= 1:
             raise ValueError(f"node {self.id}: max_containers must be >= 1")
 
 
@@ -120,9 +120,9 @@ class TaskRequest:
     mem_request: int  # bytes
 
     def __post_init__(self):
-        if self.cpu_request <= 0:
+        if not self.cpu_request > 0:  # negated, so NaN fails too
             raise ValueError(f"task {self.task_id}: cpu_request must be > 0")
-        if self.mem_request < 0:
+        if not self.mem_request >= 0:
             raise ValueError(f"task {self.task_id}: mem_request must be >= 0")
 
 

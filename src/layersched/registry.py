@@ -4,8 +4,9 @@ The cache file is JSON keyed by ``name:tag``; per-image records use the
 exact field names ``id``, ``name``, ``name_without_repo``, ``tag``,
 ``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer) so the
 file interoperates with other tooling that reads the same schema. Only
-metadata moves over the wire; blobs are never downloaded. The HTTP stack
-is imported on first use, so offline callers never load it.
+metadata moves over the wire, by plain ``http.client`` GETs; blobs are
+never downloaded. The HTTP stack is imported when the first client is
+made, so offline callers never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from ._jsonout import iter_indented_json
 from .errors import (
@@ -43,6 +44,8 @@ ACCEPT_MANIFESTS = ", ".join([MANIFEST_V2, OCI_MANIFEST, MANIFEST_LIST_V2, OCI_I
 _HOST_COMPONENT = re.compile(r"[.:]|^localhost$")
 _NEXT_LINK = re.compile(r'<([^>]*)>[^<]*\brel="?next\b')  # in a Link header
 MAX_PAGES = 10_000  # per listing, so a registry that never ends one cannot hang a walk
+MAX_REDIRECTS = 10  # per GET, as urllib allowed
+_REDIRECTS = frozenset((301, 302, 303, 307, 308))
 
 
 @dataclass
@@ -149,6 +152,13 @@ def strip_repo_host(name: str) -> str:
     return name
 
 
+def _basic(pair: bytes) -> str:
+    """A Basic credentials header value for ``user:password`` bytes."""
+    import base64
+
+    return f"Basic {base64.b64encode(pair).decode('ascii')}"
+
+
 def _origin(url: str) -> tuple[str, str | None, int | None]:
     """Scheme, host and port of ``url``, the port defaulted by scheme."""
     parts = urlsplit(url)
@@ -157,52 +167,80 @@ def _origin(url: str) -> tuple[str, str | None, int | None]:
 
 
 class RegistryClient:
-    """Thin HTTP client for the v2 catalog, tags, and manifest endpoints.
-    ``opener`` is anything with ``open(request, timeout=)``; by default an
-    HTTP(S)-only ``urllib`` opener."""
+    """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
-    def __init__(self, config: RegistryConfig, opener=None):
+    Each GET goes through :mod:`http.client`, one connection per hop.
+    ``connect(host, timeout=)`` opens each hop's connection and returns an
+    object with ``HTTPConnection``'s ``request``, ``getresponse``, ``close``
+    and ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection``
+    by scheme. The proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``,
+    ``NO_PROXY``) are read once, here, as ``urllib`` reads them."""
+
+    def __init__(self, config: RegistryConfig, connect=None):
+        from urllib.request import getproxies
+
         self.config = config
-        if opener is None:  # HTTP(S) only: no file:, ftp: or data: URL, not even by redirect
-            import urllib.request as urlrequest
-
-            opener = urlrequest.OpenerDirector()
-            for handler in (urlrequest.ProxyHandler, urlrequest.UnknownHandler,
-                            urlrequest.HTTPHandler, urlrequest.HTTPSHandler,
-                            urlrequest.HTTPDefaultErrorHandler, urlrequest.HTTPRedirectHandler,
-                            urlrequest.HTTPErrorProcessor):
-                opener.add_handler(handler())
-        self.opener = opener
+        self.connect = connect
+        self._proxies = getproxies()
         self._authorization = None
         if config.token:
             self._authorization = f"Bearer {config.token}"
         elif config.username is not None:
-            import base64
-
             pair = f"{config.username}:{config.password or ''}".encode()
-            self._authorization = f"Basic {base64.b64encode(pair).decode('ascii')}"
+            self._authorization = _basic(pair)
 
     def _get(self, url: str, headers: dict | None = None) -> tuple[int, str, bytes]:
-        """Status, ``Link`` header and body; the only code that opens a connection."""
-        import urllib.request as urlrequest
-        from http.client import HTTPException
-        from urllib.error import HTTPError
+        """Status, ``Link`` header and body, of any status; the only code
+        that opens a connection. Every hop must be an http:// or https://
+        URL; a 301/302/303/307/308 is followed at most :data:`MAX_REDIRECTS`
+        times, without ``Authorization``."""
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+        from urllib.parse import unquote, urljoin
+        from urllib.request import proxy_bypass_environment
 
+        sent = {**(headers or {}), "Connection": "close", "User-Agent": "layersched"}
+        if self._authorization:  # first hop only: not sent on to where a redirect points
+            sent["Authorization"] = self._authorization
+        hop = url
         try:
-            parts = urlsplit(url)  # raises ValueError on a malformed host; .port on a bad port
-            if parts.scheme not in ("http", "https") or parts.port == 0:
-                raise ValueError("not an http:// or https:// URL")
-            request = urlrequest.Request(url, headers=headers or {})
-            if self._authorization:  # unredirected: not sent on to where a redirect points
-                request.add_unredirected_header("Authorization", self._authorization)
-            try:
-                reply = self.opener.open(request, timeout=30)
-            except HTTPError as error_reply:  # a status outside 2xx is still a reply
-                reply = error_reply
-            with reply:
-                return reply.status, reply.headers.get("Link", ""), reply.read()
+            for redirects in range(MAX_REDIRECTS + 1):
+                parts = urlsplit(hop)  # raises ValueError on a malformed host; .port on a bad port
+                if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+                    raise ValueError("not an http:// or https:// URL")
+                tls, host, tunnel = parts.scheme == "https", parts.netloc, None
+                target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+                hop_headers = sent
+                proxy = self._proxies.get(parts.scheme)
+                if proxy and not proxy_bypass_environment(host, self._proxies):
+                    via = urlsplit(proxy if "://" in proxy else f"//{proxy}")
+                    auth = {}
+                    if via.username and via.password:
+                        pair = f"{unquote(via.username)}:{unquote(via.password)}".encode()
+                        auth["Proxy-Authorization"] = _basic(pair)
+                    if tls:  # CONNECT through the proxy, then TLS to the registry
+                        tunnel = host, None, auth
+                    else:  # the proxy is sent the absolute URL
+                        tls = via.scheme == "https"
+                        target, hop_headers = urlunsplit(parts[:4] + ("",)), {**sent, **auth}
+                    host = via.netloc.rpartition("@")[2]
+                connection = (self.connect or (HTTPSConnection if tls else HTTPConnection))(
+                    host, timeout=30)
+                try:
+                    if tunnel:
+                        connection.set_tunnel(*tunnel)
+                    connection.request("GET", target, headers=hop_headers)
+                    with connection.getresponse() as reply:
+                        status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
+                        location = reply.getheader("Location")
+                finally:
+                    connection.close()
+                if status not in _REDIRECTS or not location or redirects == MAX_REDIRECTS:
+                    return status, link, body
+                hop = urljoin(hop, location)
+                sent.pop("Authorization", None)
         except (OSError, ValueError, HTTPException) as exc:
-            raise RegistryUnavailable(f"GET {url}: {exc}") from exc
+            where = url if hop == url else f"{url} (redirected to {hop})"
+            raise RegistryUnavailable(f"GET {where}: {exc}") from exc
 
     @staticmethod
     def _json_object(body: bytes, what: str,

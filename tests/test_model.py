@@ -227,3 +227,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             TaskRequest(task_id="t", image=ImageRef("a", "1"),
                         cpu_request=0, mem_request=0)
+
+    @pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity", "bandwidth",
+                                       "storage_capacity", "max_containers"])
+    def test_nan_capacity_rejected(self, field):
+        capacities = dict(cpu_capacity=1, mem_capacity=1, bandwidth=1, storage_capacity=1)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            NodeSpec(id="n", **{**capacities, field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["cpu_request", "mem_request"])
+    def test_nan_request_rejected(self, field):
+        requests = dict(cpu_request=1, mem_request=0)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TaskRequest(task_id="t", image=ImageRef("a", "1"),
+                        **{**requests, field: float("nan")})

@@ -1,13 +1,11 @@
 """Registry client, metadata cache file, and the catalog bridge."""
 
-import io
 import json
 import re
 import shutil
 import threading
 from functools import partial
-from urllib.error import HTTPError
-from urllib.response import addinfourl
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -306,31 +304,67 @@ INDEX = {"schemaVersion": 2,
          "manifests": [{"digest": "sha256:arch", "size": 0}]}
 
 
-class StubOpener:
-    """Answers each GET from a path -> reply table with 200, else with a 404
-    raised as an HTTPError, as a urllib opener does, and keeps every request.
-    A reply is a body or a ``(body, Link header)`` pair; a body that is not a
-    string is sent as its JSON encoding. An int reply is that status, raised
-    as an HTTPError."""
+class StubRegistry:
+    """A connection factory, called as ``HTTPConnection`` is, whose
+    connections answer each GET from a path -> reply table with 200, else
+    with a 404, and which keeps the URL and headers of every request. A reply
+    is a body or a ``(body, Link header)`` pair; a body that is not a string
+    is sent as its JSON encoding. An int reply is that status."""
 
     def __init__(self, replies: dict):
         self.replies = replies
-        self.requests = []
+        self.requests = []  # (url, headers) per GET
+        self.tunnels = []  # (proxy host, tunnel host, CONNECT headers) per tunnel
 
-    def open(self, request, timeout=None):
-        self.requests.append(request)
-        url = request.full_url
-        reply = self.replies.get(url.removeprefix(STUB_URL), 404)
-        if isinstance(reply, int):
-            raise HTTPError(url, reply, "Error", {}, io.BytesIO(b"{}"))
+    def __call__(self, host, timeout=None):
+        return StubConnection(self, host)
+
+
+class StubConnection:
+    """One connection of a :class:`StubRegistry`; it is its own reply."""
+
+    def __init__(self, registry: StubRegistry, host: str):
+        self.registry = registry
+        self.host = host
+        self.tunnel = None
+        self.status = None
+
+    def set_tunnel(self, host, port=None, headers=None):
+        self.tunnel = host
+        self.registry.tunnels.append((self.host, host, headers))
+
+    def request(self, method, target, headers=None):
+        assert method == "GET" and self.status is None
+        url = target if "://" in target else f"http://{self.tunnel or self.host}{target}"
+        self.registry.requests.append((url, headers))
+        reply = self.registry.replies.get(url.removeprefix(STUB_URL), 404)
+        self.status, reply = (reply, "{}") if isinstance(reply, int) else (200, reply)
         body, link = reply if isinstance(reply, tuple) else (reply, None)
-        raw = (body if isinstance(body, str) else json.dumps(body)).encode()
-        return addinfourl(io.BytesIO(raw), {"Link": link} if link else {}, url, 200)
+        self.headers = {"Link": link} if link else {}
+        self.body = (body if isinstance(body, str) else json.dumps(body)).encode()
+
+    def getresponse(self):
+        return self
+
+    def getheader(self, name, default=None):
+        return self.headers.get(name, default)
+
+    def read(self):
+        return self.body
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
 
 
 def stub_client(replies: dict, **credentials) -> RegistryClient:
     return RegistryClient(RegistryConfig(base_url=STUB_URL, **credentials),
-                          opener=StubOpener(replies))
+                          connect=StubRegistry(replies))
 
 
 def stub_walk(tmp_path, bad: dict) -> ImageMetadataLists:
@@ -413,7 +447,7 @@ class TestCatalogStatus:
         assert cache.read_bytes() == before
 
         monkeypatch.setattr(registry_module, "RegistryClient", partial(
-            RegistryClient, opener=StubOpener({"/v2/_catalog": status})))
+            RegistryClient, connect=StubRegistry({"/v2/_catalog": status})))
         assert main(["fetch-registry", "--registry", STUB_URL, "--out", str(cache)]) == 0
         captured = capsys.readouterr()
         assert captured.err == (f"warning: GET {STUB_URL}/v2/_catalog: HTTP {status}; "
@@ -493,7 +527,7 @@ class TestTransientImageFailure:
 
 class TestTransport:
     """What the client's one GET does for every request, seen through the
-    stub opener."""
+    stub connections."""
 
     @pytest.mark.parametrize("credentials,header", [
         ({}, None),
@@ -511,9 +545,9 @@ class TestTransport:
             "/v2/good/manifests/1": MANIFEST,
         }, **credentials)
         assert list(walk_registry(client).lists) == ["good:1"]
-        requests = client.opener.requests
+        requests = client.connect.requests
         assert len(requests) == 4
-        assert [r.get_header("Authorization") for r in requests] == [header] * 4
+        assert [headers.get("Authorization") for _, headers in requests] == [header] * 4
 
     def test_next_link_after_a_prev_link_and_absolute_next_link_are_followed(self):
         client = stub_client({
@@ -525,7 +559,7 @@ class TestTransport:
             "/v2/_catalog?page=3": {"repositories": ["c"]},
         })
         assert client.fetch_catalog() == ["a", "b", "c"]
-        assert [r.full_url.removeprefix(STUB_URL) for r in client.opener.requests] == \
+        assert [url.removeprefix(STUB_URL) for url, _ in client.connect.requests] == \
             ["/v2/_catalog", "/v2/_catalog?page=2", "/v2/_catalog?page=3"]
 
     @pytest.mark.parametrize("next_url", [
@@ -539,7 +573,7 @@ class TestTransport:
         client = stub_client(foreign, token="t0k")
         with pytest.raises(RegistryProtocolError, match="leaves http://registry.stub"):
             client.fetch_catalog()
-        assert [r.full_url for r in client.opener.requests] == [f"{STUB_URL}/v2/_catalog"]
+        assert [url for url, _ in client.connect.requests] == [f"{STUB_URL}/v2/_catalog"]
 
         # In a tags listing the refusal is one image's warning.
         replies = {"/v2/_catalog": {"repositories": ["bad", "good"]},
@@ -551,15 +585,15 @@ class TestTransport:
             RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json")), client)
         assert list(snapshot.lists) == ["good:1"]
         assert [w.split(":")[0] for w in snapshot.warnings] == ["tags for bad"]
-        foreign_requests = [r for r in client.opener.requests
-                            if not r.full_url.startswith(f"{STUB_URL}/")]
+        foreign_requests = [url for url, _ in client.connect.requests
+                            if not url.startswith(f"{STUB_URL}/")]
         assert foreign_requests == []
-        assert all(r.get_header("Authorization") == "Bearer t0k"
-                   for r in client.opener.requests)
+        assert all(headers.get("Authorization") == "Bearer t0k"
+                   for _, headers in client.connect.requests)
 
     @pytest.mark.parametrize("next_url,key", [
         (f"{STUB_URL}:80/v2/_catalog?page=2", ":80/v2/_catalog?page=2"),
-        ("HTTP://Registry.STUB/v2/_catalog?page=2", "HTTP://Registry.STUB/v2/_catalog?page=2"),
+        ("HTTP://Registry.STUB/v2/_catalog?page=2", "http://Registry.STUB/v2/_catalog?page=2"),
     ], ids=["default-port", "case"])
     def test_next_link_spelling_the_same_origin_is_followed(self, next_url, key):
         client = stub_client({
@@ -578,7 +612,7 @@ class TestTransport:
         client = stub_client(loop)
         with pytest.raises(RegistryProtocolError, match="repeats an earlier page"):
             client.fetch_catalog()
-        assert len(client.opener.requests) == len(loop)
+        assert len(client.connect.requests) == len(loop)
         # A watcher tick over the same registry ends rather than hangs.
         watcher = RegistryWatcher(
             RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json")),
@@ -596,7 +630,23 @@ class TestTransport:
         with pytest.raises(RegistryProtocolError,
                            match=f"more than {registry_module.MAX_PAGES} pages"):
             client.fetch_catalog()
-        assert len(client.opener.requests) == registry_module.MAX_PAGES
+        assert len(client.connect.requests) == registry_module.MAX_PAGES
+
+    def test_https_through_a_proxy_is_tunnelled(self, monkeypatch):
+        for name in ("https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("https_proxy", "http://u:p@proxy.stub:3128")
+        stub = StubRegistry({"/v2/_catalog": {"repositories": ["a"]}})
+        client = RegistryClient(RegistryConfig(base_url="https://registry.stub", token="t0k"),
+                                connect=stub)
+        assert client.fetch_catalog() == ["a"]
+        assert stub.tunnels == [("proxy.stub:3128", "registry.stub",
+                                 {"Proxy-Authorization": "Basic dTpw"})]
+        [(url, headers)] = stub.requests
+        assert url == f"{STUB_URL}/v2/_catalog"
+        assert headers["Authorization"] == "Bearer t0k"
+        assert "Proxy-Authorization" not in headers
 
     @pytest.mark.parametrize("base_url", ["foo", "http://[::1", "ftp://x", "file://{tmp}"],
                              ids=["no-scheme", "bad-host", "ftp", "file"])
@@ -604,16 +654,162 @@ class TestTransport:
                                                            capsys, base_url):
         (tmp_path / "v2").mkdir()
         (tmp_path / "v2" / "_catalog").write_text('{"repositories": []}')
-        opener = StubOpener({})
+        stub = StubRegistry({})
         monkeypatch.setattr(registry_module, "RegistryClient",
-                            partial(RegistryClient, opener=opener))
+                            partial(RegistryClient, connect=stub))
         cache = tmp_path / "cache.json"
         code = main(["fetch-registry", "--registry", base_url.format(tmp=tmp_path),
                      "--out", str(cache)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert opener.requests == []
+        assert stub.requests == []
         assert not cache.exists()
+
+
+class WireServer(ThreadingHTTPServer):
+    """A real HTTP server on 127.0.0.1 that answers each request target from
+    ``routes`` (target -> ``(status, headers, body)``), else with a 404, and
+    keeps the target and headers of every request. A proxy sees absolute
+    targets."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), WireHandler)
+        self.routes: dict = {}
+        self.requests: list = []  # (target, headers) per request
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    @property
+    def targets(self) -> list:
+        return [target for target, _ in self.requests]
+
+
+class WireHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+    def do_GET(self):
+        self.server.requests.append((self.path, dict(self.headers)))
+        status, headers, body = self.server.routes.get(self.path, (404, {}, {}))
+        raw = json.dumps(body).encode()
+        self.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(raw))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(raw)
+
+
+@pytest.fixture
+def wire():
+    """Two started servers: the registry under test and another origin."""
+    servers = [WireServer(), WireServer()]
+    threads = [threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+               for server in servers]
+    for thread in threads:
+        thread.start()
+    try:
+        yield servers
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+def redirect(status, location):
+    return status, {"Location": location}, {}
+
+
+CATALOG_A = (200, {}, {"repositories": ["a"]})
+
+
+class TestWire:
+    """What one GET does on the wire, against real HTTP servers: redirects,
+    the scheme check on every hop, and the proxy variables."""
+
+    @pytest.fixture(autouse=True)
+    def no_proxy_variables(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "ftp_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    @pytest.mark.parametrize("status", [302, 307])
+    @pytest.mark.parametrize("location", ["{url}/v2/moved", "/v2/moved", "moved"],
+                             ids=["absolute", "absolute-path", "relative"])
+    def test_same_origin_redirect_is_followed_without_authorization(self, wire, status,
+                                                                    location):
+        registry, _ = wire
+        registry.routes["/v2/_catalog"] = redirect(status, location.format(url=registry.url))
+        registry.routes["/v2/moved"] = CATALOG_A
+        client = RegistryClient(RegistryConfig(base_url=registry.url, token="t0k"))
+        assert client.fetch_catalog() == ["a"]
+        assert registry.targets == ["/v2/_catalog", "/v2/moved"]
+        assert [headers.get("Authorization") for _, headers in registry.requests] == \
+            ["Bearer t0k", None]
+
+    @pytest.mark.parametrize("status", [302, 307])
+    def test_redirect_to_another_origin_is_followed_without_authorization(self, wire, status):
+        registry, other = wire
+        registry.routes["/v2/a/manifests/1"] = redirect(status, f"{other.url}/blobs/m")
+        other.routes["/blobs/m"] = (200, {}, MANIFEST)
+        client = RegistryClient(RegistryConfig(base_url=registry.url,
+                                               username="ann", password="pw"))
+        assert [l.layer for l in client.fetch_image_metadata("a", "1").l_meta] == ["sha256:one"]
+        assert registry.targets == ["/v2/a/manifests/1"]
+        assert registry.requests[0][1]["Authorization"] == "Basic YW5uOnB3"
+        assert other.targets == ["/blobs/m"]
+        assert "Authorization" not in other.requests[0][1]
+        assert other.requests[0][1]["Accept"] == registry_module.ACCEPT_MANIFESTS
+
+    @pytest.mark.parametrize("scheme", ["file", "ftp"])
+    def test_redirect_to_another_scheme_opens_nothing(self, wire, tmp_path, scheme):
+        registry, _ = wire
+        (tmp_path / "catalog").write_text('{"repositories": ["stolen"]}')
+        target = (f"file://{tmp_path}/catalog" if scheme == "file"
+                  else f"ftp://127.0.0.1:{registry.server_address[1]}/v2/moved")
+        registry.routes["/v2/_catalog"] = redirect(302, target)
+        registry.routes["/v2/moved"] = CATALOG_A
+        client = RegistryClient(RegistryConfig(base_url=registry.url, token="t0k"))
+        with pytest.raises(LayerSchedError):
+            client.fetch_catalog()
+        assert registry.targets == ["/v2/_catalog"]
+
+    @pytest.mark.parametrize("loop", [["/v2/_catalog"], ["/v2/_catalog", "/v2/back"]],
+                             ids=["self", "two-urls"])
+    def test_redirect_loop_ends_in_an_error(self, wire, loop):
+        registry, _ = wire
+        for path, target in zip(loop, loop[1:] + loop[:1]):
+            registry.routes[path] = redirect(302, target)
+        client = RegistryClient(RegistryConfig(base_url=registry.url))
+        with pytest.raises(LayerSchedError):
+            client.fetch_catalog()
+        assert 2 <= len(registry.requests) <= 11
+
+    def test_http_proxy_gets_the_absolute_url(self, wire, monkeypatch):
+        registry, proxy = wire
+        registry.routes["/v2/_catalog"] = (200, {}, {"repositories": ["direct"]})
+        proxy.routes[f"{registry.url}/v2/_catalog"] = CATALOG_A
+        monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//u%40x:p%3A@"))
+        client = RegistryClient(RegistryConfig(base_url=registry.url, token="t0k"))
+        assert client.fetch_catalog() == ["a"]
+        assert registry.requests == []
+        assert proxy.targets == [f"{registry.url}/v2/_catalog"]
+        headers = proxy.requests[0][1]
+        assert headers["Proxy-Authorization"] == "Basic dUB4OnA6"  # u@x:p:
+        assert headers["Authorization"] == "Bearer t0k"
+
+    @pytest.mark.parametrize("no_proxy", ["127.0.0.1", "localhost,127.0.0.1", "*"])
+    def test_no_proxy_host_goes_direct(self, wire, monkeypatch, no_proxy):
+        registry, proxy = wire
+        registry.routes["/v2/_catalog"] = CATALOG_A
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("no_proxy", no_proxy)
+        client = RegistryClient(RegistryConfig(base_url=registry.url))
+        assert client.fetch_catalog() == ["a"]
+        assert registry.targets == ["/v2/_catalog"]
+        assert proxy.requests == []
 
 
 class TestCatalogBridge:

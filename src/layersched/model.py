@@ -126,14 +126,9 @@ class TaskRequest:
             raise ValueError(f"task {self.task_id}: mem_request must be >= 0")
 
 
-@dataclass(frozen=True)
-class PlacedContainer:
-    """A container committed to a node, remembered with its requests."""
-
-    task_id: str
-    image: ImageRef
-    cpu_request: int
-    mem_request: int
+# A container committed to a node is the task it runs: ``NodeState.running``
+# holds the placed ``TaskRequest`` values themselves.
+PlacedContainer = TaskRequest
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ class NodeState:
     spec: NodeSpec
     local_layers: frozenset[LayerId] = frozenset()
     local_images: frozenset[ImageRef] = frozenset()
-    running: tuple[PlacedContainer, ...] = ()
+    running: tuple[TaskRequest, ...] = ()
     cpu_committed: int = 0
     mem_committed: int = 0
 
@@ -233,15 +228,13 @@ def commit_placement(
     if violated is not None:
         raise CapacityViolation(violated)
 
-    placed = _record(PlacedContainer, task_id=task.task_id, image=task.image,
-                     cpu_request=task.cpu_request, mem_request=task.mem_request)
     images = node.local_images
     return _record(
         NodeState,
         spec=node.spec,
         local_layers=held.union(need) if need else held,
         local_images=images if task.image in images else images | {task.image},
-        running=node.running + (placed,),
+        running=node.running + (task,),
         cpu_committed=node.cpu_committed + task.cpu_request,
         mem_committed=node.mem_committed + task.mem_request,
     )

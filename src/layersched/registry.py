@@ -48,6 +48,14 @@ MAX_REDIRECTS = 10  # per GET, as urllib allowed
 _REDIRECTS = frozenset((301, 302, 303, 307, 308))
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a size that is a float, a bool or a
+    string is refused, not rounded or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"size must be a JSON integer, not {value!r}")
+    return value
+
+
 @dataclass
 class LayerMetadata:
     size: int
@@ -64,7 +72,7 @@ class LayerMetadata:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayerMetadata":
-        return cls(size=int(data["size"]), layer=str(data["layer"]))
+        return cls(size=_json_int(data["size"]), layer=str(data["layer"]))
 
 
 @dataclass
@@ -104,7 +112,7 @@ class ImageMetadata:
             name=str(data["name"]),
             name_without_repo=str(data["name_without_repo"]),
             tag=str(data["tag"]),
-            total_size=int(data["total_size"]),
+            total_size=_json_int(data["total_size"]),
             l_meta=[LayerMetadata.from_json_dict(entry) for entry in data["l_meta"]],
         )
 
@@ -325,7 +333,7 @@ class RegistryClient:
             )
         with _malformed_manifest(name, tag):
             layers = [
-                LayerMetadata(size=int(entry["size"]), layer=str(entry["digest"]))
+                LayerMetadata(size=_json_int(entry["size"]), layer=str(entry["digest"]))
                 for entry in manifest.get("layers", [])
             ]
             config_digest = str(manifest.get("config", {}).get("digest", ""))
@@ -351,7 +359,7 @@ class RegistryClient:
 @contextmanager
 def _malformed_manifest(name: str, tag: str):
     """Turn a manifest field of the wrong shape (a missing key, a list that
-    is not one, a negative, non-numeric or infinite size) into
+    is not one, a negative size or one that is not a JSON integer) into
     UnsupportedManifest."""
     try:
         yield
@@ -555,18 +563,24 @@ class RegistryWatcher:
 
     def run(self) -> None:
         """The refresh loop, in the calling thread; returns after :meth:`stop`."""
-        while not self._stop.is_set():
+        self._loop(self._stop)
+
+    def _loop(self, stop: threading.Event) -> None:
+        while not stop.is_set():
             try:
                 self.on_refresh(self.refresh_once())
             except LayerSchedError as exc:
                 self.on_error(exc)
-            self._stop.wait(self.config.poll_interval)
+            stop.wait(self.config.poll_interval)
 
     def start(self) -> None:
+        """Run the loop in a background thread. Each started loop has its
+        own stop event, so a loop that :meth:`stop` left inside a slow
+        refresh still ends after it, even if the watcher has started again."""
         if self._thread is not None:
             return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self.run, daemon=True)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._loop, args=(self._stop,), daemon=True)
         self._thread.start()
 
     def stop(self) -> None:

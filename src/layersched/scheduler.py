@@ -339,8 +339,6 @@ class _Kernel:
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
-        if not nodes:
-            return Unschedulable(task.task_id, (), task, self.catalog)
         image = column, _, total = self._image(task.image)
         tied = self._score(task, image, self._room(column, total))
         if not tied:
@@ -366,9 +364,10 @@ class _Kernel:
             config=self.config,
         )
 
-    def commit(self, task: TaskRequest, placement: Placement) -> None:
-        """Bind ``task`` where ``placement``, this kernel's decision for it,
+    def commit(self, placement: Placement) -> None:
+        """Bind the task of ``placement``, this kernel's decision, where it
         chose and refresh that node."""
+        task = placement.task
         i = self.index[placement.node_id]
         old = self.nodes[i]
         new = self.nodes[i] = commit_placement(old, task, self.catalog, self.stored[i])
@@ -380,6 +379,13 @@ class _Kernel:
         for digest in new.local_layers - old.local_layers:
             for column in self.users[digest]:
                 column[i] += sizes[digest]
+
+    def step(self, task: TaskRequest) -> Placement | Unschedulable:
+        """Decide ``task``, commit it if placed, and return the outcome."""
+        outcome = self.decide(task)
+        if isinstance(outcome, Placement):
+            self.commit(outcome)
+        return outcome
 
 
 def schedule(
@@ -410,9 +416,6 @@ def iter_schedule_trace(
     """
     kernel = _Kernel(nodes, catalog, config, random.Random(seed))
     for task in tasks:
-        outcome = kernel.decide(task)
-        if isinstance(outcome, Placement):
-            kernel.commit(task, outcome)
         # Copy so consumers hold a stable snapshot, not the live list.
-        yield outcome, list(kernel.nodes)
+        yield kernel.step(task), list(kernel.nodes)
 

@@ -182,54 +182,43 @@ class SimulationReport:
         }
 
 
-def _node_usage(node: NodeState, catalog: LayerCatalog) -> dict[str, float]:
+def _node_usage(node: NodeState, stored: int) -> dict[str, float]:
+    """Committed CPU and memory and ``stored`` layer bytes, as shares of capacity."""
     return {
         "cpu": node.cpu_ratio(),
         "mem": node.mem_ratio(),
-        "disk": node.stored_layer_bytes(catalog) / node.spec.storage_capacity,
+        "disk": stored / node.spec.storage_capacity,
     }
 
 
-@dataclass
-class Replay:
-    """A replayed task list: the run totals named by :data:`AGGREGATES`,
-    pods and usage per node at the end, and, when recorded, every step's
-    metrics and the cumulative download after each step."""
-
-    aggregates: dict
-    pods: dict[str, int]
-    usage: dict[str, dict[str, float]]
-    steps: list[StepMetrics]
-    cumulative: list[int]
-
-
-def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -> Replay:
+def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -> SimulationReport:
     """Schedule ``tasks`` in order on the scenario's initial cluster and fold
-    the outcomes into their totals.
+    the outcomes into a report with no fingerprint.
 
     The totals add in step order, as :func:`ordered_sum` adds the per-step
-    values, so they equal a report's aggregates exactly; on an empty list
-    they stay the int ``0``. Per-step records are built only if ``record``.
+    values, so they equal the per-step figures' sums exactly; on an empty
+    list they stay the int ``0``. The steps and the cumulative download
+    after each are recorded only if ``record``.
     """
-    catalog = scenario.catalog
-    kernel = _Kernel(initial_nodes(scenario), catalog, scenario.scheduler,
+    config = scenario.scheduler
+    kernel = _Kernel(initial_nodes(scenario), scenario.catalog, config,
                      random.Random(scenario.seed))
     # A placement changes one node: the kernel refreshes only that node's
-    # balance score, and a recording replay only that node's usage dict. The
-    # usage dicts are never mutated, so steps may share them.
-    nodes, stds = kernel.nodes, kernel.std
-    usage = {node.spec.id: _node_usage(node, catalog) for node in nodes} if record else {}
+    # stored bytes and balance score, and a recording replay only that node's
+    # usage dict. The usage dicts are never mutated, so steps may share them.
+    nodes, stored, stds = kernel.nodes, kernel.stored, kernel.std
+    usage = {n.spec.id: _node_usage(n, size) for n, size in zip(nodes, stored)} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
     download_bytes = download_seconds = std_total = unschedulable = 0
     for step_index, task in enumerate(tasks):
-        outcome = kernel.decide(task)
+        outcome = kernel.step(task)
         if isinstance(outcome, Placement):
-            kernel.commit(task, outcome)
             node_id, download, seconds = (outcome.node_id, outcome.download_bytes,
                                           outcome.download_seconds)
             if record:
-                usage[node_id] = _node_usage(nodes[kernel.index[node_id]], catalog)
+                i = kernel.index[node_id]
+                usage[node_id] = _node_usage(nodes[i], stored[i])
         else:
             node_id, download, seconds = None, 0, 0.0
             unschedulable += 1
@@ -244,11 +233,13 @@ def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -
 
     pods = {node.spec.id: len(node.running) for node in nodes}
     if not record:
-        usage = {node.spec.id: _node_usage(node, catalog) for node in nodes}
+        usage = {node.spec.id: _node_usage(node, size) for node, size in zip(nodes, stored)}
     count = len(tasks)
     totals = (download_bytes, download_seconds, std_total / count if count else 0.0,
               sum(pods.values()), unschedulable)
-    return Replay(dict(zip(AGGREGATES, totals)), pods, usage, steps, cumulative)
+    return SimulationReport("", config.policy, scenario.label or config.policy, steps,
+                            cumulative_download_bytes=cumulative, max_pods=pods,
+                            final_usage=usage, **dict(zip(AGGREGATES, totals)))
 
 
 def _tasks(scenario: Scenario) -> list[TaskRequest]:
@@ -257,20 +248,12 @@ def _tasks(scenario: Scenario) -> list[TaskRequest]:
 
 
 def run(scenario: Scenario) -> SimulationReport:
-    """Replay the scenario's workload and report every step (see
-    :func:`replay`)."""
+    """Replay the scenario's workload, report every step (see
+    :func:`replay`) and fingerprint the scenario."""
     scenario.validate()
-    result = replay(scenario, _tasks(scenario), record=True)
-    return SimulationReport(
-        scenario_fingerprint=fingerprint(scenario),
-        policy=scenario.scheduler.policy,
-        label=scenario.label or scenario.scheduler.policy,
-        steps=result.steps,
-        cumulative_download_bytes=result.cumulative,
-        max_pods=result.pods,
-        final_usage=result.usage,
-        **result.aggregates,
-    )
+    report = replay(scenario, _tasks(scenario), record=True)
+    report.scenario_fingerprint = fingerprint(scenario)
+    return report
 
 
 @dataclass
@@ -295,12 +278,11 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
                      random.Random(scenario.seed))
     workload = replace(scenario.workload, seed=scenario.seed)
     for task in islice(stream(workload, catalog), limit):
-        outcome = kernel.decide(task)
+        outcome = kernel.step(task)
         if isinstance(outcome, Unschedulable):
             per_node = {node.spec.id: len(node.running) for node in kernel.nodes}
             return MaxPodsResult(per_node=per_node, total=sum(per_node.values()),
                                  stopped_by=outcome.task_id)
-        kernel.commit(task, outcome)
     raise ScenarioError("workload", f"no task became unschedulable within {limit} steps")
 
 
@@ -334,7 +316,7 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
         seeded = replace(scenario, seed=seed)
         tasks = _tasks(seeded)
         for label, config in schedulers.items():
-            totals = replay(replace(seeded, scheduler=config), tasks).aggregates
+            totals = replay(replace(seeded, scheduler=config), tasks).aggregates()
             per_seed[label].append({"seed": seed, **totals})
 
     means = {label: {key: ordered_sum(row[key] for row in rows) / len(rows)

@@ -116,8 +116,14 @@ def save_trace(tasks: list[TaskRequest], path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+# A trace line's keys and the one type each value must have in the JSON.
+_TRACE_FIELDS = (("task_id", str), ("image_name", str), ("image_tag", str),
+                 ("cpu_millicores", int), ("mem_bytes", int))
+
+
 def load_trace(path: str | Path) -> list[TaskRequest]:
-    """The tasks of a trace file, the file a workload's ``trace_file`` names."""
+    """The tasks of a trace file, the file a workload's ``trace_file`` names:
+    its strings must be JSON strings and its sizes JSON integers."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -128,12 +134,13 @@ def load_trace(path: str | Path) -> list[TaskRequest]:
             continue
         try:
             record = json.loads(line)
-            tasks.append(TaskRequest(
-                task_id=str(record["task_id"]),
-                image=ImageRef(str(record["image_name"]), str(record["image_tag"])),
-                cpu_request=int(record["cpu_millicores"]),
-                mem_request=int(record["mem_bytes"]),
-            ))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            values = [record[key] for key, _ in _TRACE_FIELDS]
+            for (key, kind), value in zip(_TRACE_FIELDS, values):
+                if type(value) is not kind:  # exact, so a bool is no integer
+                    wanted = "string" if kind is str else "integer"
+                    raise TypeError(f"{key} must be a JSON {wanted}, not {value!r}")
+            task_id, name, tag, cpu, mem = values
+            tasks.append(TaskRequest(task_id, ImageRef(name, tag), cpu, mem))
+        except (ValueError, KeyError, TypeError) as exc:
             raise TraceCorrupt(number, f"line {number}: {exc}") from exc
     return tasks

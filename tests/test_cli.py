@@ -404,13 +404,46 @@ class TestValidate:
          "workload.trace_file"),
         (lambda d: (d["catalog"].update(images={}), d["workload"].pop("images")),
          "catalog.images"),
+        (lambda d: d["nodes"][0].update(id=5), "nodes[0].id"),
+        (lambda d: d["nodes"][0].update(max_containers=1.5), "nodes[0].max_containers"),
+        (lambda d: d["nodes"][0].update(preloaded_images="web:1"),
+         "nodes[0].preloaded_images"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": 5}),
+         "workload.trace_file"),
+        (lambda d: d["workload"].update(kind="poisson"), "workload.kind"),
+        (lambda d: d["workload"].update(images={}), "workload.images"),
+        (lambda d: d["workload"].update(images={"web:1": 1.5, "db:1": -0.5}),
+         "workload.images.db:1"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic",
+                                         "weights": {"mode": "adaptive"}}]),
+         "schedulers[0].weights.mode"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
+            "mode": "custom", "custom_table": [1, 1, 1, 2]}}]),
+         "schedulers[0].weights.custom_table"),
+        (lambda d: d.update(schedulers=[5]), "schedulers[0]"),
+        (lambda d: d.update(schedulers=[{"policy": "fastest"}]), "schedulers[0].policy"),
+        (lambda d: d.update(schedulers=[{"policy": "default", "label": ""}]),
+         "schedulers[0].label"),
+        (lambda d: d.update(sweeps={"node_count": [0]}), "sweeps.node_count"),
+        (lambda d: (d.pop("catalog"), d.update(registry="ftp://registry.local")),
+         "registry"),
+        (lambda d: d.update(catalog={"cache_file": 5}), "catalog.cache_file"),
+        (lambda d: d.update(catalog=["web:1"]), "catalog"),
+        (lambda d: d.update(schedulers=[]), "schedulers"),
+        (lambda d: d.update(output=""), "output"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
             "trace-file-not-utf8", "omega-nan", "sweep-bandwidth-not-a-list",
             "preloads-exceed-storage", "preloaded-layer-not-in-catalog",
             "preloaded-image-not-in-catalog", "trace-image-not-in-catalog",
-            "empty-catalog"])
+            "empty-catalog", "node-id-not-a-string", "fractional-max-containers",
+            "preloaded-images-not-a-list", "trace-file-not-a-string", "unknown-kind",
+            "empty-images", "negative-weight", "unknown-weight-mode",
+            "custom-table-not-an-object", "scheduler-not-a-name-or-object",
+            "unknown-policy", "empty-label", "zero-node-count", "ftp-registry",
+            "cache-file-not-a-string", "catalog-not-an-object", "no-schedulers",
+            "empty-output"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()
@@ -424,6 +457,20 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main([verb, str(path)]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
+
+    def test_validate_builds_every_node_count_sweep_point(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, sweeps={"node_count": [1, 3]})
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        path = write_scenario(tmp_path, sweeps={"node_count": [1, 4]})
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: sweeps.node_count: 4 outside 1..3\n"
+
+    def test_top_level_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -202,6 +202,22 @@ class TestCacheFile:
             load_cache(cache)
         self.assert_validate_exits_2(cache, capsys)
 
+    @pytest.mark.parametrize("before, after", [
+        ('"size": 1,', '"size": true,'),
+        ('"size": 1,', '"size": 1.0,'),
+        ('"size": 1,', '"size": "1",'),
+        ('"total_size": 1,', '"total_size": true,'),
+        ('"total_size": 1,', '"total_size": 1.0,'),
+    ], ids=["bool-size", "float-size", "string-size", "bool-total", "float-total"])
+    def test_size_that_is_no_json_integer_raises_naming_the_path(self, tmp_path, before, after):
+        # A size is never coerced: true is not 1 byte, nor "1" one byte.
+        cache = tmp_path / "cache.json"
+        self.write_record(cache, "a:1")
+        assert before in cache.read_text()
+        cache.write_text(cache.read_text().replace(before, after))
+        with pytest.raises(CacheCorrupt, match=re.escape(str(cache))):
+            load_cache(cache)
+
     def test_layer_repeated_in_one_stack_collapses_to_its_first_place(self, tmp_path):
         path = tmp_path / "cache.json"
         self.write_record(path, "a:1", l_meta=(("sha256:a", 1), ("sha256:b", 2),
@@ -418,8 +434,12 @@ class TestMalformedReplies:
         {"/v2/bad/manifests/1": {**INDEX, "manifests": [{"size": 0}]},
          "/v2/bad/manifests/sha256:arch": MANIFEST},
         {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1e400')},
+        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": true')},
+        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1.9')},
+        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": "12"')},
     ], ids=["not-json", "list", "no-size", "negative-size", "layers-string",
-            "config-string", "index-entry-without-digest", "size-beyond-float"])
+            "config-string", "index-entry-without-digest", "size-beyond-float",
+            "bool-size", "fractional-size", "string-size"])
     def test_bad_manifest_becomes_a_warning(self, tmp_path, replies):
         with pytest.raises(UnsupportedManifest):
             stub_client(replies).fetch_image_metadata("bad", "1")
@@ -924,6 +944,42 @@ class TestWatcher:
         finally:
             watcher.stop()
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_restart_after_a_stop_that_gave_up_runs_one_loop(self, registry, tmp_path,
+                                                              monkeypatch):
+        # stop() waits a bounded time for the loop; a loop inside a slow
+        # refresh outlives that wait. Started again, the watcher must still
+        # end the old loop after its refresh, not refresh with two threads.
+        gate = threading.Event()
+        ticked = threading.Semaphore(0)
+
+        def on_refresh(snapshot):
+            ticked.release()
+            gate.wait(5)
+
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url=registry.url, poll_interval=0.01,
+                           cache_path=str(tmp_path / "cache.json")),
+            on_refresh=on_refresh)
+        watcher.start()
+        first = watcher._thread
+        try:
+            assert ticked.acquire(timeout=5)  # the first loop is inside a refresh
+            monkeypatch.setattr(first, "join",
+                                lambda timeout=None: threading.Thread.join(first, 0.05))
+            watcher.stop()
+            assert first.is_alive()
+            watcher.start()
+            second = watcher._thread
+            assert second is not first
+            gate.set()
+            threading.Thread.join(first, 5)
+            assert not first.is_alive()
+            assert ticked.acquire(timeout=5) and second.is_alive()
+        finally:
+            gate.set()
+            watcher.stop()
+        assert not second.is_alive()
 
     def test_snapshot_survives_outage(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,

@@ -19,7 +19,7 @@ from helpers import (
 )
 from oracles import oracle_final, oracle_trace
 from layersched import scheduler
-from layersched.errors import ScenarioError
+from layersched.errors import ScenarioError, UnknownImage
 from layersched.model import (
     ImageRef,
     LayerCatalog,
@@ -158,6 +158,18 @@ class TestSchedule:
                            SchedulerConfig())
         assert outcome.download_bytes == 100 * MB
         assert outcome.download_seconds == 10.0
+
+    def test_empty_cluster_is_unschedulable_but_the_image_must_exist(self):
+        # No node: the general path returns the same record as the
+        # constructor, and an image outside the catalog is refused as it is
+        # on any cluster.
+        t = task()
+        outcome = schedule(t, [], catalog_ab(), SchedulerConfig())
+        assert outcome == Unschedulable(t.task_id, (), t, catalog_ab())
+        assert outcome.verdicts == () and outcome.rejected_by == ()
+        with pytest.raises(UnknownImage):
+            schedule(replace(t, image=ImageRef("ghost", "1")), [], catalog_ab(),
+                     SchedulerConfig())
 
 
 class TestScheduleTrace:
@@ -438,7 +450,7 @@ class TestKernelColumns:
                 outcome = kernel.decide(t)
                 if not isinstance(outcome, Placement):
                     continue
-                kernel.commit(t, outcome)
+                kernel.commit(outcome)
                 commits += 1
                 j = kernel.index[outcome.node_id]
                 state[j] = commit_placement(state[j], t, catalog)
@@ -520,7 +532,7 @@ class TestBoundedArgmax:
                     assert tied[0] == want_id, where
                 assert outcome.node_id == chosen, where
                 ties += len(tied) > 1
-                kernel.commit(t, outcome)
+                kernel.commit(outcome)
         # The instances must reach the cases the bound has to get right.
         assert ties > 0 and negative > 0 and custom > 0
 

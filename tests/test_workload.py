@@ -151,6 +151,30 @@ class TestTraceFiles:
             load_trace(path)
         assert err.value.line_number == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("cpu_millicores", 1.9),
+        ("cpu_millicores", "250"),
+        ("cpu_millicores", True),
+        ("mem_bytes", True),
+        ("mem_bytes", 0.0),
+        ("task_id", None),
+        ("task_id", 7),
+        ("image_name", ["web"]),
+        ("image_tag", 1),
+    ], ids=["fractional-cpu", "string-cpu", "bool-cpu", "bool-mem", "float-mem",
+            "null-id", "int-id", "list-name", "int-tag"])
+    def test_wrongly_typed_value_reports_its_line(self, tmp_path, key, value):
+        # Nothing is coerced: 1.9 is not 1 millicore, true is not 1 byte,
+        # and a null task id is not the task "None".
+        good = {"task_id": "t0", "image_name": "web", "image_tag": "1",
+                "cpu_millicores": 100, "mem_bytes": 0}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(TraceCorrupt) as err:
+            load_trace(path)
+        assert err.value.line_number == 2
+        assert key in str(err.value)
+
     def test_generate_from_trace_file(self, tmp_path):
         tasks = generate(WorkloadSpec(count=6, seed=9), two_image_catalog())
         path = tmp_path / "trace.jsonl"

@@ -1,8 +1,9 @@
 """Domain types for nodes, layers, images, containers, and tasks.
 
-Sizes are bytes, CPU is millicores throughout. All types are values:
-mutation happens only through :func:`commit_placement`, which returns a new
-node state and leaves its input untouched.
+Sizes are bytes, CPU is millicores throughout. All types are values: a
+placement builds a new node state and leaves its input untouched (see
+:func:`~layersched.scheduler.commit_placement`). Which placements fit is
+decided by the scheduler's kernel, not here.
 """
 
 from __future__ import annotations
@@ -10,20 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import CapacityViolation, UnknownImage
+from .errors import UnknownImage
 
 # Content digest of a layer, e.g. "sha256:abcd...". Opaque; compared by
 # exact string equality.
 LayerId = str
-
-
-def _record(cls, **fields):
-    """The frozen dataclass ``cls`` with ``fields``, all of them in field
-    order, built without the generated ``__init__`` and its per-field
-    ``object.__setattr__``; only for a class without ``__post_init__``."""
-    record = object.__new__(cls)
-    object.__setattr__(record, "__dict__", fields)
-    return record
 
 
 @dataclass(frozen=True)
@@ -136,8 +128,9 @@ class NodeState:
     """A node's cached layers/images, running containers, and commitments.
 
     Resource accounting uses requested (committed) amounts, not measured
-    usage. Instances are immutable; :func:`commit_placement` produces the
-    successor state.
+    usage. Instances are immutable; the scheduler's kernel builds the
+    successor state of a placement, and
+    :func:`~layersched.scheduler.commit_placement` returns it.
     """
 
     spec: NodeSpec
@@ -183,58 +176,3 @@ def layers_of(catalog: LayerCatalog, image: ImageRef) -> list[tuple[LayerId, int
 def missing_layers(node: NodeState, layers: Iterable[LayerId]) -> set[LayerId]:
     """The requested layers the node does not hold. Duplicates collapse."""
     return set(layers) - node.local_layers
-
-
-def first_violation(node: NodeState, task: TaskRequest, stored_bytes: int,
-                    download_bytes: int) -> str | None:
-    """The first constraint (``storage``, ``container_count``, ``cpu_fit``,
-    ``mem_fit``) that placing ``task`` on ``node``, which holds
-    ``stored_bytes`` of layers and must fetch ``download_bytes`` more, would
-    break; None if it fits."""
-    if stored_bytes + download_bytes > node.spec.storage_capacity:
-        return "storage"
-    if len(node.running) >= node.spec.max_containers:
-        return "container_count"
-    if node.cpu_committed + task.cpu_request > node.spec.cpu_capacity:
-        return "cpu_fit"
-    if node.mem_committed + task.mem_request > node.spec.mem_capacity:
-        return "mem_fit"
-    return None
-
-
-def commit_placement(
-    node: NodeState, task: TaskRequest, catalog: LayerCatalog,
-    stored_bytes: int | None = None,
-) -> NodeState:
-    """Place ``task`` on ``node``, returning the successor state.
-
-    Re-checks the filter constraints and raises :class:`CapacityViolation`
-    naming the first violated one, so a caller that skipped filtering
-    cannot corrupt node state. ``stored_bytes`` is what
-    :meth:`NodeState.stored_layer_bytes` returns for ``node``; a caller that
-    keeps that figure passes it to spare the re-summing of every layer. The
-    successor shares ``node``'s layer and image sets when nothing is added
-    to them.
-    """
-    try:
-        stack = catalog.images[task.image]
-    except KeyError:
-        raise UnknownImage(f"image not in catalog: {task.image.key}") from None
-    held, sizes = node.local_layers, catalog.layers
-    need = [digest for digest in stack if digest not in held]
-    if stored_bytes is None:
-        stored_bytes = node.stored_layer_bytes(catalog)
-    violated = first_violation(node, task, stored_bytes, sum([sizes[d] for d in need]))
-    if violated is not None:
-        raise CapacityViolation(violated)
-
-    images = node.local_images
-    return _record(
-        NodeState,
-        spec=node.spec,
-        local_layers=held.union(need) if need else held,
-        local_images=images if task.image in images else images | {task.image},
-        running=node.running + (task,),
-        cpu_committed=node.cpu_committed + task.cpu_request,
-        mem_committed=node.mem_committed + task.mem_request,
-    )

@@ -56,6 +56,14 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_str(value, name: str) -> str:
+    """``value`` if it is a JSON string; a number, a bool or null in the
+    string field ``name`` is refused, not turned into its text."""
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a JSON string, not {value!r}")
+    return value
+
+
 @dataclass
 class LayerMetadata:
     size: int
@@ -72,7 +80,7 @@ class LayerMetadata:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayerMetadata":
-        return cls(size=_json_int(data["size"]), layer=str(data["layer"]))
+        return cls(size=_json_int(data["size"]), layer=_json_str(data["layer"], "layer"))
 
 
 @dataclass
@@ -108,10 +116,10 @@ class ImageMetadata:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ImageMetadata":
         return cls(
-            id=str(data["id"]),
-            name=str(data["name"]),
-            name_without_repo=str(data["name_without_repo"]),
-            tag=str(data["tag"]),
+            id=_json_str(data["id"], "id"),
+            name=_json_str(data["name"], "name"),
+            name_without_repo=_json_str(data["name_without_repo"], "name_without_repo"),
+            tag=_json_str(data["tag"], "tag"),
             total_size=_json_int(data["total_size"]),
             l_meta=[LayerMetadata.from_json_dict(entry) for entry in data["l_meta"]],
         )
@@ -323,7 +331,7 @@ class RegistryClient:
             if not entries:
                 raise UnsupportedManifest(f"{name}:{tag}: empty manifest list")
             with _malformed_manifest(name, tag):
-                digest = str(entries[0]["digest"])
+                digest = _json_str(entries[0]["digest"], "digest")
             manifest = self._fetch_manifest(name, digest)
             media_type = manifest.get("mediaType", "")
         if manifest.get("schemaVersion") != 2 or media_type not in (MANIFEST_V2, OCI_MANIFEST):
@@ -333,10 +341,11 @@ class RegistryClient:
             )
         with _malformed_manifest(name, tag):
             layers = [
-                LayerMetadata(size=_json_int(entry["size"]), layer=str(entry["digest"]))
+                LayerMetadata(size=_json_int(entry["size"]),
+                              layer=_json_str(entry["digest"], "digest"))
                 for entry in manifest.get("layers", [])
             ]
-            config_digest = str(manifest.get("config", {}).get("digest", ""))
+            config_digest = _json_str(manifest.get("config", {}).get("digest", ""), "digest")
         return ImageMetadata(
             id=config_digest,
             name=name,
@@ -359,8 +368,8 @@ class RegistryClient:
 @contextmanager
 def _malformed_manifest(name: str, tag: str):
     """Turn a manifest field of the wrong shape (a missing key, a list that
-    is not one, a negative size or one that is not a JSON integer) into
-    UnsupportedManifest."""
+    is not one, a negative size or one that is not a JSON integer, a digest
+    that is not a JSON string) into UnsupportedManifest."""
     try:
         yield
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

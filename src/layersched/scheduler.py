@@ -13,29 +13,18 @@ from operator import add, le, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
-from .errors import ScenarioError
-from .model import (
-    ImageRef,
-    LayerCatalog,
-    NodeState,
-    TaskRequest,
-    _record,
-    commit_placement,
-    first_violation,
-    layers_of,
-)
+from .errors import CapacityViolation, ScenarioError
+from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
 # benchmarks/tracer.py wraps filter_node, score_node, commit_placement,
 # baseline_score, layer_score and local_layer_size by their names on this
 # module, so all six stay importable from it; the last three are imported only
-# for that. A decision calls none of them per node: only commit_placement, once
-# per commit, so the other spans see from-scratch and audit calls only.
+# for that. The kernel calls none of the six.
 from .scoring import (
     PLUGIN_NAMES,
     PluginConfig,
     ScoreBreakdown,
     WeightPolicy,
     baseline_score,
-    download_cost,
     layer_score,
     local_layer_size,
     std_score,
@@ -43,6 +32,15 @@ from .scoring import (
 
 POLICIES = ("default", "layer_static", "lr_dynamic")
 TIE_BREAKS = ("lowest_node_id", "random_seeded")
+
+
+def _record(cls, **fields):
+    """The frozen dataclass ``cls`` with ``fields``, all of them in field
+    order, built without the generated ``__init__`` and its per-field
+    ``object.__setattr__``; only for a class without ``__post_init__``."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,9 @@ class Placement:
 class Unschedulable:
     """No node survived filtering. It keeps the decision-time ``nodes``, the
     ``task`` and the ``catalog``; ``verdicts``, each node's
-    :func:`filter_node` verdict in node order, are built when first read,
-    and ``rejected_by`` names the constraint each node broke."""
+    :class:`FilterVerdict` in node order, are built when first read by the
+    :meth:`_Kernel.verdicts` of a kernel over those nodes, and
+    ``rejected_by`` names the constraint each node broke."""
 
     task_id: str
     nodes: tuple[NodeState, ...] = field(repr=False)
@@ -130,7 +129,10 @@ class Unschedulable:
 
     @cached_property
     def verdicts(self) -> tuple[FilterVerdict, ...]:
-        return tuple(filter_node(node, self.task, self.catalog) for node in self.nodes)
+        # The filter reads no weight, so any config gives the same verdicts.
+        kernel = _Kernel(self.nodes, self.catalog, SchedulerConfig(), None)
+        return tuple(FilterVerdict(node_id, reason is None, reason)
+                     for node_id, reason in zip(kernel.ids, kernel.verdicts(self.task)))
 
     @property
     def rejected_by(self) -> tuple[str, ...]:
@@ -138,9 +140,9 @@ class Unschedulable:
 
 
 def filter_node(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> FilterVerdict:
-    """Feasibility check; the first failing constraint names the verdict."""
-    cost = download_cost(catalog, node, task.image)
-    violated = first_violation(node, task, node.stored_layer_bytes(catalog), cost)
+    """Feasibility check; the first failing constraint names the verdict.
+    A one-node kernel's :meth:`_Kernel.verdicts`."""
+    violated = _Kernel([node], catalog, SchedulerConfig(), None).verdicts(task)[0]
     return FilterVerdict(node.spec.id, violated is None, violated)
 
 
@@ -155,19 +157,34 @@ def score_node(
     return _Kernel([node], catalog, config, None).breakdowns(task, False)[node.spec.id]
 
 
+def commit_placement(node: NodeState, task: TaskRequest, catalog: LayerCatalog) -> NodeState:
+    """Place ``task`` on ``node``, returning the successor state; ``node`` is
+    left untouched. A one-node kernel's :meth:`_Kernel.commit`, behind a
+    :class:`CapacityViolation` that names the constraint the placement breaks
+    (the :func:`filter_node` verdict; no score is computed), so a caller that
+    skipped filtering cannot corrupt node state."""
+    kernel = _Kernel([node], catalog, SchedulerConfig(), None)
+    violated = kernel.verdicts(task)[0]
+    if violated is not None:
+        raise CapacityViolation(violated)
+    kernel.commit(0, task)
+    return kernel.nodes[0]
+
+
 class _Kernel:
-    """Filter, score and argmax over a cluster in which each commit changes
-    one node. It holds the package's only scoring arithmetic.
+    """Filter, score, argmax and bind over a cluster in which each commit
+    changes one node: the package's only copy of each. :func:`filter_node`,
+    :func:`score_node` and :func:`commit_placement` are one-node kernels.
 
     Per-node state is plain columns indexed like the nodes: ids, stored layer
     bytes, storage capacity, free container slots, committed and total CPU
     and memory, the balance score, the load count (how many of the gate's
     CPU and balance conditions hold), and per image an overlap column and a
     "holds the image" column (0.0 or 100.0), both filled for every node when
-    the image is first seen. A commit hands the node's stored bytes to
-    :func:`commit_placement` and refreshes only the node it changes. The
-    weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds and
-    the plugin weights are read once.
+    the image is first seen. A commit (:meth:`commit`) builds the node's
+    successor state and refreshes only that node. The weight table
+    (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
+    weights are read once.
 
     A decision runs the storage test over all nodes as one C-level pass
     (:meth:`_room`), then :meth:`_score` on the survivors, which calls no
@@ -175,8 +192,8 @@ class _Kernel:
     term plus the baseline ceiling (``bound``) can still reach the best
     score so far. The outcome keeps a snapshot of the nodes with
     the task, the catalog and the config; its audit is built when read, as
-    :func:`filter_node` verdicts or as the :meth:`breakdowns` of a kernel
-    over the snapshot, the same floats from the same code as the decision's.
+    the :meth:`verdicts` or the :meth:`breakdowns` of a kernel over the
+    snapshot, from the same code as the decision.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -239,18 +256,22 @@ class _Kernel:
 
     def _room(self, column: list[int], total: int) -> Iterator[int]:
         """The rows with disk room for an image of ``total`` bytes whose
-        overlap column is ``column``: first_violation's storage test,
-        stored + download > capacity, negated, as one C-level pass."""
+        overlap column is ``column``: the filter's first test, stored +
+        download > capacity, negated, as one C-level pass."""
         return compress(range(len(self.nodes)), map(
             le, map(add, self.stored, map(sub, repeat(total), column)), self.storage_cap))
 
     def _score(self, task: TaskRequest, image: tuple[list[int], list[float], int],
-               rows: Iterable[int], filtered: bool = True, parts: list | None = None) -> list[int]:
+               rows: Iterable[int], filtered: bool = True, parts: list | None = None,
+               reasons: list | None = None) -> list[int]:
         """Score ``task``, whose image's columns are ``image``, on each of
         ``rows``; return the rows that tie for the best final score.
 
-        With ``filtered``, a row without a free container slot, or without
-        room for the task's CPU or memory, is skipped. The baseline is the
+        With ``filtered``, a row without a free container slot
+        (``container_count``), or without room for the task's CPU
+        (``cpu_fit``) or memory (``mem_fit``), is skipped. With ``reasons``,
+        each row's first failing test in that order, or None, is written to
+        ``reasons[row]``, and no row is scored. The baseline is the
         enabled plugins (:func:`baseline_score`) weighted, added in
         :data:`PLUGIN_NAMES` order and averaged. The gate counts three strict
         conditions: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
@@ -274,7 +295,9 @@ class _Kernel:
         the strict ``<`` drops no tie, and the tied rows, in order, are
         those of a full scan. Nothing is skipped while ``best`` is ``-inf``,
         before a feasible row has scored, and a NaN final never wins or ties
-        either way. With ``parts``, or unfiltered, every row is scored.
+        either way. With ``parts``, or unfiltered, every row is scored; with
+        ``reasons`` none is, so ``best`` stays ``-inf`` and every row is
+        filtered.
         """
         column, holds, total = image
         omegas, h_size, calm, slots = self.omegas, self.h_size, self.calm, self.slots
@@ -297,9 +320,15 @@ class _Kernel:
                 continue
             cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
             mem, mem_capacity = mem_used[i], mem_cap[i]
-            if filtered and (slots[i] <= 0 or cpu + cpu_request > cpu_capacity
-                             or mem + mem_request > mem_capacity):
-                continue
+            if filtered:
+                reason = ("container_count" if slots[i] <= 0
+                          else "cpu_fit" if cpu + cpu_request > cpu_capacity
+                          else "mem_fit" if mem + mem_request > mem_capacity else None)
+                if reasons is not None:  # verdicts only: no score can refuse a fit
+                    reasons[i] = reason
+                    continue
+                if reason:
+                    continue
             weighted = 0.0
             if least is not None:
                 free_cpu = (cpu_capacity - cpu - cpu_request) / cpu_capacity * 100.0
@@ -336,6 +365,15 @@ class _Kernel:
                     weight_gate=int(count == 3), omega_used=omegas[count], final=final)
                 for i, layer, baseline, count, final in parts}
 
+    def verdicts(self, task: TaskRequest) -> list[str | None]:
+        """Each row's first failing filter constraint for ``task``, in the
+        order ``storage``, ``container_count``, ``cpu_fit``, ``mem_fit``, or
+        None for a row that fits."""
+        image = column, _, total = self._image(task.image)
+        reasons: list[str | None] = ["storage"] * len(self.nodes)
+        self._score(task, image, self._room(column, total), reasons=reasons)
+        return reasons
+
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
@@ -364,27 +402,38 @@ class _Kernel:
             config=self.config,
         )
 
-    def commit(self, placement: Placement) -> None:
-        """Bind the task of ``placement``, this kernel's decision, where it
-        chose and refresh that node."""
-        task = placement.task
-        i = self.index[placement.node_id]
+    def commit(self, i: int, task: TaskRequest) -> None:
+        """Bind ``task`` to row ``i``, which its filter passed, building the
+        node's successor state, and refresh that row. The successor shares
+        the node's layer and image sets when nothing is added to them."""
         old = self.nodes[i]
-        new = self.nodes[i] = commit_placement(old, task, self.catalog, self.stored[i])
-        self.stored[i] += placement.download_bytes
+        held, images = old.local_layers, old.local_images
+        need = [digest for digest in self.catalog.images[task.image] if digest not in held]
+        new = self.nodes[i] = _record(
+            NodeState,
+            spec=old.spec,
+            local_layers=held.union(need) if need else held,
+            local_images=images if task.image in images else images | {task.image},
+            running=old.running + (task,),
+            cpu_committed=old.cpu_committed + task.cpu_request,
+            mem_committed=old.mem_committed + task.mem_request,
+        )
         self._load(i, new)
-        self.images[task.image][1][i] = 100.0  # decide filled the entry in
-        # Each newly held layer adds its bytes to every column using it.
+        self.images[task.image][1][i] = 100.0  # the filter filled the entry in
+        # Each newly held layer adds its bytes to the row's stored bytes and
+        # to every column using it.
         sizes = self.catalog.layers
-        for digest in new.local_layers - old.local_layers:
+        for digest in need:
+            size = sizes[digest]
+            self.stored[i] += size
             for column in self.users[digest]:
-                column[i] += sizes[digest]
+                column[i] += size
 
     def step(self, task: TaskRequest) -> Placement | Unschedulable:
         """Decide ``task``, commit it if placed, and return the outcome."""
         outcome = self.decide(task)
         if isinstance(outcome, Placement):
-            self.commit(outcome)
+            self.commit(self.index[outcome.node_id], task)
         return outcome
 
 

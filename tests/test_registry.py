@@ -218,6 +218,22 @@ class TestCacheFile:
         with pytest.raises(CacheCorrupt, match=re.escape(str(cache))):
             load_cache(cache)
 
+    @pytest.mark.parametrize("before, after, message", [
+        ('"id": "x"', '"id": 7', "id must be a JSON string, not 7"),
+        ('"tag": "1"', '"tag": 1', "tag must be a JSON string, not 1"),
+        ('"layer": "sha256:l"', '"layer": null', "layer must be a JSON string, not None"),
+    ], ids=["number-id", "number-tag", "null-layer"])
+    def test_string_field_that_is_no_json_string_raises_naming_the_path(
+            self, tmp_path, before, after, message):
+        # A string field is never coerced: 7 is not the id "7", nor null a digest.
+        cache = tmp_path / "cache.json"
+        self.write_record(cache, "a:1")
+        assert before in cache.read_text()
+        cache.write_text(cache.read_text().replace(before, after))
+        with pytest.raises(CacheCorrupt) as err:
+            load_cache(cache)
+        assert str(err.value) == f"{cache}: {message}"
+
     def test_layer_repeated_in_one_stack_collapses_to_its_first_place(self, tmp_path):
         path = tmp_path / "cache.json"
         self.write_record(path, "a:1", l_meta=(("sha256:a", 1), ("sha256:b", 2),
@@ -423,26 +439,41 @@ class TestMalformedReplies:
         assert list(snapshot.lists) == ["good:1"]
         assert snapshot.warnings == []
 
-    @pytest.mark.parametrize("replies", [
-        {"/v2/bad/manifests/1": "not json"},
-        {"/v2/bad/manifests/1": [MANIFEST]},
-        {"/v2/bad/manifests/1": {**MANIFEST, "layers": [{"digest": "sha256:x"}]}},
-        {"/v2/bad/manifests/1": {**MANIFEST,
-                                 "layers": [{"size": -1, "digest": "sha256:x"}]}},
-        {"/v2/bad/manifests/1": {**MANIFEST, "layers": "abc"}},
-        {"/v2/bad/manifests/1": {**MANIFEST, "config": "sha256:cfg"}},
-        {"/v2/bad/manifests/1": {**INDEX, "manifests": [{"size": 0}]},
-         "/v2/bad/manifests/sha256:arch": MANIFEST},
-        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1e400')},
-        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": true')},
-        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1.9')},
-        {"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": "12"')},
+    @pytest.mark.parametrize("replies, message", [
+        ({"/v2/bad/manifests/1": "not json"}, "bad:1: reply is not JSON"),
+        ({"/v2/bad/manifests/1": [MANIFEST]}, "bad:1: reply is a JSON list, not an object"),
+        ({"/v2/bad/manifests/1": {**MANIFEST, "layers": [{"digest": "sha256:x"}]}},
+         "(KeyError: 'size')"),
+        ({"/v2/bad/manifests/1": {**MANIFEST,
+                                  "layers": [{"size": -1, "digest": "sha256:x"}]}},
+         "(ValueError: layer size must be >= 0)"),
+        ({"/v2/bad/manifests/1": {**MANIFEST, "layers": "abc"}}, "(TypeError: "),
+        ({"/v2/bad/manifests/1": {**MANIFEST, "config": "sha256:cfg"}}, "(AttributeError: "),
+        ({"/v2/bad/manifests/1": {**INDEX, "manifests": [{"size": 0}]},
+          "/v2/bad/manifests/sha256:arch": MANIFEST}, "(KeyError: 'digest')"),
+        ({"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1e400')},
+         "(TypeError: size must be a JSON integer, not inf)"),
+        ({"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": true')},
+         "(TypeError: size must be a JSON integer, not True)"),
+        ({"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": 1.9')},
+         "(TypeError: size must be a JSON integer, not 1.9)"),
+        ({"/v2/bad/manifests/1": json.dumps(MANIFEST).replace('"size": 5', '"size": "12"')},
+         "(TypeError: size must be a JSON integer, not '12')"),
+        ({"/v2/bad/manifests/1": {**INDEX, "manifests": []}}, "bad:1: empty manifest list"),
+        ({"/v2/bad/manifests/1": {**MANIFEST, "layers": [{"size": 5, "digest": 7}]}},
+         "(TypeError: digest must be a JSON string, not 7)"),
+        ({"/v2/bad/manifests/1": {**MANIFEST, "config": {"digest": 7}}},
+         "(TypeError: digest must be a JSON string, not 7)"),
+        ({"/v2/bad/manifests/1": {**INDEX, "manifests": [{"digest": 7}]}},
+         "(TypeError: digest must be a JSON string, not 7)"),
     ], ids=["not-json", "list", "no-size", "negative-size", "layers-string",
             "config-string", "index-entry-without-digest", "size-beyond-float",
-            "bool-size", "fractional-size", "string-size"])
-    def test_bad_manifest_becomes_a_warning(self, tmp_path, replies):
-        with pytest.raises(UnsupportedManifest):
+            "bool-size", "fractional-size", "string-size", "empty-index",
+            "numeric-layer-digest", "numeric-config-digest", "numeric-index-digest"])
+    def test_bad_manifest_becomes_a_warning(self, tmp_path, replies, message):
+        with pytest.raises(UnsupportedManifest) as err:
             stub_client(replies).fetch_image_metadata("bad", "1")
+        assert message in str(err.value)
         snapshot = stub_walk(tmp_path, replies)
         assert list(snapshot.lists) == ["good:1"]
         assert len(snapshot.warnings) == 1

@@ -17,7 +17,13 @@ from helpers import (
     random_task,
     task_dict,
 )
-from oracles import oracle_final, oracle_trace
+from oracles import (
+    oracle_commit,
+    oracle_download_cost,
+    oracle_filter,
+    oracle_final,
+    oracle_trace,
+)
 from layersched import scheduler
 from layersched.errors import ScenarioError, UnknownImage
 from layersched.model import (
@@ -28,7 +34,6 @@ from layersched.model import (
     PlacedContainer,
     TaskRequest,
 )
-from layersched.model import commit_placement
 from layersched.scheduler import (
     POLICIES,
     TIE_BREAKS,
@@ -262,6 +267,11 @@ class TestPolicyBehavior:
             SchedulerConfig(policy="lr_dynamic",
                             weight_policy=WeightPolicy(mode="static"))
 
+    @pytest.mark.parametrize("field", ["policy", "tie_break"])
+    def test_unknown_choice_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^unknown {field} 'round_robin'$"):
+            SchedulerConfig(**{field: "round_robin"})
+
     @pytest.mark.parametrize("policy,mode,table", [
         ("default", "static", (0.0, 0.0, 0.0, 0.0)),
         ("default", "dynamic", (0.0, 0.0, 0.0, 0.0)),
@@ -315,25 +325,28 @@ def kernel_instance(seed: int):
 
 
 class TestKernelEquivalence:
-    """Every step of the incremental kernel equals the from-scratch public
-    functions evaluated on the states before that step."""
+    """Every step of the incremental kernel equals the reference filter and
+    commit (oracles.py) and the from-scratch score_node, evaluated on the
+    states before that step."""
 
     def test_each_step_matches_from_scratch(self):
         ties = unschedulable = 0
         for seed in range(160):
             catalog, nodes, tasks, config = kernel_instance(seed)
+            cd = catalog_dict(catalog)
             tie_rng = random.Random(seed)
             before = list(nodes)
             steps = iter_schedule_trace(tasks, nodes, catalog, config, seed=seed)
             for t, (outcome, after) in zip(tasks, steps):
-                verdicts = tuple(filter_node(n, t, catalog) for n in before)
+                td = task_dict(t)
+                verdicts = tuple(oracle_filter(cd, node_dict(n), td) for n in before)
                 if isinstance(outcome, Unschedulable):
                     unschedulable += 1
-                    assert outcome.verdicts == verdicts, f"seed {seed} {t.task_id}"
+                    assert outcome.rejected_by == verdicts, f"seed {seed} {t.task_id}"
                     assert after == before
                     continue
 
-                feasible = [n for n, v in zip(before, verdicts) if v.feasible]
+                feasible = [n for n, v in zip(before, verdicts) if v is None]
                 assert list(outcome.scores) == [n.spec.id for n in feasible]
                 for n in feasible:
                     assert outcome.scores[n.spec.id] == score_node(n, t, catalog, config), \
@@ -349,12 +362,12 @@ class TestKernelEquivalence:
                 else:
                     chosen = tied[0]
                 assert outcome.node_id == chosen.spec.id, f"seed {seed} {t.task_id}"
-                cost = download_cost(catalog, chosen, t.image)
+                cost = oracle_download_cost(cd, node_dict(chosen), td["image"])
                 assert outcome.download_bytes == cost
                 assert outcome.download_seconds == cost / chosen.spec.bandwidth
-                want = [commit_placement(n, t, catalog) if n is chosen else n
+                want = [oracle_commit(cd, node_dict(n), td) if n is chosen else node_dict(n)
                         for n in before]
-                assert after == want
+                assert [node_dict(n) for n in after] == want, f"seed {seed} {t.task_id}"
                 before = after
         # The instances must reach the branches they are meant to cover.
         assert ties > 0 and unschedulable > 0
@@ -398,6 +411,25 @@ class TestKernelArithmetic:
         assert checked > 0
         assert ("lr_dynamic", "custom") in modes and ("layer_static", "static") in modes
 
+    def test_every_verdict_equals_oracle_filter(self):
+        reasons, unschedulable = set(), 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
+            cd = catalog_dict(catalog)
+            for t in tasks:
+                td = task_dict(t)
+                want = [oracle_filter(cd, node_dict(n), td) for n in kernel.nodes]
+                assert kernel.verdicts(t) == want, f"seed {seed} {t.task_id}"
+                reasons.update(want)
+                outcome = kernel.step(t)
+                if isinstance(outcome, Unschedulable):
+                    unschedulable += 1
+                    assert outcome.rejected_by == tuple(want), f"seed {seed} {t.task_id}"
+        # The instances must reach every verdict and an unschedulable task.
+        assert reasons == {None, "storage", "container_count", "cpu_fit", "mem_fit"}
+        assert unschedulable > 0
+
     def test_unschedulable_names_each_constraint(self):
         warm = PlacedContainer(task_id="w", image=WEB, cpu_request=100, mem_request=0)
         nodes = [node("n-storage", storage_capacity=MB),
@@ -408,7 +440,8 @@ class TestKernelArithmetic:
         outcome = schedule(t, nodes, catalog, SchedulerConfig())
         assert isinstance(outcome, Unschedulable)
         assert outcome.rejected_by == ("storage", "container_count", "cpu_fit", "mem_fit")
-        assert outcome.verdicts == tuple(filter_node(n, t, catalog) for n in nodes)
+        assert [(v.node_id, v.feasible) for v in outcome.verdicts] == \
+            [(n.spec.id, False) for n in nodes]
 
     @pytest.mark.parametrize("constraint, overrides", [
         ("storage", {"storage_capacity": 120 * MB}),
@@ -431,13 +464,15 @@ class TestKernelArithmetic:
         assert [isinstance(o, Placement) for o, _ in steps] == [True, True, False]
         outcome, _ = steps[2]
         assert outcome.rejected_by == (constraint,)
-        assert outcome.verdicts == (filter_node(steps[1][1][0], tasks[2], catalog),)
+        assert outcome.rejected_by == (oracle_filter(
+            catalog_dict(catalog), node_dict(steps[1][1][0]), task_dict(tasks[2])),)
 
 
 class TestKernelColumns:
     """The audit rebuilds breakdowns from the nodes, not from the kernel's
-    columns, so the columns are pinned here: after every commit each one
-    equals its value computed from scratch on the current nodes."""
+    columns, so the columns are pinned here: after every commit every node
+    equals the reference commit (oracles.py), and each column equals its
+    value computed from scratch on the current nodes."""
 
     def test_every_commit_leaves_the_columns_from_scratch(self):
         commits = 0
@@ -445,18 +480,19 @@ class TestKernelColumns:
             catalog, nodes, tasks, config = kernel_instance(seed)
             kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
             weights = config.weight_policy
-            state = list(nodes)
+            cd = catalog_dict(catalog)
+            state = [node_dict(n) for n in nodes]
             for t in tasks:
                 outcome = kernel.decide(t)
                 if not isinstance(outcome, Placement):
                     continue
-                kernel.commit(outcome)
-                commits += 1
                 j = kernel.index[outcome.node_id]
-                state[j] = commit_placement(state[j], t, catalog)
-                assert kernel.nodes == state
+                kernel.commit(j, t)
+                commits += 1
+                state[j] = oracle_commit(cd, state[j], task_dict(t))
                 where = f"seed {seed} {t.task_id}"
-                for i, n in enumerate(state):
+                assert [node_dict(n) for n in kernel.nodes] == state, where
+                for i, n in enumerate(kernel.nodes):
                     assert kernel.stored[i] == n.stored_layer_bytes(catalog), where
                     assert kernel.slots[i] == n.spec.max_containers - len(n.running), where
                     assert kernel.cpu_used[i] == n.cpu_committed, where
@@ -532,7 +568,7 @@ class TestBoundedArgmax:
                     assert tied[0] == want_id, where
                 assert outcome.node_id == chosen, where
                 ties += len(tied) > 1
-                kernel.commit(outcome)
+                kernel.commit(kernel.index[outcome.node_id], t)
         # The instances must reach the cases the bound has to get right.
         assert ties > 0 and negative > 0 and custom > 0
 
@@ -583,10 +619,11 @@ class TestScoreAudit:
             # The whole trace is replayed before any audit is read.
             steps = list(iter_schedule_trace(tasks, nodes, catalog, config, seed=seed))
             before = list(nodes)
+            cd = catalog_dict(catalog)
             for t, (outcome, after) in zip(tasks, steps):
                 if isinstance(outcome, Placement):
-                    verdicts = [filter_node(n, t, catalog) for n in before]
-                    feasible = [n for n, v in zip(before, verdicts) if v.feasible]
+                    verdicts = [oracle_filter(cd, node_dict(n), task_dict(t)) for n in before]
+                    feasible = [n for n, v in zip(before, verdicts) if v is None]
                     for n in feasible:
                         assert outcome.scores[n.spec.id] == \
                             score_node(n, t, catalog, config), \
@@ -596,7 +633,7 @@ class TestScoreAudit:
                     assert len(scores) == len(feasible)
                     assert list(scores) == [n.spec.id for n in feasible]
                     for n, v in zip(before, verdicts):
-                        if not v.feasible:
+                        if v is not None:
                             rejected += 1
                             assert n.spec.id not in scores
                             with pytest.raises(KeyError):
@@ -622,7 +659,8 @@ class TestScoreAudit:
         assert placements and calls == []
         p = placements[0]
         p.scores[p.node_id]
-        feasible = sum(filter_node(n, p.task, p.catalog).feasible for n in p.nodes)
+        cd, td = catalog_dict(p.catalog), task_dict(p.task)
+        feasible = sum(oracle_filter(cd, node_dict(n), td) is None for n in p.nodes)
         assert len(calls) == feasible
         assert p.scores is p.scores and len(calls) == feasible
 
@@ -660,9 +698,9 @@ class TestScoreAudit:
 
 
 class TestKernelRecords:
-    """The kernel builds each Placement and Unschedulable, and
-    commit_placement each successor NodeState and its PlacedContainer,
-    without the generated ``__init__``. Each must equal its twin from the
+    """The kernel builds each Placement and Unschedulable, and each
+    successor NodeState and its PlacedContainer, without the generated
+    ``__init__``. Each must equal its twin from the
     public constructor field by field, have the repr of its constructed copy,
     and stay frozen."""
 

@@ -379,6 +379,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WeightPolicy(h_std=0.7)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"mode": "fixed"}, "unknown weight mode 'fixed'"),
+        ({"mode": "static", "omega_static": -1.0}, "omega_static must be >= 0"),
+    ], ids=["unknown-mode", "negative-omega_static"])
+    def test_bad_mode_or_static_weight_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightPolicy(**fields)
+
     def test_custom_table_must_cover_all_counts(self):
         with pytest.raises(ValueError):
             WeightPolicy(mode="custom", custom_table={0: 1.0, 3: 2.0})

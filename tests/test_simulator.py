@@ -211,6 +211,14 @@ class TestMaxPods:
                 policy="lr_dynamic", seed=seed))
             assert with_sharing.total >= without.total
 
+    def test_trace_file_workload_refused(self, tmp_path):
+        workload = WorkloadSpec(kind="trace_file", trace_path=str(tmp_path / "trace.json"))
+        scenario = scenario_for(single_image_catalog(), [ample_node()], workload)
+        with pytest.raises(ScenarioError) as err:
+            max_pods(scenario)
+        assert err.value.field == "workload.kind"
+        assert str(err.value) == "workload.kind: max_pods needs a random workload generator"
+
     def test_unbounded_scenario_hits_the_guard(self):
         catalog = single_image_catalog()
         node = ample_node(cpu_capacity=10 ** 9, mem_capacity=10 ** 15,

@@ -66,6 +66,10 @@ class TestGenerate:
         with pytest.raises(UnknownImage):
             generate(spec, two_image_catalog())
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown workload kind 'replay'$"):
+            WorkloadSpec(kind="replay")
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             WorkloadSpec(image_weights={"web:1": 0.7, "db:1": 0.7})

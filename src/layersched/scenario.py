@@ -242,10 +242,7 @@ def _parse_plugins(obj: dict, path: str) -> PluginConfig:
         if name in obj:
             value = obj[name]
             kwargs[name] = None if value is None else _number(value, f"{path}.{name}")
-    try:
-        return PluginConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    return PluginConfig(**kwargs)
 
 
 @dataclass

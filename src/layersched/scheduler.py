@@ -179,21 +179,28 @@ class _Kernel:
     Per-node state is plain columns indexed like the nodes: ids, stored layer
     bytes, storage capacity, free container slots, committed and total CPU
     and memory, the balance score, the load count (how many of the gate's
-    CPU and balance conditions hold), and per image an overlap column and a
-    "holds the image" column (0.0 or 100.0), both filled for every node when
-    the image is first seen. A commit (:meth:`commit`) builds the node's
-    successor state and refreshes only that node. The weight table
+    CPU and balance conditions hold), and per image an entry ``[column,
+    holds, total, order, stale]``: the overlap column and the "holds the
+    image" column (0.0 or 100.0), both filled for every node when the image
+    is first seen, the image's total bytes, and its rows by descending
+    overlap unless ``stale``. A commit (:meth:`commit`) builds the node's
+    successor state and refreshes only that node; the order of each image
+    whose overlap column it changes goes stale, to be re-sorted by
+    :meth:`_rows` when next walked. The weight table
     (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
     weights are read once.
 
-    A decision runs the storage test over all nodes as one C-level pass
-    (:meth:`_room`), then :meth:`_score` on the survivors, which calls no
-    Python function per node and scores a row in full only while its layer
-    term plus the baseline ceiling (``bound``) can still reach the best
-    score so far. The outcome keeps a snapshot of the nodes with
-    the task, the catalog and the config; its audit is built when read, as
-    the :meth:`verdicts` or the :meth:`breakdowns` of a kernel over the
-    snapshot, from the same code as the decision.
+    A decision hands :meth:`_score` the rows with disk room for the image
+    (:meth:`_rows`): by descending overlap where the stop of :meth:`_score`
+    can fire (``top`` is not None), so that the scan ends at the first row
+    whose layer term at the largest weight cannot reach the best score so
+    far, and in index order elsewhere. ``_score`` calls no Python function
+    per node and scores a row in full only while its layer term plus the
+    baseline ceiling (``bound``) can still reach the best score so far. The
+    outcome keeps a snapshot of the nodes with the task, the catalog and
+    the config; its audit is built when read, as the :meth:`verdicts` or
+    the :meth:`breakdowns` of a kernel over the snapshot, from the same
+    code as the decision, which scan every row in index order.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -216,7 +223,11 @@ class _Kernel:
         self.slots, self.cpu_used, self.mem_used, self.std, self.calm = (
             [0] * len(self.nodes) for _ in range(5))
         for i, node in enumerate(self.nodes):
-            self._load(i, node)
+            try:
+                self._load(i, node)
+            except OverflowError:  # an int commitment whose ratio no float holds
+                raise ScenarioError("nodes", f"node {node.spec.id}: committed CPU or "
+                                             "memory is beyond the float range") from None
         # The most a feasible row's baseline can be, added as _score adds it;
         # see _score for why, and why negative commitments turn it off.
         weights = [w for w in (getattr(config.plugins, name) for name in PLUGIN_NAMES)
@@ -227,9 +238,15 @@ class _Kernel:
         self.bound = ceiling / len(weights) if weights else 0.0
         if min(self.cpu_used, default=0) < 0 or min(self.mem_used, default=0) < 0:
             self.bound = float("inf")
-        # image -> (overlap column, holds column, total bytes)
-        self.images: dict[ImageRef, tuple[list[int], list[float], int]] = {}
-        self.users: dict[str, list[list[int]]] = {}  # layer -> columns using it
+        # The largest weight, for _score's stop over rows by descending
+        # overlap; None where the stop could never fire, so that keeping the
+        # order would be waste: no weight above 0 (as under default), or no
+        # bound.
+        top = max(self.omegas)
+        self.top = top if top > 0 and self.bound < float("inf") else None
+        # image -> [overlap column, holds column, total bytes, order, stale]
+        self.images: dict[ImageRef, list] = {}
+        self.users: dict[str, list[list]] = {}  # layer -> entries of images using it
 
     def _load(self, i: int, node: NodeState) -> None:
         """Set node ``i``'s free slots, committed CPU and memory, balance
@@ -241,17 +258,18 @@ class _Kernel:
         std = self.std[i] = std_score(node)
         self.calm[i] = (node.cpu_ratio() < self.h_cpu) + (std < self.h_std)
 
-    def _image(self, image: ImageRef) -> tuple[list[int], list[float], int]:
-        """The image's overlap and holds columns and its total bytes."""
+    def _image(self, image: ImageRef) -> list:
+        """The image's entry ``[column, holds, total, order, stale]``."""
         entry = self.images.get(image)
         if entry is None:
             stack = layers_of(self.catalog, image)
             column = [sum(size for digest, size in stack if digest in node.local_layers)
                       for node in self.nodes]
             holds = [100.0 if image in node.local_images else 0.0 for node in self.nodes]
+            entry = self.images[image] = [column, holds, sum(size for _, size in stack),
+                                          list(range(len(self.nodes))), True]
             for digest, _ in stack:
-                self.users.setdefault(digest, []).append(column)
-            entry = self.images[image] = (column, holds, sum(size for _, size in stack))
+                self.users.setdefault(digest, []).append(entry)
         return entry
 
     def _room(self, column: list[int], total: int) -> Iterator[int]:
@@ -261,10 +279,25 @@ class _Kernel:
         return compress(range(len(self.nodes)), map(
             le, map(add, self.stored, map(sub, repeat(total), column)), self.storage_cap))
 
-    def _score(self, task: TaskRequest, image: tuple[list[int], list[float], int],
-               rows: Iterable[int], filtered: bool = True, parts: list | None = None,
+    def _rows(self, image: list) -> Iterator[int]:
+        """The rows :meth:`decide` scores for the image entry ``image``. With
+        ``top``, the rows by descending overlap that pass :meth:`_room`'s
+        test, run in C on each row as it is drawn, so that the stop of
+        :meth:`_score` also ends the test; else :meth:`_room`'s rows."""
+        column, _, total, order, stale = image
+        if self.top is None:
+            return self._room(column, total)
+        if stale:
+            order.sort(key=column.__getitem__, reverse=True)
+            image[4] = False
+        return compress(order, map(le, map(add, map(self.stored.__getitem__, order), map(
+            sub, repeat(total), map(column.__getitem__, order))),
+            map(self.storage_cap.__getitem__, order)))
+
+    def _score(self, task: TaskRequest, image: list, rows: Iterable[int],
+               top: float | None = None, filtered: bool = True, parts: list | None = None,
                reasons: list | None = None) -> list[int]:
-        """Score ``task``, whose image's columns are ``image``, on each of
+        """Score ``task``, whose image's entry is ``image``, on each of
         ``rows``; return the rows that tie for the best final score.
 
         With ``filtered``, a row without a free container slot
@@ -298,8 +331,23 @@ class _Kernel:
         either way. With ``parts``, or unfiltered, every row is scored; with
         ``reasons`` none is, so ``best`` stays ``-inf`` and every row is
         filtered.
+
+        With ``top``, the largest weight, the rows must come by descending
+        overlap, and where a row is skipped the scan stops for good once
+        ``top * layer + bound`` is below ``best``. :meth:`decide` passes
+        ``top`` only if it is above 0 and ``bound`` is finite. Why: ``layer``
+        is the overlap over the image's total bytes times 100 (0 for an empty
+        image), so rounding keeps it at or above 0 and keeps it from rising
+        along the rows. Take a later row, with weight ``w = omegas[count] <=
+        top`` and layer ``l``, at most this row's ``layer``. Rounding is
+        monotone, so ``w * l <= top * l`` as ``l >= 0``, and ``top * l <=
+        top * layer`` as ``top > 0``; a negative ``w`` breaks neither step.
+        Adding ``bound`` keeps the order, so the later row's ``term + bound
+        <= top * layer + bound < best``, and, as above, it ends below
+        ``best``. The strict ``<`` drops no tie, and the tied rows are those
+        of a full scan, in walk order (:meth:`decide` sorts them by id).
         """
-        column, holds, total = image
+        column, holds, total, _, _ = image
         omegas, h_size, calm, slots = self.omegas, self.h_size, self.calm, self.slots
         cpu_used, cpu_cap, mem_used, mem_cap = (
             self.cpu_used, self.cpu_cap, self.mem_used, self.mem_cap)
@@ -317,6 +365,8 @@ class _Kernel:
             count = (overlap > h_size) + calm[i]
             term = omegas[count] * layer
             if term + bound < best:
+                if top is not None and top * layer + bound < best:
+                    break
                 continue
             cpu, cpu_capacity = cpu_used[i], cpu_cap[i]
             mem, mem_capacity = mem_used[i], mem_cap[i]
@@ -354,10 +404,10 @@ class _Kernel:
     def breakdowns(self, task: TaskRequest, filtered: bool = True) -> dict[str, ScoreBreakdown]:
         """Each scored node's :class:`ScoreBreakdown` by id, in node order:
         the nodes that pass the filter, or with ``filtered`` false every node."""
-        image = column, _, total = self._image(task.image)
+        image = column, _, total, _, _ = self._image(task.image)
         rows = self._room(column, total) if filtered else range(len(self.nodes))
         parts = []
-        self._score(task, image, rows, filtered, parts)
+        self._score(task, image, rows, None, filtered, parts)
         nodes, omegas = self.nodes, self.omegas
         return {self.ids[i]: ScoreBreakdown(
                     layer_score=layer, baseline_score=baseline,
@@ -369,7 +419,7 @@ class _Kernel:
         """Each row's first failing filter constraint for ``task``, in the
         order ``storage``, ``container_count``, ``cpu_fit``, ``mem_fit``, or
         None for a row that fits."""
-        image = column, _, total = self._image(task.image)
+        image = column, _, total, _, _ = self._image(task.image)
         reasons: list[str | None] = ["storage"] * len(self.nodes)
         self._score(task, image, self._room(column, total), reasons=reasons)
         return reasons
@@ -377,8 +427,8 @@ class _Kernel:
     def decide(self, task: TaskRequest) -> Placement | Unschedulable:
         """Filter, score and pick a node for ``task``, changing no state."""
         nodes = self.nodes
-        image = column, _, total = self._image(task.image)
-        tied = self._score(task, image, self._room(column, total))
+        image = column, _, total, _, _ = self._image(task.image)
+        tied = self._score(task, image, self._rows(image), self.top)
         if not tied:
             return _record(Unschedulable, task_id=task.task_id, nodes=tuple(nodes),
                            task=task, catalog=self.catalog)
@@ -421,13 +471,15 @@ class _Kernel:
         self._load(i, new)
         self.images[task.image][1][i] = 100.0  # the filter filled the entry in
         # Each newly held layer adds its bytes to the row's stored bytes and
-        # to every column using it.
+        # to the overlap column of every image using it, whose order goes
+        # stale.
         sizes = self.catalog.layers
         for digest in need:
             size = sizes[digest]
             self.stored[i] += size
-            for column in self.users[digest]:
-                column[i] += size
+            for entry in self.users[digest]:
+                entry[0][i] += size
+                entry[4] = True
 
     def step(self, task: TaskRequest) -> Placement | Unschedulable:
         """Decide ``task``, commit it if placed, and return the outcome."""

@@ -1,5 +1,6 @@
 """With ``LAYERSCHED_RAISE_TRACE=1`` set, list at the end of the session every
-``raise`` statement in ``src/layersched/`` that no test executed.
+``raise`` statement in ``src/layersched/`` that no test executed, and fail the
+session if there is one.
 
 A ``sys.settrace`` hook, set on every thread, records the lines run in the
 package's files; ``ast`` finds the ``raise`` statements. A raise reached only
@@ -13,6 +14,8 @@ import os
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "layersched"
@@ -45,22 +48,34 @@ def pytest_configure(config):
         sys.settrace(_trace_calls)
 
 
-def pytest_terminal_summary(terminalreporter):
+_missed: list[str] = []  # "path:line: raise ..." of each raise never executed
+_total = 0  # raise statements in the package
+
+
+def pytest_sessionfinish(session):
+    global _total
     if not ENABLED:
         return
     sys.settrace(None)
     threading.settrace(None)
-    missed, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         run = _executed.get(str(path), set())
         raises = sorted((node for node in ast.walk(ast.parse(source))
                          if isinstance(node, ast.Raise)), key=lambda node: node.lineno)
-        total += len(raises)
-        missed += [f"{path.relative_to(ROOT)}:{node.lineno}: "
-                   f"{ast.get_source_segment(source, node).splitlines()[0]}"
-                   for node in raises if run.isdisjoint(range(node.lineno, node.end_lineno + 1))]
-    terminalreporter.write_sep("-", f"{len(missed)} of {total} raise statements in "
+        _total += len(raises)
+        _missed.extend(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                       f"{ast.get_source_segment(source, node).splitlines()[0]}"
+                       for node in raises
+                       if run.isdisjoint(range(node.lineno, node.end_lineno + 1)))
+    if _missed and session.exitstatus == 0:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not ENABLED:
+        return
+    terminalreporter.write_sep("-", f"{len(_missed)} of {_total} raise statements in "
                                     f"src/layersched/ never executed")
-    for line in missed:
+    for line in _missed:
         terminalreporter.write_line(line)

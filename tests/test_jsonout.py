@@ -80,6 +80,15 @@ def test_value_json_cannot_hold_raises_type_error(payload):
         _encoded(payload)
 
 
+@pytest.mark.parametrize("key", [(1, 2), b"k", frozenset()], ids=["tuple", "bytes", "set"])
+def test_key_json_cannot_hold_raises_type_error(key):
+    payload = {"a": {key: 1}}
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None$"):
+        _encoded(payload)
+
+
 # Keys equal to an int that render differently: 1, 1.0 and True are one dict
 # key, written "1", "1.0" and "true".
 def _equal_keys(key: int) -> list:

@@ -112,6 +112,10 @@ class TestLayerCatalog:
         with pytest.raises(ValueError):
             LayerCatalog(layers={"sha256:a": 0}, images={})
 
+    def test_rejects_empty_layer_digest(self):
+        with pytest.raises(ValueError, match="^layer digest must be non-empty$"):
+            LayerCatalog(layers={"": 1}, images={})
+
     def test_rejects_unknown_layer_in_stack(self):
         with pytest.raises(ValueError):
             LayerCatalog(layers={}, images={ImageRef("x", "1"): ("sha256:a",)})

@@ -194,6 +194,21 @@ class TestCacheFile:
         with pytest.raises(CacheCorrupt, match=re.escape(str(path))):
             load_cache(path)
 
+    @pytest.mark.parametrize("payload", ["[]", '"a:1"', "null"])
+    def test_top_level_that_is_no_object_raises_naming_the_path(self, tmp_path, payload):
+        cache = tmp_path / "cache.json"
+        cache.write_text(payload)
+        with pytest.raises(CacheCorrupt) as err:
+            load_cache(cache)
+        assert str(err.value) == f"{cache}: top level must be an object"
+
+    def test_empty_layer_digest_raises_naming_the_path(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        self.write_record(cache, "a:1", l_meta=(("", 1),))
+        with pytest.raises(CacheCorrupt) as err:
+            load_cache(cache)
+        assert str(err.value) == f"{cache}: layer digest must be non-empty"
+
     def test_size_beyond_float_raises_naming_the_path(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         self.write_record(cache, "a:1")

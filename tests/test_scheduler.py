@@ -500,11 +500,17 @@ class TestKernelColumns:
                     assert kernel.std[i] == std_score(n), where
                     assert kernel.calm[i] == ((n.cpu_ratio() < weights.h_cpu)
                                               + (std_score(n) < weights.h_std)), where
-                    for image, (column, holds, _) in kernel.images.items():
+                    for image, (column, holds, _, _, _) in kernel.images.items():
                         assert column[i] == local_layer_size(catalog, n, image), \
                             f"{where} {n.spec.id} {image.key}"
                         assert holds[i] == (100.0 if image in n.local_images else 0.0), \
                             f"{where} {n.spec.id} {image.key}"
+                # Each image's row order is stale, or else by descending
+                # overlap.
+                for image, (column, _, _, order, stale) in kernel.images.items():
+                    assert sorted(order) == list(range(len(kernel.nodes))), where
+                    assert stale or [column[i] for i in order] == sorted(column, reverse=True), \
+                        f"{where} {image.key}"
         assert commits > 0
 
 
@@ -512,7 +518,10 @@ def bound_instance(seed: int):
     """A cluster of 20-60 nodes for the bounded argmax, about half of them
     copies of a few templates under new ids (so exact ties occur), a task
     list, and a config whose plugin weights may be ``None``, zero, negative,
-    1 or above 1, with either tie-break."""
+    1 or above 1, with either tie-break. Some ``lr_dynamic`` configs get a
+    custom table that is all zero or all negative, where the kernel's
+    ordered scan could never stop early, or that mixes signs, where it must
+    stop no earlier than a row that cannot win."""
     rng = random.Random(seed)
     catalog = random_catalog(rng, max_layers=10, max_images=6)
     templates = [random_node(rng, catalog, "template") for _ in range(rng.randint(2, 6))]
@@ -526,16 +535,29 @@ def bound_instance(seed: int):
     config = replace(random_config(rng, policy=POLICIES[seed % len(POLICIES)]),
                      plugins=plugins, tie_break=TIE_BREAKS[seed // 3 % 2])
     tasks = [random_task(rng, catalog, f"task-{seed}-{j}") for j in range(rng.randint(5, 15))]
+    if config.policy == "lr_dynamic" and seed % 5 in (1, 2, 3):
+        if seed % 5 == 1:
+            table = dict.fromkeys(range(4), 0.0)
+        elif seed % 5 == 2:
+            table = {k: -round(rng.uniform(0.1, 3.0), 3) for k in range(4)}
+        else:
+            table = {k: round(rng.uniform(-3.0, 3.0), 3) for k in range(4)}
+            table[rng.randrange(4)] = -round(rng.uniform(0.1, 3.0), 3)
+            table[rng.randrange(4)] = 0.0
+        config = replace(config, weight_policy=replace(
+            config.weight_policy, mode="custom", custom_table=table))
     return catalog, nodes, tasks, config
 
 
 class TestBoundedArgmax:
     """The kernel skips a row whose layer term plus the baseline ceiling is
-    below the best final so far. Each decision must still be the argmax of
-    its full score audit, with the same set of tied rows as a full scan."""
+    below the best final so far, and, walking rows by descending overlap,
+    stops at the first row whose term at the largest weight cannot reach
+    it. Each decision must still be the argmax of its full score audit,
+    with the same set of tied rows as a full scan."""
 
     def test_pruned_scan_ties_and_picks_as_the_full_scan(self):
-        ties = negative = custom = 0
+        ties = negative = custom = walked = walked_negative = fell_back = 0
         for seed in range(90):
             catalog, nodes, tasks, config = bound_instance(seed)
             kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
@@ -547,10 +569,15 @@ class TestBoundedArgmax:
             custom += config.policy == "lr_dynamic" and config.weight_policy.mode == "custom"
             for t, want_id in zip(tasks, oracle):
                 where = f"seed {seed} {t.task_id}"
-                image = column, _, total = kernel._image(t.image)
+                image = column, _, total, _, _ = kernel._image(t.image)
                 pruned = kernel._score(t, image, kernel._room(column, total))
                 full = kernel._score(t, image, kernel._room(column, total), parts=[])
                 assert pruned == full, where
+                ordered = kernel._score(t, image, kernel._rows(image), kernel.top)
+                assert sorted(ordered) == full, where
+                walked += kernel.top is not None
+                walked_negative += kernel.top is not None and min(kernel.omegas) < 0
+                fell_back += kernel.top is None
                 outcome = kernel.decide(t)
                 if not full:
                     assert isinstance(outcome, Unschedulable) and want_id is None, where
@@ -569,8 +596,10 @@ class TestBoundedArgmax:
                 assert outcome.node_id == chosen, where
                 ties += len(tied) > 1
                 kernel.commit(kernel.index[outcome.node_id], t)
-        # The instances must reach the cases the bound has to get right.
+        # The instances must reach the cases the bound and the stop have to
+        # get right.
         assert ties > 0 and negative > 0 and custom > 0
+        assert walked > 0 and walked_negative > 0 and fell_back > 0
 
     def test_negative_commitment_turns_the_bound_off(self):
         # A hand-built node with negative committed CPU scores its free CPU
@@ -581,7 +610,7 @@ class TestBoundedArgmax:
         config = SchedulerConfig(policy="layer_static",
                                  plugins=PluginConfig(balanced_allocation=None))
         kernel = scheduler._Kernel([holder, odd], catalog, config, None)
-        assert kernel.bound == float("inf")
+        assert kernel.bound == float("inf") and kernel.top is None
         outcome = kernel.decide(task())
         finals = {node_id: b.final for node_id, b in outcome.scores.items()}
         assert finals["n1"] > finals["n0"] and outcome.node_id == "n1"
@@ -605,6 +634,25 @@ class TestDuplicateNodeIds:
         with pytest.raises(ScenarioError, match="node ids must be unique") as err:
             list(iter_schedule_trace(tasks, self.nodes(), catalog_ab(),
                                      SchedulerConfig()))
+        assert err.value.field == "nodes"
+
+
+class TestCommitmentBeyondFloatRange:
+    """A committed amount whose ratio to the capacity no float can hold is a
+    ScenarioError naming the node, not an OverflowError from the ratio."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"cpu_committed": -10 ** 400, "cpu_capacity": 1},
+        {"mem_committed": 10 ** 400},
+    ], ids=["cpu", "mem"])
+    @pytest.mark.parametrize("call", [
+        lambda n: filter_node(n, task(), catalog_ab()),
+        lambda n: scheduler.commit_placement(n, task(), catalog_ab()),
+        lambda n: schedule(task(), [node("n0"), n], catalog_ab(), SchedulerConfig()),
+    ], ids=["filter_node", "commit_placement", "schedule"])
+    def test_is_a_scenario_error(self, call, overrides):
+        with pytest.raises(ScenarioError, match="node n1: committed CPU or memory") as err:
+            call(node("n1", **overrides))
         assert err.value.field == "nodes"
 
 

@@ -154,6 +154,16 @@ class TestRun:
             run(scenario)
         assert "ghost" in err.value.field
 
+    @pytest.mark.parametrize("nodes, kwargs, field, message", [
+        ([ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
+        ([ample_node()], {"bandwidth_override": 0}, "bandwidth_override", "must be > 0"),
+    ], ids=["duplicate-ids", "zero-bandwidth"])
+    def test_validate_refuses(self, nodes, kwargs, field, message):
+        scenario = scenario_for(single_image_catalog(), nodes, WorkloadSpec(count=1), **kwargs)
+        with pytest.raises(ScenarioError) as err:
+            run(scenario)
+        assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
+
 
 class TestMaxPods:
     def test_container_limit_binds(self):

@@ -70,6 +70,19 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^unknown workload kind 'replay'$"):
             WorkloadSpec(kind="replay")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "trace_file"}, "trace_file workload needs trace_path"),
+        ({"count": -1}, "count must be >= 0"),
+    ], ids=["no-trace-path", "negative-count"])
+    def test_spec_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WorkloadSpec(**kwargs)
+
+    def test_catalog_without_images_raises(self):
+        catalog = LayerCatalog(layers={"sha256:a": MB}, images={})
+        with pytest.raises(UnknownImage, match="catalog holds no images to draw from"):
+            generate(WorkloadSpec(count=1), catalog)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             WorkloadSpec(image_weights={"web:1": 0.7, "db:1": 0.7})

@@ -1,6 +1,6 @@
 """Indented JSON text, byte-identical to what the stdlib ``json`` module
 writes with ``sort_keys=True`` and ``indent=2``, that renders each repeated
-flat object once.
+flat object once and each container from its previous sibling.
 
 Reports share objects: every step of a simulation report points at the same
 per-node usage dicts until a placement replaces one. The stdlib encoder is
@@ -11,6 +11,16 @@ call. Each dict key order is sorted and its keys encoded once per call,
 so the many usage dicts with one node set share one plan. The top two
 levels are produced piece by piece, so a writer never holds more than one
 of their children's text at a time.
+
+Sibling reuse: the call keeps, per depth, the last container rendered there
+with its label list, its children and its entries (separator, label and
+child text). A container at that depth with the same label list (the same
+object, so a dict with non-string keys, whose plan is built anew each time,
+never matches) and the same length copies those entries and renders again
+only the children that are not the very same objects as before. Identity,
+not equality, decides: ``0.0`` and ``-0.0``, or ``1``, ``True`` and ``1.0``,
+are equal and render differently. Like the memo, the record keeps what it
+compares against alive, so an id cannot be reused while the generator runs.
 """
 
 from __future__ import annotations
@@ -18,13 +28,16 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import add, is_
-from typing import Iterable, Iterator
+from operator import is_not
+from typing import Iterator
 
 _INDENT = "  "
 _STREAMED_LEVELS = 2
 _INF = float("inf")
 _CONTAINERS = (dict, list, tuple)
+# The record of a depth where nothing was rendered: no children, so it
+# matches no container (an empty one is never looked up).
+_NO_RECORD = (None, (), None, False)
 
 
 def _scalar(value) -> str | None:
@@ -67,11 +80,11 @@ def _plan(keys: tuple) -> tuple[tuple[list, list[str]], bool]:
     return (order, labels), reusable
 
 
-def _entries(obj, plans: dict) -> tuple[str, str, Iterable[str], list]:
-    """A container's brackets, its labels (``'"key": '`` for a dict entry,
-    empty for a list item) and its children, in output order. ``plans``
+def _entries(obj, plans: dict) -> tuple[str, str, list[str] | None, list | tuple]:
+    """A container's brackets, its labels (``'"key": '`` for each dict
+    entry, ``None`` for a list) and its children, in output order. ``plans``
     keeps each reusable key order's sorted keys and labels for the whole
-    write."""
+    write, so dicts with equal key orders share one label list."""
     if isinstance(obj, dict):
         keys = tuple(obj)
         plan = plans.get(keys)
@@ -82,11 +95,11 @@ def _entries(obj, plans: dict) -> tuple[str, str, Iterable[str], list]:
         order, labels = plan
         return "{", "}", labels, list(map(obj.__getitem__, order))
     if isinstance(obj, (list, tuple)):
-        return "[", "]", repeat(""), list(obj)
+        return "[", "]", None, obj
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _container(obj, depth: int, memo: defaultdict, plans: dict) -> str:
+def _container(obj, depth: int, memo: defaultdict, plans: dict, records: dict) -> str:
     """The text of a container nested ``depth`` levels deep."""
     text = memo[depth].get(id(obj))
     if text is not None:
@@ -95,35 +108,38 @@ def _container(obj, depth: int, memo: defaultdict, plans: dict) -> str:
     if not children:
         return open_ + close
     below = depth + 1
-    # Look every child up in one pass: most children of a large container
-    # (a report step's node_usage) were rendered at this depth before. Only
-    # containers are memoised, so a hit means this one is not flat; only
-    # the misses are rendered one by one.
-    texts = list(map(memo[below].get, map(id, children)))
-    misses = list(compress(range(len(texts)), map(is_, texts, repeat(None))))
-    flat = len(misses) == len(texts)
-    for n in misses:
+    # Sibling reuse (see the module docstring): a report step's node_usage
+    # differs from the step before it in one node's dict.
+    last_labels, last_children, entries, flat = records.get(depth, _NO_RECORD)
+    if last_labels is labels and len(last_children) == len(children):
+        entries = entries.copy()
+        changed = compress(range(len(children)), map(is_not, children, last_children))
+    else:
+        entries, flat = [None] * len(children), True
+        changed = range(len(children))
+    inner = "\n" + _INDENT * below
+    for n in changed:
         child = children[n]
         if isinstance(child, _CONTAINERS):
             flat = False
-            text = _container(child, below, memo, plans)
+            text = _container(child, below, memo, plans, records)
         else:
             text = _scalar(child)
             if text is None:
-                text = _container(child, below, memo, plans)  # raises TypeError
-        texts[n] = text
-    inner = "\n" + _INDENT * below
-    text = (open_ + inner + ("," + inner).join(map(add, labels, texts))
-            + "\n" + _INDENT * depth + close)
+                text = _container(child, below, memo, plans, records)  # raises TypeError
+        head = ("," if n else open_) + inner
+        entries[n] = head + labels[n] + text if labels else head + text
+    records[depth] = (labels, children, entries, flat)
+    text = "".join(entries) + "\n" + _INDENT * depth + close
     if flat:
         memo[depth][id(obj)] = text
     return text
 
 
-def _stream(obj, depth: int, memo: defaultdict, plans: dict) -> Iterator[str]:
+def _stream(obj, depth: int, memo: defaultdict, plans: dict, records: dict) -> Iterator[str]:
     text = _scalar(obj)
     if text is not None or depth == _STREAMED_LEVELS:
-        yield text or _container(obj, depth, memo, plans)
+        yield text or _container(obj, depth, memo, plans, records)
         return
     open_, close, labels, children = _entries(obj, plans)
     if not children:
@@ -131,9 +147,9 @@ def _stream(obj, depth: int, memo: defaultdict, plans: dict) -> Iterator[str]:
         return
     inner = "\n" + _INDENT * (depth + 1)
     separator = open_ + inner
-    for label, child in zip(labels, children):
+    for label, child in zip(labels or repeat(""), children):
         yield separator + label
-        yield from _stream(child, depth + 1, memo, plans)
+        yield from _stream(child, depth + 1, memo, plans, records)
         separator = "," + inner
     yield "\n" + _INDENT * depth + close
 
@@ -144,8 +160,9 @@ def iter_indented_json(payload) -> Iterator[str]:
     ``handle.writelines``.
 
     Raises ``TypeError`` for a value JSON cannot hold, as ``json`` does.
-    The memo keys objects by ``id``; every keyed object stays reachable from
-    ``payload``, so an id cannot be reused while the generator runs, and
+    The memo keys objects by ``id`` and the sibling records compare children
+    by identity; every such object stays reachable from ``payload`` or a
+    record, so an id cannot be reused while the generator runs, and
     ``payload`` must not change until the generator is exhausted.
     """
     # Keyed by depth, then id: the same dict may sit at two depths, and its
@@ -153,4 +170,7 @@ def iter_indented_json(payload) -> Iterator[str]:
     # with a memoised container, so looking up a scalar child misses.
     memo: defaultdict[int, dict[int, str]] = defaultdict(dict)
     plans: dict[tuple, tuple[list, list[str]]] = {}
-    yield from _stream(payload, 0, memo, plans)
+    # Keyed by depth: the labels, children, entries and flatness of the last
+    # container rendered there.
+    records: dict[int, tuple] = {}
+    yield from _stream(payload, 0, memo, plans, records)

@@ -8,6 +8,7 @@ decided by the scheduler's kernel, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -67,8 +68,8 @@ class LayerCatalog:
         for digest, size in self.layers.items():
             if not digest:
                 raise ValueError("layer digest must be non-empty")
-            if size <= 0:
-                raise ValueError(f"layer {digest!r} has non-positive size {size}")
+            if not 0 < size < math.inf:  # negated, so NaN fails too
+                raise ValueError(f"layer {digest!r} has size {size}; must be finite and > 0")
         for image, stack in self.images.items():
             if len(set(stack)) != len(stack):
                 raise ValueError(f"image {image.key} lists a duplicate layer")
@@ -96,8 +97,10 @@ class NodeSpec:
 
     def __post_init__(self):
         for name in ("cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity"):
-            if not getattr(self, name) > 0:  # negated, so NaN fails too
-                raise ValueError(f"node {self.id}: {name} must be > 0")
+            # An infinite capacity fits every request, yet least-allocated
+            # scores it (inf - request) / inf, a NaN, which never wins.
+            if not 0 < getattr(self, name) < math.inf:  # negated, so NaN fails too
+                raise ValueError(f"node {self.id}: {name} must be finite and > 0")
         if not self.max_containers >= 1:
             raise ValueError(f"node {self.id}: max_containers must be >= 1")
 

@@ -39,6 +39,10 @@ AGGREGATES = ("total_download_bytes", "total_download_seconds", "mean_cluster_st
 
 CSV_HEADER = ["step", "task", "node", "download_bytes", "download_seconds", "cluster_std"]
 
+# Bytes buffered per write(2) of a JSON report: 128 KiB gets nearly all the
+# gain a larger buffer gives over the default 8 KiB.
+_WRITE_BUFFER = 1 << 17
+
 
 @dataclass
 class Scenario:
@@ -336,9 +340,10 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    """Write ``payload`` as sorted, indented JSON, streamed into the file;
-    each object the payload shares is rendered once."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write ``payload`` as sorted, indented JSON, streamed into the file
+    through a ``_WRITE_BUFFER``-byte buffer (about 46 ``write`` calls for a
+    6 MB report); each object the payload shares is rendered once."""
+    with open(path, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as handle:
         handle.writelines(iter_indented_json(payload))
         handle.write("\n")
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import micro_scenario
 from layersched._jsonout import iter_indented_json
+from layersched.simulator import Scenario, replay
+from layersched.workload import WorkloadSpec
 
 ODD_STRINGS = ["", '"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é€𝄞", " \ud800"]
 ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1.5e300,
@@ -152,3 +155,61 @@ def test_mixed_str_and_number_keys_raise_type_error(key_set, number, position, w
         json.dumps(payload, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _encoded(payload)
+
+
+# Values equal to one another that render differently, and NaNs that differ
+# only in identity: a sibling may share a child with the one before it, or
+# hold an equal value that is another object.
+SHARED_NAN = math.nan
+ZERO, NEGATIVE_ZERO = {"x": 0.0}, {"x": -0.0}
+twins = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, True, 1.0, 0, False, SHARED_NAN, ZERO, NEGATIVE_ZERO]),
+    st.builds(float, st.just("nan")),
+    st.builds(dict, st.just({"x": 0.0})),
+    st.builds(list),
+)
+
+
+@st.composite
+def sibling_runs(draw):
+    """Same-shaped containers in a row: dicts with one str key order, dicts
+    whose int keys each pick among equal keys (``1``, ``1.0``, ``True``), or
+    lists of one length. Each sibling keeps some of the previous one's
+    children by identity and replaces the others."""
+    kind = draw(st.sampled_from(["str-keys", "int-keys", "list"]))
+    if kind == "str-keys":
+        key_set = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    else:
+        key_set = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True))
+    children = [draw(twins) for _ in key_set]
+    siblings = []
+    for _ in range(draw(st.integers(2, 6))):
+        children = [child if draw(st.booleans()) else draw(twins) for child in children]
+        if kind == "list":
+            siblings.append(list(children))
+        elif kind == "int-keys":
+            siblings.append({draw(st.sampled_from(_equal_keys(key))): child
+                             for key, child in zip(key_set, children)})
+        else:
+            siblings.append(dict(zip(key_set, children)))
+    return siblings
+
+
+@given(siblings=sibling_runs(), wrappers=st.lists(st.one_of(st.none(), keys), max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_siblings_sharing_children_match_json_dumps(siblings, wrappers):
+    # The siblings sit at the first rendered depth below the streamed
+    # levels, then again deeper, right after the shallow ones: a sibling's
+    # rendering may be reused only at its own depth.
+    payload = {"runs": siblings + [_nest(siblings, wrappers)]}
+    assert _encoded(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_recorded_report_with_an_unschedulable_step_matches_json_dumps():
+    catalog, nodes, tasks, config = micro_scenario(50)
+    scenario = Scenario(nodes=[n.spec for n in nodes], catalog=catalog,
+                        workload=WorkloadSpec(), scheduler=config, seed=50)
+    report = replay(scenario, tasks, record=True)
+    assert 0 < report.unschedulable_count < len(tasks)
+    payload = report.to_dict()
+    assert _encoded(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -112,6 +112,13 @@ class TestLayerCatalog:
         with pytest.raises(ValueError):
             LayerCatalog(layers={"sha256:a": 0}, images={})
 
+    # A NaN or infinite size would fail the storage test on every node, so
+    # schedule would name storage for a node with 30 GB free.
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_layer_size(self, size):
+        with pytest.raises(ValueError, match="^layer 'sha256:a' has size .*; must be finite and > 0$"):
+            LayerCatalog(layers={"sha256:a": size}, images={})
+
     def test_rejects_empty_layer_digest(self):
         with pytest.raises(ValueError, match="^layer digest must be non-empty$"):
             LayerCatalog(layers={"": 1}, images={})
@@ -232,6 +239,15 @@ class TestValidation:
         capacities = dict(cpu_capacity=1, mem_capacity=1, bandwidth=1, storage_capacity=1)
         with pytest.raises(ValueError, match=f"{field} must be"):
             NodeSpec(id="n", **{**capacities, field: float("nan")})
+
+    # An infinite CPU or memory capacity passed filter_node, yet least-allocated
+    # scored inf / inf, a NaN, so schedule found no node.
+    @pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity", "bandwidth",
+                                       "storage_capacity"])
+    def test_infinite_capacity_rejected(self, field):
+        capacities = dict(cpu_capacity=1, mem_capacity=1, bandwidth=1, storage_capacity=1)
+        with pytest.raises(ValueError, match=f"^node n: {field} must be finite and > 0$"):
+            NodeSpec(id="n", **{**capacities, field: float("inf")})
 
     @pytest.mark.parametrize("field", ["cpu_request", "mem_request"])
     def test_nan_request_rejected(self, field):

@@ -1,16 +1,14 @@
 """Indented JSON text, byte-identical to what the stdlib ``json`` module
-writes with ``sort_keys=True`` and ``indent=2``, that renders each repeated
-flat object once and each container from its previous sibling.
+writes with ``sort_keys=True`` and ``indent=2``, that renders each
+container from its previous sibling.
 
 Reports share objects: every step of a simulation report points at the same
 per-node usage dicts until a placement replaces one. The stdlib encoder is
-pure Python once ``indent`` is set and renders every occurrence again. Here
-a container whose children are all scalars is rendered once per nesting
-depth (its indentation depends on the depth) and reused for the rest of the
-call. Each dict key order is sorted and its keys encoded once per call,
-so the many usage dicts with one node set share one plan. The top two
-levels are produced piece by piece, so a writer never holds more than one
-of their children's text at a time.
+pure Python once ``indent`` is set and renders every occurrence again. Each
+dict key order is sorted and its keys encoded once per call, so the many
+usage dicts with one node set share one plan. The top two levels are
+produced piece by piece, so a writer never holds more than one of their
+children's text at a time.
 
 Sibling reuse: the call keeps, per depth, the last container rendered there
 with its label list, its children and its entries (separator, label and
@@ -19,13 +17,14 @@ object, so a dict with non-string keys, whose plan is built anew each time,
 never matches) and the same length copies those entries and renders again
 only the children that are not the very same objects as before. Identity,
 not equality, decides: ``0.0`` and ``-0.0``, or ``1``, ``True`` and ``1.0``,
-are equal and render differently. Like the memo, the record keeps what it
-compares against alive, so an id cannot be reused while the generator runs.
+are equal and render differently. Reuse pays only where consecutive
+same-shaped containers at one depth share children by identity, as report
+steps do. The record keeps what it compares against alive, so an id cannot
+be reused while the generator runs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import is_not
@@ -34,10 +33,9 @@ from typing import Iterator
 _INDENT = "  "
 _STREAMED_LEVELS = 2
 _INF = float("inf")
-_CONTAINERS = (dict, list, tuple)
 # The record of a depth where nothing was rendered: no children, so it
 # matches no container (an empty one is never looked up).
-_NO_RECORD = (None, (), None, False)
+_NO_RECORD = (None, (), None)
 
 
 def _scalar(value) -> str | None:
@@ -99,47 +97,37 @@ def _entries(obj, plans: dict) -> tuple[str, str, list[str] | None, list | tuple
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _container(obj, depth: int, memo: defaultdict, plans: dict, records: dict) -> str:
+def _container(obj, depth: int, plans: dict, records: dict) -> str:
     """The text of a container nested ``depth`` levels deep."""
-    text = memo[depth].get(id(obj))
-    if text is not None:
-        return text
     open_, close, labels, children = _entries(obj, plans)
     if not children:
         return open_ + close
     below = depth + 1
     # Sibling reuse (see the module docstring): a report step's node_usage
     # differs from the step before it in one node's dict.
-    last_labels, last_children, entries, flat = records.get(depth, _NO_RECORD)
+    last_labels, last_children, entries = records.get(depth, _NO_RECORD)
     if last_labels is labels and len(last_children) == len(children):
         entries = entries.copy()
         changed = compress(range(len(children)), map(is_not, children, last_children))
     else:
-        entries, flat = [None] * len(children), True
+        entries = [None] * len(children)
         changed = range(len(children))
     inner = "\n" + _INDENT * below
     for n in changed:
         child = children[n]
-        if isinstance(child, _CONTAINERS):
-            flat = False
-            text = _container(child, below, memo, plans, records)
-        else:
-            text = _scalar(child)
-            if text is None:
-                text = _container(child, below, memo, plans, records)  # raises TypeError
+        text = _scalar(child)
+        if text is None:
+            text = _container(child, below, plans, records)  # or raises TypeError
         head = ("," if n else open_) + inner
         entries[n] = head + labels[n] + text if labels else head + text
-    records[depth] = (labels, children, entries, flat)
-    text = "".join(entries) + "\n" + _INDENT * depth + close
-    if flat:
-        memo[depth][id(obj)] = text
-    return text
+    records[depth] = (labels, children, entries)
+    return "".join(entries) + "\n" + _INDENT * depth + close
 
 
-def _stream(obj, depth: int, memo: defaultdict, plans: dict, records: dict) -> Iterator[str]:
+def _stream(obj, depth: int, plans: dict, records: dict) -> Iterator[str]:
     text = _scalar(obj)
     if text is not None or depth == _STREAMED_LEVELS:
-        yield text or _container(obj, depth, memo, plans, records)
+        yield text or _container(obj, depth, plans, records)
         return
     open_, close, labels, children = _entries(obj, plans)
     if not children:
@@ -149,7 +137,7 @@ def _stream(obj, depth: int, memo: defaultdict, plans: dict, records: dict) -> I
     separator = open_ + inner
     for label, child in zip(labels or repeat(""), children):
         yield separator + label
-        yield from _stream(child, depth + 1, memo, plans, records)
+        yield from _stream(child, depth + 1, plans, records)
         separator = "," + inner
     yield "\n" + _INDENT * depth + close
 
@@ -160,17 +148,13 @@ def iter_indented_json(payload) -> Iterator[str]:
     ``handle.writelines``.
 
     Raises ``TypeError`` for a value JSON cannot hold, as ``json`` does.
-    The memo keys objects by ``id`` and the sibling records compare children
-    by identity; every such object stays reachable from ``payload`` or a
-    record, so an id cannot be reused while the generator runs, and
-    ``payload`` must not change until the generator is exhausted.
+    The sibling records compare children by identity; every compared object
+    stays reachable from ``payload`` or a record, so an id cannot be reused
+    while the generator runs, and ``payload`` must not change until the
+    generator is exhausted.
     """
-    # Keyed by depth, then id: the same dict may sit at two depths, and its
-    # indentation differs between them. A live scalar never shares an id
-    # with a memoised container, so looking up a scalar child misses.
-    memo: defaultdict[int, dict[int, str]] = defaultdict(dict)
     plans: dict[tuple, tuple[list, list[str]]] = {}
-    # Keyed by depth: the labels, children, entries and flatness of the last
-    # container rendered there.
+    # Keyed by depth (a container's indentation depends on it): the labels,
+    # children and entries of the last container rendered there.
     records: dict[int, tuple] = {}
-    yield from _stream(payload, 0, memo, plans, records)
+    yield from _stream(payload, 0, plans, records)

@@ -55,7 +55,7 @@ def _encoded(payload) -> str:
 def test_matches_json_dumps_with_an_object_shared_at_two_depths(
         body, shared, wrappers, depths):
     # ``shared`` sits below the streamed top two levels at two different
-    # depths, so a memo keyed by id alone would reuse the wrong indentation.
+    # depths, so text reused by id alone would have the wrong indentation.
     payload = {
         "body": body,
         "first": _nest(shared, wrappers[:depths[0]]),

@@ -1,6 +1,8 @@
 """Indented JSON text, byte-identical to what the stdlib ``json`` module
-writes with ``sort_keys=True`` and ``indent=2``, that renders each
-container from its previous sibling.
+writes with ``sort_keys=True`` and ``indent=2`` for a payload whose dict keys
+are all strings, that renders each container from its previous sibling. Any
+other key raises ``TypeError``; every payload the package writes has string
+keys only.
 
 Reports share objects: every step of a simulation report points at the same
 per-node usage dicts until a placement replaces one. The stdlib encoder is
@@ -13,14 +15,13 @@ children's text at a time.
 Sibling reuse: the call keeps, per depth, the last container rendered there
 with its label list, its children and its entries (separator, label and
 child text). A container at that depth with the same label list (the same
-object, so a dict with non-string keys, whose plan is built anew each time,
-never matches) and the same length copies those entries and renders again
-only the children that are not the very same objects as before. Identity,
-not equality, decides: ``0.0`` and ``-0.0``, or ``1``, ``True`` and ``1.0``,
-are equal and render differently. Reuse pays only where consecutive
-same-shaped containers at one depth share children by identity, as report
-steps do. The record keeps what it compares against alive, so an id cannot
-be reused while the generator runs.
+object) and the same length copies those entries and renders again only the
+children that are not the very same objects as before. Identity, not
+equality, decides: ``0.0`` and ``-0.0``, or ``1``, ``True`` and ``1.0``, are
+equal and render differently. Reuse pays only where consecutive same-shaped
+containers at one depth share children by identity, as report steps do. The
+record keeps what it compares against alive, so an id cannot be reused while
+the generator runs.
 """
 
 from __future__ import annotations
@@ -61,35 +62,20 @@ def _scalar(value) -> str | None:
     return None
 
 
-def _plan(keys: tuple) -> tuple[tuple[list, list[str]], bool]:
-    """The sorted keys of a dict with ``keys`` with their ``'"key": '``
-    labels, and whether the plan may be reused for any dict with equal keys: only
-    string keys render by value alone (``1``, ``1.0`` and ``True`` are
-    equal keys that render differently)."""
-    order, labels, reusable = sorted(keys), [], True
-    for key in order:
-        text = key
-        if not isinstance(key, str):
-            reusable = False
-            text = _scalar(key)
-            if text is None:
-                raise TypeError("keys must be str, int, float, bool or None")
-        labels.append(_encode_str(text) + ": ")
-    return (order, labels), reusable
-
-
 def _entries(obj, plans: dict) -> tuple[str, str, list[str] | None, list | tuple]:
     """A container's brackets, its labels (``'"key": '`` for each dict
     entry, ``None`` for a list) and its children, in output order. ``plans``
-    keeps each reusable key order's sorted keys and labels for the whole
-    write, so dicts with equal key orders share one label list."""
+    keeps each key order's sorted keys and labels for the whole write, so
+    dicts with equal key orders share one label list."""
     if isinstance(obj, dict):
         keys = tuple(obj)
         plan = plans.get(keys)
         if plan is None:
-            plan, reusable = _plan(keys)
-            if reusable:
-                plans[keys] = plan
+            for key in keys:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            order = sorted(keys)
+            plan = plans[keys] = order, [_encode_str(key) + ": " for key in order]
         order, labels = plan
         return "{", "}", labels, list(map(obj.__getitem__, order))
     if isinstance(obj, (list, tuple)):
@@ -145,9 +131,11 @@ def _stream(obj, depth: int, plans: dict, records: dict) -> Iterator[str]:
 def iter_indented_json(payload) -> Iterator[str]:
     """Yield the JSON text of ``payload``, keys sorted and indented by two
     spaces as the stdlib ``json`` module writes it, in pieces for
-    ``handle.writelines``.
+    ``handle.writelines``: byte-identical to ``json.dumps(payload,
+    sort_keys=True, indent=2)`` when every dict key is a string.
 
-    Raises ``TypeError`` for a value JSON cannot hold, as ``json`` does.
+    Raises ``TypeError`` for a value JSON cannot hold, as ``json`` does, and
+    for any dict key that is not a string, which ``json`` would convert.
     The sibling records compare children by identity; every compared object
     stays reachable from ``payload`` or a record, so an id cannot be reused
     while the generator runs, and ``payload`` must not change until the

@@ -19,6 +19,15 @@ from .errors import UnknownImage
 LayerId = str
 
 
+def _finite(number) -> bool:
+    """Whether ``number`` is one float arithmetic can use: not NaN, not
+    infinite and not an int beyond the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ImageRef:
     """An image identified by name and tag; the pair is the unique key. Its
@@ -68,7 +77,7 @@ class LayerCatalog:
         for digest, size in self.layers.items():
             if not digest:
                 raise ValueError("layer digest must be non-empty")
-            if not 0 < size < math.inf:  # negated, so NaN fails too
+            if not (size > 0 and _finite(size)):
                 raise ValueError(f"layer {digest!r} has size {size}; must be finite and > 0")
         for image, stack in self.images.items():
             if len(set(stack)) != len(stack):
@@ -99,7 +108,8 @@ class NodeSpec:
         for name in ("cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity"):
             # An infinite capacity fits every request, yet least-allocated
             # scores it (inf - request) / inf, a NaN, which never wins.
-            if not 0 < getattr(self, name) < math.inf:  # negated, so NaN fails too
+            value = getattr(self, name)
+            if not (value > 0 and _finite(value)):
                 raise ValueError(f"node {self.id}: {name} must be finite and > 0")
         if not self.max_containers >= 1:
             raise ValueError(f"node {self.id}: max_containers must be >= 1")
@@ -119,11 +129,6 @@ class TaskRequest:
             raise ValueError(f"task {self.task_id}: cpu_request must be > 0")
         if not self.mem_request >= 0:
             raise ValueError(f"task {self.task_id}: mem_request must be >= 0")
-
-
-# A container committed to a node is the task it runs: ``NodeState.running``
-# holds the placed ``TaskRequest`` values themselves.
-PlacedContainer = TaskRequest
 
 
 @dataclass(frozen=True)

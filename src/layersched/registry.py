@@ -33,7 +33,7 @@ from .errors import (
     UnknownImage,
     UnsupportedManifest,
 )
-from .model import ImageRef, LayerCatalog
+from .model import ImageRef, LayerCatalog, _finite
 
 MANIFEST_V2 = "application/vnd.docker.distribution.manifest.v2+json"
 MANIFEST_LIST_V2 = "application/vnd.docker.distribution.manifest.list.v2+json"
@@ -49,10 +49,12 @@ _REDIRECTS = frozenset((301, 302, 303, 307, 308))
 
 
 def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; a size that is a float, a bool or a
-    string is refused, not rounded or parsed."""
+    """``value`` if it is a JSON integer within the float range; a size that
+    is a float, a bool or a string is refused, not rounded or parsed."""
     if type(value) is not int:
         raise TypeError(f"size must be a JSON integer, not {value!r}")
+    if not _finite(value):
+        raise ValueError("size is beyond the float range")
     return value
 
 

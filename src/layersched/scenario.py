@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ScenarioError
-from .model import ImageRef, LayerCatalog, LayerId, NodeSpec
+from .model import ImageRef, LayerCatalog, LayerId, NodeSpec, _finite
 from .registry import (
     RegistryClient,
     RegistryConfig,
@@ -41,6 +41,8 @@ def parse_size(value: int | float | str, path: str) -> int:
     if isinstance(value, int):
         if value < 0:
             raise ScenarioError(path, "size must be >= 0")
+        if not _finite(value):
+            raise ScenarioError(path, "size is beyond the float range")
         return value
     if isinstance(value, float):
         if not math.isfinite(value) or value < 0 or value != int(value):
@@ -70,22 +72,21 @@ def parse_cpu(value: int | str, path: str) -> int:
     '500m' is millicores, a bare number is whole cores."""
     if isinstance(value, bool):
         raise ScenarioError(path, "expected a cpu quantity, got a boolean")
-    if isinstance(value, int):
-        if value <= 0:
-            raise ScenarioError(path, "cpu must be > 0")
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text.endswith("m"):
-            try:
-                millis = int(text[:-1])
-            except ValueError:
-                raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
-            if millis <= 0:
-                raise ScenarioError(path, "cpu must be > 0")
-            return millis
+    millis = value
+    if isinstance(value, str) and value.strip().endswith("m"):
         try:
-            cores = float(text)
+            millis = int(value.strip()[:-1])
+        except ValueError:
+            raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
+    if isinstance(millis, int):
+        if millis <= 0:
+            raise ScenarioError(path, "cpu must be > 0")
+        if not _finite(millis):
+            raise ScenarioError(path, "cpu is beyond the float range")
+        return millis
+    if isinstance(value, str):
+        try:
+            cores = float(value)
         except ValueError:
             raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
         millis = cores * 1000
@@ -97,13 +98,8 @@ def parse_cpu(value: int | str, path: str) -> int:
 
 def _number(value, path: str) -> float:
     """A finite JSON number (not a boolean) as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and _finite(value):
+        return float(value)
     raise ScenarioError(path, "must be a finite number")
 
 
@@ -173,6 +169,8 @@ def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
     count = obj.get("count", 20)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ScenarioError(f"{path}.count", "must be a non-negative integer")
+    if count > sys.maxsize:
+        raise ScenarioError(f"{path}.count", f"must be at most {sys.maxsize}")
 
     weights = None
     if "images" in obj:
@@ -433,7 +431,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
         raise ScenarioError(str(path), f"cannot read scenario file: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long for int()
         raise ScenarioError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError(str(path), "top level must be an object")

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
+from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, _finite, layers_of
 
 MB = 1024 * 1024
 
@@ -23,14 +23,6 @@ WEIGHT_MODES = ("static", "dynamic", "custom")
 # Baseline plugins whose inputs exist in this model. Taints, affinity,
 # topology-spread and volume plugins need cluster metadata we do not carry.
 PLUGIN_NAMES = ("least_allocated", "balanced_allocation", "image_locality")
-
-
-def _finite(weight: float) -> bool:
-    """Whether ``weight`` is a number scoring's float arithmetic can use."""
-    try:
-        return math.isfinite(weight)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 @dataclass(frozen=True)

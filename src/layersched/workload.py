@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
@@ -36,8 +37,8 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if self.kind == "trace_file" and not self.trace_path:
             raise ValueError("trace_file workload needs trace_path")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
+        if not 0 <= self.count <= sys.maxsize:
+            raise ValueError(f"count must be within 0..{sys.maxsize}")
         for name, (lo, hi) in (("cpu_range", self.cpu_range), ("mem_range", self.mem_range)):
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} must satisfy 0 <= min <= max")

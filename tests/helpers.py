@@ -15,7 +15,6 @@ from layersched.model import (
     LayerCatalog,
     NodeSpec,
     NodeState,
-    PlacedContainer,
     TaskRequest,
 )
 from layersched.scheduler import POLICIES, SchedulerConfig
@@ -104,7 +103,7 @@ def random_node(rng: random.Random, catalog: LayerCatalog,
     for j in range(rng.randint(0, 3)):
         cpu_req = rng.randint(50, cpu_cap // 4)
         mem_req = rng.randint(0, mem_cap // 4)
-        running.append(PlacedContainer(
+        running.append(TaskRequest(
             task_id=f"{node_id}-warm{j}",
             image=rng.choice(refs),
             cpu_request=cpu_req,

@@ -431,6 +431,15 @@ class TestValidate:
         (lambda d: d.update(catalog=["web:1"]), "catalog"),
         (lambda d: d.update(schedulers=[]), "schedulers"),
         (lambda d: d.update(output=""), "output"),
+        (lambda d: d["catalog"]["layers"].update({"sha256:base": 10 ** 400}),
+         "catalog.layers.sha256:base"),
+        (lambda d: d["nodes"][0].update(storage=10 ** 400), "nodes[0].storage"),
+        (lambda d: d["nodes"][0].update(cpu=10 ** 400), "nodes[0].cpu"),
+        (lambda d: d["workload"].update(count=10 ** 400), "workload.count"),
+        (lambda d: d["workload"].update(count=-1), "workload.count"),
+        (lambda d: d.update(schedulers=[{"policy": "default", "tie_break": "coin"}]),
+         "schedulers[0].tie_break"),
+        (lambda d: d["catalog"].update(images=["web:1"]), "catalog.images"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
@@ -443,7 +452,9 @@ class TestValidate:
             "custom-table-not-an-object", "scheduler-not-a-name-or-object",
             "unknown-policy", "empty-label", "zero-node-count", "ftp-registry",
             "cache-file-not-a-string", "catalog-not-an-object", "no-schedulers",
-            "empty-output"])
+            "empty-output", "layer-size-beyond-float", "storage-beyond-float",
+            "cpu-beyond-float", "count-beyond-maxsize", "negative-count",
+            "unknown-tie-break", "catalog-images-not-an-object"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()

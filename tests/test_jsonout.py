@@ -1,5 +1,6 @@
 """The report encoder writes exactly what ``json.dumps(sort_keys=True,
-indent=2)`` writes, including for an object shared at several depths."""
+indent=2)`` writes for a payload with string keys, including for an object
+shared at several depths, and refuses any other key."""
 
 import json
 import math
@@ -83,50 +84,14 @@ def test_value_json_cannot_hold_raises_type_error(payload):
         _encoded(payload)
 
 
-@pytest.mark.parametrize("key", [(1, 2), b"k", frozenset()], ids=["tuple", "bytes", "set"])
-def test_key_json_cannot_hold_raises_type_error(key):
-    payload = {"a": {key: 1}}
-    with pytest.raises(TypeError):
-        json.dumps(payload, sort_keys=True, indent=2)
-    with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None$"):
-        _encoded(payload)
-
-
-# Keys equal to an int that render differently: 1, 1.0 and True are one dict
-# key, written "1", "1.0" and "true".
-def _equal_keys(key: int) -> list:
-    variants = [key, float(key)]
-    if key in (0, 1):
-        variants.append(bool(key))
-    if key == 0:
-        variants.append(-0.0)
-    return variants
-
-
-int_key_sets = st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True)
-float_key_sets = st.lists(st.sampled_from([0.5, -2.25, 1e16, math.inf, -math.inf, math.nan]),
-                          min_size=1, max_size=4, unique=True)
-
-
 @st.composite
 def one_key_set_in_many_orders(draw):
-    """Dicts over one key set, each in its own insertion order and, for
-    numeric keys, each with its own choice among equal keys, nested at
+    """Dicts over one key set, each in its own insertion order, nested at
     several depths."""
-    kind = draw(st.sampled_from(["str", "int", "float", "none"]))
-    if kind == "str":
-        key_set = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
-    elif kind == "int":
-        key_set = draw(int_key_sets)
-    elif kind == "float":
-        key_set = draw(float_key_sets)
-    else:
-        key_set = [None]
+    key_set = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
     nested = []
     for _ in range(draw(st.integers(2, 5))):
         order = draw(st.permutations(key_set))
-        if kind == "int":
-            order = [draw(st.sampled_from(_equal_keys(key))) for key in order]
         obj = {key: draw(st.one_of(scalars, st.builds(dict))) for key in order}
         wrappers = draw(st.lists(st.one_of(st.none(), keys), max_size=4))
         nested.append(_nest(obj, wrappers))
@@ -139,22 +104,23 @@ def test_one_key_set_in_many_orders_matches_json_dumps(payload):
     assert _encoded(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2), b"k", frozenset()],
+                         ids=["int", "float", "bool", "none", "tuple", "bytes", "set"])
 @given(key_set=st.lists(keys, min_size=1, max_size=4, unique=True),
-       number=st.one_of(st.integers(-3, 3), st.floats(allow_nan=False), st.booleans()),
        position=st.integers(0, 4),
        wrappers=st.lists(st.one_of(st.none(), keys), max_size=4))
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_mixed_str_and_number_keys_raise_type_error(key_set, number, position, wrappers):
-    # The all-str dict comes first, so its key order is planned before the
-    # mixed one is met.
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_key_json_cannot_hold_raises_type_error(key, key_set, position, wrappers):
+    # The encoder refuses every key but a string, alone and in a dict met
+    # after an all-str one, whose key order is then already planned; json
+    # converts a number, a bool or None to a string key instead.
     order = list(key_set)
-    order.insert(position, number)
-    payload = [_nest(dict.fromkeys(key_set, 1), wrappers),
-               _nest(dict.fromkeys(order, 1), wrappers)]
-    with pytest.raises(TypeError):
-        json.dumps(payload, sort_keys=True, indent=2)
-    with pytest.raises(TypeError):
-        _encoded(payload)
+    order.insert(position, key)
+    for payload in (_nest({key: 1}, wrappers),
+                    [_nest(dict.fromkeys(key_set, 1), wrappers),
+                     _nest(dict.fromkeys(order, 1), wrappers)]):
+        with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}$"):
+            _encoded(payload)
 
 
 # Values equal to one another that render differently, and NaNs that differ
@@ -172,24 +138,17 @@ twins = st.one_of(
 
 @st.composite
 def sibling_runs(draw):
-    """Same-shaped containers in a row: dicts with one str key order, dicts
-    whose int keys each pick among equal keys (``1``, ``1.0``, ``True``), or
+    """Same-shaped containers in a row: dicts with one str key order, or
     lists of one length. Each sibling keeps some of the previous one's
     children by identity and replaces the others."""
-    kind = draw(st.sampled_from(["str-keys", "int-keys", "list"]))
-    if kind == "str-keys":
-        key_set = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
-    else:
-        key_set = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True))
+    kind = draw(st.sampled_from(["str-keys", "list"]))
+    key_set = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
     children = [draw(twins) for _ in key_set]
     siblings = []
     for _ in range(draw(st.integers(2, 6))):
         children = [child if draw(st.booleans()) else draw(twins) for child in children]
         if kind == "list":
             siblings.append(list(children))
-        elif kind == "int-keys":
-            siblings.append({draw(st.sampled_from(_equal_keys(key))): child
-                             for key, child in zip(key_set, children)})
         else:
             siblings.append(dict(zip(key_set, children)))
     return siblings

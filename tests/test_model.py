@@ -113,8 +113,10 @@ class TestLayerCatalog:
             LayerCatalog(layers={"sha256:a": 0}, images={})
 
     # A NaN or infinite size would fail the storage test on every node, so
-    # schedule would name storage for a node with 30 GB free.
-    @pytest.mark.parametrize("size", [float("nan"), float("inf")], ids=["nan", "inf"])
+    # schedule would name storage for a node with 30 GB free; an int beyond
+    # the float range overflowed the kernel's download seconds.
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "int-beyond-float"])
     def test_rejects_non_finite_layer_size(self, size):
         with pytest.raises(ValueError, match="^layer 'sha256:a' has size .*; must be finite and > 0$"):
             LayerCatalog(layers={"sha256:a": size}, images={})
@@ -241,13 +243,15 @@ class TestValidation:
             NodeSpec(id="n", **{**capacities, field: float("nan")})
 
     # An infinite CPU or memory capacity passed filter_node, yet least-allocated
-    # scored inf / inf, a NaN, so schedule found no node.
+    # scored inf / inf, a NaN, so schedule found no node; an int capacity
+    # beyond the float range overflowed the kernel's float arithmetic.
     @pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity", "bandwidth",
                                        "storage_capacity"])
     def test_infinite_capacity_rejected(self, field):
         capacities = dict(cpu_capacity=1, mem_capacity=1, bandwidth=1, storage_capacity=1)
-        with pytest.raises(ValueError, match=f"^node n: {field} must be finite and > 0$"):
-            NodeSpec(id="n", **{**capacities, field: float("inf")})
+        for value in (float("inf"), 10 ** 400):
+            with pytest.raises(ValueError, match=f"^node n: {field} must be finite and > 0$"):
+                NodeSpec(id="n", **{**capacities, field: value})
 
     @pytest.mark.parametrize("field", ["cpu_request", "mem_request"])
     def test_nan_request_rejected(self, field):

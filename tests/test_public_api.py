@@ -7,7 +7,7 @@ PUBLIC = (
     "CacheCorrupt", "CapacityViolation", "ComparisonError", "DigestSizeConflict",
     "FilterVerdict", "ImageMetadata", "ImageMetadataLists", "ImageRef", "LayerCatalog",
     "LayerId", "LayerMetadata", "LayerSchedError", "MB", "MaxPodsResult", "NodeSpec",
-    "NodeState", "POLICIES", "PlacedContainer", "Placement", "PluginConfig",
+    "NodeState", "POLICIES", "Placement", "PluginConfig",
     "RegistryClient", "RegistryConfig", "RegistryProtocolError", "RegistryUnavailable",
     "RegistryWatcher", "Scenario", "ScenarioError", "SchedulerConfig", "ScoreBreakdown",
     "SimulationReport", "StepMetrics", "TaskRequest", "TraceCorrupt", "UnknownImage",

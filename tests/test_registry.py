@@ -216,6 +216,11 @@ class TestCacheFile:
         with pytest.raises(CacheCorrupt, match=re.escape(str(cache))):
             load_cache(cache)
         self.assert_validate_exits_2(cache, capsys)
+        # A 401-digit JSON integer: a size, and the total that matches it.
+        self.write_record(cache, "a:1", l_meta=(("sha256:l", 10 ** 400),))
+        with pytest.raises(CacheCorrupt, match=re.escape(f"{cache}: size is beyond the float range")):
+            load_cache(cache)
+        self.assert_validate_exits_2(cache, capsys)
 
     @pytest.mark.parametrize("before, after", [
         ('"size": 1,', '"size": true,'),

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from layersched.scenario import (
     resolve_catalog,
 )
 from layersched.scoring import MB
+from layersched.simulator import replay
+from layersched.workload import stream
 
 GB = 1024 ** 3
 
@@ -64,6 +67,7 @@ class TestParseSize:
     @pytest.mark.parametrize("value", [
         True, -1, 1.5, "1.5B", "0.001MB", "abc", "12 QB", None,
         float("inf"), float("nan"), pytest.param("1" + "0" * 400, id="401-digits"),
+        pytest.param(10 ** 400, id="int-beyond-float"),
     ])
     def test_rejected(self, value):
         with pytest.raises(ScenarioError):
@@ -83,7 +87,8 @@ class TestParseCpu:
 
     @pytest.mark.parametrize("value", [
         True, 0, -3, "0m", "-100m", "0.0005", "abc", "m", None,
-        "inf", "nan", "1e999",
+        "inf", "nan", "1e999", pytest.param(10 ** 400, id="int-beyond-float"),
+        pytest.param("1" + "0" * 400 + "m", id="millicores-beyond-float"),
     ])
     def test_rejected(self, value):
         with pytest.raises(ScenarioError):
@@ -205,10 +210,12 @@ class TestParse:
 
     def test_invalid_json_reports_the_file(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text("{nope")
-        with pytest.raises(ScenarioError) as err:
-            parse_scenario_file(path)
-        assert "scenario.json" in err.value.field
+        # The second holds an integer of more digits than int() converts.
+        for text in ("{nope", '{"seeds": [1' + "0" * 5000 + "]}"):
+            path.write_text(text)
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario_file(path)
+            assert "scenario.json" in err.value.field
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -375,14 +382,45 @@ def _paths(node, prefix=()) -> list[tuple]:
 
 
 FUZZ_DOCUMENTS = _bundled_documents()
+FUZZ_TASKS = max(doc["workload"]["count"] for doc in FUZZ_DOCUMENTS)
 # No generated dict key is long enough to be "registry", so no mutation
 # points a scenario at a network registry.
 FUZZ_VALUES = st.one_of(
     st.integers(), st.integers(max_value=-1), st.floats(),
-    st.sampled_from(["inf", "nan", "-inf", "1e999"]), st.booleans(), st.none(),
+    st.sampled_from(["inf", "nan", "-inf", "1e999", 10 ** 400, -10 ** 400]),
+    st.booleans(), st.none(),
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
 )
+
+
+def _builds_or_raises_a_layersched_error(doc):
+    """Parse ``doc``, build each of its schedulers and replay the first on
+    its trace when that is no longer than a bundled one; only a
+    ``LayerSchedError`` may end it early."""
+    assert "registry" not in doc
+    try:
+        sfile = parse_scenario_data(
+            doc, base_dir=bundled_scenario_path(BUNDLED_SCENARIOS[0]).parent)
+        catalog = resolve_catalog(sfile)
+        scenarios = [build_scenario(sfile, catalog, entry, sfile.seeds[0])
+                     for entry in sfile.schedulers]
+        # generate's trace, cut one task past the longest bundled one: islice
+        # takes the count as generate does, and a longer trace is not replayed.
+        workload = scenarios[0].workload
+        tasks = list(islice(islice(stream(workload, catalog), workload.count),
+                            FUZZ_TASKS + 1))
+        if len(tasks) <= FUZZ_TASKS:
+            replay(scenarios[0], tasks)
+    except LayerSchedError:
+        pass
+
+
+def _parent(doc, path: tuple):
+    """The container in ``doc`` that holds the value at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
 
 
 @given(data=st.data())
@@ -390,19 +428,20 @@ FUZZ_VALUES = st.one_of(
 def test_mutated_bundle_builds_or_raises_a_layersched_error(data):
     doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCUMENTS)))
     path = data.draw(st.sampled_from(_paths(doc)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _parent(doc, path)
     if data.draw(st.booleans()):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(FUZZ_VALUES)
-    assert "registry" not in doc
-    try:
-        sfile = parse_scenario_data(
-            doc, base_dir=bundled_scenario_path(BUNDLED_SCENARIOS[0]).parent)
-        catalog = resolve_catalog(sfile)
-        for entry in sfile.schedulers:
-            build_scenario(sfile, catalog, entry, sfile.seeds[0])
-    except LayerSchedError:
-        pass
+    _builds_or_raises_a_layersched_error(doc)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+def test_every_value_beyond_the_float_range_builds_or_raises_a_layersched_error(value):
+    # The draws above reach a given path with a given value rarely; this
+    # puts each int beyond the float range at every path of every document.
+    for original in FUZZ_DOCUMENTS:
+        for path in _paths(original):
+            doc = copy.deepcopy(original)
+            _parent(doc, path)[path[-1]] = value
+            _builds_or_raises_a_layersched_error(doc)

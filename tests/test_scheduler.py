@@ -31,7 +31,6 @@ from layersched.model import (
     LayerCatalog,
     NodeSpec,
     NodeState,
-    PlacedContainer,
     TaskRequest,
 )
 from layersched.scheduler import (
@@ -102,7 +101,7 @@ class TestFilter:
         assert filter_node(n, task(), catalog_ab()).feasible
 
     def test_container_count_rejection(self):
-        warm = PlacedContainer(task_id="x", image=WEB, cpu_request=1, mem_request=0)
+        warm = TaskRequest(task_id="x", image=WEB, cpu_request=1, mem_request=0)
         full = node(max_containers=1, running=(warm,), cpu_committed=1)
         verdict = filter_node(full, task(), catalog_ab())
         assert verdict.rejected_by == "container_count"
@@ -431,7 +430,7 @@ class TestKernelArithmetic:
         assert unschedulable > 0
 
     def test_unschedulable_names_each_constraint(self):
-        warm = PlacedContainer(task_id="w", image=WEB, cpu_request=100, mem_request=0)
+        warm = TaskRequest(task_id="w", image=WEB, cpu_request=100, mem_request=0)
         nodes = [node("n-storage", storage_capacity=MB),
                  node("n-count", max_containers=1, running=(warm,), cpu_committed=100),
                  node("n-cpu", cpu_capacity=400),
@@ -747,7 +746,7 @@ class TestScoreAudit:
 
 class TestKernelRecords:
     """The kernel builds each Placement and Unschedulable, and each
-    successor NodeState and its PlacedContainer, without the generated
+    successor NodeState and its placed TaskRequest, without the generated
     ``__init__``. Each must equal its twin from the
     public constructor field by field, have the repr of its constructed copy,
     and stay frozen."""
@@ -784,7 +783,7 @@ class TestKernelRecords:
                 self.assert_twins(outcome, Placement(
                     t.task_id, old.spec.id, cost, cost / old.spec.bandwidth,
                     tuple(before), t, catalog, config))
-                placed = PlacedContainer(t.task_id, t.image, t.cpu_request, t.mem_request)
+                placed = TaskRequest(t.task_id, t.image, t.cpu_request, t.mem_request)
                 self.assert_twins(new.running[-1], placed)
                 self.assert_twins(new, NodeState(
                     spec=old.spec,

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from itertools import count, islice
 
 import pytest
@@ -72,8 +73,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"kind": "trace_file"}, "trace_file workload needs trace_path"),
-        ({"count": -1}, "count must be >= 0"),
-    ], ids=["no-trace-path", "negative-count"])
+        ({"count": -1}, f"count must be within 0..{sys.maxsize}"),
+        ({"count": sys.maxsize + 1}, f"count must be within 0..{sys.maxsize}"),
+    ], ids=["no-trace-path", "negative-count", "count-beyond-maxsize"])
     def test_spec_refuses(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             WorkloadSpec(**kwargs)

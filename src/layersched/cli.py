@@ -16,6 +16,7 @@ import csv
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import LayerSchedError, ScenarioError
@@ -243,7 +244,8 @@ def cmd_validate(args) -> int:
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
     scenarios = [build_scenario(sfile, catalog, entry, sfile.seeds[0])
                  for entry in sfile.schedulers]
-    generate(scenarios[0].workload, catalog)
+    workload = scenarios[0].workload  # one task shows what any draw can raise
+    generate(replace(workload, count=min(workload.count, 1)), catalog)
     for value in sfile.sweeps.node_count:
         build_scenario(sfile, catalog, sfile.schedulers[0], sfile.seeds[0],
                        node_count=value)

@@ -158,6 +158,8 @@ class RegistryConfig:
     def __post_init__(self):
         if not 0 < self.poll_interval < math.inf:
             raise ValueError("poll_interval must be a positive, finite number of seconds")
+        if self.poll_interval > threading.TIMEOUT_MAX:  # the longest wait a thread takes
+            raise ValueError(f"poll_interval must be at most {threading.TIMEOUT_MAX:g} seconds")
         self.base_url = self.base_url.rstrip("/")
 
 

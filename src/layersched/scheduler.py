@@ -186,40 +186,49 @@ class _Kernel:
     overlap unless ``stale``. A commit (:meth:`commit`) builds the node's
     successor state and refreshes only that node; the order of each image
     whose overlap column it changes goes stale, to be re-sorted by
-    :meth:`_rows` when next walked. The weight table
+    :meth:`_rows` when next walked. :meth:`_configure` reads the weight table
     (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
-    weights are read once.
+    weights once; :meth:`copy` reruns it over copies of the columns and
+    entries of a kernel that has not committed, so that every leg of
+    ``compare`` starts from one kernel over the initial cluster.
 
-    A decision hands :meth:`_score` the rows with disk room for the image
-    (:meth:`_rows`): by descending overlap where the stop of :meth:`_score`
-    can fire (``top`` is not None), so that the scan ends at the first row
-    whose layer term at the largest weight cannot reach the best score so
-    far, and in index order elsewhere. ``_score`` calls no Python function
-    per node and scores a row in full only while its layer term plus the
-    baseline ceiling (``bound``) can still reach the best score so far. The
-    outcome keeps a snapshot of the nodes with the task, the catalog and
-    the config; its audit is built when read, as the :meth:`verdicts` or
-    the :meth:`breakdowns` of a kernel over the snapshot, from the same
-    code as the decision, which scan every row in index order.
+    A decision (:meth:`pick`) hands :meth:`_score` the rows with disk room
+    for the image (:meth:`_rows`): by descending overlap where the stop of
+    :meth:`_score` can fire (``top`` is not None), so that the scan ends at
+    the first row whose layer term at the largest weight cannot reach the
+    best score so far, and in index order elsewhere. ``_score`` calls no
+    Python function per node and scores a row in full only while its layer
+    term plus the baseline ceiling (``bound``) can still reach the best score
+    so far. :meth:`pick` returns the chosen row and its download bytes;
+    :meth:`decide` records them with a snapshot of the nodes, the task, the
+    catalog and the config, and the record's audit is built when read, as the
+    :meth:`verdicts` or the :meth:`breakdowns` of a kernel over the snapshot,
+    from the same code as the decision, which scan every row in index order.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
                  config: SchedulerConfig, rng: random.Random | None):
         self.nodes = list(nodes)
         self.catalog = catalog
-        self.config = config
-        self.rng = rng
         self.ids = tuple(node.spec.id for node in self.nodes)
         self.index = {node_id: i for i, node_id in enumerate(self.ids)}
         if len(self.index) != len(self.nodes):
             raise ScenarioError("nodes", "node ids must be unique")
-        self.omegas = config.omegas()
-        policy = config.weight_policy
-        self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
         self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
         self.storage_cap = [node.spec.storage_capacity for node in self.nodes]
         self.cpu_cap = [node.spec.cpu_capacity for node in self.nodes]
         self.mem_cap = [node.spec.mem_capacity for node in self.nodes]
+        # image -> [overlap column, holds column, total bytes, order, stale]
+        self.images: dict[ImageRef, list] = {}
+        self.users: dict[str, list[list]] = {}  # layer -> entries of images using it
+        self._configure(config, rng)
+
+    def _configure(self, config: SchedulerConfig, rng: random.Random | None) -> None:
+        """Read ``config`` and load every row (:meth:`_load`) under it."""
+        self.config, self.rng = config, rng
+        self.omegas = config.omegas()
+        policy = config.weight_policy
+        self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
         self.slots, self.cpu_used, self.mem_used, self.std, self.calm = (
             [0] * len(self.nodes) for _ in range(5))
         for i, node in enumerate(self.nodes):
@@ -244,9 +253,18 @@ class _Kernel:
         # bound.
         top = max(self.omegas)
         self.top = top if top > 0 and self.bound < float("inf") else None
-        # image -> [overlap column, holds column, total bytes, order, stale]
-        self.images: dict[ImageRef, list] = {}
-        self.users: dict[str, list[list]] = {}  # layer -> entries of images using it
+
+    def copy(self, config: SchedulerConfig, rng: random.Random | None) -> _Kernel:
+        """This uncommitted kernel under ``config`` and ``rng``, sharing nothing a commit writes."""
+        kernel = object.__new__(_Kernel)
+        kernel.__dict__.update(self.__dict__, nodes=self.nodes[:], stored=self.stored[:],
+                               images={}, users={})
+        for image, (column, holds, total, order, stale) in self.images.items():
+            entry = kernel.images[image] = [column[:], holds[:], total, order[:], stale]
+            for digest in self.catalog.images[image]:
+                kernel.users.setdefault(digest, []).append(entry)
+        kernel._configure(config, rng)
+        return kernel
 
     def _load(self, i: int, node: NodeState) -> None:
         """Set node ``i``'s free slots, committed CPU and memory, balance
@@ -424,33 +442,29 @@ class _Kernel:
         self._score(task, image, self._room(column, total), reasons=reasons)
         return reasons
 
-    def decide(self, task: TaskRequest) -> Placement | Unschedulable:
-        """Filter, score and pick a node for ``task``, changing no state."""
-        nodes = self.nodes
+    def pick(self, task: TaskRequest) -> tuple[int | None, int]:
+        """Filter, score and pick a row for ``task``, changing no state: the
+        row and the bytes it would download, or ``(None, 0)`` if no row fits."""
         image = column, _, total, _, _ = self._image(task.image)
         tied = self._score(task, image, self._rows(image), self.top)
         if not tied:
-            return _record(Unschedulable, task_id=task.task_id, nodes=tuple(nodes),
-                           task=task, catalog=self.catalog)
+            return None, 0
+        if len(tied) > 1:
+            tied.sort(key=self.ids.__getitem__)
+            if self.config.tie_break == "random_seeded":
+                tied = [(self.rng or random.Random(0)).choice(tied)]
+        return tied[0], total - column[tied[0]]
 
-        tied.sort(key=self.ids.__getitem__)
-        if self.config.tie_break == "random_seeded" and len(tied) > 1:
-            i = (self.rng or random.Random(0)).choice(tied)
-        else:
-            i = tied[0]
-
-        cost = total - column[i]
-        return _record(
-            Placement,
-            task_id=task.task_id,
-            node_id=self.ids[i],
-            download_bytes=cost,
-            download_seconds=cost / nodes[i].spec.bandwidth,
-            nodes=tuple(nodes),
-            task=task,
-            catalog=self.catalog,
-            config=self.config,
-        )
+    def decide(self, task: TaskRequest) -> Placement | Unschedulable:
+        """:meth:`pick` a node for ``task`` and record the outcome."""
+        i, cost = self.pick(task)
+        nodes = tuple(self.nodes)
+        if i is None:
+            return _record(Unschedulable, task_id=task.task_id, nodes=nodes, task=task,
+                           catalog=self.catalog)
+        return _record(Placement, task_id=task.task_id, node_id=self.ids[i], download_bytes=cost,
+                       download_seconds=cost / nodes[i].spec.bandwidth, nodes=nodes, task=task,
+                       catalog=self.catalog, config=self.config)
 
     def commit(self, i: int, task: TaskRequest) -> None:
         """Bind ``task`` to row ``i``, which its filter passed, building the

@@ -21,7 +21,7 @@ from pathlib import Path
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
 from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest
-from .scheduler import Placement, SchedulerConfig, Unschedulable, _Kernel
+from .scheduler import SchedulerConfig, Unschedulable, _Kernel
 from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
 
@@ -204,35 +204,39 @@ def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -
     list they stay the int ``0``. The steps and the cumulative download
     after each are recorded only if ``record``.
     """
-    config = scenario.scheduler
-    kernel = _Kernel(initial_nodes(scenario), scenario.catalog, config,
-                     random.Random(scenario.seed))
+    return _replay(_Kernel(initial_nodes(scenario), scenario.catalog, scenario.scheduler,
+                           random.Random(scenario.seed)), tasks, scenario.label, record)
+
+
+def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
+            record: bool) -> SimulationReport:
+    """:func:`replay` from ``kernel``, over the initial cluster and uncommitted."""
     # A placement changes one node: the kernel refreshes only that node's
     # stored bytes and balance score, and a recording replay only that node's
     # usage dict. The usage dicts are never mutated, so steps may share them.
-    nodes, stored, stds = kernel.nodes, kernel.stored, kernel.std
+    nodes, stored, stds, ids = kernel.nodes, kernel.stored, kernel.std, kernel.ids
     usage = {n.spec.id: _node_usage(n, size) for n, size in zip(nodes, stored)} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
     download_bytes = download_seconds = std_total = unschedulable = 0
     for step_index, task in enumerate(tasks):
-        outcome = kernel.step(task)
-        if isinstance(outcome, Placement):
-            node_id, download, seconds = (outcome.node_id, outcome.download_bytes,
-                                          outcome.download_seconds)
-            if record:
-                i = kernel.index[node_id]
-                usage[node_id] = _node_usage(nodes[i], stored[i])
-        else:
-            node_id, download, seconds = None, 0, 0.0
+        i, download = kernel.pick(task)
+        if i is None:
+            node_id, seconds = None, 0.0
             unschedulable += 1
-        cluster_std = ordered_sum(stds) / len(stds)
+        else:
+            kernel.commit(i, task)
+            node_id, seconds = ids[i], download / nodes[i].spec.bandwidth
+            if record:
+                usage[node_id] = _node_usage(nodes[i], stored[i])
+        if i is not None or step_index == 0:  # else the balance column did not change
+            cluster_std = ordered_sum(stds) / len(stds)
         download_bytes += download
         download_seconds += seconds
         std_total += cluster_std
         if record:
             cumulative.append(download_bytes)
-            steps.append(StepMetrics(step_index, outcome.task_id, node_id, download,
+            steps.append(StepMetrics(step_index, task.task_id, node_id, download,
                                      seconds, cluster_std, dict(usage)))
 
     pods = {node.spec.id: len(node.running) for node in nodes}
@@ -241,7 +245,7 @@ def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -
     count = len(tasks)
     totals = (download_bytes, download_seconds, std_total / count if count else 0.0,
               sum(pods.values()), unschedulable)
-    return SimulationReport("", config.policy, scenario.label or config.policy, steps,
+    return SimulationReport("", kernel.config.policy, label or kernel.config.policy, steps,
                             cumulative_download_bytes=cumulative, max_pods=pods,
                             final_usage=usage, **dict(zip(AGGREGATES, totals)))
 
@@ -315,12 +319,15 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
     if not schedulers or not seeds:
         raise ComparisonError("nothing to compare: no schedulers or no seeds")
     scenario.validate()
+    # Legs copy one kernel over the initial cluster, so each image is filled in once.
+    start = _Kernel(initial_nodes(scenario), scenario.catalog, scenario.scheduler, None)
     per_seed: dict[str, list[dict]] = {label: [] for label in schedulers}
     for seed in seeds:
-        seeded = replace(scenario, seed=seed)
-        tasks = _tasks(seeded)
+        tasks = _tasks(replace(scenario, seed=seed))
+        for task in tasks:
+            start._image(task.image)
         for label, config in schedulers.items():
-            totals = replay(replace(seeded, scheduler=config), tasks).aggregates()
+            totals = _replay(start.copy(config, random.Random(seed)), tasks, "", False).aggregates()
             per_seed[label].append({"seed": seed, **totals})
 
     means = {label: {key: ordered_sum(row[key] for row in rows) / len(rows)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from layersched import cli
+from layersched import cli, workload
 from layersched.cli import ENSEMBLE_CSV_HEADER, main
 from layersched.fake_registry import FakeImage, FakeRegistry, bundled_images
 from layersched.scoring import MB
@@ -121,7 +121,7 @@ class TestFetchRegistry:
         assert err.startswith(f"error: GET {registry.url}/nope/v2/_catalog: ")
         assert "HTTP 404" in err
 
-    @pytest.mark.parametrize("poll", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("poll", ["-1", "0", "nan", "inf", "1e300"])
     def test_invalid_poll_exits_2(self, tmp_path, capsys, monkeypatch, poll):
         # If the value got through, the watch loop would never return.
         monkeypatch.setattr("layersched.cli.RegistryWatcher", None)
@@ -468,6 +468,23 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main([verb, str(path)]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, 1, sys.maxsize])
+    def test_validate_draws_at_most_one_task(self, tmp_path, capsys, monkeypatch, count):
+        drawn = []
+
+        def counted(spec, catalog):
+            for task in real_stream(spec, catalog):
+                drawn.append(task)
+                assert len(drawn) == 1, "validate drew a second task"
+                yield task
+
+        real_stream = workload.stream
+        monkeypatch.setattr(workload, "stream", counted)
+        path = write_scenario(tmp_path, workload={"count": count})
+        assert main(["validate", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
+        assert len(drawn) == min(count, 1)
 
     def test_validate_builds_every_node_count_sweep_point(self, tmp_path, capsys):
         path = write_scenario(tmp_path, sweeps={"node_count": [1, 3]})

@@ -927,6 +927,16 @@ class TestCatalogBridge:
 
 
 class TestWatcher:
+    @pytest.mark.parametrize("seconds", [threading.TIMEOUT_MAX * 2, 1e300, 10**400],
+                             ids=["twice-TIMEOUT_MAX", "1e300", "10**400"])
+    def test_poll_interval_beyond_the_longest_wait_is_refused(self, seconds):
+        # Event.wait raises OverflowError past TIMEOUT_MAX, after a refresh.
+        with pytest.raises(ValueError, match="poll_interval must be at most"):
+            RegistryConfig(base_url="http://127.0.0.1:1", poll_interval=seconds)
+        config = RegistryConfig(base_url="http://127.0.0.1:1",
+                                poll_interval=threading.TIMEOUT_MAX)
+        assert config.poll_interval == threading.TIMEOUT_MAX
+
     def test_refresh_once_updates_snapshot(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,
                                 cache_path=str(tmp_path / "cache.json"))

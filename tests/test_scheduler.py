@@ -513,6 +513,96 @@ class TestKernelColumns:
         assert commits > 0
 
 
+class TestKernelCopy:
+    """``compare`` starts every leg from a copy of one kernel over the
+    initial cluster. Under any config the copy equals a new kernel over the
+    same nodes that has filled in the same image entries, attribute by
+    attribute, and a leg's commits leave the original as it was."""
+
+    CONFIGS = {
+        "default": SchedulerConfig(policy="default"),
+        "layer_static": SchedulerConfig(policy="layer_static"),
+        "lr_dynamic": SchedulerConfig(),
+        "thresholds": SchedulerConfig(weight_policy=WeightPolicy(
+            h_size=0, h_cpu=0.95, h_std=0.01)),
+        "custom-negative": SchedulerConfig(weight_policy=WeightPolicy(
+            mode="custom", custom_table={0: -1.5, 1: 0.0, 2: 1.0, 3: 3.0})),
+        "negative-plugin": SchedulerConfig(policy="layer_static", plugins=PluginConfig(
+            least_allocated=-2.0, image_locality=None), tie_break="random_seeded"),
+    }
+
+    @staticmethod
+    def new_kernel(nodes, catalog, config, seed, images):
+        rng = None if seed is None else random.Random(seed)
+        kernel = scheduler._Kernel(nodes, catalog, config, rng)
+        for image in images:
+            kernel._image(image)
+        return kernel
+
+    @staticmethod
+    def state(kernel):
+        """Every attribute, the generator by its state."""
+        return {**vars(kernel), "rng": kernel.rng and kernel.rng.getstate()}
+
+    def assert_copies_equal_new_kernels(self, nodes, catalog, tasks):
+        """Copy a kernel under every config, step each copy through
+        ``tasks``, and check the copy and the original against new kernels;
+        return each config's ``(bound, top)``."""
+        images = list(dict.fromkeys(t.image for t in tasks))
+        seen = {}
+        for base_label, base_config in self.CONFIGS.items():
+            base = self.new_kernel(nodes, catalog, base_config, None, images)
+            for label, config in self.CONFIGS.items():
+                where = (base_label, label)
+                leg = base.copy(config, random.Random(7))
+                new = self.new_kernel(nodes, catalog, config, 7, images)
+                assert self.state(leg) == self.state(new), where
+                assert list(leg.images) == images
+                for name in ("nodes", "stored", "slots", "cpu_used", "mem_used", "std",
+                             "calm", "images", "users"):
+                    assert getattr(leg, name) is not getattr(base, name), (where, name)
+                for image in images:
+                    for k in (0, 1, 3):  # the overlap and holds columns, the order
+                        assert leg.images[image][k] is not base.images[image][k], where
+                seen[label] = (leg.bound, leg.top)
+                for t in tasks:
+                    assert leg.step(t) == new.step(t), (where, t.task_id)
+                assert self.state(leg) == self.state(new), where
+                assert self.state(base) == self.state(
+                    self.new_kernel(nodes, catalog, base_config, None, images)), where
+        return seen
+
+    def test_warm_clusters(self):
+        for seed in range(24):
+            catalog, nodes, tasks, _ = kernel_instance(seed)
+            seen = self.assert_copies_equal_new_kernels(nodes, catalog, tasks)
+            assert seen["default"][1] is None and seen["lr_dynamic"][1] is not None
+
+    def test_preloaded_layers(self):
+        catalog = LayerCatalog(
+            layers={"sha256:base": 50 * MB, "sha256:web": 5 * MB, "sha256:db": 80 * MB},
+            images={WEB: ("sha256:base", "sha256:web"),
+                    ImageRef("db", "1"): ("sha256:base", "sha256:db")})
+        specs = [NodeSpec(id=f"n{i}", cpu_capacity=4000, mem_capacity=4 * GB,
+                          bandwidth=10 * MB, storage_capacity=(i + 1) * 100 * MB,
+                          max_containers=3)
+                 for i in range(4)]
+        scenario = Scenario(nodes=specs, catalog=catalog, workload=WorkloadSpec(count=0),
+                            preloaded={"n1": ("sha256:base",), "n3": tuple(catalog.layers)})
+        tasks = [task(f"t{j}", image, cpu=300 + 40 * j)
+                 for j, image in enumerate([WEB, ImageRef("db", "1")] * 6)]
+        seen = self.assert_copies_equal_new_kernels(initial_nodes(scenario), catalog, tasks)
+        assert seen["default"][1] is None and seen["lr_dynamic"][1] is not None
+
+    def test_negative_commitment(self):
+        catalog = catalog_ab()
+        nodes = [node("n0", local_layers=frozenset(catalog.layers)),
+                 node("n1", cpu_committed=-10 ** 6)]
+        seen = self.assert_copies_equal_new_kernels(
+            nodes, catalog, [task(f"t{j}") for j in range(5)])
+        assert set(seen.values()) == {(float("inf"), None)}
+
+
 def bound_instance(seed: int):
     """A cluster of 20-60 nodes for the bounded argmax, about half of them
     copies of a few templates under new ids (so exact ties occur), a task

@@ -362,6 +362,32 @@ class TestCompareFoldsLikeRun:
         assert run(scenario).unschedulable_count > 0
         self.assert_rows_match_runs(scenario, self.every_policy(), [3])
 
+    def test_schedulers_whose_gate_thresholds_differ(self):
+        # Every leg starts from a copy of one kernel built under the
+        # scenario's own scheduler; each leg's gate must still be its own,
+        # which shows first on the preloaded nodes, whose overlap is not 0.
+        nodes = [ample_node(f"node-{i}", cpu_capacity=cpu,
+                            storage_capacity=(i + 2) * 300 * MB, max_containers=8)
+                 for i, cpu in enumerate([2000, 8000, 3000, 2500])]
+        workload = WorkloadSpec(count=40, image_weights={"u:1": 0.6, "v:1": 0.4},
+                                cpu_range=(200, 900))
+        preloaded = {"node-1": ("sha256:base",), "node-2": ("sha256:base", "sha256:u"),
+                     "node-3": ("sha256:base", "sha256:v")}
+        scenario = Scenario(nodes=nodes, catalog=self.two_image_catalog(), workload=workload,
+                            preloaded=preloaded)
+        schedulers = {
+            "loose": SchedulerConfig(weight_policy=WeightPolicy(h_size=0, h_cpu=1.0, h_std=0.5)),
+            "strict": SchedulerConfig(weight_policy=WeightPolicy(
+                mode="custom", custom_table={0: 0.5, 1: 1.0, 2: 3.0, 3: 5.0},
+                h_size=500 * MB, h_cpu=0.0, h_std=0.0)),
+            "custom": SchedulerConfig(weight_policy=WeightPolicy(
+                mode="custom", custom_table={0: -1.0, 1: 0.5, 2: 2.0, 3: 6.0})),
+            "default": SchedulerConfig(policy="default"),
+        }
+        table = self.assert_rows_match_runs(scenario, schedulers, [3, 4, 5])
+        rows = {label: table["results"][label]["per_seed"] for label in schedulers}
+        assert len({json.dumps(row) for row in rows.values()}) == len(schedulers)
+
     def test_trace_file_workload(self, tmp_path):
         catalog = self.two_image_catalog()
         images = [ImageRef("u", "1"), ImageRef("v", "1")]

@@ -136,9 +136,9 @@ class NodeState:
     """A node's cached layers/images, running containers, and commitments.
 
     Resource accounting uses requested (committed) amounts, not measured
-    usage. Instances are immutable; the scheduler's kernel builds the
-    successor state of a placement, and
-    :func:`~layersched.scheduler.commit_placement` returns it.
+    usage. Instances are immutable; the scheduler's kernel keeps node state
+    in columns and builds a ``NodeState`` from them when it is read, as
+    :func:`~layersched.scheduler.commit_placement` does for its result.
     """
 
     spec: NodeSpec
@@ -157,19 +157,6 @@ class NodeState:
 
     def mem_ratio(self) -> float:
         return self.mem_committed / self.spec.mem_capacity
-
-    def check_invariants(self, catalog: LayerCatalog | None = None) -> None:
-        """Raise AssertionError if any state invariant is broken."""
-        assert 0 <= self.cpu_committed <= self.spec.cpu_capacity
-        assert 0 <= self.mem_committed <= self.spec.mem_capacity
-        assert len(self.running) <= self.spec.max_containers
-        assert self.cpu_committed == sum(c.cpu_request for c in self.running)
-        assert self.mem_committed == sum(c.mem_request for c in self.running)
-        if catalog is not None:
-            assert self.stored_layer_bytes(catalog) <= self.spec.storage_capacity
-            for image in self.local_images:
-                for digest in catalog.images.get(image, ()):
-                    assert digest in self.local_layers
 
 
 def layers_of(catalog: LayerCatalog, image: ImageRef) -> list[tuple[LayerId, int]]:

@@ -27,7 +27,6 @@ from .scoring import (
     baseline_score,
     layer_score,
     local_layer_size,
-    std_score,
 )
 
 POLICIES = ("default", "layer_static", "lr_dynamic")
@@ -176,21 +175,22 @@ class _Kernel:
     changes one node: the package's only copy of each. :func:`filter_node`,
     :func:`score_node` and :func:`commit_placement` are one-node kernels.
 
-    Per-node state is plain columns indexed like the nodes: ids, stored layer
-    bytes, storage capacity, free container slots, committed and total CPU
-    and memory, the balance score, the load count (how many of the gate's
-    CPU and balance conditions hold), and per image an entry ``[column,
-    holds, total, order, stale]``: the overlap column and the "holds the
-    image" column (0.0 or 100.0), both filled for every node when the image
-    is first seen, the image's total bytes, and its rows by descending
-    overlap unless ``stale``. A commit (:meth:`commit`) builds the node's
-    successor state and refreshes only that node; the order of each image
-    whose overlap column it changes goes stale, to be re-sorted by
-    :meth:`_rows` when next walked. :meth:`_configure` reads the weight table
-    (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
-    weights once; :meth:`copy` reruns it over copies of the columns and
-    entries of a kernel that has not committed, so that every leg of
-    ``compare`` starts from one kernel over the initial cluster.
+    Node state is plain columns indexed like the nodes, read from the input
+    ``NodeState``s once: ids, specs, held layer and image sets, placed
+    tasks, stored layer bytes, storage capacity, free container slots,
+    committed and total CPU and memory, the balance score, the load count
+    (how many of the gate's CPU and balance conditions hold), and per image
+    an entry ``[column, holds, total, order, stale]``: the overlap column
+    and the "holds the image" column (0.0 or 100.0), both filled for every
+    node when the image is first seen, the image's total bytes, and its rows
+    by descending overlap unless ``stale``. A commit (:meth:`commit`) writes
+    only the committed row's columns; the order of each image whose overlap
+    column it changes goes stale, to be re-sorted by :meth:`_rows` when
+    next walked. A ``NodeState`` is built only when :attr:`nodes` is read.
+    The weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds
+    and the plugin weights are read once; :meth:`copy` is a kernel under
+    another config over the same nodes and image entries, so that every leg
+    of ``compare`` starts from one kernel over the initial cluster.
 
     A decision (:meth:`pick`) hands :meth:`_score` the rows with disk room
     for the image (:meth:`_rows`): by descending overlap where the stop of
@@ -208,34 +208,35 @@ class _Kernel:
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
                  config: SchedulerConfig, rng: random.Random | None):
-        self.nodes = list(nodes)
-        self.catalog = catalog
-        self.ids = tuple(node.spec.id for node in self.nodes)
+        self._nodes = list(nodes)  # each row's NodeState as of the last read of nodes
+        self.catalog, self.config, self.rng = catalog, config, rng
+        self.specs = [node.spec for node in self._nodes]
+        self.ids = tuple(spec.id for spec in self.specs)
         self.index = {node_id: i for i, node_id in enumerate(self.ids)}
-        if len(self.index) != len(self.nodes):
+        if len(self.index) != len(self.ids):
             raise ScenarioError("nodes", "node ids must be unique")
-        self.stored = [node.stored_layer_bytes(catalog) for node in self.nodes]
-        self.storage_cap = [node.spec.storage_capacity for node in self.nodes]
-        self.cpu_cap = [node.spec.cpu_capacity for node in self.nodes]
-        self.mem_cap = [node.spec.mem_capacity for node in self.nodes]
+        self.local_layers = [set(node.local_layers) for node in self._nodes]
+        self.local_images = [set(node.local_images) for node in self._nodes]
+        self.running = [list(node.running) for node in self._nodes]
+        self.stored = [node.stored_layer_bytes(catalog) for node in self._nodes]
+        self.storage_cap = [spec.storage_capacity for spec in self.specs]
+        self.slots = [node.spec.max_containers - len(node.running) for node in self._nodes]
+        self.cpu_cap = [spec.cpu_capacity for spec in self.specs]
+        self.mem_cap = [spec.mem_capacity for spec in self.specs]
+        self.cpu_used = [node.cpu_committed for node in self._nodes]
+        self.mem_used = [node.mem_committed for node in self._nodes]
         # image -> [overlap column, holds column, total bytes, order, stale]
         self.images: dict[ImageRef, list] = {}
         self.users: dict[str, list[list]] = {}  # layer -> entries of images using it
-        self._configure(config, rng)
-
-    def _configure(self, config: SchedulerConfig, rng: random.Random | None) -> None:
-        """Read ``config`` and load every row (:meth:`_load`) under it."""
-        self.config, self.rng = config, rng
         self.omegas = config.omegas()
         policy = config.weight_policy
         self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
-        self.slots, self.cpu_used, self.mem_used, self.std, self.calm = (
-            [0] * len(self.nodes) for _ in range(5))
-        for i, node in enumerate(self.nodes):
+        self.std, self.calm = [0] * len(self.ids), [0] * len(self.ids)
+        for i, node_id in enumerate(self.ids):
             try:
-                self._load(i, node)
+                self._load(i)
             except OverflowError:  # an int commitment whose ratio no float holds
-                raise ScenarioError("nodes", f"node {node.spec.id}: committed CPU or "
+                raise ScenarioError("nodes", f"node {node_id}: committed CPU or "
                                              "memory is beyond the float range") from None
         # The most a feasible row's baseline can be, added as _score adds it;
         # see _score for why, and why negative commitments turn it off.
@@ -255,37 +256,52 @@ class _Kernel:
         self.top = top if top > 0 and self.bound < float("inf") else None
 
     def copy(self, config: SchedulerConfig, rng: random.Random | None) -> _Kernel:
-        """This uncommitted kernel under ``config`` and ``rng``, sharing nothing a commit writes."""
-        kernel = object.__new__(_Kernel)
-        kernel.__dict__.update(self.__dict__, nodes=self.nodes[:], stored=self.stored[:],
-                               images={}, users={})
+        """A kernel over this one's nodes under ``config`` and ``rng``, with
+        copies of its image entries, so that it fills in none of them again."""
+        kernel = _Kernel(self.nodes, self.catalog, config, rng)
         for image, (column, holds, total, order, stale) in self.images.items():
             entry = kernel.images[image] = [column[:], holds[:], total, order[:], stale]
             for digest in self.catalog.images[image]:
                 kernel.users.setdefault(digest, []).append(entry)
-        kernel._configure(config, rng)
         return kernel
 
-    def _load(self, i: int, node: NodeState) -> None:
-        """Set node ``i``'s free slots, committed CPU and memory, balance
-        score (:func:`std_score`) and load count (how many of the gate's two
-        load conditions it meets)."""
-        self.slots[i] = node.spec.max_containers - len(node.running)
-        self.cpu_used[i] = node.cpu_committed
-        self.mem_used[i] = node.mem_committed
-        std = self.std[i] = std_score(node)
-        self.calm[i] = (node.cpu_ratio() < self.h_cpu) + (std < self.h_std)
+    @property
+    def nodes(self) -> list[NodeState]:
+        """Each row's ``NodeState``, in a new list. A row committed to since
+        the last read, whose placed tasks outnumber its record's, is rebuilt
+        from its columns, keeping its record's layer or image set where that
+        did not grow."""
+        nodes, layers, images = self._nodes, self.local_layers, self.local_images
+        for i, (old, placed) in enumerate(zip(nodes, self.running)):
+            if len(placed) != len(old.running):
+                nodes[i] = _record(
+                    NodeState, spec=old.spec,
+                    local_layers=(old.local_layers if len(layers[i]) == len(old.local_layers)
+                                  else frozenset(layers[i])),
+                    local_images=(old.local_images if len(images[i]) == len(old.local_images)
+                                  else frozenset(images[i])),
+                    running=tuple(placed), cpu_committed=self.cpu_used[i],
+                    mem_committed=self.mem_used[i])
+        return nodes[:]
+
+    def _load(self, i: int) -> None:
+        """Set row ``i``'s balance score and load count (how many of the
+        gate's two load conditions it meets) from its CPU and memory columns,
+        by the float operations of :func:`~layersched.scoring.std_score`."""
+        cpu = self.cpu_used[i] / self.cpu_cap[i]
+        std = self.std[i] = abs(cpu - self.mem_used[i] / self.mem_cap[i]) / 2.0
+        self.calm[i] = (cpu < self.h_cpu) + (std < self.h_std)
 
     def _image(self, image: ImageRef) -> list:
         """The image's entry ``[column, holds, total, order, stale]``."""
         entry = self.images.get(image)
         if entry is None:
             stack = layers_of(self.catalog, image)
-            column = [sum(size for digest, size in stack if digest in node.local_layers)
-                      for node in self.nodes]
-            holds = [100.0 if image in node.local_images else 0.0 for node in self.nodes]
+            column = [sum(size for digest, size in stack if digest in held)
+                      for held in self.local_layers]
+            holds = [100.0 if image in held else 0.0 for held in self.local_images]
             entry = self.images[image] = [column, holds, sum(size for _, size in stack),
-                                          list(range(len(self.nodes))), True]
+                                          list(range(len(self.ids))), True]
             for digest, _ in stack:
                 self.users.setdefault(digest, []).append(entry)
         return entry
@@ -294,7 +310,7 @@ class _Kernel:
         """The rows with disk room for an image of ``total`` bytes whose
         overlap column is ``column``: the filter's first test, stored +
         download > capacity, negated, as one C-level pass."""
-        return compress(range(len(self.nodes)), map(
+        return compress(range(len(self.ids)), map(
             le, map(add, self.stored, map(sub, repeat(total), column)), self.storage_cap))
 
     def _rows(self, image: list) -> Iterator[int]:
@@ -423,13 +439,13 @@ class _Kernel:
         """Each scored node's :class:`ScoreBreakdown` by id, in node order:
         the nodes that pass the filter, or with ``filtered`` false every node."""
         image = column, _, total, _, _ = self._image(task.image)
-        rows = self._room(column, total) if filtered else range(len(self.nodes))
+        rows = self._room(column, total) if filtered else range(len(self.ids))
         parts = []
         self._score(task, image, rows, None, filtered, parts)
-        nodes, omegas = self.nodes, self.omegas
+        std, cpu_used, cpu_cap, omegas = self.std, self.cpu_used, self.cpu_cap, self.omegas
         return {self.ids[i]: ScoreBreakdown(
                     layer_score=layer, baseline_score=baseline,
-                    std_score=std_score(nodes[i]), cpu_score=nodes[i].cpu_ratio(),
+                    std_score=std[i], cpu_score=cpu_used[i] / cpu_cap[i],
                     weight_gate=int(count == 3), omega_used=omegas[count], final=final)
                 for i, layer, baseline, count, final in parts}
 
@@ -438,7 +454,7 @@ class _Kernel:
         order ``storage``, ``container_count``, ``cpu_fit``, ``mem_fit``, or
         None for a row that fits."""
         image = column, _, total, _, _ = self._image(task.image)
-        reasons: list[str | None] = ["storage"] * len(self.nodes)
+        reasons: list[str | None] = ["storage"] * len(self.ids)
         self._score(task, image, self._room(column, total), reasons=reasons)
         return reasons
 
@@ -463,26 +479,22 @@ class _Kernel:
             return _record(Unschedulable, task_id=task.task_id, nodes=nodes, task=task,
                            catalog=self.catalog)
         return _record(Placement, task_id=task.task_id, node_id=self.ids[i], download_bytes=cost,
-                       download_seconds=cost / nodes[i].spec.bandwidth, nodes=nodes, task=task,
+                       download_seconds=cost / self.specs[i].bandwidth, nodes=nodes, task=task,
                        catalog=self.catalog, config=self.config)
 
     def commit(self, i: int, task: TaskRequest) -> None:
-        """Bind ``task`` to row ``i``, which its filter passed, building the
-        node's successor state, and refresh that row. The successor shares
-        the node's layer and image sets when nothing is added to them."""
-        old = self.nodes[i]
-        held, images = old.local_layers, old.local_images
+        """Bind ``task`` to row ``i``, which its filter passed, by writing the
+        row's columns; its ``NodeState`` is built only when :attr:`nodes` is
+        next read."""
+        held = self.local_layers[i]
         need = [digest for digest in self.catalog.images[task.image] if digest not in held]
-        new = self.nodes[i] = _record(
-            NodeState,
-            spec=old.spec,
-            local_layers=held.union(need) if need else held,
-            local_images=images if task.image in images else images | {task.image},
-            running=old.running + (task,),
-            cpu_committed=old.cpu_committed + task.cpu_request,
-            mem_committed=old.mem_committed + task.mem_request,
-        )
-        self._load(i, new)
+        held.update(need)
+        self.local_images[i].add(task.image)
+        self.running[i].append(task)
+        self.slots[i] -= 1
+        self.cpu_used[i] += task.cpu_request
+        self.mem_used[i] += task.mem_request
+        self._load(i)
         self.images[task.image][1][i] = 100.0  # the filter filled the entry in
         # Each newly held layer adds its bytes to the row's stored bytes and
         # to the overlap column of every image using it, whose order goes
@@ -531,6 +543,5 @@ def iter_schedule_trace(
     """
     kernel = _Kernel(nodes, catalog, config, random.Random(seed))
     for task in tasks:
-        # Copy so consumers hold a stable snapshot, not the live list.
-        yield kernel.step(task), list(kernel.nodes)
+        yield kernel.step(task), kernel.nodes
 

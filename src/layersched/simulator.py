@@ -21,7 +21,7 @@ from pathlib import Path
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
 from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest
-from .scheduler import SchedulerConfig, Unschedulable, _Kernel
+from .scheduler import SchedulerConfig, _Kernel
 from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
 
@@ -186,12 +186,12 @@ class SimulationReport:
         }
 
 
-def _node_usage(node: NodeState, stored: int) -> dict[str, float]:
-    """Committed CPU and memory and ``stored`` layer bytes, as shares of capacity."""
+def _node_usage(kernel: _Kernel, i: int) -> dict[str, float]:
+    """Row ``i``'s committed CPU and memory and stored layer bytes, as shares of capacity."""
     return {
-        "cpu": node.cpu_ratio(),
-        "mem": node.mem_ratio(),
-        "disk": stored / node.spec.storage_capacity,
+        "cpu": kernel.cpu_used[i] / kernel.cpu_cap[i],
+        "mem": kernel.mem_used[i] / kernel.mem_cap[i],
+        "disk": kernel.stored[i] / kernel.storage_cap[i],
     }
 
 
@@ -214,8 +214,8 @@ def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
     # A placement changes one node: the kernel refreshes only that node's
     # stored bytes and balance score, and a recording replay only that node's
     # usage dict. The usage dicts are never mutated, so steps may share them.
-    nodes, stored, stds, ids = kernel.nodes, kernel.stored, kernel.std, kernel.ids
-    usage = {n.spec.id: _node_usage(n, size) for n, size in zip(nodes, stored)} if record else {}
+    stds, ids, specs = kernel.std, kernel.ids, kernel.specs
+    usage = {node_id: _node_usage(kernel, i) for i, node_id in enumerate(ids)} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
     download_bytes = download_seconds = std_total = unschedulable = 0
@@ -226,9 +226,9 @@ def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
             unschedulable += 1
         else:
             kernel.commit(i, task)
-            node_id, seconds = ids[i], download / nodes[i].spec.bandwidth
+            node_id, seconds = ids[i], download / specs[i].bandwidth
             if record:
-                usage[node_id] = _node_usage(nodes[i], stored[i])
+                usage[node_id] = _node_usage(kernel, i)
         if i is not None or step_index == 0:  # else the balance column did not change
             cluster_std = ordered_sum(stds) / len(stds)
         download_bytes += download
@@ -239,9 +239,9 @@ def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
             steps.append(StepMetrics(step_index, task.task_id, node_id, download,
                                      seconds, cluster_std, dict(usage)))
 
-    pods = {node.spec.id: len(node.running) for node in nodes}
+    pods = {node_id: len(placed) for node_id, placed in zip(ids, kernel.running)}
     if not record:
-        usage = {node.spec.id: _node_usage(node, size) for node, size in zip(nodes, stored)}
+        usage = {node_id: _node_usage(kernel, i) for i, node_id in enumerate(ids)}
     count = len(tasks)
     totals = (download_bytes, download_seconds, std_total / count if count else 0.0,
               sum(pods.values()), unschedulable)
@@ -286,11 +286,13 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
                      random.Random(scenario.seed))
     workload = replace(scenario.workload, seed=scenario.seed)
     for task in islice(stream(workload, catalog), limit):
-        outcome = kernel.step(task)
-        if isinstance(outcome, Unschedulable):
-            per_node = {node.spec.id: len(node.running) for node in kernel.nodes}
+        i, _ = kernel.pick(task)
+        if i is None:
+            per_node = {node_id: len(placed)
+                        for node_id, placed in zip(kernel.ids, kernel.running)}
             return MaxPodsResult(per_node=per_node, total=sum(per_node.values()),
-                                 stopped_by=outcome.task_id)
+                                 stopped_by=task.task_id)
+        kernel.commit(i, task)
     raise ScenarioError("workload", f"no task became unschedulable within {limit} steps")
 
 

@@ -157,6 +157,23 @@ def oracle_commit(catalog, node, task):
     return new
 
 
+def check_invariants(catalog, node, running):
+    """Raise AssertionError if the node dict breaks a state invariant;
+    ``running`` is the task dicts of its placed containers."""
+    assert 0 <= node["cpu_committed"] <= node["cpu_capacity"]
+    assert 0 <= node["mem_committed"] <= node["mem_capacity"]
+    assert node["running"] == len(running) <= node["max_containers"]
+    assert node["cpu_committed"] == sum(task["cpu"] for task in running)
+    assert node["mem_committed"] == sum(task["mem"] for task in running)
+    stored = 0
+    for digest in node["local_layers"]:
+        stored += catalog["layers"][digest]
+    assert stored <= node["storage_capacity"]
+    for image_key in node["local_images"]:
+        for digest in catalog["images"].get(image_key, ()):
+            assert digest in node["local_layers"]
+
+
 def oracle_schedule_step(catalog, nodes, task, params):
     """Exhaustive argmax over feasible nodes; ties to the lowest node id.
     Returns the chosen node's id, or None if no node is feasible."""

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import catalog_dict, node_dict, task_dict
+from oracles import check_invariants
 from layersched.errors import CapacityViolation, UnknownImage
 from layersched.model import (
     ImageRef,
@@ -163,7 +165,8 @@ class TestCommitPlacement:
         assert node.cpu_committed == 500
         assert node.mem_committed == 256 * MB
         assert len(node.running) == 1
-        node.check_invariants(catalog)
+        check_invariants(catalog_dict(catalog), node_dict(node),
+                         [task_dict(t) for t in node.running])
 
     def test_commit_does_not_mutate_input(self):
         catalog = small_catalog()

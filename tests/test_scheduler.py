@@ -53,7 +53,7 @@ from layersched.scoring import (
     local_layer_size,
     std_score,
 )
-from layersched.simulator import Scenario, initial_nodes, ordered_sum, replay
+from layersched.simulator import Scenario, compare, initial_nodes, ordered_sum, replay
 from layersched.workload import WorkloadSpec
 
 GB = 1024 ** 3
@@ -118,6 +118,43 @@ class TestFilter:
         verdict = filter_node(node(storage_capacity=MB), task(cpu=4001),
                               catalog_ab())
         assert verdict.rejected_by == "storage"
+
+    @pytest.mark.parametrize("constraint, field", [
+        ("storage", "storage_capacity"),
+        ("container_count", "max_containers"),
+        ("cpu_fit", "cpu_capacity"),
+        ("mem_fit", "mem_capacity"),
+    ])
+    def test_a_task_that_fills_the_node_exactly_fits(self, constraint, field):
+        # One running container holds layer c; task() downloads the other
+        # 100 MB and fills the node's disk, last container slot, CPU and
+        # memory exactly. One unit less of ``field`` breaks ``constraint``.
+        api = ImageRef("api", "1")
+        catalog = LayerCatalog(
+            layers={"sha256:a": 30 * MB, "sha256:b": 70 * MB, "sha256:c": 10 * MB},
+            images={WEB: ("sha256:a", "sha256:b"), api: ("sha256:c",)},
+        )
+        warm = TaskRequest(task_id="w", image=api, cpu_request=100, mem_request=64 * MB)
+        exact = dict(storage_capacity=110 * MB, max_containers=2, cpu_capacity=600,
+                     mem_capacity=320 * MB, local_layers=frozenset({"sha256:c"}),
+                     local_images=frozenset({api}), running=(warm,), cpu_committed=100,
+                     mem_committed=64 * MB)
+        t = task()
+        full = node("n0", **exact)
+        tight = node("n0", **{**exact, field: exact[field] - 1})
+        assert filter_node(full, t, catalog).rejected_by is None
+        assert filter_node(tight, t, catalog).rejected_by == constraint
+        for policy in POLICIES:
+            config = SchedulerConfig(policy=policy)
+            placed = schedule(t, [full], catalog, config)
+            assert isinstance(placed, Placement), policy
+            assert (placed.node_id, placed.download_bytes) == ("n0", 100 * MB), policy
+            refused = schedule(t, [tight], catalog, config)
+            assert isinstance(refused, Unschedulable), policy
+            assert refused.rejected_by == (constraint,), policy
+        after = scheduler.commit_placement(full, t, catalog)
+        assert (after.stored_layer_bytes(catalog), len(after.running), after.cpu_committed,
+                after.mem_committed) == (110 * MB, 2, 600, 320 * MB)
 
 
 class TestSchedule:
@@ -558,9 +595,12 @@ class TestKernelCopy:
                 new = self.new_kernel(nodes, catalog, config, 7, images)
                 assert self.state(leg) == self.state(new), where
                 assert list(leg.images) == images
-                for name in ("nodes", "stored", "slots", "cpu_used", "mem_used", "std",
-                             "calm", "images", "users"):
+                for name in ("_nodes", "local_layers", "local_images", "running", "stored",
+                             "slots", "cpu_used", "mem_used", "std", "calm", "images", "users"):
                     assert getattr(leg, name) is not getattr(base, name), (where, name)
+                for name in ("local_layers", "local_images", "running"):  # and their rows
+                    for row, base_row in zip(getattr(leg, name), getattr(base, name)):
+                        assert row is not base_row, (where, name)
                 for image in images:
                     for k in (0, 1, 3):  # the overlap and holds columns, the order
                         assert leg.images[image][k] is not base.images[image][k], where
@@ -705,6 +745,83 @@ class TestBoundedArgmax:
         assert finals["n1"] > finals["n0"] and outcome.node_id == "n1"
 
 
+def sharing_scenario(seed: int) -> Scenario:
+    """40 roomy nodes; 24 images, each one of 4 heavy base layers and 3 of
+    30 light app layers; 150 tasks."""
+    rng = random.Random(seed)
+    base = {f"sha256:base{i}": rng.randint(100, 300) * MB for i in range(4)}
+    apps = {f"sha256:app{i:02d}": rng.randint(1, 20) * MB for i in range(30)}
+    images = {ImageRef(f"svc-{i:02d}", "1"): (rng.choice(sorted(base)),
+                                              *rng.sample(sorted(apps), 3))
+              for i in range(24)}
+    nodes = [NodeSpec(id=f"n{i:02d}", cpu_capacity=32000, mem_capacity=64 * GB,
+                      bandwidth=10 * MB, storage_capacity=50 * GB) for i in range(40)]
+    return Scenario(nodes=nodes, catalog=LayerCatalog({**base, **apps}, images),
+                    workload=WorkloadSpec(count=150))
+
+
+def tight_scenario(seed: int) -> Scenario:
+    """20 nodes with 1.0-1.6 GB disks; 30 images of 2 unshared layers of
+    100-400 MB each; 150 tasks."""
+    rng = random.Random(seed)
+    layers, images = {}, {}
+    for i in range(30):
+        stack = (f"sha256:l{i:02d}a", f"sha256:l{i:02d}b")
+        layers.update((digest, rng.randint(100, 400) * MB) for digest in stack)
+        images[ImageRef(f"svc-{i:02d}", "1")] = stack
+    nodes = [NodeSpec(id=f"n{i:02d}", cpu_capacity=8000, mem_capacity=16 * GB,
+                      bandwidth=10 * MB, storage_capacity=(1000 + 30 * i) * MB)
+             for i in range(20)]
+    return Scenario(nodes=nodes, catalog=LayerCatalog(layers, images),
+                    workload=WorkloadSpec(count=150))
+
+
+class TestKernelWork:
+    """Work counts that pin the kernel's speed-ups, which no output shows:
+    the rows each policy's decisions draw for scoring (the bounded argmax
+    and its stop) and the overlap columns one compare builds (one per
+    image, shared by every leg). Each bound is at or a little above the
+    count measured on these fixed instances, given in its comment."""
+
+    @staticmethod
+    def count(monkeypatch, scenario):
+        """Compare the three policies on seeds 1 and 2; return the rows each
+        policy's scans drew and the overlap columns built."""
+        rows, columns = dict.fromkeys(POLICIES, 0), []
+        score, layers_of = scheduler._Kernel._score, scheduler.layers_of
+
+        def counting(self, task, image, drawn, *args, **kwargs):
+            def counted():
+                for i in drawn:
+                    rows[self.config.policy] += 1
+                    yield i
+            return score(self, task, image, counted(), *args, **kwargs)
+
+        def building(catalog, image):
+            columns.append(image)
+            return layers_of(catalog, image)
+
+        monkeypatch.setattr(scheduler._Kernel, "_score", counting)
+        monkeypatch.setattr(scheduler, "layers_of", building)
+        compare(scenario, {policy: SchedulerConfig(policy=policy) for policy in POLICIES},
+                [1, 2])
+        return rows, len(columns)
+
+    def test_high_sharing_roomy_cluster(self, monkeypatch):
+        rows, columns = self.count(monkeypatch, sharing_scenario(1))
+        assert rows["default"] <= 12000  # 12000: every row, as no weight is above 0
+        assert rows["layer_static"] <= 1200  # 1066
+        assert rows["lr_dynamic"] <= 1200  # 1082
+        assert columns <= 24  # 24, one per image; 165 if each leg built its own
+
+    def test_low_sharing_small_disks(self, monkeypatch):
+        rows, columns = self.count(monkeypatch, tight_scenario(1))
+        assert rows["default"] <= 4000  # 3996: the rows with disk room
+        assert rows["layer_static"] <= 1650  # 1467
+        assert rows["lr_dynamic"] <= 1650  # 1467
+        assert columns <= 30  # 30, one per image; 207 if each leg built its own
+
+
 class TestDuplicateNodeIds:
     """Two nodes under one id would let the kernel choose one and commit to
     the other, and the score audit, keyed by id, would hide one of them."""
@@ -836,8 +953,8 @@ class TestScoreAudit:
 
 class TestKernelRecords:
     """The kernel builds each Placement and Unschedulable, and each
-    successor NodeState and its placed TaskRequest, without the generated
-    ``__init__``. Each must equal its twin from the
+    successor NodeState (rebuilt from its columns when the nodes are read)
+    with its placed TaskRequest, without the generated ``__init__``. Each must equal its twin from the
     public constructor field by field, have the repr of its constructed copy,
     and stay frozen."""
 

@@ -9,7 +9,7 @@ import pytest
 
 from layersched import cli
 from layersched.errors import ComparisonError, ScenarioError
-from layersched.model import ImageRef, LayerCatalog, NodeSpec, TaskRequest
+from layersched.model import ImageRef, LayerCatalog, NodeSpec, NodeState, TaskRequest
 from layersched.scenario import (
     BUNDLED_SCENARIOS,
     build_scenario,
@@ -17,12 +17,13 @@ from layersched.scenario import (
     parse_scenario_file,
     resolve_catalog,
 )
-from layersched.scheduler import POLICIES, SchedulerConfig
-from layersched.scoring import MB, WeightPolicy
+from layersched.scheduler import POLICIES, SchedulerConfig, _Kernel
+from layersched.scoring import MB, WeightPolicy, std_score
 from layersched.simulator import (
     AGGREGATES,
     CSV_HEADER,
     Scenario,
+    _replay,
     compare,
     fingerprint,
     max_pods,
@@ -65,6 +66,22 @@ class TestRun:
         report = run(scenario)
         assert report.total_download_bytes == 0
         assert report.total_download_seconds == 0.0
+
+    @pytest.mark.parametrize("record", [True, False], ids=["steps", "totals"])
+    def test_a_first_task_that_fits_nowhere_reports_the_initial_balance(self, record):
+        # The cluster balance is re-taken only after a placement; a first
+        # task that places nowhere still reports the initial nodes' mean.
+        catalog = single_image_catalog()
+        web = ImageRef("web", "1")
+        warm = TaskRequest("warm", web, cpu_request=900, mem_request=0)
+        nodes = [NodeState(ample_node("n0"), running=(warm,), cpu_committed=900),
+                 NodeState(ample_node("n1"))]
+        big = TaskRequest("big", web, cpu_request=5000, mem_request=0)
+        report = _replay(_Kernel(nodes, catalog, SchedulerConfig(), None), [big], "", record)
+        initial = ordered_sum(map(std_score, nodes)) / len(nodes)
+        assert initial > 0 and report.unschedulable_count == 1
+        assert report.mean_cluster_std == initial
+        assert [step.cluster_std for step in report.steps] == ([initial] if record else [])
 
     def test_download_seconds_is_size_over_bandwidth(self):
         catalog = single_image_catalog()  # 100MB image
@@ -255,6 +272,19 @@ class TestCompare:
                         [5])
         for metric, delta in table["deltas_pct"]["b"].items():
             assert delta == 0.0, metric
+
+    def test_a_reference_that_downloads_nothing_has_zero_download_deltas(self):
+        # Every node holds every layer, so no leg downloads a byte; 0 against
+        # a reference of 0 is no change, not an undefined percentage.
+        scenario = self.make(nodes=3)
+        every_layer = tuple(scenario.catalog.layers)
+        scenario.preloaded = {node.id: every_layer for node in scenario.nodes}
+        table = compare(scenario, self.configs("default", "lr_dynamic"), [1, 2])
+        for label in ("default", "lr_dynamic"):
+            assert table["results"][label]["mean"]["total_download_bytes"] == 0
+            deltas = table["deltas_pct"][label]
+            assert deltas["total_download_bytes"] == 0.0, label
+            assert deltas["total_download_seconds"] == 0.0, label
 
     def test_reference_prefers_default_label(self):
         table = compare(self.make(), self.configs("lr_dynamic", "default"), [5])

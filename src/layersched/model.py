@@ -136,9 +136,11 @@ class NodeState:
     """A node's cached layers/images, running containers, and commitments.
 
     Resource accounting uses requested (committed) amounts, not measured
-    usage. Instances are immutable; the scheduler's kernel keeps node state
-    in columns and builds a ``NodeState`` from them when it is read, as
-    :func:`~layersched.scheduler.commit_placement` does for its result.
+    usage, and a committed amount must be finite and >= 0, as a sum of
+    placed requests is. Instances are immutable; the scheduler's kernel
+    keeps node state in columns and builds a ``NodeState`` from them when it
+    is read, as :func:`~layersched.scheduler.commit_placement` does for its
+    result.
     """
 
     spec: NodeSpec
@@ -147,6 +149,12 @@ class NodeState:
     running: tuple[TaskRequest, ...] = ()
     cpu_committed: int = 0
     mem_committed: int = 0
+
+    def __post_init__(self):
+        for name in ("cpu_committed", "mem_committed"):
+            value = getattr(self, name)
+            if not (value >= 0 and _finite(value)):
+                raise ValueError(f"node {self.spec.id}: {name} must be finite and >= 0")
 
     def stored_layer_bytes(self, catalog: LayerCatalog) -> int:
         """Bytes currently occupied by cached layers, per catalog sizes."""

@@ -33,15 +33,6 @@ POLICIES = ("default", "layer_static", "lr_dynamic")
 TIE_BREAKS = ("lowest_node_id", "random_seeded")
 
 
-def _record(cls, **fields):
-    """The frozen dataclass ``cls`` with ``fields``, all of them in field
-    order, built without the generated ``__init__`` and its per-field
-    ``object.__setattr__``; only for a class without ``__post_init__``."""
-    record = object.__new__(cls)
-    object.__setattr__(record, "__dict__", fields)
-    return record
-
-
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Which policy to run and how to weight/tie-break. Frozen, like its
@@ -176,34 +167,37 @@ class _Kernel:
     :func:`score_node` and :func:`commit_placement` are one-node kernels.
 
     Node state is plain columns indexed like the nodes, read from the input
-    ``NodeState``s once: ids, specs, held layer and image sets, placed
-    tasks, stored layer bytes, storage capacity, free container slots,
-    committed and total CPU and memory, the balance score, the load count
-    (how many of the gate's CPU and balance conditions hold), and per image
-    an entry ``[column, holds, total, order, stale]``: the overlap column
-    and the "holds the image" column (0.0 or 100.0), both filled for every
-    node when the image is first seen, the image's total bytes, and its rows
-    by descending overlap unless ``stale``. A commit (:meth:`commit`) writes
-    only the committed row's columns; the order of each image whose overlap
-    column it changes goes stale, to be re-sorted by :meth:`_rows` when
-    next walked. A ``NodeState`` is built only when :attr:`nodes` is read.
-    The weight table (:meth:`SchedulerConfig.omegas`), the gate thresholds
-    and the plugin weights are read once; :meth:`copy` is a kernel under
-    another config over the same nodes and image entries, so that every leg
-    of ``compare`` starts from one kernel over the initial cluster.
+    ``NodeState``s once, each of which holds its commitments finite and at
+    least 0; two nodes under one id, or a held layer the catalog lacks, is a
+    ``ScenarioError`` on ``nodes``. The columns are ids, specs, held layer and
+    image sets, placed tasks, stored layer bytes, storage capacity, free
+    container slots, committed and total CPU and memory, the balance score,
+    the load count (how many of the gate's CPU and balance conditions hold),
+    and per image an entry ``[column, holds, total, order, stale]``: the
+    overlap column and the "holds the image" column (0.0 or 100.0), both
+    filled for every node when the image is first seen, the image's total
+    bytes, and its rows by descending overlap unless ``stale``. A commit
+    (:meth:`commit`) writes only the committed row's columns; the order of
+    each image whose overlap column it changes goes stale, to be re-sorted by
+    :meth:`_rows` when next walked. A ``NodeState`` is built, by its
+    constructor, only when :attr:`nodes` is read. The weight table
+    (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
+    weights are read once; :meth:`copy` is a kernel under another config over
+    the same nodes and image entries, so that every leg of ``compare`` starts
+    from one kernel over the initial cluster.
 
-    A decision (:meth:`pick`) hands :meth:`_score` the rows with disk room
-    for the image (:meth:`_rows`): by descending overlap where the stop of
-    :meth:`_score` can fire (``top`` is not None), so that the scan ends at
-    the first row whose layer term at the largest weight cannot reach the
-    best score so far, and in index order elsewhere. ``_score`` calls no
-    Python function per node and scores a row in full only while its layer
-    term plus the baseline ceiling (``bound``) can still reach the best score
-    so far. :meth:`pick` returns the chosen row and its download bytes;
-    :meth:`decide` records them with a snapshot of the nodes, the task, the
-    catalog and the config, and the record's audit is built when read, as the
-    :meth:`verdicts` or the :meth:`breakdowns` of a kernel over the snapshot,
-    from the same code as the decision, which scan every row in index order.
+    A decision (:meth:`pick`) hands :meth:`_score` the rows with disk room for
+    the image (:meth:`_rows`): by descending overlap where a weight is above 0
+    (``top`` is not None), so that the scan ends at the first row whose layer
+    term at the largest weight cannot reach the best score so far, and in
+    index order elsewhere. ``_score`` calls no Python function per node and
+    scores a row in full only while its layer term plus the baseline ceiling
+    (``bound``) can still reach the best score so far. :meth:`pick` returns
+    the chosen row and its download bytes; :meth:`decide` records them with a
+    snapshot of the nodes, the task, the catalog and the config, and the
+    record's audit is built when read, as the :meth:`verdicts` or the
+    :meth:`breakdowns` of a kernel over the snapshot, from the same code as
+    the decision, which scan every row in index order.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -218,7 +212,13 @@ class _Kernel:
         self.local_layers = [set(node.local_layers) for node in self._nodes]
         self.local_images = [set(node.local_images) for node in self._nodes]
         self.running = [list(node.running) for node in self._nodes]
-        self.stored = [node.stored_layer_bytes(catalog) for node in self._nodes]
+        self.stored = []
+        for node in self._nodes:
+            try:
+                self.stored.append(node.stored_layer_bytes(catalog))
+            except KeyError as err:  # a held layer the catalog lacks
+                raise ScenarioError("nodes", f"node {node.spec.id}: layer {err.args[0]!r} "
+                                             "not in catalog") from None
         self.storage_cap = [spec.storage_capacity for spec in self.specs]
         self.slots = [node.spec.max_containers - len(node.running) for node in self._nodes]
         self.cpu_cap = [spec.cpu_capacity for spec in self.specs]
@@ -232,28 +232,21 @@ class _Kernel:
         policy = config.weight_policy
         self.h_size, self.h_cpu, self.h_std = policy.h_size, policy.h_cpu, policy.h_std
         self.std, self.calm = [0] * len(self.ids), [0] * len(self.ids)
-        for i, node_id in enumerate(self.ids):
-            try:
-                self._load(i)
-            except OverflowError:  # an int commitment whose ratio no float holds
-                raise ScenarioError("nodes", f"node {node_id}: committed CPU or "
-                                             "memory is beyond the float range") from None
+        for i in range(len(self.ids)):
+            self._load(i)  # NodeState holds each commitment finite: no ratio raises
         # The most a feasible row's baseline can be, added as _score adds it;
-        # see _score for why, and why negative commitments turn it off.
+        # see _score for why it holds.
         weights = [w for w in (getattr(config.plugins, name) for name in PLUGIN_NAMES)
                    if w is not None]
         ceiling = 0.0
         for w in weights:
             ceiling += max(w * 100.0, 0.0)
         self.bound = ceiling / len(weights) if weights else 0.0
-        if min(self.cpu_used, default=0) < 0 or min(self.mem_used, default=0) < 0:
-            self.bound = float("inf")
         # The largest weight, for _score's stop over rows by descending
-        # overlap; None where the stop could never fire, so that keeping the
-        # order would be waste: no weight above 0 (as under default), or no
-        # bound.
+        # overlap; None where no weight is above 0 (as under default), so
+        # the stop could never fire and keeping the order would be waste.
         top = max(self.omegas)
-        self.top = top if top > 0 and self.bound < float("inf") else None
+        self.top = top if top > 0 else None
 
     def copy(self, config: SchedulerConfig, rng: random.Random | None) -> _Kernel:
         """A kernel over this one's nodes under ``config`` and ``rng``, with
@@ -274,8 +267,8 @@ class _Kernel:
         nodes, layers, images = self._nodes, self.local_layers, self.local_images
         for i, (old, placed) in enumerate(zip(nodes, self.running)):
             if len(placed) != len(old.running):
-                nodes[i] = _record(
-                    NodeState, spec=old.spec,
+                nodes[i] = NodeState(
+                    spec=old.spec,
                     local_layers=(old.local_layers if len(layers[i]) == len(old.local_layers)
                                   else frozenset(layers[i])),
                     local_images=(old.local_images if len(images[i]) == len(old.local_images)
@@ -348,38 +341,38 @@ class _Kernel:
         ``parts``, if given, gets ``(row, layer, baseline, count, final)`` per
         scored row.
 
-        Without ``parts``, a filtered row is skipped, before its filter
-        tests and baseline, when ``term + bound`` is below the best final so
-        far: it can neither win nor tie. Why: each plugin score of a feasible
-        row lies in [0, 100], since its CPU and memory tests passed,
-        ``TaskRequest`` refuses a CPU request at or below 0 and a memory
-        request below 0, and no committed amount is negative (``__init__``
-        sets ``bound`` to ``inf`` if a node starts with one). Float rounding
-        is monotone, so ``w * score <= max(w * 100.0, 0.0)`` for any weight
-        ``w``; the sums in the same order, the division by the enabled count
-        and the addition of ``term`` keep the order, so ``final <= term +
-        bound < best``. ``best`` only rises, so a skipped row ends below it;
-        the strict ``<`` drops no tie, and the tied rows, in order, are
-        those of a full scan. Nothing is skipped while ``best`` is ``-inf``,
-        before a feasible row has scored, and a NaN final never wins or ties
-        either way. With ``parts``, or unfiltered, every row is scored; with
-        ``reasons`` none is, so ``best`` stays ``-inf`` and every row is
-        filtered.
+        Without ``parts``, a filtered row is skipped, before its filter tests
+        and baseline, when ``term + bound`` is below the best final so far: it
+        can neither win nor tie. Why: each plugin score of a feasible row lies
+        in [0, 100], since its CPU and memory tests passed, ``TaskRequest``
+        refuses a CPU request at or below 0 and a memory request below 0, and
+        no committed amount is negative: ``NodeState`` refuses a negative one,
+        and a commit only adds the placed task's requests to it. Float
+        rounding is monotone, so ``w * score <= max(w * 100.0, 0.0)`` for any
+        weight ``w``; the sums in the same order, the division by the enabled
+        count and the addition of ``term`` keep the order, so
+        ``final <= term + bound < best``. ``best`` only rises, so a skipped
+        row ends below it; the strict ``<`` drops no tie, and the tied rows,
+        in order, are those of a full scan. Nothing is skipped while ``best``
+        is ``-inf``, before a feasible row has scored, and a NaN final never
+        wins or ties either way. With ``parts``, or unfiltered, every row is
+        scored; with ``reasons`` none is, so ``best`` stays ``-inf`` and every
+        row is filtered.
 
         With ``top``, the largest weight, the rows must come by descending
         overlap, and where a row is skipped the scan stops for good once
-        ``top * layer + bound`` is below ``best``. :meth:`decide` passes
-        ``top`` only if it is above 0 and ``bound`` is finite. Why: ``layer``
-        is the overlap over the image's total bytes times 100 (0 for an empty
-        image), so rounding keeps it at or above 0 and keeps it from rising
-        along the rows. Take a later row, with weight ``w = omegas[count] <=
-        top`` and layer ``l``, at most this row's ``layer``. Rounding is
-        monotone, so ``w * l <= top * l`` as ``l >= 0``, and ``top * l <=
-        top * layer`` as ``top > 0``; a negative ``w`` breaks neither step.
-        Adding ``bound`` keeps the order, so the later row's ``term + bound
-        <= top * layer + bound < best``, and, as above, it ends below
-        ``best``. The strict ``<`` drops no tie, and the tied rows are those
-        of a full scan, in walk order (:meth:`decide` sorts them by id).
+        ``top * layer + bound`` is below ``best``. :meth:`pick` passes ``top``
+        only if it is above 0. Why: ``layer`` is the overlap over the image's
+        total bytes times 100 (0 for an empty image), so rounding keeps it at
+        or above 0 and keeps it from rising along the rows. Take a later row,
+        with weight ``w = omegas[count] <= top`` and layer ``l``, at most this
+        row's ``layer``. Rounding is monotone, so ``w * l <= top * l`` as
+        ``l >= 0``, and ``top * l <= top * layer`` as ``top > 0``; a negative
+        ``w`` breaks neither step. Adding ``bound`` keeps the order, so the
+        later row's ``term + bound <= top * layer + bound < best``, and, as
+        above, it ends below ``best``. The strict ``<`` drops no tie, and the
+        tied rows are those of a full scan, in walk order (:meth:`pick` sorts
+        them by id).
         """
         column, holds, total, _, _ = image
         omegas, h_size, calm, slots = self.omegas, self.h_size, self.calm, self.slots
@@ -476,11 +469,9 @@ class _Kernel:
         i, cost = self.pick(task)
         nodes = tuple(self.nodes)
         if i is None:
-            return _record(Unschedulable, task_id=task.task_id, nodes=nodes, task=task,
-                           catalog=self.catalog)
-        return _record(Placement, task_id=task.task_id, node_id=self.ids[i], download_bytes=cost,
-                       download_seconds=cost / self.specs[i].bandwidth, nodes=nodes, task=task,
-                       catalog=self.catalog, config=self.config)
+            return Unschedulable(task.task_id, nodes, task, self.catalog)
+        return Placement(task.task_id, self.ids[i], cost, cost / self.specs[i].bandwidth,
+                         nodes, task, self.catalog, self.config)
 
     def commit(self, i: int, task: TaskRequest) -> None:
         """Bind ``task`` to row ``i``, which its filter passed, by writing the

@@ -61,8 +61,6 @@ class Scenario:
         if not self.nodes:
             raise ScenarioError("nodes", "at least one node required")
         position = {node.id: i for i, node in enumerate(self.nodes)}
-        if len(position) != len(self.nodes):
-            raise ScenarioError("nodes", "node ids must be unique")
         if self.bandwidth_override is not None and self.bandwidth_override <= 0:
             raise ScenarioError("bandwidth_override", "must be > 0")
         for node_id, layers in self.preloaded.items():

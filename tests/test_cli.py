@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from layersched import cli, workload
+from layersched import cli, simulator, workload
 from layersched.cli import ENSEMBLE_CSV_HEADER, main
 from layersched.fake_registry import FakeImage, FakeRegistry, bundled_images
+from layersched.model import NodeState
+from layersched.scenario import bundled_scenario_path
+from layersched.scheduler import Placement, Unschedulable
 from layersched.scoring import MB
 
 GB = 1024 ** 3
@@ -200,6 +203,37 @@ class TestCompare:
         deltas = payload["deltas_pct"]
         assert deltas["layer_static"]["total_download_bytes"] < 0
         assert deltas["lr_dynamic"]["total_download_bytes"] < 0
+
+
+@pytest.mark.parametrize("verb", ["simulate", "compare"])
+def test_a_run_builds_node_states_only_for_the_initial_cluster(verb, tmp_path, monkeypatch):
+    # Work count: replay builds no decision record, and every compare leg
+    # starts from a kernel over the nodes it reads from one initial kernel,
+    # so the only NodeStates are those initial_nodes builds.
+    calls = {"NodeState": 0, "Placement": 0, "Unschedulable": 0, "initial": 0}
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    for cls, name in ((NodeState, "__post_init__"), (Placement, "__init__"),
+                      (Unschedulable, "__init__")):
+        monkeypatch.setattr(cls, name, counting(cls.__name__, getattr(cls, name)))
+    initial_nodes = simulator.initial_nodes
+
+    def counting_initial(scenario):
+        nodes = initial_nodes(scenario)
+        calls["initial"] += len(nodes)
+        return nodes
+
+    monkeypatch.setattr(simulator, "initial_nodes", counting_initial)
+    scenario = bundled_scenario_path("storage_tight")
+    assert main([verb, str(scenario), "--out", str(tmp_path)]) == 0
+    assert calls["initial"] > 0
+    assert (calls["NodeState"], calls["Placement"], calls["Unschedulable"]) == (
+        calls["initial"], 0, 0)
 
 
 class TestSweep:

@@ -4,14 +4,19 @@ shared at several depths, and refuses any other key."""
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import micro_scenario
+from layersched import _jsonout
 from layersched._jsonout import iter_indented_json
-from layersched.simulator import Scenario, replay
+from layersched.model import ImageRef, LayerCatalog, NodeSpec
+from layersched.scheduler import SchedulerConfig
+from layersched.scoring import MB
+from layersched.simulator import Scenario, replay, run, write_report_json
 from layersched.workload import WorkloadSpec
 
 ODD_STRINGS = ["", '"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é€𝄞", " \ud800"]
@@ -172,3 +177,56 @@ def test_recorded_report_with_an_unschedulable_step_matches_json_dumps():
     assert 0 < report.unschedulable_count < len(tasks)
     payload = report.to_dict()
     assert _encoded(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def sim_wide_like_scenario() -> Scenario:
+    """20 nodes, two of them small, with two base layers each preloaded; 8
+    images of one of 3 base layers, 2 of 4 runtime layers and an app layer of
+    its own; 100 lr_dynamic tasks: the benchmark's sim-wide in small."""
+    rng = random.Random(3)
+    base = {f"sha256:base{i}": rng.randint(80, 300) * MB for i in range(3)}
+    runtime = {f"sha256:rt{i}": rng.randint(10, 60) * MB for i in range(4)}
+    images = {ImageRef(f"svc-{i}", "1"): (rng.choice(sorted(base)),
+                                          *rng.sample(sorted(runtime), 2), f"sha256:app{i}")
+              for i in range(8)}
+    apps = {f"sha256:app{i}": rng.randint(1, 8) * MB for i in range(8)}
+    nodes = [NodeSpec(id=f"node-{i:02d}", cpu_capacity=1000 if i % 10 == 0 else 16000,
+                      mem_capacity=(4 if i % 10 == 0 else 32) * 1024 * MB,
+                      bandwidth=rng.randint(10, 100) * MB, storage_capacity=60 * 1024 * MB)
+             for i in range(20)]
+    return Scenario(nodes=nodes, catalog=LayerCatalog({**base, **runtime, **apps}, images),
+                    workload=WorkloadSpec(count=100), scheduler=SchedulerConfig(), seed=1,
+                    preloaded={n.id: tuple(rng.sample(sorted(base), 2)) for n in nodes})
+
+
+def test_a_recorded_report_renders_again_only_what_changed(monkeypatch, tmp_path):
+    # Work count: the children _container renders, against all the children
+    # of the containers it is asked for; the rest are copied from the
+    # sibling record. Without sibling reuse every child is rendered again.
+    report = run(sim_wide_like_scenario())
+    counts = {"children": 0, "rendered": 0}
+    inside = [0]  # _container calls under way
+    container, scalar = _jsonout._container, _jsonout._scalar
+
+    def counting_container(obj, *args):
+        counts["children"] += len(obj)
+        inside[0] += 1
+        try:
+            return container(obj, *args)
+        finally:
+            inside[0] -= 1
+
+    def counting_scalar(value):
+        counts["rendered"] += inside[0] > 0
+        return scalar(value)
+
+    monkeypatch.setattr(_jsonout, "_container", counting_container)
+    monkeypatch.setattr(_jsonout, "_scalar", counting_scalar)
+    path = tmp_path / "report.json"
+    write_report_json(report, path)
+    payload = report.to_dict()
+    assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # Rendered per step: about 6 of its 7 fields, the one changed entry of
+    # its 20-node usage map and that entry's 3 shares.
+    assert counts["children"] >= 3000  # 3117
+    assert counts["rendered"] <= 1200  # 1117

@@ -262,3 +262,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be"):
             TaskRequest(task_id="t", image=ImageRef("a", "1"),
                         **{**requests, field: float("nan")})
+
+    # A committed amount is a sum of placed requests. The kernel's bounded
+    # argmax needs it >= 0 (a negative one scores free CPU above 100, past
+    # the baseline ceiling), and its load ratios need it finite.
+    @pytest.mark.parametrize("value", [-1, -10 ** 400, 10 ** 400, float("nan"),
+                                       float("inf"), -float("inf")],
+                             ids=["negative", "below-float-range", "beyond-float-range",
+                                  "nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("field", ["cpu_committed", "mem_committed"])
+    def test_out_of_range_commitment_rejected(self, field, value):
+        message = f"^node n: {field} must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            NodeState(spec=idle_node("n").spec, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(idle_node("n"), **{field: value})
+        assert getattr(replace(idle_node("n"), **{field: 0}), field) == 0

@@ -620,6 +620,30 @@ class TestTransport:
         assert len(requests) == 4
         assert [headers.get("Authorization") for _, headers in requests] == [header] * 4
 
+    def test_a_walk_sends_one_get_per_page_and_manifest(self):
+        # Work count: catalog pages + tag-list pages + manifests + per-arch
+        # manifests, each fetched once.
+        client = stub_client({
+            "/v2/_catalog": ({"repositories": ["a", "team/b"]},
+                             '</v2/_catalog?page=2>; rel="next"'),
+            "/v2/_catalog?page=2": {"repositories": ["c"]},
+            "/v2/a/tags/list": {"tags": ["1", "2"]},
+            "/v2/team/b/tags/list": ({"tags": ["1"]},
+                                     '</v2/team/b/tags/list?page=2>; rel="next"'),
+            "/v2/team/b/tags/list?page=2": {"tags": ["2"]},
+            "/v2/c/tags/list": {"tags": ["1"]},
+            "/v2/a/manifests/1": MANIFEST,
+            "/v2/a/manifests/2": MANIFEST,
+            "/v2/team/b/manifests/1": MANIFEST,
+            "/v2/team/b/manifests/2": MANIFEST,
+            "/v2/c/manifests/1": INDEX,
+            "/v2/c/manifests/sha256:arch": MANIFEST,
+        })
+        snapshot = walk_registry(client)
+        assert sorted(snapshot.lists) == ["a:1", "a:2", "c:1", "team/b:1", "team/b:2"]
+        assert snapshot.warnings == []
+        assert len(client.connect.requests) == 2 + 4 + 5 + 1
+
     def test_next_link_after_a_prev_link_and_absolute_next_link_are_followed(self):
         client = stub_client({
             "/v2/_catalog": ({"repositories": ["a"]},

@@ -635,12 +635,16 @@ class TestKernelCopy:
         assert seen["default"][1] is None and seen["lr_dynamic"][1] is not None
 
     def test_negative_commitment(self):
+        # No node starts with a negative commitment, so no kernel, new or
+        # copied, turns its bound off: it stays finite under every config.
         catalog = catalog_ab()
-        nodes = [node("n0", local_layers=frozenset(catalog.layers)),
-                 node("n1", cpu_committed=-10 ** 6)]
+        with pytest.raises(ValueError, match="^node n1: cpu_committed must be finite and >= 0$"):
+            node("n1", cpu_committed=-10 ** 6)
+        nodes = [node("n0", local_layers=frozenset(catalog.layers)), node("n1")]
         seen = self.assert_copies_equal_new_kernels(
             nodes, catalog, [task(f"t{j}") for j in range(5)])
-        assert set(seen.values()) == {(float("inf"), None)}
+        assert all(bound < float("inf") for bound, _ in seen.values())
+        assert seen["default"][1] is None and seen["lr_dynamic"][1] is not None
 
 
 def bound_instance(seed: int):
@@ -731,18 +735,28 @@ class TestBoundedArgmax:
         assert walked > 0 and walked_negative > 0 and fell_back > 0
 
     def test_negative_commitment_turns_the_bound_off(self):
-        # A hand-built node with negative committed CPU scores its free CPU
-        # above 100, past the ceiling; it must still be scored and win.
+        # A node with negative committed CPU would score its free CPU above
+        # 100, past the ceiling, and so had to turn the bound off; it is
+        # refused where it is built or replaced, so the kernel keeps its
+        # bound and its stop, and still picks as the full scan.
         catalog = catalog_ab()
         holder = node("n0", local_layers=frozenset(catalog.layers))
-        odd = node("n1", cpu_committed=-10 ** 6)
+        message = "^node n1: cpu_committed must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            node("n1", cpu_committed=-10 ** 6)
+        with pytest.raises(ValueError, match=message):
+            replace(node("n1"), cpu_committed=-10 ** 6)
         config = SchedulerConfig(policy="layer_static",
                                  plugins=PluginConfig(balanced_allocation=None))
-        kernel = scheduler._Kernel([holder, odd], catalog, config, None)
-        assert kernel.bound == float("inf") and kernel.top is None
-        outcome = kernel.decide(task())
+        kernel = scheduler._Kernel([holder, node("n1")], catalog, config, None)
+        assert kernel.bound < float("inf") and kernel.top is not None
+        t = task()
+        image = column, _, total, _, _ = kernel._image(t.image)
+        pruned = kernel._score(t, image, kernel._rows(image), kernel.top)
+        assert pruned == kernel._score(t, image, kernel._room(column, total), parts=[])
+        outcome = kernel.decide(t)
         finals = {node_id: b.final for node_id, b in outcome.scores.items()}
-        assert finals["n1"] > finals["n0"] and outcome.node_id == "n1"
+        assert finals["n0"] > finals["n1"] and outcome.node_id == "n0"
 
 
 def sharing_scenario(seed: int) -> Scenario:
@@ -844,22 +858,50 @@ class TestDuplicateNodeIds:
 
 
 class TestCommitmentBeyondFloatRange:
-    """A committed amount whose ratio to the capacity no float can hold is a
-    ScenarioError naming the node, not an OverflowError from the ratio."""
+    """A committed amount whose ratio to the capacity no float can hold
+    never reaches an entry point, where it would end in an
+    ``OverflowError``: ``NodeState`` refuses it with a ``ValueError`` naming
+    the node and the field, where the node is built or replaced, and the
+    entry point takes the same node committing nothing."""
 
-    @pytest.mark.parametrize("overrides", [
-        {"cpu_committed": -10 ** 400, "cpu_capacity": 1},
-        {"mem_committed": 10 ** 400},
+    @pytest.mark.parametrize("field, value", [
+        ("cpu_committed", -10 ** 400),
+        ("mem_committed", 10 ** 400),
     ], ids=["cpu", "mem"])
     @pytest.mark.parametrize("call", [
         lambda n: filter_node(n, task(), catalog_ab()),
         lambda n: scheduler.commit_placement(n, task(), catalog_ab()),
         lambda n: schedule(task(), [node("n0"), n], catalog_ab(), SchedulerConfig()),
     ], ids=["filter_node", "commit_placement", "schedule"])
-    def test_is_a_scenario_error(self, call, overrides):
-        with pytest.raises(ScenarioError, match="node n1: committed CPU or memory") as err:
-            call(node("n1", **overrides))
-        assert err.value.field == "nodes"
+    def test_is_a_scenario_error(self, call, field, value):
+        message = f"^node n1: {field} must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            call(node("n1", **{field: value}))
+        with pytest.raises(ValueError, match=message):
+            call(replace(node("n1"), **{field: value}))
+        assert call(node("n1")) is not None
+
+
+class TestHeldLayerNotInCatalog:
+    """A hand-built node that holds a layer the catalog lacks is a
+    ScenarioError naming the node and the layer, from every entry point, not
+    a KeyError from summing its stored bytes."""
+
+    @pytest.mark.parametrize("call", [
+        lambda n: schedule(task(), [node("n0"), n], catalog_ab(), SchedulerConfig()),
+        lambda n: filter_node(n, task(), catalog_ab()),
+        lambda n: score_node(n, task(), catalog_ab(), SchedulerConfig()),
+        lambda n: scheduler.commit_placement(n, task(), catalog_ab()),
+        lambda n: next(iter_schedule_trace([task()], [node("n0"), n], catalog_ab(),
+                                           SchedulerConfig())),
+    ], ids=["schedule", "filter_node", "score_node", "commit_placement",
+            "iter_schedule_trace"])
+    def test_is_a_scenario_error(self, call):
+        ghost = node("n1", local_layers=frozenset({"sha256:a", "sha256:ghost"}))
+        with pytest.raises(ScenarioError) as err:
+            call(ghost)
+        assert (err.value.field, str(err.value)) == (
+            "nodes", "nodes: node n1: layer 'sha256:ghost' not in catalog")
 
 
 class TestScoreAudit:
@@ -952,10 +994,10 @@ class TestScoreAudit:
 
 
 class TestKernelRecords:
-    """The kernel builds each Placement and Unschedulable, and each
+    """Each Placement and Unschedulable the kernel decides, and each
     successor NodeState (rebuilt from its columns when the nodes are read)
-    with its placed TaskRequest, without the generated ``__init__``. Each must equal its twin from the
-    public constructor field by field, have the repr of its constructed copy,
+    with its placed TaskRequest, must equal its twin built independently
+    from the decision's inputs, field by field, have the repr of its copy,
     and stay frozen."""
 
     @staticmethod

@@ -171,14 +171,21 @@ class TestRun:
             run(scenario)
         assert "ghost" in err.value.field
 
-    @pytest.mark.parametrize("nodes, kwargs, field, message", [
-        ([ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
-        ([ample_node()], {"bandwidth_override": 0}, "bandwidth_override", "must be > 0"),
-    ], ids=["duplicate-ids", "zero-bandwidth"])
-    def test_validate_refuses(self, nodes, kwargs, field, message):
+    # Two nodes under one id are refused by the kernel each verb builds.
+    @pytest.mark.parametrize("call, nodes, kwargs, field, message", [
+        (run, [ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
+        (run, [ample_node()], {"bandwidth_override": 0}, "bandwidth_override",
+         "must be > 0"),
+        (lambda s: compare(s, {"default": s.scheduler}, [1]),
+         [ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
+        (max_pods, [ample_node("n"), ample_node("n")], {}, "nodes",
+         "node ids must be unique"),
+    ], ids=["duplicate-ids", "zero-bandwidth", "duplicate-ids-compare",
+            "duplicate-ids-max-pods"])
+    def test_validate_refuses(self, call, nodes, kwargs, field, message):
         scenario = scenario_for(single_image_catalog(), nodes, WorkloadSpec(count=1), **kwargs)
         with pytest.raises(ScenarioError) as err:
-            run(scenario)
+            call(scenario)
         assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
 
 

@@ -26,10 +26,10 @@ the generator runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import is_not
-from typing import Iterator
 
 _INDENT = "  "
 _STREAMED_LEVELS = 2

@@ -9,8 +9,8 @@ decided by the scheduler's kernel, not here.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import UnknownImage
 
@@ -125,10 +125,10 @@ class TaskRequest:
     mem_request: int  # bytes
 
     def __post_init__(self):
-        if not self.cpu_request > 0:  # negated, so NaN fails too
-            raise ValueError(f"task {self.task_id}: cpu_request must be > 0")
-        if not self.mem_request >= 0:
-            raise ValueError(f"task {self.task_id}: mem_request must be >= 0")
+        if not (self.cpu_request > 0 and _finite(self.cpu_request)):
+            raise ValueError(f"task {self.task_id}: cpu_request must be finite and > 0")
+        if not (self.mem_request >= 0 and _finite(self.mem_request)):
+            raise ValueError(f"task {self.task_id}: mem_request must be finite and >= 0")
 
 
 @dataclass(frozen=True)

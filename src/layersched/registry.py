@@ -16,11 +16,11 @@ import math
 import os
 import re
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
 from urllib.parse import urlsplit, urlunsplit
 
 from ._jsonout import iter_indented_json

@@ -5,13 +5,12 @@ survivors, pick the argmax node, and fold placements over a task stream.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator
 
 from .errors import CapacityViolation, ScenarioError
 from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of

@@ -348,8 +348,8 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Write ``payload`` as sorted, indented JSON, streamed into the file
-    through a ``_WRITE_BUFFER``-byte buffer (about 46 ``write`` calls for a
-    6 MB report); each object the payload shares is rendered once."""
+    through a ``_WRITE_BUFFER``-byte buffer; each object the payload shares
+    is rendered once."""
     with open(path, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as handle:
         handle.writelines(iter_indented_json(payload))
         handle.write("\n")

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
-from typing import Iterator
 
 from .errors import ScenarioError, TraceCorrupt, UnknownImage
 from .model import ImageRef, LayerCatalog, TaskRequest

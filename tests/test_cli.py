@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 from layersched import cli, simulator, workload
+from layersched import registry as registry_module
 from layersched.cli import ENSEMBLE_CSV_HEADER, main
+from layersched.errors import RegistryUnavailable
 from layersched.fake_registry import FakeImage, FakeRegistry, bundled_images
 from layersched.model import NodeState
+from layersched.registry import ImageMetadataLists
 from layersched.scenario import bundled_scenario_path
 from layersched.scheduler import Placement, Unschedulable
 from layersched.scoring import MB
@@ -133,6 +136,27 @@ class TestFetchRegistry:
         assert code == 2
         assert "--poll" in capsys.readouterr().err
         assert not (tmp_path / "cache.json").exists()
+
+    def test_poll_reports_each_tick_until_interrupted(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.json"
+        ticks = iter([ImageMetadataLists(warnings=["tags of a: HTTP 500"]),
+                      RegistryUnavailable("GET x: refused"),
+                      ImageMetadataLists(stale=True),
+                      KeyboardInterrupt()])
+
+        def refresh(config, client):
+            assert config.cache_path == str(cache) and config.poll_interval == 0.001
+            tick = next(ticks)
+            if isinstance(tick, BaseException):
+                raise tick
+            return tick
+
+        monkeypatch.setattr(registry_module, "refresh_cache", refresh)
+        assert main(["fetch-registry", "--registry", "http://127.0.0.1:1",
+                     "--out", str(cache), "--poll", "0.001"]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"0 images (fresh) -> {cache}\n0 images (stale) -> {cache}\n"
+        assert err == "warning: tags of a: HTTP 500\nwarning: GET x: refused; retrying\n"
 
 
 class TestSimulate:
@@ -347,6 +371,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: workload.images:" in err and "ghost:1" in err
 
+    def test_builds_one_scenario_for_all_scheduler_entries(self, tmp_path, capsys,
+                                                             monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return build_scenario(*args, **kwargs)
+
+        build_scenario = cli.build_scenario
+        monkeypatch.setattr(cli, "build_scenario", counted)
+        scenario = write_scenario(tmp_path, sweeps={"node_count": [1, 2]})
+        assert main(["validate", str(scenario)]) == 0
+        assert "3 schedulers" in capsys.readouterr().out
+        assert built == [{}, {"node_count": 1}, {"node_count": 2}]
+
     def test_registry_scenario_skipped_without_fetch(self, tmp_path, capsys):
         doc = json.loads(write_scenario(tmp_path).read_text())
         del doc["catalog"]
@@ -503,6 +542,17 @@ class TestValidate:
         assert main([verb, str(path)]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
+    def test_trace_request_beyond_float_range_exits_2_naming_the_line(self, tmp_path,
+                                                                         capsys):
+        (tmp_path / "huge.jsonl").write_text(json.dumps({
+            "task_id": "t1", "image_name": "web", "image_tag": "1",
+            "cpu_millicores": 10 ** 400, "mem_bytes": MB}) + "\n")
+        scenario = write_scenario(tmp_path, workload={"kind": "trace_file",
+                                                      "trace_file": "huge.jsonl"})
+        assert main(["simulate", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: task t1: cpu_request must be finite and > 0\n")
+
     @pytest.mark.parametrize("count", [0, 1, sys.maxsize])
     def test_validate_draws_at_most_one_task(self, tmp_path, capsys, monkeypatch, count):
         drawn = []
@@ -577,7 +627,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
 NETWORK_MODULES = {"urllib.request", "http.client", "email", "ssl", "socket"}
 # Imported on first use; an offline verb never needs them.
-DEFERRED_MODULES = NETWORK_MODULES | {"base64", "hashlib", "tempfile", "importlib.resources"}
+DEFERRED_MODULES = NETWORK_MODULES | {"base64", "hashlib", "tempfile", "importlib.resources",
+                                       "typing"}
 RUN_MAIN = "import sys; from layersched.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

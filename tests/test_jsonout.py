@@ -2,16 +2,19 @@
 indent=2)`` writes for a payload with string keys, including for an object
 shared at several depths, and refuses any other key."""
 
+import io
 import json
 import math
+import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import micro_scenario
-from layersched import _jsonout
+from layersched import _jsonout, simulator
 from layersched._jsonout import iter_indented_json
 from layersched.model import ImageRef, LayerCatalog, NodeSpec
 from layersched.scheduler import SchedulerConfig
@@ -230,3 +233,33 @@ def test_a_recorded_report_renders_again_only_what_changed(monkeypatch, tmp_path
     # its 20-node usage map and that entry's 3 shares.
     assert counts["children"] >= 3000  # 3117
     assert counts["rendered"] <= 1200  # 1117
+
+
+def test_a_recorded_report_is_written_128_kib_at_a_time(monkeypatch, tmp_path):
+    # Work count: the raw writes behind one report. ``open`` is shadowed in
+    # the simulator by one that buffers as ``open`` does, over a FileIO that
+    # counts its writes; the default 8 KiB buffer would take 15 times as many.
+    writes = []
+
+    class CountingFileIO(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    def counting_open(file, mode, buffering=-1, encoding=None, newline=None):
+        assert mode == "w"
+        raw = CountingFileIO(file, "w")
+        if buffering == -1:
+            blksize = os.fstat(raw.fileno()).st_blksize
+            buffering = blksize if blksize > 1 else io.DEFAULT_BUFFER_SIZE
+        return io.TextIOWrapper(io.BufferedWriter(raw, buffering), encoding, newline=newline)
+
+    report = run(replace(sim_wide_like_scenario(), workload=WorkloadSpec(count=400)))
+    monkeypatch.setattr(simulator, "open", counting_open, raising=False)
+    path = tmp_path / "report.json"
+    write_report_json(report, path)
+    size = path.stat().st_size
+    bound = math.ceil(size / 131072) + 1
+    assert size / 8192 >= 10 * bound  # 1 090 414 bytes: 134 writes of 8 KiB
+    assert sum(writes) == size
+    assert len(writes) <= bound  # 9

@@ -3,6 +3,7 @@
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -262,6 +263,22 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be"):
             TaskRequest(task_id="t", image=ImageRef("a", "1"),
                         **{**requests, field: float("nan")})
+
+    # A request beyond the float range ended in a bare OverflowError where
+    # the kernel divided it by a capacity.
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, float("inf"), -float("inf")],
+                             ids=["beyond-float-range", "below-float-range", "inf",
+                                  "minus-inf"])
+    @pytest.mark.parametrize("field, bound", [("cpu_request", "> 0"),
+                                              ("mem_request", ">= 0")], ids=["cpu", "mem"])
+    def test_out_of_range_request_rejected(self, field, bound, value):
+        message = f"^task t: {field} must be finite and {re.escape(bound)}$"
+        requests = dict(cpu_request=1, mem_request=0)
+        with pytest.raises(ValueError, match=message):
+            TaskRequest(task_id="t", image=ImageRef("a", "1"), **{**requests, field: value})
+        request = TaskRequest(task_id="t", image=ImageRef("a", "1"), **requests)
+        with pytest.raises(ValueError, match=message):
+            replace(request, **{field: value})
 
     # A committed amount is a sum of placed requests. The kernel's bounded
     # argmax needs it >= 0 (a negative one scores free CPU above 100, past

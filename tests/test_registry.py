@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import threading
+import urllib.request
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -620,29 +621,49 @@ class TestTransport:
         assert len(requests) == 4
         assert [headers.get("Authorization") for _, headers in requests] == [header] * 4
 
+    # Two catalog pages, four tag-list pages, five manifests and one
+    # per-arch manifest.
+    PAGED = {
+        "/v2/_catalog": ({"repositories": ["a", "team/b"]},
+                         '</v2/_catalog?page=2>; rel="next"'),
+        "/v2/_catalog?page=2": {"repositories": ["c"]},
+        "/v2/a/tags/list": {"tags": ["1", "2"]},
+        "/v2/team/b/tags/list": ({"tags": ["1"]},
+                                 '</v2/team/b/tags/list?page=2>; rel="next"'),
+        "/v2/team/b/tags/list?page=2": {"tags": ["2"]},
+        "/v2/c/tags/list": {"tags": ["1"]},
+        "/v2/a/manifests/1": MANIFEST,
+        "/v2/a/manifests/2": MANIFEST,
+        "/v2/team/b/manifests/1": MANIFEST,
+        "/v2/team/b/manifests/2": MANIFEST,
+        "/v2/c/manifests/1": INDEX,
+        "/v2/c/manifests/sha256:arch": MANIFEST,
+    }
+
     def test_a_walk_sends_one_get_per_page_and_manifest(self):
         # Work count: catalog pages + tag-list pages + manifests + per-arch
         # manifests, each fetched once.
-        client = stub_client({
-            "/v2/_catalog": ({"repositories": ["a", "team/b"]},
-                             '</v2/_catalog?page=2>; rel="next"'),
-            "/v2/_catalog?page=2": {"repositories": ["c"]},
-            "/v2/a/tags/list": {"tags": ["1", "2"]},
-            "/v2/team/b/tags/list": ({"tags": ["1"]},
-                                     '</v2/team/b/tags/list?page=2>; rel="next"'),
-            "/v2/team/b/tags/list?page=2": {"tags": ["2"]},
-            "/v2/c/tags/list": {"tags": ["1"]},
-            "/v2/a/manifests/1": MANIFEST,
-            "/v2/a/manifests/2": MANIFEST,
-            "/v2/team/b/manifests/1": MANIFEST,
-            "/v2/team/b/manifests/2": MANIFEST,
-            "/v2/c/manifests/1": INDEX,
-            "/v2/c/manifests/sha256:arch": MANIFEST,
-        })
+        client = stub_client(self.PAGED)
         snapshot = walk_registry(client)
         assert sorted(snapshot.lists) == ["a:1", "a:2", "c:1", "team/b:1", "team/b:2"]
         assert snapshot.warnings == []
         assert len(client.connect.requests) == 2 + 4 + 5 + 1
+
+    def test_a_walk_reads_the_proxy_settings_once(self, monkeypatch):
+        # Work count: getproxies scans the whole environment, so a client
+        # reads it when built, not once per GET.
+        calls = []
+        getproxies = urllib.request.getproxies
+
+        def counting():
+            calls.append(1)
+            return getproxies()
+
+        monkeypatch.setattr(urllib.request, "getproxies", counting)
+        client = stub_client(self.PAGED)
+        assert len(walk_registry(client).lists) == 5
+        assert len(client.connect.requests) == 12
+        assert len(calls) == 1  # 1; 13 if every GET read them again
 
     def test_next_link_after_a_prev_link_and_absolute_next_link_are_followed(self):
         client = stub_client({
@@ -984,6 +1005,23 @@ class TestWatcher:
             assert watcher.snapshot() is not None
         finally:
             watcher.stop()
+
+    def test_run_returns_after_stop_from_another_thread(self, monkeypatch):
+        # run() is the loop in the calling thread: a stop() from elsewhere
+        # ends it after the tick under way, without waiting out the interval.
+        monkeypatch.setattr(registry_module, "refresh_cache",
+                            lambda config, client: ImageMetadataLists())
+        ticked = threading.Semaphore(0)
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url="http://127.0.0.1:1", poll_interval=60),
+            on_refresh=lambda snapshot: ticked.release())
+        loop = threading.Thread(target=watcher.run, daemon=True)
+        loop.start()
+        assert ticked.acquire(timeout=5)
+        watcher.stop()
+        loop.join(timeout=5)
+        assert not loop.is_alive()
+        assert watcher.snapshot() == ImageMetadataLists()
 
     def test_loop_survives_protocol_errors(self, registry, tmp_path):
         config = RegistryConfig(base_url=f"{registry.url}/nope", poll_interval=0.01,

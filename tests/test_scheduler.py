@@ -24,7 +24,7 @@ from oracles import (
     oracle_final,
     oracle_trace,
 )
-from layersched import scheduler
+from layersched import model, scheduler
 from layersched.errors import ScenarioError, UnknownImage
 from layersched.model import (
     ImageRef,
@@ -793,16 +793,22 @@ def tight_scenario(seed: int) -> Scenario:
 class TestKernelWork:
     """Work counts that pin the kernel's speed-ups, which no output shows:
     the rows each policy's decisions draw for scoring (the bounded argmax
-    and its stop) and the overlap columns one compare builds (one per
-    image, shared by every leg). Each bound is at or a little above the
-    count measured on these fixed instances, given in its comment."""
+    and its stop), the overlap columns one compare builds (one per image,
+    shared by every leg), the orders the walks sort (only those a commit
+    made stale, and none where no weight is above 0), and the image hashes
+    it computes (one per ``ImageRef`` built). Each bound is at or a little
+    above the count measured on these fixed instances, given in its
+    comment."""
 
     @staticmethod
     def count(monkeypatch, scenario):
         """Compare the three policies on seeds 1 and 2; return the rows each
-        policy's scans drew and the overlap columns built."""
+        policy's scans drew, the overlap columns built, and the orders each
+        policy's walks sorted and the walks it made."""
         rows, columns = dict.fromkeys(POLICIES, 0), []
-        score, layers_of = scheduler._Kernel._score, scheduler.layers_of
+        sorts, walks = dict.fromkeys(POLICIES, 0), dict.fromkeys(POLICIES, 0)
+        score, walk = scheduler._Kernel._score, scheduler._Kernel._rows
+        layers_of = scheduler.layers_of
 
         def counting(self, task, image, drawn, *args, **kwargs):
             def counted():
@@ -811,29 +817,72 @@ class TestKernelWork:
                     yield i
             return score(self, task, image, counted(), *args, **kwargs)
 
+        class Order(list):
+            def sort(self, *args, **kwargs):
+                sorts[self.policy] += 1
+                super().sort(*args, **kwargs)
+
+        def walking(self, image):
+            # copy() slices an entry's order back to a plain list, so the
+            # counting order goes in on every walk.
+            walks[self.config.policy] += 1
+            order = image[3] = Order(image[3])
+            order.policy = self.config.policy
+            return walk(self, image)
+
         def building(catalog, image):
             columns.append(image)
             return layers_of(catalog, image)
 
         monkeypatch.setattr(scheduler._Kernel, "_score", counting)
+        monkeypatch.setattr(scheduler._Kernel, "_rows", walking)
         monkeypatch.setattr(scheduler, "layers_of", building)
         compare(scenario, {policy: SchedulerConfig(policy=policy) for policy in POLICIES},
                 [1, 2])
-        return rows, len(columns)
+        return rows, len(columns), sorts, walks
 
     def test_high_sharing_roomy_cluster(self, monkeypatch):
-        rows, columns = self.count(monkeypatch, sharing_scenario(1))
+        rows, columns, sorts, walks = self.count(monkeypatch, sharing_scenario(1))
         assert rows["default"] <= 12000  # 12000: every row, as no weight is above 0
         assert rows["layer_static"] <= 1200  # 1066
         assert rows["lr_dynamic"] <= 1200  # 1082
         assert columns <= 24  # 24, one per image; 165 if each leg built its own
+        assert walks == dict.fromkeys(POLICIES, 300)  # one per task and seed
+        assert sorts["default"] == 0  # its rows come in index order
+        assert sorts["layer_static"] <= 160  # 146; 300 if every walk sorted
+        assert sorts["lr_dynamic"] <= 160  # 141
 
     def test_low_sharing_small_disks(self, monkeypatch):
-        rows, columns = self.count(monkeypatch, tight_scenario(1))
+        rows, columns, sorts, walks = self.count(monkeypatch, tight_scenario(1))
         assert rows["default"] <= 4000  # 3996: the rows with disk room
         assert rows["layer_static"] <= 1650  # 1467
         assert rows["lr_dynamic"] <= 1650  # 1467
         assert columns <= 30  # 30, one per image; 207 if each leg built its own
+        assert walks == dict.fromkeys(POLICIES, 300)  # one per task and seed
+        assert sorts["default"] == 0  # its rows come in index order
+        assert sorts["layer_static"] <= 130  # 118; 300 if every walk sorted
+        assert sorts["lr_dynamic"] <= 130  # 118
+
+    def test_one_compare_hashes_each_image_ref_once(self, monkeypatch):
+        # An ImageRef's hash is computed when it is built, not at each of
+        # the many dict lookups a compare makes by image.
+        built, hashed = [0], [0]
+        post_init = ImageRef.__post_init__
+
+        def building(self):
+            built[0] += 1
+            post_init(self)
+
+        def hashing(value):
+            hashed[0] += 1
+            return hash(value)
+
+        monkeypatch.setattr(ImageRef, "__post_init__", building)
+        monkeypatch.setattr(model, "hash", hashing, raising=False)
+        compare(sharing_scenario(1),
+                {policy: SchedulerConfig(policy=policy) for policy in POLICIES}, [1, 2])
+        assert built[0] == 24  # the catalog's images
+        assert hashed[0] <= built[0]  # 24; 5 244 if every lookup hashed
 
 
 class TestDuplicateNodeIds:

@@ -170,6 +170,28 @@ class TestTraceFiles:
             load_trace(path)
         assert err.value.line_number == 1
 
+    def test_request_beyond_float_range_reports_its_line(self, tmp_path):
+        # A JSON integer the type check passes, which no float can hold.
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"task_id": "t0", "image_name": "web", "image_tag": "1", '
+                        f'"cpu_millicores": {10 ** 400}, "mem_bytes": 0}}\n')
+        with pytest.raises(TraceCorrupt, match="^line 1: task t0: cpu_request must be "
+                                               "finite and > 0$") as err:
+            load_trace(path)
+        assert err.value.line_number == 1
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        tasks = generate(WorkloadSpec(count=2, seed=5), two_image_catalog())
+        path = tmp_path / "trace.jsonl"
+        save_trace(tasks, path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n  \t\n{second}\n\n")
+        assert load_trace(path) == tasks
+        path.write_text(f"\n{first}\n  \t\n{{not json\n")
+        with pytest.raises(TraceCorrupt) as err:
+            load_trace(path)
+        assert err.value.line_number == 4
+
     @pytest.mark.parametrize("key, value", [
         ("cpu_millicores", 1.9),
         ("cpu_millicores", "250"),

@@ -28,19 +28,7 @@ from .model import (
     TaskRequest,
     layers_of,
     missing_layers,
-)
-from .registry import (
-    ImageMetadata,
-    ImageMetadataLists,
-    LayerMetadata,
-    RegistryClient,
-    RegistryConfig,
-    RegistryWatcher,
-    catalog_from_cache,
-    load_cache,
-    lookup,
-    refresh_cache,
-    save_cache,
+    replace,
 )
 from .scheduler import (
     POLICIES,
@@ -80,6 +68,24 @@ from .scenario import build_scenario, parse_scenario_file, resolve_catalog
 from .workload import WorkloadSpec, generate, load_trace, save_trace
 
 __version__ = "0.1.0"
+
+# Read from the registry module on first use (PEP 562), so that importing the
+# package does not load the registry client.
+_REGISTRY_NAMES = ("ImageMetadata", "ImageMetadataLists", "LayerMetadata", "RegistryClient",
+                   "RegistryConfig", "RegistryWatcher", "catalog_from_cache", "load_cache",
+                   "lookup", "refresh_cache", "save_cache")
+
+
+def __getattr__(name: str):
+    if name in _REGISTRY_NAMES:
+        from . import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_REGISTRY_NAMES})
 
 __all__ = [
     "CacheCorrupt",
@@ -138,6 +144,7 @@ __all__ = [
     "missing_layers",
     "parse_scenario_file",
     "refresh_cache",
+    "replace",
     "resolve_catalog",
     "run",
     "save_cache",

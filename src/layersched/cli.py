@@ -16,17 +16,10 @@ import csv
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import LayerSchedError, ScenarioError
-from .model import LayerCatalog
-from .registry import (
-    ImageMetadataLists,
-    RegistryConfig,
-    RegistryWatcher,
-    refresh_cache,
-)
+from .model import LayerCatalog, replace
 from .scenario import (
     ScenarioFile,
     build_scenario,
@@ -132,13 +125,23 @@ def _print_ensemble(table: dict, heading: str) -> None:
             print(f"  {label} vs {reference}: download {delta:+.1f}%")
 
 
+def refresh_cache(config):
+    """:func:`layersched.registry.refresh_cache`, loading the registry client
+    on the first call; ``benchmarks/tracer.py`` wraps this name."""
+    from . import registry
+
+    return registry.refresh_cache(config)
+
+
 def cmd_fetch_registry(args) -> int:
+    from .registry import RegistryConfig, RegistryWatcher
+
     url = _registry_override(args)
     if not url:
         raise LayerSchedError("no registry URL (use --registry or LAYERSCHED_REGISTRY)")
     _check_cache_path(args.out)
 
-    def report(snapshot: ImageMetadataLists) -> None:
+    def report(snapshot) -> None:
         for warning in snapshot.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         state = "stale" if snapshot.stale else "fresh"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import UnknownImage
 
@@ -28,19 +27,70 @@ def _finite(number) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ImageRef:
+class _Record:
+    """A value type whose constructor takes ``_fields``, in that order, and
+    stores each under its name. Instances are equal when they are of the same
+    class and their fields, less ``_uncompared``, are equal; the repr shows the
+    fields less ``_hidden``. Like a dataclass that compares, an instance is
+    unhashable unless it is :class:`_Frozen`."""
+
+    _fields: tuple[str, ...]
+    _hidden: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields
+                      if name not in self._uncompared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` that is hashable and refuses assignment; its
+    constructor fills ``vars(self)`` directly."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: _Record, /, **changes) -> _Record:
+    """A copy of ``record`` with ``changes`` to its fields, built through its
+    constructor, so that every check a new record meets runs again."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
+class ImageRef(_Frozen):
     """An image identified by name and tag; the pair is the unique key. Its
     hash, ``hash((name, tag))``, is computed once; a pickle carries only the
     pair, so a process with another string-hash seed recomputes it."""
 
-    name: str
-    tag: str
+    _fields = ("name", "tag")
 
-    def __post_init__(self):
-        if not self.name or not self.tag:
+    def __init__(self, name: str, tag: str):
+        if not name or not tag:
             raise ValueError("image name and tag must be non-empty")
-        object.__setattr__(self, "_hash", hash((self.name, self.tag)))
+        vars(self).update(name=name, tag=tag, _hash=hash((name, tag)))
+
+    def __eq__(self, other):
+        # Called on each dict lookup by an equal ref that is not the key
+        # itself, as a parsed or loaded one is, so it skips the field tuples.
+        if other.__class__ is not ImageRef:
+            return NotImplemented
+        return self.name == other.name and self.tag == other.tag
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,19 +111,21 @@ class ImageRef:
         return cls(name, tag)
 
 
-@dataclass
-class LayerCatalog:
+class LayerCatalog(_Record):
     """The universe of layers and the images assembled from them.
 
     ``layers`` maps each layer digest to its size in bytes; ``images`` maps
-    each image to its ordered layer stack. Identical digests across images
-    are the same catalog entry, which is what makes layers shareable.
+    each image to its ordered layer stack (each a new empty dict if not
+    given). Identical digests across images are the same catalog entry,
+    which is what makes layers shareable.
     """
 
-    layers: dict[LayerId, int] = field(default_factory=dict)
-    images: dict[ImageRef, tuple[LayerId, ...]] = field(default_factory=dict)
+    _fields = ("layers", "images")
 
-    def __post_init__(self):
+    def __init__(self, layers: dict[LayerId, int] | None = None,
+                 images: dict[ImageRef, tuple[LayerId, ...]] | None = None):
+        self.layers = {} if layers is None else layers
+        self.images = {} if images is None else images
         for digest, size in self.layers.items():
             if not digest:
                 raise ValueError("layer digest must be non-empty")
@@ -93,46 +145,42 @@ class LayerCatalog:
         return sum(size for _, size in layers_of(self, image))
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(_Frozen):
     """Static description of an edge node."""
 
-    id: str
-    cpu_capacity: int  # millicores
-    mem_capacity: int  # bytes
-    bandwidth: int  # bytes/second
-    storage_capacity: int  # bytes
-    max_containers: int = 110
+    _fields = ("id", "cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity",
+               "max_containers")
 
-    def __post_init__(self):
+    def __init__(self, id: str, cpu_capacity: int, mem_capacity: int, bandwidth: int,
+                 storage_capacity: int, max_containers: int = 110):
+        vars(self).update(id=id, cpu_capacity=cpu_capacity, mem_capacity=mem_capacity,
+                          bandwidth=bandwidth, storage_capacity=storage_capacity,
+                          max_containers=max_containers)
         for name in ("cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity"):
             # An infinite capacity fits every request, yet least-allocated
             # scores it (inf - request) / inf, a NaN, which never wins.
             value = getattr(self, name)
             if not (value > 0 and _finite(value)):
-                raise ValueError(f"node {self.id}: {name} must be finite and > 0")
-        if not self.max_containers >= 1:
-            raise ValueError(f"node {self.id}: max_containers must be >= 1")
+                raise ValueError(f"node {id}: {name} must be finite and > 0")
+        if not max_containers >= 1:
+            raise ValueError(f"node {id}: max_containers must be >= 1")
 
 
-@dataclass(frozen=True)
-class TaskRequest:
+class TaskRequest(_Frozen):
     """One deployment request: an image plus CPU and memory demands."""
 
-    task_id: str
-    image: ImageRef
-    cpu_request: int  # millicores
-    mem_request: int  # bytes
+    _fields = ("task_id", "image", "cpu_request", "mem_request")
 
-    def __post_init__(self):
-        if not (self.cpu_request > 0 and _finite(self.cpu_request)):
-            raise ValueError(f"task {self.task_id}: cpu_request must be finite and > 0")
-        if not (self.mem_request >= 0 and _finite(self.mem_request)):
-            raise ValueError(f"task {self.task_id}: mem_request must be finite and >= 0")
+    def __init__(self, task_id: str, image: ImageRef, cpu_request: int, mem_request: int):
+        if not (cpu_request > 0 and _finite(cpu_request)):
+            raise ValueError(f"task {task_id}: cpu_request must be finite and > 0")
+        if not (mem_request >= 0 and _finite(mem_request)):
+            raise ValueError(f"task {task_id}: mem_request must be finite and >= 0")
+        vars(self).update(task_id=task_id, image=image, cpu_request=cpu_request,
+                          mem_request=mem_request)
 
 
-@dataclass(frozen=True)
-class NodeState:
+class NodeState(_Frozen):
     """A node's cached layers/images, running containers, and commitments.
 
     Resource accounting uses requested (committed) amounts, not measured
@@ -143,18 +191,19 @@ class NodeState:
     result.
     """
 
-    spec: NodeSpec
-    local_layers: frozenset[LayerId] = frozenset()
-    local_images: frozenset[ImageRef] = frozenset()
-    running: tuple[TaskRequest, ...] = ()
-    cpu_committed: int = 0
-    mem_committed: int = 0
+    _fields = ("spec", "local_layers", "local_images", "running", "cpu_committed",
+               "mem_committed")
 
-    def __post_init__(self):
-        for name in ("cpu_committed", "mem_committed"):
-            value = getattr(self, name)
+    def __init__(self, spec: NodeSpec, local_layers: frozenset[LayerId] = frozenset(),
+                 local_images: frozenset[ImageRef] = frozenset(),
+                 running: tuple[TaskRequest, ...] = (), cpu_committed: int = 0,
+                 mem_committed: int = 0):
+        for name, value in (("cpu_committed", cpu_committed), ("mem_committed", mem_committed)):
             if not (value >= 0 and _finite(value)):
-                raise ValueError(f"node {self.spec.id}: {name} must be finite and >= 0")
+                raise ValueError(f"node {spec.id}: {name} must be finite and >= 0")
+        vars(self).update(spec=spec, local_layers=local_layers, local_images=local_images,
+                          running=running, cpu_committed=cpu_committed,
+                          mem_committed=mem_committed)
 
     def stored_layer_bytes(self, catalog: LayerCatalog) -> int:
         """Bytes currently occupied by cached layers, per catalog sizes."""

@@ -18,7 +18,6 @@ import re
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
@@ -33,7 +32,7 @@ from .errors import (
     UnknownImage,
     UnsupportedManifest,
 )
-from .model import ImageRef, LayerCatalog, _finite
+from .model import ImageRef, LayerCatalog, _finite, _Record
 
 MANIFEST_V2 = "application/vnd.docker.distribution.manifest.v2+json"
 MANIFEST_LIST_V2 = "application/vnd.docker.distribution.manifest.list.v2+json"
@@ -66,16 +65,18 @@ def _json_str(value, name: str) -> str:
     return value
 
 
-@dataclass
-class LayerMetadata:
-    size: int
-    layer: str  # digest
+class LayerMetadata(_Record):
+    """One layer of an image: its size in bytes and its digest."""
 
-    def __post_init__(self):
-        if self.size < 0:
+    _fields = ("size", "layer")
+
+    def __init__(self, size: int, layer: str):
+        if size < 0:
             raise ValueError("layer size must be >= 0")
-        if not self.layer:
+        if not layer:
             raise ValueError("layer digest must be non-empty")
+        self.size = size
+        self.layer = layer
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "layer": self.layer}
@@ -85,20 +86,24 @@ class LayerMetadata:
         return cls(size=_json_int(data["size"]), layer=_json_str(data["layer"], "layer"))
 
 
-@dataclass
-class ImageMetadata:
-    id: str
-    name: str
-    name_without_repo: str
-    tag: str
-    total_size: int
-    l_meta: list[LayerMetadata] = field(default_factory=list)
+class ImageMetadata(_Record):
+    """One image's manifest: its layers (``l_meta``, a new empty list if not
+    given), whose sizes add up to ``total_size``."""
 
-    def __post_init__(self):
+    _fields = ("id", "name", "name_without_repo", "tag", "total_size", "l_meta")
+
+    def __init__(self, id: str, name: str, name_without_repo: str, tag: str, total_size: int,
+                 l_meta: list[LayerMetadata] | None = None):
+        self.id = id
+        self.name = name
+        self.name_without_repo = name_without_repo
+        self.tag = tag
+        self.total_size = total_size
+        self.l_meta = [] if l_meta is None else l_meta
         layer_sum = sum(layer.size for layer in self.l_meta)
-        if self.total_size != layer_sum:
+        if total_size != layer_sum:
             raise ValueError(
-                f"total_size {self.total_size} != sum of layer sizes {layer_sum}"
+                f"total_size {total_size} != sum of layer sizes {layer_sum}"
             )
 
     @property
@@ -127,40 +132,49 @@ class ImageMetadata:
         )
 
 
-@dataclass
-class ImageMetadataLists:
+class ImageMetadataLists(_Record):
     """A snapshot of the whole registry's image metadata, keyed ``name:tag``.
 
     ``catch_file``, ``stale`` and ``warnings`` are runtime bookkeeping and
-    never serialized; equality is over ``lists`` alone.
+    never serialized; equality is over ``lists`` alone. ``lists`` and
+    ``warnings`` are new empty containers if not given.
     """
 
-    catch_file: str = field(default="", compare=False)
-    lists: dict[str, ImageMetadata] = field(default_factory=dict)
-    stale: bool = field(default=False, compare=False)
-    warnings: list[str] = field(default_factory=list, compare=False)
+    _fields = ("catch_file", "lists", "stale", "warnings")
+    _uncompared = ("catch_file", "stale", "warnings")
 
-    def __post_init__(self):
+    def __init__(self, catch_file: str = "", lists: dict[str, ImageMetadata] | None = None,
+                 stale: bool = False, warnings: list[str] | None = None):
+        self.catch_file = catch_file
+        self.lists = {} if lists is None else lists
+        self.stale = stale
+        self.warnings = [] if warnings is None else warnings
         for key, image in self.lists.items():
             if key != image.key:
                 raise ValueError(f"cache key {key!r} != image key {image.key!r}")
 
 
-@dataclass
-class RegistryConfig:
-    base_url: str
-    poll_interval: float = 10.0
-    cache_path: str = "cache.json"
-    token: str | None = None
-    username: str | None = None
-    password: str | None = None
+class RegistryConfig(_Record):
+    """Where the registry is, how often a watcher polls it (seconds), where
+    the cache file goes, and the credentials; the repr leaves out the token
+    and the password."""
 
-    def __post_init__(self):
-        if not 0 < self.poll_interval < math.inf:
+    _fields = ("base_url", "poll_interval", "cache_path", "token", "username", "password")
+    _hidden = ("token", "password")
+
+    def __init__(self, base_url: str, poll_interval: float = 10.0,
+                 cache_path: str = "cache.json", token: str | None = None,
+                 username: str | None = None, password: str | None = None):
+        if not 0 < poll_interval < math.inf:
             raise ValueError("poll_interval must be a positive, finite number of seconds")
-        if self.poll_interval > threading.TIMEOUT_MAX:  # the longest wait a thread takes
+        if poll_interval > threading.TIMEOUT_MAX:  # the longest wait a thread takes
             raise ValueError(f"poll_interval must be at most {threading.TIMEOUT_MAX:g} seconds")
-        self.base_url = self.base_url.rstrip("/")
+        self.base_url = base_url.rstrip("/")
+        self.poll_interval = poll_interval
+        self.cache_path = cache_path
+        self.token = token
+        self.username = username
+        self.password = password
 
 
 def strip_repo_host(name: str) -> str:

@@ -13,18 +13,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ScenarioError
-from .model import ImageRef, LayerCatalog, LayerId, NodeSpec, _finite
-from .registry import (
-    RegistryClient,
-    RegistryConfig,
-    catalog_from_cache,
-    load_cache,
-    walk_registry,
-)
+from .model import ImageRef, LayerCatalog, LayerId, NodeSpec, _finite, _Record, replace
 from .scheduler import POLICIES, TIE_BREAKS, SchedulerConfig
 from .scoring import PLUGIN_NAMES, WEIGHT_MODES, PluginConfig, WeightPolicy
 from .simulator import Scenario
@@ -243,12 +235,14 @@ def _parse_plugins(obj: dict, path: str) -> PluginConfig:
     return PluginConfig(**kwargs)
 
 
-@dataclass
-class SchedulerEntry:
+class SchedulerEntry(_Record):
     """One leg of a comparison: a policy plus optional overrides."""
 
-    label: str
-    config: SchedulerConfig
+    _fields = ("label", "config")
+
+    def __init__(self, label: str, config: SchedulerConfig):
+        self.label = label
+        self.config = config
 
 
 def _parse_scheduler(obj, path: str) -> SchedulerEntry:
@@ -278,13 +272,16 @@ def _parse_scheduler(obj, path: str) -> SchedulerEntry:
     return SchedulerEntry(label=label, config=config)
 
 
-@dataclass
-class CatalogSource:
+class CatalogSource(_Record):
     """Exactly one of the three fields is set."""
 
-    inline: LayerCatalog | None = None
-    cache_file: str | None = None
-    registry_url: str | None = None
+    _fields = ("inline", "cache_file", "registry_url")
+
+    def __init__(self, inline: LayerCatalog | None = None, cache_file: str | None = None,
+                 registry_url: str | None = None):
+        self.inline = inline
+        self.cache_file = cache_file
+        self.registry_url = registry_url
 
 
 def _parse_catalog_inline(obj: dict, path: str) -> LayerCatalog:
@@ -309,10 +306,15 @@ def _parse_catalog_inline(obj: dict, path: str) -> LayerCatalog:
         raise ScenarioError(path, str(exc)) from None
 
 
-@dataclass
-class Sweeps:
-    bandwidth: list[int] = field(default_factory=list)
-    node_count: list[int] = field(default_factory=list)
+class Sweeps(_Record):
+    """The sweep axes' points: bandwidths in bytes/second and node counts
+    (each a new empty list if not given)."""
+
+    _fields = ("bandwidth", "node_count")
+
+    def __init__(self, bandwidth: list[int] | None = None, node_count: list[int] | None = None):
+        self.bandwidth = [] if bandwidth is None else bandwidth
+        self.node_count = [] if node_count is None else node_count
 
 
 def _parse_sweeps(obj: dict, path: str) -> Sweeps:
@@ -331,18 +333,29 @@ def _parse_sweeps(obj: dict, path: str) -> Sweeps:
     return Sweeps(bandwidth=bandwidth, node_count=list(node_count))
 
 
-@dataclass
-class ScenarioFile:
-    nodes: list[NodeSpec]
-    preloaded_layers: dict[str, list[str]]
-    preloaded_images: dict[str, list[ImageRef]]
-    catalog_source: CatalogSource
-    workload: WorkloadSpec
-    schedulers: list[SchedulerEntry]
-    sweeps: Sweeps
-    seeds: list[int]
-    output: str
-    base_dir: Path  # relative paths in the file resolve against its location
+class ScenarioFile(_Record):
+    """A parsed scenario file: its nodes, the layers and images preloaded per
+    node id, where the catalog comes from, the workload, the scheduler
+    entries, the sweeps, the seeds and the output directory. Relative paths
+    in the file resolve against ``base_dir``, the file's directory."""
+
+    _fields = ("nodes", "preloaded_layers", "preloaded_images", "catalog_source", "workload",
+               "schedulers", "sweeps", "seeds", "output", "base_dir")
+
+    def __init__(self, nodes: list[NodeSpec], preloaded_layers: dict[str, list[str]],
+                 preloaded_images: dict[str, list[ImageRef]], catalog_source: CatalogSource,
+                 workload: WorkloadSpec, schedulers: list[SchedulerEntry], sweeps: Sweeps,
+                 seeds: list[int], output: str, base_dir: Path):
+        self.nodes = nodes
+        self.preloaded_layers = preloaded_layers
+        self.preloaded_images = preloaded_images
+        self.catalog_source = catalog_source
+        self.workload = workload
+        self.schedulers = schedulers
+        self.sweeps = sweeps
+        self.seeds = seeds
+        self.output = output
+        self.base_dir = base_dir
 
 
 TOP_KEYS = {"nodes", "catalog", "registry", "workload", "schedulers",
@@ -465,6 +478,10 @@ def resolve_catalog(sfile: ScenarioFile, registry_url: str | None = None) -> Lay
     source = sfile.catalog_source
     if source.inline is not None:
         return source.inline
+    # Only these two sources need the registry client.
+    from .registry import (RegistryClient, RegistryConfig, catalog_from_cache, load_cache,
+                           walk_registry)
+
     if source.cache_file is not None:
         try:
             cache = load_cache(sfile.base_dir / source.cache_file)

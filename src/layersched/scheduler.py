@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, le, sub
 from types import MappingProxyType
 
 from .errors import CapacityViolation, ScenarioError
-from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, layers_of
+from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, _Frozen, layers_of
 # benchmarks/tracer.py wraps filter_node, score_node, commit_placement,
 # baseline_score, layer_score and local_layer_size by their names on this
 # module, so all six stay importable from it; the last three are imported only
@@ -32,8 +31,7 @@ POLICIES = ("default", "layer_static", "lr_dynamic")
 TIE_BREAKS = ("lowest_node_id", "random_seeded")
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
+class SchedulerConfig(_Frozen):
     """Which policy to run and how to weight/tie-break. Frozen, like its
     weight policy and plugins, so a decision's score audit, which reads the
     config when it is read, always shows the weights the decision used.
@@ -44,17 +42,17 @@ class SchedulerConfig:
     (mode ``dynamic``) or an entry of ``custom_table`` (mode ``custom``).
     """
 
-    policy: str = "lr_dynamic"
-    weight_policy: WeightPolicy = field(default_factory=WeightPolicy)
-    plugins: PluginConfig = PluginConfig()
-    tie_break: str = "lowest_node_id"
+    _fields = ("policy", "weight_policy", "plugins", "tie_break")
 
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
-        if self.policy == "lr_dynamic" and self.weight_policy.mode == "static":
+    def __init__(self, policy: str = "lr_dynamic", weight_policy: WeightPolicy = WeightPolicy(),
+                 plugins: PluginConfig = PluginConfig(), tie_break: str = "lowest_node_id"):
+        vars(self).update(policy=policy, weight_policy=weight_policy, plugins=plugins,
+                          tie_break=tie_break)
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(f"unknown tie_break {tie_break!r}")
+        if policy == "lr_dynamic" and weight_policy.mode == "static":
             raise ValueError("lr_dynamic needs a dynamic or custom weight policy")
 
     def omegas(self) -> tuple[float, float, float, float]:
@@ -72,30 +70,36 @@ class SchedulerConfig:
         return tuple(weights.custom_table[k] for k in range(4))
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    node_id: str
-    feasible: bool
-    rejected_by: str | None = None  # storage | container_count | cpu_fit | mem_fit
+class FilterVerdict(_Frozen):
+    """Whether one node can take a task; if not, ``rejected_by`` names the
+    first constraint it breaks: ``storage``, ``container_count``,
+    ``cpu_fit`` or ``mem_fit``."""
+
+    _fields = ("node_id", "feasible", "rejected_by")
+
+    def __init__(self, node_id: str, feasible: bool, rejected_by: str | None = None):
+        vars(self).update(node_id=node_id, feasible=feasible, rejected_by=rejected_by)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(_Frozen):
     """One task bound to one node. It keeps the decision's inputs (the
     decision-time ``nodes``, the ``task``, the ``catalog`` and the
     ``config``). ``scores``, the per-node score audit, is built from them
     when first read, by a kernel over those nodes: a read-only mapping from
     each feasible node's id, in node order, to its :class:`ScoreBreakdown`,
-    whose ``final`` is the float the decision compared."""
+    whose ``final`` is the float the decision compared. The repr leaves the
+    inputs out."""
 
-    task_id: str
-    node_id: str
-    download_bytes: int
-    download_seconds: float
-    nodes: tuple[NodeState, ...] = field(repr=False)
-    task: TaskRequest = field(repr=False)
-    catalog: LayerCatalog = field(repr=False)
-    config: SchedulerConfig = field(repr=False)
+    _fields = ("task_id", "node_id", "download_bytes", "download_seconds", "nodes", "task",
+               "catalog", "config")
+    _hidden = ("nodes", "task", "catalog", "config")
+
+    def __init__(self, task_id: str, node_id: str, download_bytes: int,
+                 download_seconds: float, nodes: tuple[NodeState, ...], task: TaskRequest,
+                 catalog: LayerCatalog, config: SchedulerConfig):
+        vars(self).update(task_id=task_id, node_id=node_id, download_bytes=download_bytes,
+                          download_seconds=download_seconds, nodes=nodes, task=task,
+                          catalog=catalog, config=config)
 
     @cached_property
     def scores(self) -> Mapping[str, ScoreBreakdown]:
@@ -103,18 +107,20 @@ class Placement:
         return MappingProxyType(kernel.breakdowns(self.task))
 
 
-@dataclass(frozen=True)
-class Unschedulable:
+class Unschedulable(_Frozen):
     """No node survived filtering. It keeps the decision-time ``nodes``, the
     ``task`` and the ``catalog``; ``verdicts``, each node's
     :class:`FilterVerdict` in node order, are built when first read by the
     :meth:`_Kernel.verdicts` of a kernel over those nodes, and
-    ``rejected_by`` names the constraint each node broke."""
+    ``rejected_by`` names the constraint each node broke. The repr leaves
+    the inputs out."""
 
-    task_id: str
-    nodes: tuple[NodeState, ...] = field(repr=False)
-    task: TaskRequest = field(repr=False)
-    catalog: LayerCatalog = field(repr=False)
+    _fields = ("task_id", "nodes", "task", "catalog")
+    _hidden = ("nodes", "task", "catalog")
+
+    def __init__(self, task_id: str, nodes: tuple[NodeState, ...], task: TaskRequest,
+                 catalog: LayerCatalog):
+        vars(self).update(task_id=task_id, nodes=nodes, task=task, catalog=catalog)
 
     @cached_property
     def verdicts(self) -> tuple[FilterVerdict, ...]:

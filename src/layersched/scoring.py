@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, _finite, layers_of
+from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, _finite, _Frozen, layers_of
 
 MB = 1024 * 1024
 
@@ -25,8 +24,7 @@ WEIGHT_MODES = ("static", "dynamic", "custom")
 PLUGIN_NAMES = ("least_allocated", "balanced_allocation", "image_locality")
 
 
-@dataclass(frozen=True)
-class PluginConfig:
+class PluginConfig(_Frozen):
     """Which baseline plugins contribute to the final score, with weights.
 
     A weight of ``None`` disables the plugin. The combined baseline score is
@@ -35,19 +33,19 @@ class PluginConfig:
     within [0, 100], commensurate with the layer score.
     """
 
-    least_allocated: float | None = 1.0
-    balanced_allocation: float | None = 1.0
-    image_locality: float | None = 1.0
+    _fields = PLUGIN_NAMES
 
-    def __post_init__(self):
+    def __init__(self, least_allocated: float | None = 1.0,
+                 balanced_allocation: float | None = 1.0, image_locality: float | None = 1.0):
+        vars(self).update(least_allocated=least_allocated,
+                          balanced_allocation=balanced_allocation, image_locality=image_locality)
         for name in PLUGIN_NAMES:
             weight = getattr(self, name)
             if weight is not None and not _finite(weight):
                 raise ValueError(f"{name} weight must be finite")
 
 
-@dataclass(frozen=True)
-class WeightPolicy:
+class WeightPolicy(_Frozen):
     """The layer-score weights and the thresholds of the gate that picks one.
 
     ``dynamic`` applies ``omega_high`` when the gate fires (large overlap on
@@ -56,21 +54,21 @@ class WeightPolicy:
     gate conditions hold, generalising the two-valued dynamic rule.
     ``static`` pairs with the ``layer_static`` policy, which always applies
     ``omega_static``. :meth:`SchedulerConfig.omegas` turns policy and mode
-    into the weight table. Frozen; ``custom_table`` is a read-only copy of
-    the mapping given.
+    into the weight table. ``h_size`` is the overlap threshold in bytes.
+    Frozen; ``custom_table`` is a read-only copy of the mapping given (an
+    empty one if none is).
     """
 
-    mode: str = "dynamic"
-    omega_static: float = 4.0
-    omega_high: float = 2.0
-    omega_low: float = 0.5
-    h_size: int = 10 * MB  # overlap bytes threshold
-    h_cpu: float = 0.6
-    h_std: float = 0.16
-    custom_table: Mapping[int, float] = field(default_factory=dict)
+    _fields = ("mode", "omega_static", "omega_high", "omega_low", "h_size", "h_cpu", "h_std",
+               "custom_table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "custom_table", MappingProxyType(dict(self.custom_table)))
+    def __init__(self, mode: str = "dynamic", omega_static: float = 4.0,
+                 omega_high: float = 2.0, omega_low: float = 0.5, h_size: int = 10 * MB,
+                 h_cpu: float = 0.6, h_std: float = 0.16,
+                 custom_table: Mapping[int, float] | None = None):
+        vars(self).update(mode=mode, omega_static=omega_static, omega_high=omega_high,
+                          omega_low=omega_low, h_size=h_size, h_cpu=h_cpu, h_std=h_std,
+                          custom_table=MappingProxyType(dict(custom_table or {})))
         if self.mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.mode!r}")
         weights = (self.omega_static, self.omega_high, self.omega_low,
@@ -95,17 +93,17 @@ class WeightPolicy:
                 )
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(_Frozen):
     """Everything that went into one node's final score, for auditability."""
 
-    layer_score: float
-    baseline_score: float
-    std_score: float
-    cpu_score: float
-    weight_gate: int
-    omega_used: float
-    final: float
+    _fields = ("layer_score", "baseline_score", "std_score", "cpu_score", "weight_gate",
+               "omega_used", "final")
+
+    def __init__(self, layer_score: float, baseline_score: float, std_score: float,
+                 cpu_score: float, weight_gate: int, omega_used: float, final: float):
+        vars(self).update(layer_score=layer_score, baseline_score=baseline_score,
+                          std_score=std_score, cpu_score=cpu_score, weight_gate=weight_gate,
+                          omega_used=omega_used, final=final)
 
 
 def download_cost(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> int:

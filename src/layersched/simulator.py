@@ -12,7 +12,6 @@ import csv
 import json
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import islice
 from operator import add
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
-from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest
+from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest, _Record, replace
 from .scheduler import SchedulerConfig, _Kernel
 from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
@@ -44,18 +43,26 @@ CSV_HEADER = ["step", "task", "node", "download_bytes", "download_seconds", "clu
 _WRITE_BUFFER = 1 << 17
 
 
-@dataclass
-class Scenario:
-    """One simulation run: cluster, catalog, workload, scheduler, seed."""
+class Scenario(_Record):
+    """One simulation run: cluster, catalog, workload, scheduler, seed.
+    ``preloaded`` maps a node id to the layers it holds at the start (a new
+    empty dict if not given)."""
 
-    nodes: list[NodeSpec]
-    catalog: LayerCatalog
-    workload: WorkloadSpec
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    preloaded: dict[str, tuple[LayerId, ...]] = field(default_factory=dict)
-    seed: int = 0
-    bandwidth_override: int | None = None
-    label: str = ""
+    _fields = ("nodes", "catalog", "workload", "scheduler", "preloaded", "seed",
+               "bandwidth_override", "label")
+
+    def __init__(self, nodes: list[NodeSpec], catalog: LayerCatalog, workload: WorkloadSpec,
+                 scheduler: SchedulerConfig = SchedulerConfig(),
+                 preloaded: dict[str, tuple[LayerId, ...]] | None = None, seed: int = 0,
+                 bandwidth_override: int | None = None, label: str = ""):
+        self.nodes = nodes
+        self.catalog = catalog
+        self.workload = workload
+        self.scheduler = scheduler
+        self.preloaded = {} if preloaded is None else preloaded
+        self.seed = seed
+        self.bandwidth_override = bandwidth_override
+        self.label = label
 
     def validate(self) -> None:
         if not self.nodes:
@@ -131,15 +138,25 @@ def initial_nodes(scenario: Scenario) -> list[NodeState]:
             for spec in specs]
 
 
-@dataclass
-class StepMetrics:
-    step: int
-    task_id: str
-    node_id: str | None  # None when the task was unschedulable
-    download_bytes: int
-    download_seconds: float
-    cluster_std: float  # mean over nodes of the per-node balance score
-    node_usage: dict[str, dict[str, float]]  # node -> {cpu, mem, disk}
+class StepMetrics(_Record):
+    """One step of a recorded run: the task, the node it went to (``None``
+    if it was unschedulable), the bytes and seconds its download took, the
+    mean over nodes of the per-node balance score, and each node's usage
+    (``{cpu, mem, disk}`` shares)."""
+
+    _fields = ("step", "task_id", "node_id", "download_bytes", "download_seconds",
+               "cluster_std", "node_usage")
+
+    def __init__(self, step: int, task_id: str, node_id: str | None, download_bytes: int,
+                 download_seconds: float, cluster_std: float,
+                 node_usage: dict[str, dict[str, float]]):
+        self.step = step
+        self.task_id = task_id
+        self.node_id = node_id
+        self.download_bytes = download_bytes
+        self.download_seconds = download_seconds
+        self.cluster_std = cluster_std
+        self.node_usage = node_usage
 
     def to_dict(self) -> dict:
         return {
@@ -153,20 +170,32 @@ class StepMetrics:
         }
 
 
-@dataclass
-class SimulationReport:
-    scenario_fingerprint: str
-    policy: str
-    label: str
-    steps: list[StepMetrics]
-    total_download_bytes: int
-    cumulative_download_bytes: list[int]
-    total_download_seconds: float
-    mean_cluster_std: float
-    max_pods: dict[str, int]
-    total_pods: int
-    unschedulable_count: int
-    final_usage: dict[str, dict[str, float]]
+class SimulationReport(_Record):
+    """The outcome of one run: the steps (if recorded), the cumulative
+    download after each, the :data:`AGGREGATES` totals, the pods placed per
+    node and each node's final usage, under the scenario's fingerprint."""
+
+    _fields = ("scenario_fingerprint", "policy", "label", "steps", "total_download_bytes",
+               "cumulative_download_bytes", "total_download_seconds", "mean_cluster_std",
+               "max_pods", "total_pods", "unschedulable_count", "final_usage")
+
+    def __init__(self, scenario_fingerprint: str, policy: str, label: str,
+                 steps: list[StepMetrics], total_download_bytes: int,
+                 cumulative_download_bytes: list[int], total_download_seconds: float,
+                 mean_cluster_std: float, max_pods: dict[str, int], total_pods: int,
+                 unschedulable_count: int, final_usage: dict[str, dict[str, float]]):
+        self.scenario_fingerprint = scenario_fingerprint
+        self.policy = policy
+        self.label = label
+        self.steps = steps
+        self.total_download_bytes = total_download_bytes
+        self.cumulative_download_bytes = cumulative_download_bytes
+        self.total_download_seconds = total_download_seconds
+        self.mean_cluster_std = mean_cluster_std
+        self.max_pods = max_pods
+        self.total_pods = total_pods
+        self.unschedulable_count = unschedulable_count
+        self.final_usage = final_usage
 
     def aggregates(self) -> dict:
         return {name: getattr(self, name) for name in AGGREGATES}
@@ -262,11 +291,16 @@ def run(scenario: Scenario) -> SimulationReport:
     return report
 
 
-@dataclass
-class MaxPodsResult:
-    per_node: dict[str, int]
-    total: int
-    stopped_by: str  # task id of the first fully-unschedulable task
+class MaxPodsResult(_Record):
+    """The pods placed per node and in all before ``stopped_by``, the id of
+    the first task no node could take."""
+
+    _fields = ("per_node", "total", "stopped_by")
+
+    def __init__(self, per_node: dict[str, int], total: int, stopped_by: str):
+        self.per_node = per_node
+        self.total = total
+        self.stopped_by = stopped_by
 
 
 def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:

@@ -11,39 +11,50 @@ import json
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
 
 from .errors import ScenarioError, TraceCorrupt, UnknownImage
-from .model import ImageRef, LayerCatalog, TaskRequest
+from .model import ImageRef, LayerCatalog, TaskRequest, _finite, _Record
 from .scoring import MB
 
 
-@dataclass
-class WorkloadSpec:
-    """Parameters for a random trace, or a pointer to a fixed one."""
+class WorkloadSpec(_Record):
+    """Parameters for a random trace, or a pointer to a fixed one.
+    ``image_weights`` maps ``name:tag`` to a probability, finite and >= 0;
+    ``cpu_range`` (millicores) and ``mem_range`` (bytes) are inclusive."""
 
-    kind: str = "random"  # random | trace_file
-    count: int = 20
-    image_weights: dict[str, float] | None = None  # "name:tag" -> probability
-    cpu_range: tuple[int, int] = (100, 1000)  # millicores, inclusive
-    mem_range: tuple[int, int] = (64 * MB, 1024 * MB)  # bytes, inclusive
-    seed: int = 0
-    trace_path: str | None = None
+    _fields = ("kind", "count", "image_weights", "cpu_range", "mem_range", "seed",
+               "trace_path")
 
-    def __post_init__(self):
-        if self.kind not in ("random", "trace_file"):
-            raise ValueError(f"unknown workload kind {self.kind!r}")
-        if self.kind == "trace_file" and not self.trace_path:
+    def __init__(self, kind: str = "random", count: int = 20,
+                 image_weights: dict[str, float] | None = None,
+                 cpu_range: tuple[int, int] = (100, 1000),
+                 mem_range: tuple[int, int] = (64 * MB, 1024 * MB), seed: int = 0,
+                 trace_path: str | None = None):
+        self.kind = kind
+        self.count = count
+        self.image_weights = image_weights
+        self.cpu_range = cpu_range
+        self.mem_range = mem_range
+        self.seed = seed
+        self.trace_path = trace_path
+        if kind not in ("random", "trace_file"):
+            raise ValueError(f"unknown workload kind {kind!r}")
+        if kind == "trace_file" and not trace_path:
             raise ValueError("trace_file workload needs trace_path")
-        if not 0 <= self.count <= sys.maxsize:
+        if not 0 <= count <= sys.maxsize:
             raise ValueError(f"count must be within 0..{sys.maxsize}")
-        for name, (lo, hi) in (("cpu_range", self.cpu_range), ("mem_range", self.mem_range)):
+        for name, (lo, hi) in (("cpu_range", cpu_range), ("mem_range", mem_range)):
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} must satisfy 0 <= min <= max")
-        if self.image_weights is not None:
-            total = sum(self.image_weights.values())
+        if image_weights is not None:
+            for key, weight in image_weights.items():
+                # An image of negative weight is never drawn, though the
+                # weights sum to 1; a NaN weight fails only inside the draw.
+                if not (weight >= 0 and _finite(weight)):
+                    raise ValueError(f"image weight of {key} must be finite and >= 0")
+            total = sum(image_weights.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"image weights sum to {total}, expected 1")
 

@@ -130,7 +130,7 @@ class TestFetchRegistry:
     @pytest.mark.parametrize("poll", ["-1", "0", "nan", "inf", "1e300"])
     def test_invalid_poll_exits_2(self, tmp_path, capsys, monkeypatch, poll):
         # If the value got through, the watch loop would never return.
-        monkeypatch.setattr("layersched.cli.RegistryWatcher", None)
+        monkeypatch.setattr(registry_module, "RegistryWatcher", None)
         code = main(["fetch-registry", "--registry", "http://127.0.0.1:1",
                      "--out", str(tmp_path / "cache.json"), "--poll", poll])
         assert code == 2
@@ -242,7 +242,7 @@ def test_a_run_builds_node_states_only_for_the_initial_cluster(verb, tmp_path, m
             return method(*args, **kwargs)
         return counted
 
-    for cls, name in ((NodeState, "__post_init__"), (Placement, "__init__"),
+    for cls, name in ((NodeState, "__init__"), (Placement, "__init__"),
                       (Unschedulable, "__init__")):
         monkeypatch.setattr(cls, name, counting(cls.__name__, getattr(cls, name)))
     initial_nodes = simulator.initial_nodes
@@ -626,9 +626,13 @@ class TestRegistryScenario:
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
 NETWORK_MODULES = {"urllib.request", "http.client", "email", "ssl", "socket"}
-# Imported on first use; an offline verb never needs them.
+# Imported on first use; an offline verb never needs them. The registry
+# client (with the threading its watcher uses) is loaded only by
+# fetch-registry and by a registry or cache catalog, and no record class is
+# built by dataclasses, which would load inspect.
 DEFERRED_MODULES = NETWORK_MODULES | {"base64", "hashlib", "tempfile", "importlib.resources",
-                                       "typing"}
+                                       "typing", "layersched.registry", "dataclasses",
+                                       "inspect", "threading"}
 RUN_MAIN = "import sys; from layersched.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -670,6 +674,7 @@ def test_offline_verbs_load_no_network_module(tmp_path):
     assert codes == [0] * len(verbs)
     assert (tmp_path / "out" / "sweep_bandwidth_summary.json").exists()
     assert not set(added) & NETWORK_MODULES
+    assert not set(added) & {"layersched.registry", "dataclasses"}
 
 
 def test_registry_verbs_run_in_a_plain_interpreter(tmp_path):

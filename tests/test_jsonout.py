@@ -7,14 +7,13 @@ import json
 import math
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import micro_scenario
-from layersched import _jsonout, simulator
+from layersched import _jsonout, replace, simulator
 from layersched._jsonout import iter_indented_json
 from layersched.model import ImageRef, LayerCatalog, NodeSpec
 from layersched.scheduler import SchedulerConfig

@@ -6,13 +6,13 @@ import pickle
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import catalog_dict, node_dict, task_dict
 from oracles import check_invariants
+from layersched import replace
 from layersched.errors import CapacityViolation, UnknownImage
 from layersched.model import (
     ImageRef,

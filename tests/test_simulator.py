@@ -3,11 +3,10 @@
 import csv
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
-from layersched import cli
+from layersched import cli, replace
 from layersched.errors import ComparisonError, ScenarioError
 from layersched.model import ImageRef, LayerCatalog, NodeSpec, NodeState, TaskRequest
 from layersched.scenario import (

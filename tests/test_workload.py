@@ -7,6 +7,7 @@ from itertools import count, islice
 
 import pytest
 
+from layersched import replace
 from layersched.errors import TraceCorrupt, UnknownImage
 from layersched.model import ImageRef, LayerCatalog, TaskRequest
 from layersched.scoring import MB
@@ -88,6 +89,21 @@ class TestGenerate:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             WorkloadSpec(image_weights={"web:1": 0.7, "db:1": 0.7})
+
+    # Summing to 1 let a negative weight through, and its image was then
+    # never drawn; a NaN weight failed only inside the draw.
+    @pytest.mark.parametrize("weights, bad", [
+        ({"web:1": 1.5, "db:1": -0.5}, "db:1"),
+        ({"web:1": float("nan")}, "web:1"),
+        ({"web:1": float("inf"), "db:1": -float("inf")}, "web:1"),
+        ({"web:1": 10 ** 400, "db:1": 1 - 10 ** 400}, "web:1"),
+    ], ids=["negative", "nan", "infinite", "beyond-float-range"])
+    def test_weights_must_be_finite_and_not_negative(self, weights, bad):
+        message = f"^image weight of {bad} must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            WorkloadSpec(image_weights=weights)
+        with pytest.raises(ValueError, match=message):
+            replace(WorkloadSpec(), image_weights=weights)
 
     def test_task_ids_are_sequential(self):
         tasks = generate(WorkloadSpec(count=3), two_image_catalog())

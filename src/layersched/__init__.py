@@ -70,22 +70,26 @@ from .workload import WorkloadSpec, generate, load_trace, save_trace
 __version__ = "0.1.0"
 
 # Read from the registry module on first use (PEP 562), so that importing the
-# package does not load the registry client.
+# package does not load the registry client; ``layersched.registry`` itself
+# resolves the same way.
 _REGISTRY_NAMES = ("ImageMetadata", "ImageMetadataLists", "LayerMetadata", "RegistryClient",
                    "RegistryConfig", "RegistryWatcher", "catalog_from_cache", "load_cache",
                    "lookup", "refresh_cache", "save_cache")
 
 
 def __getattr__(name: str):
-    if name in _REGISTRY_NAMES:
-        from . import registry
+    if name == "registry" or name in _REGISTRY_NAMES:
+        # Not ``from . import registry``: its own lookup of the name on the
+        # package would land here again before the import binds it.
+        import importlib
 
-        return getattr(registry, name)
+        registry = importlib.import_module(".registry", __name__)
+        return registry if name == "registry" else getattr(registry, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_REGISTRY_NAMES})
+    return sorted({*globals(), "registry", *_REGISTRY_NAMES})
 
 __all__ = [
     "CacheCorrupt",

@@ -9,6 +9,7 @@ decided by the scheduler's kernel, not here.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 
 from .errors import UnknownImage
@@ -28,28 +29,37 @@ def _finite(number) -> bool:
 
 
 class _Record:
-    """A value type whose constructor takes ``_fields``, in that order, and
-    stores each under its name. Instances are equal when they are of the same
-    class and their fields, less ``_uncompared``, are equal; the repr shows the
-    fields less ``_hidden``. Like a dataclass that compares, an instance is
-    unhashable unless it is :class:`_Frozen`."""
+    """A value type whose constructor stores each of its parameters under its
+    name, in signature order; ``_fields`` lists them. Instances are equal when
+    they are of the same class and their fields, less ``_uncompared``, are
+    equal; the repr shows the fields less ``_hidden``. Like a dataclass that
+    compares, an instance is unhashable unless it is :class:`_Frozen`."""
 
     _fields: tuple[str, ...]
     _hidden: tuple[str, ...] = ()
     _uncompared: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields
-                      if name not in self._uncompared])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = vars(cls).get("__init__")
+        if init is None:  # _Frozen, which keeps the fields of its base
+            return
+        code = init.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        get = operator.attrgetter(*compared)
+        # attrgetter returns a bare value for one name, a tuple for several;
+        # the key is always the tuple a dataclass compares and hashes.
+        cls._key = get if len(compared) > 1 else staticmethod(lambda record: (get(record),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key(self) == self._key(other)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
-                          if name not in self._hidden)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({shown})"
 
 
@@ -58,7 +68,7 @@ class _Frozen(_Record):
     constructor fills ``vars(self)`` directly."""
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,19 +88,10 @@ class ImageRef(_Frozen):
     hash, ``hash((name, tag))``, is computed once; a pickle carries only the
     pair, so a process with another string-hash seed recomputes it."""
 
-    _fields = ("name", "tag")
-
     def __init__(self, name: str, tag: str):
         if not name or not tag:
             raise ValueError("image name and tag must be non-empty")
         vars(self).update(name=name, tag=tag, _hash=hash((name, tag)))
-
-    def __eq__(self, other):
-        # Called on each dict lookup by an equal ref that is not the key
-        # itself, as a parsed or loaded one is, so it skips the field tuples.
-        if other.__class__ is not ImageRef:
-            return NotImplemented
-        return self.name == other.name and self.tag == other.tag
 
     def __hash__(self) -> int:
         return self._hash
@@ -120,8 +121,6 @@ class LayerCatalog(_Record):
     which is what makes layers shareable.
     """
 
-    _fields = ("layers", "images")
-
     def __init__(self, layers: dict[LayerId, int] | None = None,
                  images: dict[ImageRef, tuple[LayerId, ...]] | None = None):
         self.layers = {} if layers is None else layers
@@ -148,9 +147,6 @@ class LayerCatalog(_Record):
 class NodeSpec(_Frozen):
     """Static description of an edge node."""
 
-    _fields = ("id", "cpu_capacity", "mem_capacity", "bandwidth", "storage_capacity",
-               "max_containers")
-
     def __init__(self, id: str, cpu_capacity: int, mem_capacity: int, bandwidth: int,
                  storage_capacity: int, max_containers: int = 110):
         vars(self).update(id=id, cpu_capacity=cpu_capacity, mem_capacity=mem_capacity,
@@ -168,8 +164,6 @@ class NodeSpec(_Frozen):
 
 class TaskRequest(_Frozen):
     """One deployment request: an image plus CPU and memory demands."""
-
-    _fields = ("task_id", "image", "cpu_request", "mem_request")
 
     def __init__(self, task_id: str, image: ImageRef, cpu_request: int, mem_request: int):
         if not (cpu_request > 0 and _finite(cpu_request)):
@@ -190,9 +184,6 @@ class NodeState(_Frozen):
     is read, as :func:`~layersched.scheduler.commit_placement` does for its
     result.
     """
-
-    _fields = ("spec", "local_layers", "local_images", "running", "cpu_committed",
-               "mem_committed")
 
     def __init__(self, spec: NodeSpec, local_layers: frozenset[LayerId] = frozenset(),
                  local_images: frozenset[ImageRef] = frozenset(),

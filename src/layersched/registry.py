@@ -68,8 +68,6 @@ def _json_str(value, name: str) -> str:
 class LayerMetadata(_Record):
     """One layer of an image: its size in bytes and its digest."""
 
-    _fields = ("size", "layer")
-
     def __init__(self, size: int, layer: str):
         if size < 0:
             raise ValueError("layer size must be >= 0")
@@ -89,8 +87,6 @@ class LayerMetadata(_Record):
 class ImageMetadata(_Record):
     """One image's manifest: its layers (``l_meta``, a new empty list if not
     given), whose sizes add up to ``total_size``."""
-
-    _fields = ("id", "name", "name_without_repo", "tag", "total_size", "l_meta")
 
     def __init__(self, id: str, name: str, name_without_repo: str, tag: str, total_size: int,
                  l_meta: list[LayerMetadata] | None = None):
@@ -140,7 +136,6 @@ class ImageMetadataLists(_Record):
     ``warnings`` are new empty containers if not given.
     """
 
-    _fields = ("catch_file", "lists", "stale", "warnings")
     _uncompared = ("catch_file", "stale", "warnings")
 
     def __init__(self, catch_file: str = "", lists: dict[str, ImageMetadata] | None = None,
@@ -159,7 +154,6 @@ class RegistryConfig(_Record):
     the cache file goes, and the credentials; the repr leaves out the token
     and the password."""
 
-    _fields = ("base_url", "poll_interval", "cache_path", "token", "username", "password")
     _hidden = ("token", "password")
 
     def __init__(self, base_url: str, poll_interval: float = 10.0,

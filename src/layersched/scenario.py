@@ -238,8 +238,6 @@ def _parse_plugins(obj: dict, path: str) -> PluginConfig:
 class SchedulerEntry(_Record):
     """One leg of a comparison: a policy plus optional overrides."""
 
-    _fields = ("label", "config")
-
     def __init__(self, label: str, config: SchedulerConfig):
         self.label = label
         self.config = config
@@ -275,8 +273,6 @@ def _parse_scheduler(obj, path: str) -> SchedulerEntry:
 class CatalogSource(_Record):
     """Exactly one of the three fields is set."""
 
-    _fields = ("inline", "cache_file", "registry_url")
-
     def __init__(self, inline: LayerCatalog | None = None, cache_file: str | None = None,
                  registry_url: str | None = None):
         self.inline = inline
@@ -310,8 +306,6 @@ class Sweeps(_Record):
     """The sweep axes' points: bandwidths in bytes/second and node counts
     (each a new empty list if not given)."""
 
-    _fields = ("bandwidth", "node_count")
-
     def __init__(self, bandwidth: list[int] | None = None, node_count: list[int] | None = None):
         self.bandwidth = [] if bandwidth is None else bandwidth
         self.node_count = [] if node_count is None else node_count
@@ -338,9 +332,6 @@ class ScenarioFile(_Record):
     node id, where the catalog comes from, the workload, the scheduler
     entries, the sweeps, the seeds and the output directory. Relative paths
     in the file resolve against ``base_dir``, the file's directory."""
-
-    _fields = ("nodes", "preloaded_layers", "preloaded_images", "catalog_source", "workload",
-               "schedulers", "sweeps", "seeds", "output", "base_dir")
 
     def __init__(self, nodes: list[NodeSpec], preloaded_layers: dict[str, list[str]],
                  preloaded_images: dict[str, list[ImageRef]], catalog_source: CatalogSource,

@@ -42,8 +42,6 @@ class SchedulerConfig(_Frozen):
     (mode ``dynamic``) or an entry of ``custom_table`` (mode ``custom``).
     """
 
-    _fields = ("policy", "weight_policy", "plugins", "tie_break")
-
     def __init__(self, policy: str = "lr_dynamic", weight_policy: WeightPolicy = WeightPolicy(),
                  plugins: PluginConfig = PluginConfig(), tie_break: str = "lowest_node_id"):
         vars(self).update(policy=policy, weight_policy=weight_policy, plugins=plugins,
@@ -75,8 +73,6 @@ class FilterVerdict(_Frozen):
     first constraint it breaks: ``storage``, ``container_count``,
     ``cpu_fit`` or ``mem_fit``."""
 
-    _fields = ("node_id", "feasible", "rejected_by")
-
     def __init__(self, node_id: str, feasible: bool, rejected_by: str | None = None):
         vars(self).update(node_id=node_id, feasible=feasible, rejected_by=rejected_by)
 
@@ -90,8 +86,6 @@ class Placement(_Frozen):
     whose ``final`` is the float the decision compared. The repr leaves the
     inputs out."""
 
-    _fields = ("task_id", "node_id", "download_bytes", "download_seconds", "nodes", "task",
-               "catalog", "config")
     _hidden = ("nodes", "task", "catalog", "config")
 
     def __init__(self, task_id: str, node_id: str, download_bytes: int,
@@ -115,7 +109,6 @@ class Unschedulable(_Frozen):
     ``rejected_by`` names the constraint each node broke. The repr leaves
     the inputs out."""
 
-    _fields = ("task_id", "nodes", "task", "catalog")
     _hidden = ("nodes", "task", "catalog")
 
     def __init__(self, task_id: str, nodes: tuple[NodeState, ...], task: TaskRequest,

@@ -33,8 +33,6 @@ class PluginConfig(_Frozen):
     within [0, 100], commensurate with the layer score.
     """
 
-    _fields = PLUGIN_NAMES
-
     def __init__(self, least_allocated: float | None = 1.0,
                  balanced_allocation: float | None = 1.0, image_locality: float | None = 1.0):
         vars(self).update(least_allocated=least_allocated,
@@ -58,9 +56,6 @@ class WeightPolicy(_Frozen):
     Frozen; ``custom_table`` is a read-only copy of the mapping given (an
     empty one if none is).
     """
-
-    _fields = ("mode", "omega_static", "omega_high", "omega_low", "h_size", "h_cpu", "h_std",
-               "custom_table")
 
     def __init__(self, mode: str = "dynamic", omega_static: float = 4.0,
                  omega_high: float = 2.0, omega_low: float = 0.5, h_size: int = 10 * MB,
@@ -95,9 +90,6 @@ class WeightPolicy(_Frozen):
 
 class ScoreBreakdown(_Frozen):
     """Everything that went into one node's final score, for auditability."""
-
-    _fields = ("layer_score", "baseline_score", "std_score", "cpu_score", "weight_gate",
-               "omega_used", "final")
 
     def __init__(self, layer_score: float, baseline_score: float, std_score: float,
                  cpu_score: float, weight_gate: int, omega_used: float, final: float):

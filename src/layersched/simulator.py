@@ -48,9 +48,6 @@ class Scenario(_Record):
     ``preloaded`` maps a node id to the layers it holds at the start (a new
     empty dict if not given)."""
 
-    _fields = ("nodes", "catalog", "workload", "scheduler", "preloaded", "seed",
-               "bandwidth_override", "label")
-
     def __init__(self, nodes: list[NodeSpec], catalog: LayerCatalog, workload: WorkloadSpec,
                  scheduler: SchedulerConfig = SchedulerConfig(),
                  preloaded: dict[str, tuple[LayerId, ...]] | None = None, seed: int = 0,
@@ -144,9 +141,6 @@ class StepMetrics(_Record):
     mean over nodes of the per-node balance score, and each node's usage
     (``{cpu, mem, disk}`` shares)."""
 
-    _fields = ("step", "task_id", "node_id", "download_bytes", "download_seconds",
-               "cluster_std", "node_usage")
-
     def __init__(self, step: int, task_id: str, node_id: str | None, download_bytes: int,
                  download_seconds: float, cluster_std: float,
                  node_usage: dict[str, dict[str, float]]):
@@ -174,10 +168,6 @@ class SimulationReport(_Record):
     """The outcome of one run: the steps (if recorded), the cumulative
     download after each, the :data:`AGGREGATES` totals, the pods placed per
     node and each node's final usage, under the scenario's fingerprint."""
-
-    _fields = ("scenario_fingerprint", "policy", "label", "steps", "total_download_bytes",
-               "cumulative_download_bytes", "total_download_seconds", "mean_cluster_std",
-               "max_pods", "total_pods", "unschedulable_count", "final_usage")
 
     def __init__(self, scenario_fingerprint: str, policy: str, label: str,
                  steps: list[StepMetrics], total_download_bytes: int,
@@ -294,8 +284,6 @@ def run(scenario: Scenario) -> SimulationReport:
 class MaxPodsResult(_Record):
     """The pods placed per node and in all before ``stopped_by``, the id of
     the first task no node could take."""
-
-    _fields = ("per_node", "total", "stopped_by")
 
     def __init__(self, per_node: dict[str, int], total: int, stopped_by: str):
         self.per_node = per_node

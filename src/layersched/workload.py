@@ -24,9 +24,6 @@ class WorkloadSpec(_Record):
     ``image_weights`` maps ``name:tag`` to a probability, finite and >= 0;
     ``cpu_range`` (millicores) and ``mem_range`` (bytes) are inclusive."""
 
-    _fields = ("kind", "count", "image_weights", "cpu_range", "mem_range", "seed",
-               "trace_path")
-
     def __init__(self, kind: str = "random", count: int = 20,
                  image_weights: dict[str, float] | None = None,
                  cpu_range: tuple[int, int] = (100, 1000),

@@ -50,13 +50,16 @@ import sys
 import layersched
 assert "layersched.registry" not in sys.modules
 listed = dir(layersched)
-for name in ("RegistryClient", "RegistryConfig", "refresh_cache", "save_cache"):
+for name in ("registry", "RegistryClient", "RegistryConfig", "refresh_cache", "save_cache"):
     assert name in listed, name
+# The submodule resolves by attribute, as it did when the package imported it.
+client = layersched.registry.RegistryClient
+assert layersched.registry is sys.modules["layersched.registry"]
 namespace = {}
 exec("from layersched import *", namespace)
 missing = [name for name in layersched.__all__ if name not in namespace]
 assert missing == [], missing
-assert namespace["RegistryClient"] is sys.modules["layersched.registry"].RegistryClient
+assert namespace["RegistryClient"] is client
 from layersched import RegistryWatcher
 try:
     layersched.nope

@@ -864,9 +864,10 @@ class TestKernelWork:
 
     def test_one_compare_hashes_each_image_ref_once(self, monkeypatch):
         # An ImageRef's hash is computed when it is built, not at each of
-        # the many dict lookups a compare makes by image.
-        built, hashed = [0], [0]
-        init = ImageRef.__init__
+        # the many dict lookups a compare makes by image; and each lookup is
+        # by the catalog's own ref, which matches by identity, not __eq__.
+        built, hashed, compared = [0], [0], [0]
+        init, eq = ImageRef.__init__, ImageRef.__eq__
 
         def building(self, *args):
             built[0] += 1
@@ -876,12 +877,18 @@ class TestKernelWork:
             hashed[0] += 1
             return hash(value)
 
+        def comparing(self, other):
+            compared[0] += 1
+            return eq(self, other)
+
         monkeypatch.setattr(ImageRef, "__init__", building)
+        monkeypatch.setattr(ImageRef, "__eq__", comparing)
         monkeypatch.setattr(model, "hash", hashing, raising=False)
         compare(sharing_scenario(1),
                 {policy: SchedulerConfig(policy=policy) for policy in POLICIES}, [1, 2])
         assert built[0] == 24  # the catalog's images
         assert hashed[0] <= built[0]  # 24; 5 244 if every lookup hashed
+        assert compared[0] == 0
 
 
 class TestDuplicateNodeIds:

@@ -4,9 +4,10 @@ The cache file is JSON keyed by ``name:tag``; per-image records use the
 exact field names ``id``, ``name``, ``name_without_repo``, ``tag``,
 ``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer) so the
 file interoperates with other tooling that reads the same schema. Only
-metadata moves over the wire, by plain ``http.client`` GETs; blobs are
-never downloaded. The HTTP stack is imported when the first client is
-made, so offline callers never load it.
+metadata moves over the wire, by plain ``http.client`` GETs whose replies
+are read without the ``email`` header parser; blobs are never downloaded.
+The HTTP stack is imported when the first client is made, so offline
+callers never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import os
 import re
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager
-from functools import partial
+from contextlib import contextmanager, suppress
+from functools import cache, partial
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
 
@@ -42,6 +43,7 @@ ACCEPT_MANIFESTS = ", ".join([MANIFEST_V2, OCI_MANIFEST, MANIFEST_LIST_V2, OCI_I
 
 _HOST_COMPONENT = re.compile(r"[.:]|^localhost$")
 _NEXT_LINK = re.compile(r'<([^>]*)>[^<]*\brel="?next\b')  # in a Link header
+_FIELD_NAME = re.compile(r"([!-9;-~]*):")  # a header line's name: visible ASCII but ":"
 MAX_PAGES = 10_000  # per listing, so a registry that never ends one cannot hang a walk
 MAX_REDIRECTS = 10  # per GET, as urllib allowed
 _REDIRECTS = frozenset((301, 302, 303, 307, 308))
@@ -194,6 +196,65 @@ def _origin(url: str) -> tuple[str, str | None, int | None]:
     return parts.scheme, parts.hostname, port
 
 
+@cache
+def _response_class():
+    """The client's own connections' response class, built on first use:
+    its ``begin`` reads the headers into a dict of lower-cased names to lists
+    of values, without the :mod:`email` parser that is most of the Python
+    cost of a stock reply; the rest is as in the stock ``begin``."""
+    from http.client import CONTINUE, HTTPResponse, UnknownProtocol, _read_headers
+
+    class Response(HTTPResponse):
+        def begin(self):
+            version, status, reason = self._read_status()
+            while status == CONTINUE:
+                _read_headers(self.fp)
+                version, status, reason = self._read_status()
+            self.code = self.status = status
+            self.reason = reason.strip()
+            if not version.startswith("HTTP/1.") and version != "HTTP/0.9":
+                raise UnknownProtocol(version)
+            self.version = 10 if version in ("HTTP/1.0", "HTTP/0.9") else 11
+            lines = []  # a folded line is joined to the one before
+            for line in _read_headers(self.fp)[:-1]:  # less the line that ends them
+                line = line.decode("iso-8859-1")
+                if line[0] not in " \t":
+                    lines.append(line)
+                elif lines:
+                    lines[-1] += line
+            self.headers = self.msg = headers = {}
+            for line in lines:
+                name = _FIELD_NAME.match(line)
+                if not name:  # as in the email parser, no header follows a line that is none
+                    break
+                value = line[name.end():].lstrip(" \t").rstrip("\r\n")
+                headers.setdefault(name[1].lower(), []).append(value)
+            first = {name: values[0] for name, values in headers.items()}.get
+            self.chunked = first("transfer-encoding", "").lower() == "chunked"
+            if self.chunked:
+                self.chunk_left = None
+            connection = first("connection", "").lower()
+            if self.version == 11:
+                self.will_close = "close" in connection
+            else:  # HTTP/1.0 closes unless a keep-alive header says it stays open
+                self.will_close = not (first("keep-alive") or "keep-alive" in connection
+                                       or "keep-alive" in first("proxy-connection", "").lower())
+            length, self.length = first("content-length"), None
+            with suppress(ValueError):  # a length that is no integer, or negative, is none
+                if length and not self.chunked and int(length) >= 0:
+                    self.length = int(length)
+            if status in (204, 304) or 100 <= status < 200 or self._method == "HEAD":
+                self.length = 0
+            if not self.chunked and self.length is None:  # the body ends with the connection
+                self.will_close = True
+
+        def getheader(self, name, default=None):
+            values = self.headers.get(name.lower())
+            return ", ".join(values) if values else default
+
+    return Response
+
+
 class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
@@ -201,8 +262,9 @@ class RegistryClient:
     ``connect(host, timeout=)`` opens each hop's connection and returns an
     object with ``HTTPConnection``'s ``request``, ``getresponse``, ``close``
     and ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection``
-    by scheme. The proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``,
-    ``NO_PROXY``) are read once, here, as ``urllib`` reads them."""
+    by scheme, whose replies :func:`_response_class` reads. The proxy
+    variables (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) are read once,
+    here, as ``urllib`` reads them."""
 
     def __init__(self, config: RegistryConfig, connect=None):
         from urllib.request import getproxies
@@ -251,8 +313,11 @@ class RegistryClient:
                         tls = via.scheme == "https"
                         target, hop_headers = urlunsplit(parts[:4] + ("",)), {**sent, **auth}
                     host = via.netloc.rpartition("@")[2]
-                connection = (self.connect or (HTTPSConnection if tls else HTTPConnection))(
-                    host, timeout=30)
+                if self.connect:
+                    connection = self.connect(host, timeout=30)
+                else:
+                    connection = (HTTPSConnection if tls else HTTPConnection)(host, timeout=30)
+                    connection.response_class = _response_class()
                 try:
                     if tunnel:
                         connection.set_tunnel(*tunnel)

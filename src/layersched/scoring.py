@@ -87,6 +87,9 @@ class WeightPolicy(_Frozen):
                     f"custom_table must map condition counts 0..3, missing {missing}"
                 )
 
+    def __reduce__(self):  # rebuilt through the constructor: a mapping proxy cannot be pickled
+        return type(self), (*map(vars(self).get, self._fields[:-1]), dict(self.custom_table))
+
 
 class ScoreBreakdown(_Frozen):
     """Everything that went into one node's final score, for auditability."""

@@ -513,6 +513,8 @@ class TestValidate:
         (lambda d: d.update(schedulers=[{"policy": "default", "tie_break": "coin"}]),
          "schedulers[0].tie_break"),
         (lambda d: d["catalog"].update(images=["web:1"]), "catalog.images"),
+        (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
+            "omega_high": 0.25, "omega_low": 0.5}}]), "schedulers[0].weights"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
@@ -527,7 +529,7 @@ class TestValidate:
             "cache-file-not-a-string", "catalog-not-an-object", "no-schedulers",
             "empty-output", "layer-size-beyond-float", "storage-beyond-float",
             "cpu-beyond-float", "count-beyond-maxsize", "negative-count",
-            "unknown-tie-break", "catalog-images-not-an-object"])
+            "unknown-tie-break", "catalog-images-not-an-object", "omega-high-below-low"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()

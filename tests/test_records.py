@@ -4,8 +4,10 @@ of frozen records, the frozen-assignment error, the attribute order of
 ``vars`` and :func:`layersched.replace`, which rebuilds a record through its
 constructor so every check runs again."""
 
+import copy
 import inspect
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ from layersched import (
     replace,
 )
 from layersched.scenario import CatalogSource, ScenarioFile, SchedulerEntry, Sweeps
+from layersched.simulator import fingerprint
 
 WEB = ImageRef("web", "1")
 SPEC = NodeSpec("n0", 4000, 2048, 100, 10_000)
@@ -353,3 +356,40 @@ def test_registry_config_repr_hides_the_secrets():
     # The secrets still take part in equality.
     assert config != replace(config, token="other")
     assert config != replace(config, password="other")
+
+
+CUSTOM_TABLE = {0: 0.5, 1: 1.0, 2: 1.5, 3: 3.0}
+WEIGHT_POLICIES = {
+    "static": WeightPolicy(mode="static", omega_static=3.0),
+    "dynamic": WeightPolicy(omega_high=2.5, omega_low=0.25),
+    "custom": WeightPolicy(mode="custom", custom_table=CUSTOM_TABLE),
+}
+CONFIGS = [(policy, mode) for policy in ("default", "layer_static", "lr_dynamic")
+           for mode in WEIGHT_POLICIES if (policy, mode) != ("lr_dynamic", "static")]
+
+
+class TestPickleAndCopy:
+    """A config crosses a process or a deep copy as an equal value, its
+    weight table still read-only, although a mapping proxy itself cannot be
+    pickled."""
+
+    @pytest.mark.parametrize("policy,mode", CONFIGS)
+    @pytest.mark.parametrize("copy_of", [lambda record: pickle.loads(pickle.dumps(record)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_config_comes_back_equal(self, copy_of, policy, mode):
+        config = SchedulerConfig(policy=policy, weight_policy=WEIGHT_POLICIES[mode])
+        again = copy_of(config)
+        assert again == config and again is not config
+        assert again.omegas() == config.omegas()
+        table = again.weight_policy.custom_table
+        assert dict(table) == dict(config.weight_policy.custom_table)
+        with pytest.raises(TypeError):
+            table[0] = 9.0
+
+    def test_a_scenario_keeps_its_fingerprint(self):
+        scenario = Scenario([SPEC], CATALOG, WorkloadSpec(count=3),
+                            SchedulerConfig(weight_policy=WEIGHT_POLICIES["custom"]),
+                            preloaded={"n0": ("sha256:a",)}, seed=4)
+        for again in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+            assert again == scenario
+            assert fingerprint(again) == fingerprint(scenario)

@@ -1,10 +1,13 @@
 """Registry client, metadata cache file, and the catalog bridge."""
 
+import http.client
 import json
 import re
 import shutil
+import socket
 import threading
 import urllib.request
+from contextlib import contextmanager
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -841,15 +844,17 @@ def redirect(status, location):
 CATALOG_A = (200, {}, {"repositories": ["a"]})
 
 
+@pytest.fixture
+def no_proxy_variables(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "ftp_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.mark.usefixtures("no_proxy_variables")
 class TestWire:
     """What one GET does on the wire, against real HTTP servers: redirects,
     the scheme check on every hop, and the proxy variables."""
-
-    @pytest.fixture(autouse=True)
-    def no_proxy_variables(self, monkeypatch):
-        for name in ("http_proxy", "https_proxy", "ftp_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name, raising=False)
-            monkeypatch.delenv(name.upper(), raising=False)
 
     @pytest.mark.parametrize("status", [302, 307])
     @pytest.mark.parametrize("location", ["{url}/v2/moved", "/v2/moved", "moved"],
@@ -926,6 +931,160 @@ class TestWire:
         assert client.fetch_catalog() == ["a"]
         assert registry.targets == ["/v2/_catalog"]
         assert proxy.requests == []
+
+
+@contextmanager
+def raw_server(*replies: bytes):
+    """A socket on 127.0.0.1 that sends each of ``replies`` as-is to one
+    connection in turn, once its request has arrived, then closes it; yields
+    the base URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def answer():
+        for raw in replies:
+            try:
+                connection, _ = listener.accept()
+                with connection:
+                    connection.settimeout(5)
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        chunk = connection.recv(65536)
+                        if not chunk:
+                            break
+                        request += chunk
+                    connection.sendall(raw)
+            except OSError:  # the client hung up on a reply it refused
+                pass
+
+    thread = threading.Thread(target=answer)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        thread.join(timeout=30)
+        listener.close()
+
+
+def read_reply(raw: bytes, response_class):
+    """``(status, Link, Location, body, framing)`` of ``raw`` read through a
+    real ``HTTPConnection`` whose replies are ``response_class``, where
+    ``framing`` is what ``begin`` set for ``read``, or the class of the error
+    reading it raised."""
+    with raw_server(raw) as url:
+        connection = http.client.HTTPConnection(url.removeprefix("http://"), timeout=5)
+        connection.response_class = response_class
+        try:
+            connection.request("GET", "/v2/_catalog", headers={"Connection": "close"})
+            with connection.getresponse() as reply:
+                framing = reply.chunked, reply.length, reply.will_close
+                return (reply.status, reply.getheader("Link"), reply.getheader("Location"),
+                        reply.read(), framing)
+        except (OSError, http.client.HTTPException) as exc:
+            return type(exc)
+        finally:
+            connection.close()
+
+
+NEXT = b'</v2/_catalog?last=a>; rel="next"'
+# name -> (a raw reply, and its status or the error reading it raises)
+RAW_REPLIES = {
+    "plain": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n"
+              b"Connection: close\r\n\r\n{}", 200),
+    "two-link-lines": (b'HTTP/1.0 200 OK\r\nLink: </v2/_catalog>; rel="prev"\r\nlINK: ' + NEXT +
+                       b"\r\nContent-Length: 2\r\n\r\n{}", 200),
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
+                b"1\r\n{\r\n1\r\n}\r\n0\r\n\r\n", 200),
+    "http-1.0-no-length": (b'HTTP/1.0 200 OK\r\nServer: x\r\n\r\n{"a": 1}', 200),
+    "http-1.1-no-length": (b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\n{}", 200),
+    "continue-first": (b"HTTP/1.1 100 Continue\r\nX-Skipped: 1\r\n\r\n"
+                       b"HTTP/1.1 200 OK\r\nLink: " + NEXT + b"\r\nContent-Length: 2\r\n\r\n{}",
+                       200),
+    "redirect": (b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v2/moved\r\n"
+                 b"Content-Length: 0\r\n\r\n", 307),
+    "no-content": (b"HTTP/1.1 204 No Content\r\nContent-Length: 5\r\n\r\n", 204),
+    "bytes-past-the-length": (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}[]", 200),
+    "negative-length": (b"HTTP/1.0 200 OK\r\nContent-Length: -2\r\n\r\n{}", 200),
+    "padded-values": (b"HTTP/1.0 302 Found\r\nLocation:\t /v2/moved \t\r\n"
+                      b"Content-Length:  0 \r\n\r\n", 302),
+    "keep-alive-with-length": (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n"
+                               b"Content-Length: 2\r\n\r\n{}", 200),
+    "folded-link": (b"HTTP/1.0 200 OK\r\nLink: </v2/_catalog?last=a>;\r\n rel=\"next\"\r\n"
+                    b"Content-Length: 2\r\n\r\n{}", 200),
+    "no-colon-line": (b"HTTP/1.0 200 OK\r\nLink: " + NEXT + b"\r\nno colon here\r\n"
+                      b"Location: /v2/lost\r\nContent-Length: 1\r\n\r\n{}", 200),
+    "empty-name": (b"HTTP/1.0 200 OK\r\n: no name\r\n folded onto it\r\nLink: " + NEXT +
+                   b"\r\n\r\n{}", 200),
+    "short-body": (b"HTTP/1.0 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+                   http.client.IncompleteRead),
+    "bad-status-line": (b"ICY 200 OK\r\n\r\n{}", http.client.BadStatusLine),
+    "unknown-version": (b"HTTP/2 200 OK\r\n\r\n{}", http.client.UnknownProtocol),
+    "101-headers": (b"HTTP/1.0 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) +
+                    b"\r\n{}", http.client.HTTPException),
+    "70000-byte-line": (b"HTTP/1.0 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n{}",
+                        http.client.LineTooLong),
+    "empty": (b"", http.client.RemoteDisconnected),
+}
+REFUSED = [name for name, (_, outcome) in RAW_REPLIES.items() if isinstance(outcome, type)]
+
+
+@pytest.mark.usefixtures("no_proxy_variables")
+class TestReplyReader:
+    """The client's own response class reads each reply as the stock
+    ``HTTPResponse`` does, without the email parser."""
+
+    @pytest.mark.parametrize("name", RAW_REPLIES)
+    def test_it_reads_what_the_stock_reader_reads(self, name):
+        raw, outcome = RAW_REPLIES[name]
+        lean = read_reply(raw, registry_module._response_class())
+        assert lean == read_reply(raw, http.client.HTTPResponse)
+        assert (lean if name in REFUSED else lean[0]) == outcome
+
+    def test_repeated_and_folded_values(self):
+        reader = registry_module._response_class()
+        _, link, _, _, _ = read_reply(RAW_REPLIES["two-link-lines"][0], reader)
+        assert link == '</v2/_catalog>; rel="prev", ' + NEXT.decode()
+        _, link, _, _, _ = read_reply(RAW_REPLIES["folded-link"][0], reader)
+        assert link == '</v2/_catalog?last=a>;\r\n rel="next"'
+        # No header after a line that is none: neither Location nor
+        # Content-Length, so the body runs to the close.
+        _, link, location, body, _ = read_reply(RAW_REPLIES["no-colon-line"][0], reader)
+        assert (link, location, body) == (NEXT.decode(), None, b"{}")
+
+    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
+                             ids=["own-reader", "stock-reader"])
+    def test_a_folded_next_link_is_followed(self, connect):
+        page = b'HTTP/1.0 200 OK\r\n%s\r\n\r\n{"repositories": ["%s"]}'
+        first = page % (b'Link: </v2/_catalog?last=a>;\r\n rel="next"', b"a")
+        with raw_server(first, page % (b"Server: x", b"b")) as url:
+            client = RegistryClient(RegistryConfig(base_url=url), connect=connect)
+            assert client.fetch_catalog() == ["a", "b"]
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_a_refused_reply_is_unavailable(self, name):
+        raw, error = RAW_REPLIES[name]
+        with raw_server(raw) as url:
+            client = RegistryClient(RegistryConfig(base_url=url))
+            with pytest.raises(RegistryUnavailable, match=f"^GET {url}/v2/_catalog: ") as caught:
+                client.fetch_catalog()
+        assert type(caught.value.__cause__) is error
+
+    def test_a_walk_runs_no_email_parser(self, registry, monkeypatch):
+        # Work count: the stock reader hands each reply's headers to
+        # http.client.parse_headers, the email feed parser; the client's own
+        # reader never calls it. The fake's handler threads parse their
+        # requests with it too, so only calls on this thread count.
+        calls = []
+        parse_headers = http.client.parse_headers
+
+        def counting(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                calls.append(1)
+            return parse_headers(*args, **kwargs)
+
+        monkeypatch.setattr(http.client, "parse_headers", counting)
+        assert len(walk_registry(client_for(registry)).lists) == 3
+        assert calls == []  # 0; 7 with the stock reader, one per GET
 
 
 class TestCatalogBridge:

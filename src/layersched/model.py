@@ -47,11 +47,10 @@ class _Record:
         code = init.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
-        compared = [name for name in cls._fields if name not in cls._uncompared]
-        get = operator.attrgetter(*compared)
-        # attrgetter returns a bare value for one name, a tuple for several;
-        # the key is always the tuple a dataclass compares and hashes.
-        cls._key = get if len(compared) > 1 else staticmethod(lambda record: (get(record),))
+        # A tuple for several names, the bare value for one, which compares
+        # the same; no frozen (hashed) record compares just one field.
+        cls._key = operator.attrgetter(
+            *(name for name in cls._fields if name not in cls._uncompared))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -2,8 +2,9 @@
 
 The cache file is JSON keyed by ``name:tag``; per-image records use the
 exact field names ``id``, ``name``, ``name_without_repo``, ``tag``,
-``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer) so the
-file interoperates with other tooling that reads the same schema. Only
+``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer), the
+fields of :class:`ImageMetadata` and :class:`LayerMetadata`, so the file
+interoperates with other tooling that reads the same schema. Only
 metadata moves over the wire, by plain ``http.client`` GETs whose replies
 are read without the ``email`` header parser; blobs are never downloaded.
 The HTTP stack is imported when the first client is made, so offline
@@ -79,7 +80,7 @@ class LayerMetadata(_Record):
         self.layer = layer
 
     def to_json_dict(self) -> dict:
-        return {"size": self.size, "layer": self.layer}
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayerMetadata":
@@ -109,14 +110,7 @@ class ImageMetadata(_Record):
         return f"{self.name}:{self.tag}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "name_without_repo": self.name_without_repo,
-            "tag": self.tag,
-            "total_size": self.total_size,
-            "l_meta": [layer.to_json_dict() for layer in self.l_meta],
-        }
+        return {**vars(self), "l_meta": [layer.to_json_dict() for layer in self.l_meta]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ImageMetadata":
@@ -243,7 +237,7 @@ def _response_class():
             with suppress(ValueError):  # a length that is no integer, or negative, is none
                 if length and not self.chunked and int(length) >= 0:
                     self.length = int(length)
-            if status in (204, 304) or 100 <= status < 200 or self._method == "HEAD":
+            if status in (204, 304) or status < 200 or self._method == "HEAD":
                 self.length = 0
             if not self.chunked and self.length is None:  # the body ends with the connection
                 self.will_close = True
@@ -461,7 +455,7 @@ def save_cache(lists: ImageMetadataLists, path: str | Path) -> None:
 
     path = Path(path)
     payload = {key: lists.lists[key].to_json_dict() for key in sorted(lists.lists)}
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(iter_indented_json(payload))

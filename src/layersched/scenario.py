@@ -123,18 +123,21 @@ def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRe
     node_id = _require(obj, "id", path)
     if not isinstance(node_id, str) or not node_id:
         raise ScenarioError(f"{path}.id", "must be a non-empty string")
-    max_containers = obj.get("max_containers", 110)
-    if not isinstance(max_containers, int) or isinstance(max_containers, bool):
-        raise ScenarioError(f"{path}.max_containers", "must be an integer")
-    if max_containers < 1:
-        raise ScenarioError(f"{path}.max_containers", "must be >= 1")
+    kwargs = {}
+    if "max_containers" in obj:
+        max_containers = obj["max_containers"]
+        if not isinstance(max_containers, int) or isinstance(max_containers, bool):
+            raise ScenarioError(f"{path}.max_containers", "must be an integer")
+        if max_containers < 1:
+            raise ScenarioError(f"{path}.max_containers", "must be >= 1")
+        kwargs["max_containers"] = max_containers
     spec = NodeSpec(
         id=node_id,
         cpu_capacity=parse_cpu(_require(obj, "cpu", path), f"{path}.cpu"),
         mem_capacity=_positive_size(_require(obj, "memory", path), f"{path}.memory"),
         bandwidth=_positive_size(_require(obj, "bandwidth", path), f"{path}.bandwidth"),
         storage_capacity=_positive_size(_require(obj, "storage", path), f"{path}.storage"),
-        max_containers=max_containers,
+        **kwargs,
     )
     layers = obj.get("preloaded_layers", [])
     images = obj.get("preloaded_images", [])
@@ -149,22 +152,23 @@ def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRe
 def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
     _check_keys(obj, {"kind", "count", "images", "cpu_request", "mem_request",
                       "trace_file"}, path)
-    kind = obj.get("kind", "random")
-    if kind == "trace_file":
+    if obj.get("kind") == "trace_file":
         trace = _require(obj, "trace_file", path)
-        if not isinstance(trace, str):
-            raise ScenarioError(f"{path}.trace_file", "must be a path string")
+        if not isinstance(trace, str) or not trace:
+            raise ScenarioError(f"{path}.trace_file", "must be a non-empty path string")
         return WorkloadSpec(kind="trace_file", trace_path=trace)
-    if kind != "random":
-        raise ScenarioError(f"{path}.kind", "must be 'random' or 'trace_file'")
-
-    count = obj.get("count", 20)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ScenarioError(f"{path}.count", "must be a non-negative integer")
-    if count > sys.maxsize:
-        raise ScenarioError(f"{path}.count", f"must be at most {sys.maxsize}")
-
-    weights = None
+    kwargs = {}
+    if "kind" in obj:
+        if obj["kind"] != "random":
+            raise ScenarioError(f"{path}.kind", "must be 'random' or 'trace_file'")
+        kwargs["kind"] = obj["kind"]
+    if "count" in obj:
+        count = obj["count"]
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ScenarioError(f"{path}.count", "must be a non-negative integer")
+        if count > sys.maxsize:
+            raise ScenarioError(f"{path}.count", f"must be at most {sys.maxsize}")
+        kwargs["count"] = count
     if "images" in obj:
         raw = obj["images"]
         if not isinstance(raw, dict) or not raw:
@@ -175,30 +179,23 @@ def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
             weights[key] = _number(prob, f"{path}.images.{key}")
             if weights[key] < 0:
                 raise ScenarioError(f"{path}.images.{key}", "weight must be a number >= 0")
-
-    def _range(key: str, parse, default):
-        if key not in obj:
-            return default
-        pair = obj[key]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{path}.{key}", "must be a [min, max] pair")
-        low = parse(pair[0], f"{path}.{key}[0]")
-        high = parse(pair[1], f"{path}.{key}[1]")
-        return (low, high)
-
-    defaults = WorkloadSpec()
-    cpu_range = _range("cpu_request", parse_cpu, defaults.cpu_range)
-    mem_range = _range("mem_request", parse_size, defaults.mem_range)
+        kwargs["image_weights"] = weights
+    for key, field, parse in (("cpu_request", "cpu_range", parse_cpu),
+                              ("mem_request", "mem_range", parse_size)):
+        if key in obj:
+            pair = obj[key]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ScenarioError(f"{path}.{key}", "must be a [min, max] pair")
+            low = parse(pair[0], f"{path}.{key}[0]")
+            kwargs[field] = (low, parse(pair[1], f"{path}.{key}[1]"))
     try:
-        return WorkloadSpec(kind="random", count=count, image_weights=weights,
-                            cpu_range=cpu_range, mem_range=mem_range)
+        return WorkloadSpec(**kwargs)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
 
 def _parse_weights(obj: dict, path: str) -> WeightPolicy:
-    _check_keys(obj, {"mode", "omega_static", "omega_high", "omega_low",
-                      "h_size", "h_cpu", "h_std", "custom_table"}, path)
+    _check_keys(obj, set(WeightPolicy._fields), path)
     kwargs = {}
     if "mode" in obj:
         if obj["mode"] not in WEIGHT_MODES:
@@ -254,17 +251,20 @@ def _parse_scheduler(obj, path: str) -> SchedulerEntry:
     policy = _require(obj, "policy", path)
     if policy not in POLICIES:
         raise ScenarioError(f"{path}.policy", f"unknown policy {policy!r}")
-    tie_break = obj.get("tie_break", "lowest_node_id")
-    if tie_break not in TIE_BREAKS:
-        raise ScenarioError(f"{path}.tie_break", f"must be one of {TIE_BREAKS}")
-    weights = _parse_weights(obj.get("weights", {}), f"{path}.weights")
-    plugins = _parse_plugins(obj.get("plugins", {}), f"{path}.plugins")
+    kwargs = {}
+    if "tie_break" in obj:
+        if obj["tie_break"] not in TIE_BREAKS:
+            raise ScenarioError(f"{path}.tie_break", f"must be one of {TIE_BREAKS}")
+        kwargs["tie_break"] = obj["tie_break"]
+    if "weights" in obj:
+        kwargs["weight_policy"] = _parse_weights(obj["weights"], f"{path}.weights")
+    if "plugins" in obj:
+        kwargs["plugins"] = _parse_plugins(obj["plugins"], f"{path}.plugins")
     label = obj.get("label", policy)
     if not isinstance(label, str) or not label:
         raise ScenarioError(f"{path}.label", "must be a non-empty string")
     try:
-        config = SchedulerConfig(policy=policy, weight_policy=weights,
-                                 plugins=plugins, tie_break=tie_break)
+        config = SchedulerConfig(policy=policy, **kwargs)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
     return SchedulerEntry(label=label, config=config)
@@ -530,7 +530,7 @@ def build_scenario(
             path = ("catalog.images" if source.inline is not None else
                     "catalog.cache_file" if source.cache_file is not None else "registry")
             raise ScenarioError(path, "catalog holds no images to draw from")
-    if workload.kind == "trace_file" and workload.trace_path is not None:
+    if workload.kind == "trace_file":
         workload = replace(workload, trace_path=str(sfile.base_dir / workload.trace_path))
     scenario = Scenario(
         nodes=list(nodes),

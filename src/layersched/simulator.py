@@ -21,7 +21,6 @@ from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
 from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest, _Record, replace
 from .scheduler import SchedulerConfig, _Kernel
-from .scoring import PLUGIN_NAMES
 from .workload import WorkloadSpec, generate, stream
 
 
@@ -98,21 +97,10 @@ def fingerprint(scenario: Scenario) -> str:
             }
             for n in scenario.nodes
         ],
-        "layers": dict(sorted(scenario.catalog.layers.items())),
-        "images": {
-            ref.key: list(stack)
-            for ref, stack in sorted(scenario.catalog.images.items(), key=lambda kv: kv[0].key)
-        },
-        "workload": {
-            "kind": scenario.workload.kind,
-            "count": scenario.workload.count,
-            "image_weights": scenario.workload.image_weights,
-            "cpu_range": list(scenario.workload.cpu_range),
-            "mem_range": list(scenario.workload.mem_range),
-            "seed": scenario.workload.seed,
-            "trace_path": scenario.workload.trace_path,
-        },
-        "preloaded": {k: list(v) for k, v in sorted(scenario.preloaded.items())},
+        "layers": scenario.catalog.layers,
+        "images": {ref.key: stack for ref, stack in scenario.catalog.images.items()},
+        "workload": vars(scenario.workload),
+        "preloaded": scenario.preloaded,
         "seed": scenario.seed,
         "bandwidth_override": scenario.bandwidth_override,
         "scheduler": {
@@ -120,7 +108,7 @@ def fingerprint(scenario: Scenario) -> str:
             "tie_break": cfg.tie_break,
             "weight": {**vars(cfg.weight_policy),
                        "custom_table": dict(cfg.weight_policy.custom_table)},
-            "plugins": {name: getattr(cfg.plugins, name) for name in PLUGIN_NAMES},
+            "plugins": vars(cfg.plugins),
         },
     }
     raw = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")

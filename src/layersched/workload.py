@@ -112,22 +112,19 @@ def generate(spec: WorkloadSpec, catalog: LayerCatalog) -> list[TaskRequest]:
     return list(islice(stream(spec, catalog), spec.count))
 
 
-def save_trace(tasks: list[TaskRequest], path: str | Path) -> None:
-    lines = []
-    for task in tasks:
-        lines.append(json.dumps({
-            "task_id": task.task_id,
-            "image_name": task.image.name,
-            "image_tag": task.image.tag,
-            "cpu_millicores": task.cpu_request,
-            "mem_bytes": task.mem_request,
-        }, sort_keys=True))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 # A trace line's keys and the one type each value must have in the JSON.
 _TRACE_FIELDS = (("task_id", str), ("image_name", str), ("image_tag", str),
                  ("cpu_millicores", int), ("mem_bytes", int))
+
+
+def save_trace(tasks: list[TaskRequest], path: str | Path) -> None:
+    keys = [key for key, _ in _TRACE_FIELDS]
+    lines = []
+    for task in tasks:  # in _TRACE_FIELDS order, as load_trace unpacks them
+        values = (task.task_id, task.image.name, task.image.tag, task.cpu_request,
+                  task.mem_request)
+        lines.append(json.dumps(dict(zip(keys, values)), sort_keys=True) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> list[TaskRequest]:

@@ -229,6 +229,18 @@ class TestCompare:
         assert deltas["lr_dynamic"]["total_download_bytes"] < 0
 
 
+# Sizes print in MB, so the bundled figures pin the byte-to-MB conversion.
+@pytest.mark.parametrize("verb, line", [
+    ("simulate", "default seed 1: 1763.0 MB downloaded in 176.3 s, mean STD 0.0374, "
+                 "50 pods placed, 0 unschedulable"),
+    ("compare", "  default                     1537.0        153.7     0.0441   50.0      0.0"),
+], ids=["simulate-summary", "compare-row"])
+def test_printed_figures_for_the_bundled_shared_layers(verb, line, tmp_path, capsys):
+    scenario = bundled_scenario_path("shared_layers")
+    assert main([verb, str(scenario), "--out", str(tmp_path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("verb", ["simulate", "compare"])
 def test_a_run_builds_node_states_only_for_the_initial_cluster(verb, tmp_path, monkeypatch):
     # Work count: replay builds no decision record, and every compare leg
@@ -515,6 +527,11 @@ class TestValidate:
         (lambda d: d["catalog"].update(images=["web:1"]), "catalog.images"),
         (lambda d: d.update(schedulers=[{"policy": "lr_dynamic", "weights": {
             "omega_high": 0.25, "omega_low": 0.5}}]), "schedulers[0].weights"),
+        (lambda d: d.update(seeds=[1, -1]), "seeds"),
+        (lambda d: d.update(seeds=[True]), "seeds"),
+        (lambda d: d.update(seeds=["1"]), "seeds"),
+        (lambda d: d.update(workload={"kind": "trace_file", "trace_file": ""}),
+         "workload.trace_file"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
@@ -529,7 +546,8 @@ class TestValidate:
             "cache-file-not-a-string", "catalog-not-an-object", "no-schedulers",
             "empty-output", "layer-size-beyond-float", "storage-beyond-float",
             "cpu-beyond-float", "count-beyond-maxsize", "negative-count",
-            "unknown-tie-break", "catalog-images-not-an-object", "omega-high-below-low"])
+            "unknown-tie-break", "catalog-images-not-an-object", "omega-high-below-low",
+            "negative-seed", "boolean-seed", "string-seed", "empty-trace-file"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()

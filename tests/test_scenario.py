@@ -52,6 +52,7 @@ def data(**overrides) -> dict:
 class TestParseSize:
     @pytest.mark.parametrize("value,expected", [
         (0, 0),
+        (0.0, 0),
         (1536, 1536),
         (2.0, 2),
         ("123", 123),
@@ -131,6 +132,7 @@ class TestParse:
         (lambda d: d["nodes"][0].update(bandwidth=0), "nodes[0].bandwidth"),
         (lambda d: d["nodes"][1].update(storage="0GB"), "nodes[1].storage"),
         (lambda d: d["nodes"][0].update(max_containers=0), "nodes[0].max_containers"),
+        (lambda d: d["nodes"][0].update(cpu="0"), "nodes[0].cpu"),
         (lambda d: d["catalog"]["layers"].update({"sha256:a": 0}),
          "catalog.layers.sha256:a"),
     ])
@@ -140,6 +142,18 @@ class TestParse:
         with pytest.raises(ScenarioError) as err:
             parse_scenario_data(bad)
         assert err.value.field == field
+
+    def test_boundary_values_accepted(self):
+        good = data(workload={"images": {"web:1": 1, "db:1": 0}})
+        good["nodes"][0]["max_containers"] = 1
+        sfile = parse_scenario_data(good)
+        assert sfile.nodes[0].max_containers == 1
+        assert sfile.workload.image_weights == {"web:1": 1.0, "db:1": 0.0}
+
+    def test_a_root_that_is_not_an_object_is_named(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_data([])
+        assert (err.value.field, str(err.value)) == ("<root>", "<root>: expected an object")
 
     def test_both_catalog_and_registry_rejected(self):
         with pytest.raises(ScenarioError):

@@ -373,6 +373,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WeightPolicy(mode="dynamic", omega_high=0.5, omega_low=2.0)
 
+    @pytest.mark.parametrize("omega_high, omega_low", [(1.0, 1.0), (1.0, 0.0)],
+                             ids=["high-equals-low", "low-is-zero"])
+    def test_weight_order_boundaries_accepted(self, omega_high, omega_low):
+        weights = WeightPolicy(omega_high=omega_high, omega_low=omega_low)
+        assert (weights.omega_high, weights.omega_low) == (omega_high, omega_low)
+
     def test_threshold_ranges_enforced(self):
         with pytest.raises(ValueError):
             WeightPolicy(h_cpu=1.5)

@@ -162,6 +162,19 @@ class TestRun:
         for fast, slow in zip(a.steps, b.steps):
             assert slow.download_seconds == 2 * fast.download_seconds
 
+    def test_preloads_that_exactly_fill_storage_are_accepted(self):
+        scenario = scenario_for(single_image_catalog(), [ample_node(storage_capacity=100 * MB)],
+                                WorkloadSpec(count=1),
+                                preloaded={"node-0": ("sha256:a", "sha256:b")})
+        assert run(scenario).total_download_bytes == 0
+
+    @pytest.mark.parametrize("label, shown", [("mine", "mine"), ("", "lr_dynamic")],
+                             ids=["custom", "empty-falls-back-to-the-policy"])
+    def test_report_label(self, label, shown):
+        scenario = scenario_for(single_image_catalog(), [ample_node()], WorkloadSpec(count=1),
+                                policy="lr_dynamic", label=label)
+        assert run(scenario).label == shown
+
     def test_invalid_scenario_names_field(self):
         catalog = single_image_catalog()
         scenario = scenario_for(catalog, [ample_node()], WorkloadSpec(count=1),
@@ -469,6 +482,26 @@ class TestFingerprint:
         other = scenario_for(single_image_catalog(), [ample_node()],
                              WorkloadSpec(count=5), seed=2)
         assert fingerprint(self.base()) != fingerprint(other)
+
+    def test_mapping_order_does_not_change_fingerprint(self):
+        # json.dumps(sort_keys=True) orders every mapping the hash reads.
+        layers = {"sha256:a": 30 * MB, "sha256:b": 70 * MB}
+        images = {ImageRef("web", "1"): ("sha256:a", "sha256:b"),
+                  ImageRef("api", "1"): ("sha256:b",)}
+        nodes = [ample_node("node-0"), ample_node("node-1")]
+        preloaded = {"node-0": ("sha256:a",), "node-1": ("sha256:b",)}
+        weights = {"web:1": 0.25, "api:1": 0.75}
+
+        def reversed_dict(mapping):
+            return dict(reversed(mapping.items()))
+
+        forward = scenario_for(LayerCatalog(layers, images), nodes,
+                               WorkloadSpec(count=5, image_weights=weights),
+                               preloaded=preloaded, seed=1)
+        backward = scenario_for(LayerCatalog(reversed_dict(layers), reversed_dict(images)),
+                                nodes, WorkloadSpec(count=5, image_weights=reversed_dict(weights)),
+                                preloaded=reversed_dict(preloaded), seed=1)
+        assert fingerprint(forward) == fingerprint(backward)
 
     def test_custom_table_hashes_as_a_plain_dict(self):
         # Pinned before the table became a read-only mapping.

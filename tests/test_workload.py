@@ -133,7 +133,8 @@ class TestStream:
         None,
         {"a:1": 0.1, "b:1": 0.2, "c:1": 0.3, "d:1": 0.4},
         {"d:1": 0.05, "a:1": 0.9, "c:1": 0.05},
-    ], ids=["unweighted", "weighted", "weighted-subset"])
+        {"a:1": 0.5, "b:1": 0.0, "c:1": 0.5},
+    ], ids=["unweighted", "weighted", "weighted-subset", "zero-weight"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_draws_equal_a_per_task_weighted_choice(self, weights, seed):
         catalog = LayerCatalog(
@@ -231,6 +232,19 @@ class TestTraceFiles:
             load_trace(path)
         assert err.value.line_number == 2
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("cpu_millicores", "250", "integer"),
+        ("image_tag", 1, "string"),
+    ], ids=["string-size", "int-string"])
+    def test_wrongly_typed_value_names_the_json_type(self, tmp_path, key, value, wanted):
+        good = {"task_id": "t0", "image_name": "web", "image_tag": "1",
+                "cpu_millicores": 100, "mem_bytes": 0}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(TraceCorrupt, match=f"^line 1: {key} must be a JSON {wanted}, "
+                                               f"not {value!r}$"):
+            load_trace(path)
 
     def test_generate_from_trace_file(self, tmp_path):
         tasks = generate(WorkloadSpec(count=6, seed=9), two_image_catalog())

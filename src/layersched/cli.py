@@ -162,6 +162,8 @@ def cmd_fetch_registry(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:  # random.Random would seed with abs(seed)
+        raise LayerSchedError(f"--seed {args.seed}: must be a non-negative integer")
     sfile = parse_scenario_file(args.scenario)
     catalog = resolve_catalog(sfile, registry_url=_registry_override(args))
     entries = {entry.label: entry for entry in sfile.schedulers}

@@ -3,8 +3,12 @@
 Serves ``/v2/_catalog`` (with pagination), ``/v2/{name}/tags/list`` and
 ``/v2/{name}/manifests/{ref}`` from an in-memory image table. Used by the
 test suite and by simulations that want a live-ish registry without moving
-any real bytes. Supports fault injection: per-manifest 404s and a whole-
-registry "down" switch that drops connections.
+any real bytes. It speaks HTTP/1.1 and keeps each connection open for the
+next request, with Nagle's algorithm off so that a kept connection's reply
+is not held back for the client's delayed ACK; ``http10=True`` serves
+HTTP/1.0 instead and closes after every reply. Supports fault injection:
+per-manifest 404s and a whole-registry "down" switch that drops
+connections.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ def bundled_images() -> list[FakeImage]:
 
 class _Handler(BaseHTTPRequestHandler):
     server: "FakeRegistry"
+    protocol_version = "HTTP/1.1"  # keep-alive: every reply has a Content-Length
+    disable_nagle_algorithm = True
 
     def log_message(self, *args):  # keep test output clean
         pass
@@ -69,6 +75,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         registry: FakeRegistry = self.server  # type: ignore[assignment]
         if registry.down:
+            self.close_connection = True  # else the handler waits on the dropped socket
             self.connection.close()
             return
         registry.request_count += 1
@@ -166,11 +173,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(status, {"errors": [{"code": code, "message": message}]})
 
 
+class _Http10Handler(_Handler):
+    protocol_version = "HTTP/1.0"  # one reply per connection
+
+
 class FakeRegistry(ThreadingHTTPServer):
     """Start with ``with FakeRegistry(images) as reg: ... reg.url ...``."""
 
-    def __init__(self, images: list[FakeImage] | None = None, page_size: int | None = None):
-        super().__init__(("127.0.0.1", 0), _Handler)
+    def __init__(self, images: list[FakeImage] | None = None, page_size: int | None = None,
+                 http10: bool = False):
+        super().__init__(("127.0.0.1", 0), _Http10Handler if http10 else _Handler)
         self.images: list[FakeImage] = list(images or [])
         self.page_size = page_size
         self.down = False

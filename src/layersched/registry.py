@@ -252,8 +252,12 @@ def _response_class():
 class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
-    Each GET goes through :mod:`http.client`, one connection per hop.
-    ``connect(host, timeout=)`` opens each hop's connection and returns an
+    Each GET goes through :mod:`http.client`. While :func:`walk_registry`
+    runs, the client keeps one open connection per scheme, host and proxy
+    tunnel, and reuses it for every GET and redirect hop there until a reply
+    says it closes (``will_close``); the walk closes them all when it ends.
+    Outside a walk each GET closes its connections. A client serves one walk
+    at a time. ``connect(host, timeout=)`` opens a connection and returns an
     object with ``HTTPConnection``'s ``request``, ``getresponse``, ``close``
     and ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection``
     by scheme, whose replies :func:`_response_class` reads. The proxy
@@ -265,6 +269,7 @@ class RegistryClient:
 
         self.config = config
         self.connect = connect
+        self._kept: dict | None = None  # origin -> open connection, while a walk runs
         self._proxies = getproxies()
         self._authorization = None
         if config.token:
@@ -273,16 +278,30 @@ class RegistryClient:
             pair = f"{config.username}:{config.password or ''}".encode()
             self._authorization = _basic(pair)
 
+    @contextmanager
+    def _keeping(self):
+        """Keep each origin's connection open for the next GET until the
+        block ends, then close every kept one, on error too."""
+        self._kept = {}
+        try:
+            yield
+        finally:
+            kept, self._kept = self._kept, None
+            for connection in kept.values():
+                connection.close()
+
     def _get(self, url: str, headers: dict | None = None) -> tuple[int, str, bytes]:
         """Status, ``Link`` header and body, of any status; the only code
         that opens a connection. Every hop must be an http:// or https://
         URL; a 301/302/303/307/308 is followed at most :data:`MAX_REDIRECTS`
-        times, without ``Authorization``."""
+        times, without ``Authorization``. A kept connection that the server
+        has dropped before replying (reset, broken pipe or no status line)
+        gets the GET once more on a new connection; nothing else is resent."""
         from http.client import HTTPConnection, HTTPException, HTTPSConnection
         from urllib.parse import unquote, urljoin
         from urllib.request import proxy_bypass_environment
 
-        sent = {**(headers or {}), "Connection": "close", "User-Agent": "layersched"}
+        sent = {**(headers or {}), "User-Agent": "layersched"}
         if self._authorization:  # first hop only: not sent on to where a redirect points
             sent["Authorization"] = self._authorization
         hop = url
@@ -307,20 +326,35 @@ class RegistryClient:
                         tls = via.scheme == "https"
                         target, hop_headers = urlunsplit(parts[:4] + ("",)), {**sent, **auth}
                     host = via.netloc.rpartition("@")[2]
-                if self.connect:
-                    connection = self.connect(host, timeout=30)
-                else:
-                    connection = (HTTPSConnection if tls else HTTPConnection)(host, timeout=30)
-                    connection.response_class = _response_class()
-                try:
-                    if tunnel:
-                        connection.set_tunnel(*tunnel)
-                    connection.request("GET", target, headers=hop_headers)
-                    with connection.getresponse() as reply:
-                        status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
-                        location = reply.getheader("Location")
-                finally:
+                kept = {} if self._kept is None else self._kept
+                origin = tls, host, tunnel and tunnel[0]
+                while True:  # twice at most: a kept connection, then a new one
+                    connection = kept.pop(origin, None)
+                    fresh, reply = connection is None, None
+                    if fresh and self.connect:
+                        connection = self.connect(host, timeout=30)
+                    elif fresh:
+                        connection = (HTTPSConnection if tls else HTTPConnection)(host, timeout=30)
+                        connection.response_class = _response_class()
+                    try:
+                        if fresh and tunnel:
+                            connection.set_tunnel(*tunnel)
+                        connection.request("GET", target, headers=hop_headers)
+                        reply = connection.getresponse()
+                        with reply:
+                            status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
+                            location = reply.getheader("Location")
+                    except BaseException as exc:
+                        connection.close()
+                        if fresh or reply is not None or not isinstance(
+                                exc, (ConnectionResetError, BrokenPipeError)):
+                            raise
+                        continue  # dropped while idle (RemoteDisconnected is a reset too)
+                    break
+                if self._kept is None or reply.will_close:
                     connection.close()
+                else:
+                    kept[origin] = connection
                 if status not in _REDIRECTS or not location or redirects == MAX_REDIRECTS:
                     return status, link, body
                 hop = urljoin(hop, location)
@@ -507,26 +541,29 @@ def walk_registry(client: RegistryClient,
     """Walk catalog -> tags -> manifests into an unsaved snapshot. Images
     that fail to resolve become ``warnings``; only a failure to list the
     catalog itself is raised. Each failure that is :func:`_transient` also
-    adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag list."""
+    adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag list.
+    The client keeps one connection per origin for the whole walk."""
     lists: dict[str, ImageMetadata] = {}
     warnings: list[str] = []
-    for name in client.fetch_catalog():
-        try:
-            tags = client.fetch_tags(name)
-        except (RegistryUnavailable, RegistryProtocolError, UnknownImage) as exc:
-            warnings.append(f"tags for {name}: {exc}")
-            if missed is not None and _transient(exc):
-                missed.add((name, None))
-            continue
-        for tag in tags:
+    with client._keeping():
+        for name in client.fetch_catalog():
             try:
-                image = client.fetch_image_metadata(name, tag)
-            except (RegistryUnavailable, RegistryProtocolError, UnknownImage, UnsupportedManifest) as exc:
-                warnings.append(f"manifest {name}:{tag}: {exc}")
+                tags = client.fetch_tags(name)
+            except (RegistryUnavailable, RegistryProtocolError, UnknownImage) as exc:
+                warnings.append(f"tags for {name}: {exc}")
                 if missed is not None and _transient(exc):
-                    missed.add((name, tag))
+                    missed.add((name, None))
                 continue
-            lists[image.key] = image
+            for tag in tags:
+                try:
+                    image = client.fetch_image_metadata(name, tag)
+                except (RegistryUnavailable, RegistryProtocolError, UnknownImage,
+                        UnsupportedManifest) as exc:
+                    warnings.append(f"manifest {name}:{tag}: {exc}")
+                    if missed is not None and _transient(exc):
+                        missed.add((name, tag))
+                    continue
+                lists[image.key] = image
     return ImageMetadataLists(lists=lists, warnings=warnings)
 
 

@@ -182,6 +182,15 @@ class TestSimulate:
         main(["simulate", str(scenario), "--seed", "7"])
         assert (tmp_path / "out" / "simulate_default_seed7.json").exists()
 
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        # As a scenario file's seeds: random.Random(-1) is seed 1's stream.
+        scenario = write_scenario(tmp_path)
+        assert main(["simulate", str(scenario), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed -1: must be a non-negative integer\n"
+        assert not (tmp_path / "out").exists()
+        assert main(["simulate", str(scenario), "--seed", "0"]) == 0
+        assert (tmp_path / "out" / "simulate_default_seed0.json").exists()
+
     def test_unknown_scheduler_label(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         code = main(["simulate", str(scenario), "--scheduler", "nope"])

@@ -1,15 +1,21 @@
 """Registry client, metadata cache file, and the catalog bridge."""
 
+import errno
+import gc
 import http.client
 import json
+import os
 import re
 import shutil
 import socket
 import threading
+import time
 import urllib.request
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -365,15 +371,25 @@ class StubRegistry:
     connections answer each GET from a path -> reply table with 200, else
     with a 404, and which keeps the URL and headers of every request. A reply
     is a body or a ``(body, Link header)`` pair; a body that is not a string
-    is sent as its JSON encoding. An int reply is that status."""
+    is sent as its JSON encoding. An int reply is that status. A connection
+    stays open until its reply says it closes (``will_close``): after
+    ``close_after`` replies, if given. ``faults`` maps the index of a request
+    (from 0, over every connection) to ``(step, error)``: that GET raises
+    ``error`` from its ``request``, ``getresponse`` or ``read``."""
 
-    def __init__(self, replies: dict):
+    def __init__(self, replies: dict, close_after: int | None = None,
+                 faults: dict | None = None):
         self.replies = replies
+        self.close_after = close_after
+        self.faults = faults or {}
         self.requests = []  # (url, headers) per GET
         self.tunnels = []  # (proxy host, tunnel host, CONNECT headers) per tunnel
+        self.connections = []  # every connection opened
 
     def __call__(self, host, timeout=None):
-        return StubConnection(self, host)
+        connection = StubConnection(self, host)
+        self.connections.append(connection)
+        return connection
 
 
 class StubConnection:
@@ -383,33 +399,44 @@ class StubConnection:
         self.registry = registry
         self.host = host
         self.tunnel = None
-        self.status = None
+        self.replies = 0
+        self.will_close = self.closed = False
 
     def set_tunnel(self, host, port=None, headers=None):
         self.tunnel = host
         self.registry.tunnels.append((self.host, host, headers))
 
     def request(self, method, target, headers=None):
-        assert method == "GET" and self.status is None
+        assert method == "GET" and not (self.closed or self.will_close)
         url = target if "://" in target else f"http://{self.tunnel or self.host}{target}"
+        self.fault = self.registry.faults.get(len(self.registry.requests), (None, None))
         self.registry.requests.append((url, headers))
+        self._fail("request")
         reply = self.registry.replies.get(url.removeprefix(STUB_URL), 404)
         self.status, reply = (reply, "{}") if isinstance(reply, int) else (200, reply)
         body, link = reply if isinstance(reply, tuple) else (reply, None)
         self.headers = {"Link": link} if link else {}
         self.body = (body if isinstance(body, str) else json.dumps(body)).encode()
+        self.replies += 1
+        self.will_close = self.replies == self.registry.close_after
+
+    def _fail(self, step):
+        if self.fault[0] == step:
+            raise self.fault[1]
 
     def getresponse(self):
+        self._fail("getresponse")
         return self
 
     def getheader(self, name, default=None):
         return self.headers.get(name, default)
 
     def read(self):
+        self._fail("read")
         return self.body
 
     def close(self):
-        pass
+        self.closed = True
 
     def __enter__(self):
         return self
@@ -578,18 +605,27 @@ class TestTransientImageFailure:
         assert len(snapshot.warnings) == 2
         assert (tmp_path / "cache.json").read_bytes() == before
 
+    @staticmethod
+    def unread(path):
+        raise AssertionError("prior cache read")
+
     def test_not_found_drops_the_image_without_reading_the_prior_cache(
             self, tmp_path, monkeypatch):
         self.refresh(tmp_path)
-
-        def unread(path):
-            raise AssertionError("prior cache read")
-
-        monkeypatch.setattr(registry_module, "load_cache", unread)
+        monkeypatch.setattr(registry_module, "load_cache", self.unread)
         snapshot = self.refresh(tmp_path, **{"/v2/b/manifests/1": 404})
         assert list(snapshot.lists) == ["a:1"]
         assert not snapshot.stale
         assert snapshot.warnings == ["manifest b:1: b:1 not in registry"]
+
+    def test_tags_not_found_drops_the_images_without_reading_the_prior_cache(
+            self, tmp_path, monkeypatch):
+        self.refresh(tmp_path)
+        monkeypatch.setattr(registry_module, "load_cache", self.unread)
+        snapshot = self.refresh(tmp_path, **{"/v2/b/tags/list": 404})
+        assert list(snapshot.lists) == ["a:1"]
+        assert not snapshot.stale
+        assert snapshot.warnings == [f"tags for b: GET {STUB_URL}/v2/b/tags/list: HTTP 404"]
 
     def test_corrupt_prior_cache_keeps_nothing(self, tmp_path):
         self.refresh(tmp_path)
@@ -767,6 +803,25 @@ class TestTransport:
         assert headers["Authorization"] == "Bearer t0k"
         assert "Proxy-Authorization" not in headers
 
+    @pytest.mark.parametrize("scheme", ["https", "http"])
+    def test_a_proxy_user_without_a_password_sends_no_proxy_authorization(self, monkeypatch,
+                                                                          scheme):
+        # As urllib: Proxy-Authorization needs both a user name and a password.
+        for name in ("http_proxy", "https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv(f"{scheme}_proxy", "http://u@proxy.stub:3128")
+        stub = StubRegistry({"/v2/_catalog": {"repositories": ["a"]}})
+        client = RegistryClient(RegistryConfig(base_url=f"{scheme}://registry.stub"),
+                                connect=stub)
+        assert client.fetch_catalog() == ["a"]
+        assert [connection.host for connection in stub.connections] == ["proxy.stub:3128"]
+        assert stub.tunnels == ([("proxy.stub:3128", "registry.stub", {})]
+                                if scheme == "https" else [])
+        [(url, headers)] = stub.requests
+        assert url == f"{STUB_URL}/v2/_catalog"
+        assert "Proxy-Authorization" not in headers
+
     @pytest.mark.parametrize("base_url", ["foo", "http://[::1", "ftp://x", "file://{tmp}"],
                              ids=["no-scheme", "bad-host", "ftp", "file"])
     def test_unusable_base_url_exits_2_before_any_request(self, tmp_path, monkeypatch,
@@ -785,11 +840,25 @@ class TestTransport:
         assert not cache.exists()
 
 
-class WireServer(ThreadingHTTPServer):
-    """A real HTTP server on 127.0.0.1 that answers each request target from
-    ``routes`` (target -> ``(status, headers, body)``), else with a 404, and
-    keeps the target and headers of every request. A proxy sees absolute
-    targets."""
+class Counting:
+    """Counts the connections a socket server accepts."""
+
+    connections = 0
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+
+class CountingRegistry(Counting, FakeRegistry):
+    pass
+
+
+class WireServer(Counting, ThreadingHTTPServer):
+    """A real HTTP/1.1 server on 127.0.0.1 that answers each request target
+    from ``routes`` (target -> ``(status, headers, body)``), else with a 404,
+    and keeps the target and headers of every request and the number of
+    connections. A proxy sees absolute targets."""
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), WireHandler)
@@ -806,6 +875,9 @@ class WireServer(ThreadingHTTPServer):
 
 
 class WireHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):
         pass
 
@@ -934,26 +1006,31 @@ class TestWire:
 
 
 @contextmanager
-def raw_server(*replies: bytes):
-    """A socket on 127.0.0.1 that sends each of ``replies`` as-is to one
-    connection in turn, once its request has arrived, then closes it; yields
-    the base URL."""
+def raw_server(*replies, received: list | None = None):
+    """A socket on 127.0.0.1 that answers one connection per item of
+    ``replies``, in turn: an item is a raw reply, or a tuple of raw replies
+    sent one by one on that connection, each once its request has arrived.
+    Then it closes the connection. Each request's bytes are appended to
+    ``received`` if given; yields the base URL."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5)
 
     def answer():
-        for raw in replies:
+        for group in replies:
             try:
                 connection, _ = listener.accept()
                 with connection:
                     connection.settimeout(5)
-                    request = b""
-                    while b"\r\n\r\n" not in request:
-                        chunk = connection.recv(65536)
-                        if not chunk:
-                            break
-                        request += chunk
-                    connection.sendall(raw)
+                    for raw in group if isinstance(group, tuple) else (group,):
+                        request = b""
+                        while b"\r\n\r\n" not in request:
+                            chunk = connection.recv(65536)
+                            if not chunk:
+                                break
+                            request += chunk
+                        if received is not None:
+                            received.append(request)
+                        connection.sendall(raw)
             except OSError:  # the client hung up on a reply it refused
                 pass
 
@@ -1087,6 +1164,191 @@ class TestReplyReader:
         assert calls == []  # 0; 7 with the stock reader, one per GET
 
 
+GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
+# (step, error) of a connection the server dropped before replying
+DROPS = [("getresponse", http.client.RemoteDisconnected),
+         ("getresponse", ConnectionResetError),
+         ("request", BrokenPipeError)]
+DROP_IDS = ["remote-disconnected", "reset", "broken-pipe"]
+
+
+def page(names, next_link=b""):
+    """A raw HTTP/1.1 catalog page that leaves the connection open."""
+    body = json.dumps({"repositories": names}).encode()
+    link = b"Link: " + next_link + b"\r\n" if next_link else b""
+    return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (link, len(body), body)
+
+
+def stub_walk_client(**stub_options) -> RegistryClient:
+    """A client of a stub serving ``TestTransport.PAGED``: 12 GETs a walk."""
+    return RegistryClient(RegistryConfig(base_url=STUB_URL),
+                          connect=StubRegistry(TestTransport.PAGED, **stub_options))
+
+
+def all_closed(stub: StubRegistry) -> bool:
+    return all(connection.closed for connection in stub.connections)
+
+
+@pytest.mark.usefixtures("no_proxy_variables")
+class TestKeptConnections:
+    """A walk keeps one connection per origin for all its GETs and closes it
+    when it ends; a kept connection that the server dropped before replying
+    gets its GET once more on a new connection, and nothing else is resent."""
+
+    def test_a_walk_opens_one_connection_per_origin(self):
+        # Work count: 7 GETs (catalog, 3 tag lists, 3 manifests) on 1
+        # connection; 7 connections if each GET asked the server to close.
+        with CountingRegistry(bundled_images()) as reg:
+            assert len(walk_registry(client_for(reg)).lists) == 3
+            assert (reg.request_count, reg.connections) == (7, 1)
+            walk_registry(client_for(reg))
+            assert (reg.request_count, reg.connections) == (14, 2)
+
+    def test_redirect_hops_reuse_the_connection_of_their_origin(self, wire):
+        registry, other = wire
+        registry.routes.update({
+            "/v2/_catalog": (200, {}, {"repositories": ["a", "b"]}),
+            "/v2/a/tags/list": (200, {}, {"tags": ["1"]}),
+            "/v2/b/tags/list": (200, {}, {"tags": ["1"]}),
+            "/v2/a/manifests/1": redirect(307, f"{other.url}/blobs/a"),
+            "/v2/b/manifests/1": redirect(307, f"{other.url}/blobs/b"),
+        })
+        other.routes.update({"/blobs/a": (200, {}, MANIFEST), "/blobs/b": (200, {}, MANIFEST)})
+        client = RegistryClient(RegistryConfig(base_url=registry.url, token="t0k"))
+        assert sorted(walk_registry(client).lists) == ["a:1", "b:1"]
+        assert (len(registry.requests), registry.connections) == (5, 1)
+        assert (len(other.requests), other.connections) == (2, 1)
+        assert all(headers["Authorization"] == "Bearer t0k" for _, headers in registry.requests)
+        assert not any("Authorization" in headers for _, headers in other.requests)
+        assert not any("Connection" in headers
+                       for _, headers in registry.requests + other.requests)
+
+    def test_a_tunnel_is_opened_once_per_walk(self, monkeypatch):
+        monkeypatch.setenv("https_proxy", "http://proxy.stub:3128")
+        stub = StubRegistry(TestTransport.PAGED)
+        client = RegistryClient(RegistryConfig(base_url="https://registry.stub"), connect=stub)
+        assert len(walk_registry(client).lists) == 5
+        assert stub.tunnels == [("proxy.stub:3128", "registry.stub", {})]
+        assert (len(stub.requests), len(stub.connections)) == (12, 1)
+        assert all_closed(stub)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, None])
+    def test_a_server_that_closes_after_every_k_replies_gives_the_same_cache(self, tmp_path,
+                                                                             k):
+        # Work count: one connection per k of the walk's 12 GETs.
+        caches = []
+        for close_after in (None, k):
+            client = stub_walk_client(close_after=close_after)
+            config = RegistryConfig(base_url=STUB_URL,
+                                    cache_path=str(tmp_path / f"{close_after}.json"))
+            refresh_cache(config, client)
+            caches.append(Path(config.cache_path).read_bytes())
+        stub = client.connect
+        assert caches[0] == caches[1]
+        assert len(stub.requests) == 12
+        assert len(stub.connections) == (-(-12 // k) if k else 1)
+        assert all_closed(stub)
+
+    @pytest.mark.parametrize("step,error", DROPS, ids=DROP_IDS)
+    def test_a_kept_connection_dropped_before_replying_is_resent_once(self, step, error):
+        # GET 1, the second catalog page, finds the kept connection dropped.
+        client = stub_walk_client(faults={1: (step, error())})
+        snapshot = walk_registry(client)
+        assert len(snapshot.lists) == 5 and snapshot.warnings == []
+        urls = [url for url, _ in client.connect.requests]
+        assert len(urls) == 13
+        assert urls[1] == urls[2] == f"{STUB_URL}/v2/_catalog?page=2"
+        assert len(client.connect.connections) == 2
+        assert all_closed(client.connect)
+
+    @pytest.mark.parametrize("faulty", [[0], [1, 2]], ids=["first-get", "the-resend"])
+    @pytest.mark.parametrize("step,error", DROPS, ids=DROP_IDS)
+    def test_a_new_connection_dropped_before_replying_is_not_resent(self, step, error,
+                                                                    faulty):
+        client = stub_walk_client(faults={index: (step, error()) for index in faulty})
+        with pytest.raises(RegistryUnavailable) as caught:
+            walk_registry(client)
+        assert type(caught.value.__cause__) is error
+        assert len(client.connect.requests) == faulty[-1] + 1
+        assert all_closed(client.connect)
+
+    @pytest.mark.parametrize("error", [partial(http.client.IncompleteRead, b"{"),
+                                       ConnectionResetError], ids=["incomplete", "reset"])
+    def test_a_body_cut_short_is_not_resent(self, error):
+        # GET 3, a:1's manifest, loses its body on the kept connection.
+        client = stub_walk_client(faults={3: ("read", error())})
+        snapshot = walk_registry(client)
+        assert sorted(snapshot.lists) == ["a:2", "c:1", "team/b:1", "team/b:2"]
+        assert [warning.split(": GET ")[0] for warning in snapshot.warnings] == ["manifest a:1"]
+        assert len(client.connect.requests) == 12
+        assert len(client.connect.connections) == 2
+        assert all_closed(client.connect)
+
+    def test_a_kept_connection_the_server_closed_is_reopened(self):
+        # The server closes after its first reply without saying so.
+        received = []
+        next_link = b'</v2/_catalog?last=a>; rel="next"'
+        with raw_server(page(["a"], next_link), page(["b"]), received=received) as url:
+            client = RegistryClient(RegistryConfig(base_url=url))
+            with client._keeping():
+                assert client.fetch_catalog() == ["a", "b"]
+        assert [request.split(b" ")[1] for request in received] == \
+            [b"/v2/_catalog", b"/v2/_catalog?last=a"]
+
+    def test_a_server_that_closes_mid_body_is_unavailable_and_not_resent(self):
+        received = []
+        cut = b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"repositories"'
+        with raw_server((page(["a"], b'</v2/_catalog?last=a>; rel="next"'), cut),
+                        received=received) as url:
+            with pytest.raises(RegistryUnavailable) as caught:
+                walk_registry(RegistryClient(RegistryConfig(base_url=url)))
+        assert type(caught.value.__cause__) is http.client.IncompleteRead
+        assert len(received) == 2
+
+    def test_an_http10_registry_gives_the_golden_cache(self, tmp_path):
+        # Work count: the server closes after each reply, so each GET opens
+        # a connection.
+        path = tmp_path / "cache.json"
+        with CountingRegistry(bundled_images(), http10=True) as reg:
+            refresh_cache(RegistryConfig(base_url=reg.url, cache_path=str(path)))
+            assert (reg.request_count, reg.connections) == (7, 7)
+        assert path.read_bytes() == GOLDEN_CACHE.read_bytes()
+
+    def test_a_registry_that_goes_down_is_unavailable_promptly(self, registry, tmp_path):
+        started = time.monotonic()
+        client = client_for(registry)
+        with client._keeping():
+            assert client.fetch_tags("alpine-web") == ["1.0"]
+            registry.down = True  # the kept connection's next GET is dropped, then the resend's
+            with pytest.raises(RegistryUnavailable):
+                client.fetch_tags("alpine-db")
+        with pytest.raises(RegistryUnavailable):
+            refresh_cache(RegistryConfig(base_url=registry.url,
+                                         cache_path=str(tmp_path / "cache.json")))
+        assert time.monotonic() - started < 5  # not the client's 30 s timeout
+
+    def test_no_walk_leaves_a_connection_open(self, registry):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client = client_for(registry)
+            walk_registry(client)
+            failing = RegistryClient(RegistryConfig(base_url=f"{registry.url}/nope"))
+            with pytest.raises(RegistryProtocolError):
+                walk_registry(failing)  # raised with the 404's connection kept
+            del client, failing
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_watcher_keeps_no_connection_between_ticks(self, tmp_path):
+        with CountingRegistry(bundled_images()) as reg:
+            watcher = RegistryWatcher(RegistryConfig(base_url=reg.url,
+                                                     cache_path=str(tmp_path / "cache.json")))
+            watcher.refresh_once()
+            assert watcher.client._kept is None
+            watcher.refresh_once()
+            assert (reg.request_count, reg.connections) == (14, 2)
+
+
 class TestCatalogBridge:
     def test_shared_digests_collapse(self, registry, tmp_path):
         config = RegistryConfig(base_url=registry.url,
@@ -1217,8 +1479,10 @@ class TestWatcher:
         else:
             path.unlink()
             path.mkdir()
-        with pytest.raises(LayerSchedError, match=re.escape(f"cache {path}: ")):
+        strerror = os.strerror(errno.ENOENT if breakage == "directory-removed" else errno.EISDIR)
+        with pytest.raises(LayerSchedError) as caught:
             watcher.refresh_once()
+        assert str(caught.value) == f"cache {path}: {strerror}"
         watcher.start()
         try:
             assert ticks.acquire(timeout=5)

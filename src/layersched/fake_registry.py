@@ -5,16 +5,17 @@ Serves ``/v2/_catalog`` (with pagination), ``/v2/{name}/tags/list`` and
 test suite and by simulations that want a live-ish registry without moving
 any real bytes. It speaks HTTP/1.1 and keeps each connection open for the
 next request, with Nagle's algorithm off so that a kept connection's reply
-is not held back for the client's delayed ACK; ``http10=True`` serves
-HTTP/1.0 instead and closes after every reply. Supports fault injection:
-per-manifest 404s and a whole-registry "down" switch that drops
-connections.
+is not held back for the client's delayed ACK; ``stop()`` ends the
+connections a client still holds. Supports fault injection: per-manifest
+404s and a whole-registry "down" switch that drops connections.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -173,16 +174,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(status, {"errors": [{"code": code, "message": message}]})
 
 
-class _Http10Handler(_Handler):
-    protocol_version = "HTTP/1.0"  # one reply per connection
-
-
 class FakeRegistry(ThreadingHTTPServer):
     """Start with ``with FakeRegistry(images) as reg: ... reg.url ...``."""
 
-    def __init__(self, images: list[FakeImage] | None = None, page_size: int | None = None,
-                 http10: bool = False):
-        super().__init__(("127.0.0.1", 0), _Http10Handler if http10 else _Handler)
+    def __init__(self, images: list[FakeImage] | None = None, page_size: int | None = None):
+        super().__init__(("127.0.0.1", 0), _Handler)
         self.images: list[FakeImage] = list(images or [])
         self.page_size = page_size
         self.down = False
@@ -190,6 +186,7 @@ class FakeRegistry(ThreadingHTTPServer):
         self.serve_schema1: dict[str, bool] = {}
         self.request_count = 0
         self._thread: threading.Thread | None = None
+        self._open: set[socket.socket] = set()  # connections a handler serves
 
     @property
     def url(self) -> str:
@@ -214,9 +211,20 @@ class FakeRegistry(ThreadingHTTPServer):
         self._thread.start()
         return self
 
+    def process_request(self, request, client_address):
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self._open.discard(request)
+        super().shutdown_request(request)
+
     def stop(self) -> None:
         self.shutdown()
         self.server_close()
+        for request in list(self._open):  # a handler waiting on a kept connection reads its end
+            with suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

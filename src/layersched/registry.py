@@ -256,11 +256,13 @@ class RegistryClient:
     runs, the client keeps one open connection per scheme, host and proxy
     tunnel, and reuses it for every GET and redirect hop there until a reply
     says it closes (``will_close``); the walk closes them all when it ends.
-    Outside a walk each GET closes its connections. A client serves one walk
-    at a time. ``connect(host, timeout=)`` opens a connection and returns an
-    object with ``HTTPConnection``'s ``request``, ``getresponse``, ``close``
-    and ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection``
-    by scheme, whose replies :func:`_response_class` reads. The proxy
+    Outside a walk each GET closes its connections. Each thread's walk keeps
+    its own connections, so walks on one client may overlap across threads.
+    ``connect(host, timeout=)`` opens a connection and returns an object with
+    ``HTTPConnection``'s ``request``, ``getresponse``, ``close`` and
+    ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection`` by
+    scheme, whose replies :func:`_response_class` reads. A reply without
+    ``will_close`` is taken to close its connection. The proxy
     variables (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) are read once,
     here, as ``urllib`` reads them."""
 
@@ -269,7 +271,7 @@ class RegistryClient:
 
         self.config = config
         self.connect = connect
-        self._kept: dict | None = None  # origin -> open connection, while a walk runs
+        self._walk = threading.local()  # .kept: origin -> open connection, while a walk runs
         self._proxies = getproxies()
         self._authorization = None
         if config.token:
@@ -281,12 +283,14 @@ class RegistryClient:
     @contextmanager
     def _keeping(self):
         """Keep each origin's connection open for the next GET until the
-        block ends, then close every kept one, on error too."""
-        self._kept = {}
+        block ends, then close every kept one, on error too. The table is
+        this thread's, for this block."""
+        outer = getattr(self._walk, "kept", None)
+        self._walk.kept = kept = {}
         try:
             yield
         finally:
-            kept, self._kept = self._kept, None
+            self._walk.kept = outer
             for connection in kept.values():
                 connection.close()
 
@@ -326,10 +330,10 @@ class RegistryClient:
                         tls = via.scheme == "https"
                         target, hop_headers = urlunsplit(parts[:4] + ("",)), {**sent, **auth}
                     host = via.netloc.rpartition("@")[2]
-                kept = {} if self._kept is None else self._kept
+                kept = getattr(self._walk, "kept", None)  # None outside a walk
                 origin = tls, host, tunnel and tunnel[0]
                 while True:  # twice at most: a kept connection, then a new one
-                    connection = kept.pop(origin, None)
+                    connection = kept.pop(origin, None) if kept else None
                     fresh, reply = connection is None, None
                     if fresh and self.connect:
                         connection = self.connect(host, timeout=30)
@@ -351,7 +355,7 @@ class RegistryClient:
                             raise
                         continue  # dropped while idle (RemoteDisconnected is a reset too)
                     break
-                if self._kept is None or reply.will_close:
+                if kept is None or getattr(reply, "will_close", True):
                     connection.close()
                 else:
                     kept[origin] = connection

@@ -32,6 +32,7 @@ from layersched.errors import (
     UnknownImage,
     UnsupportedManifest,
 )
+from layersched import fake_registry
 from layersched.fake_registry import FakeImage, FakeRegistry, bundled_images
 from layersched.model import ImageRef
 from layersched.registry import (
@@ -1189,6 +1190,24 @@ def all_closed(stub: StubRegistry) -> bool:
     return all(connection.closed for connection in stub.connections)
 
 
+class ReplyWithoutWillClose:
+    """A reply with only ``status``, ``getheader`` and ``read``, as a
+    ``connect=`` factory written for one GET per connection may give."""
+
+    def __init__(self, reply):
+        self.status, self.getheader, self.read = reply.status, reply.getheader, reply.read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+
+class Http10Handler(fake_registry._Handler):
+    protocol_version = "HTTP/1.0"  # closes after every reply
+
+
 @pytest.mark.usefixtures("no_proxy_variables")
 class TestKeptConnections:
     """A walk keeps one connection per origin for all its GETs and closes it
@@ -1305,11 +1324,59 @@ class TestKeptConnections:
         assert type(caught.value.__cause__) is http.client.IncompleteRead
         assert len(received) == 2
 
+    def test_a_reply_without_will_close_closes_its_connection(self):
+        stub = StubRegistry(TestTransport.PAGED)
+
+        def connect(host, timeout=None):
+            connection = stub(host, timeout)
+            connection.getresponse = lambda: ReplyWithoutWillClose(connection)
+            return connection
+
+        client = RegistryClient(RegistryConfig(base_url=STUB_URL), connect=connect)
+        assert len(walk_registry(client).lists) == 5
+        assert (len(stub.requests), len(stub.connections)) == (12, 12)
+        assert all_closed(stub)
+
+    def test_walks_on_one_client_may_overlap_across_threads(self):
+        # Both walks wait at their first connection until the other is inside
+        # its walk too; each keeps and closes its own connection.
+        met = threading.Barrier(2, timeout=5)
+
+        def connect(host, timeout=None):
+            met.wait()
+            return http.client.HTTPConnection(host, timeout=timeout)
+
+        snapshots, errors = [], []
+
+        def walk(client):
+            try:
+                snapshots.append(walk_registry(client))
+            except Exception as exc:  # re-raised below, in the test's own thread
+                errors.append(exc)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CountingRegistry(bundled_images()) as reg:
+                client = RegistryClient(RegistryConfig(base_url=reg.url), connect=connect)
+                threads = [threading.Thread(target=walk, args=(client,)) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert errors == []
+                assert [len(snapshot.lists) for snapshot in snapshots] == [3, 3]
+                assert (reg.request_count, reg.connections) == (14, 2)
+                del client
+                gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_an_http10_registry_gives_the_golden_cache(self, tmp_path):
         # Work count: the server closes after each reply, so each GET opens
         # a connection.
         path = tmp_path / "cache.json"
-        with CountingRegistry(bundled_images(), http10=True) as reg:
+        reg = CountingRegistry(bundled_images())
+        reg.RequestHandlerClass = Http10Handler
+        with reg:
             refresh_cache(RegistryConfig(base_url=reg.url, cache_path=str(path)))
             assert (reg.request_count, reg.connections) == (7, 7)
         assert path.read_bytes() == GOLDEN_CACHE.read_bytes()
@@ -1339,12 +1406,31 @@ class TestKeptConnections:
             gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_stopping_the_fake_ends_a_connection_a_client_still_holds(self):
+        reg = FakeRegistry(bundled_images()).start()
+        before = set(threading.enumerate())
+        connection = http.client.HTTPConnection(reg.url.removeprefix("http://"), timeout=5)
+        try:
+            connection.request("GET", "/v2/")
+            with connection.getresponse() as reply:
+                assert reply.status == 200 and not reply.will_close
+                reply.read()
+            handlers = set(threading.enumerate()) - before
+            assert len(handlers) == 1  # waiting for the kept connection's next request
+            reg.stop()
+            for handler in handlers:
+                handler.join(timeout=5)
+            assert not any(handler.is_alive() for handler in handlers)
+        finally:
+            connection.close()
+            reg.stop()
+
     def test_a_watcher_keeps_no_connection_between_ticks(self, tmp_path):
         with CountingRegistry(bundled_images()) as reg:
             watcher = RegistryWatcher(RegistryConfig(base_url=reg.url,
                                                      cache_path=str(tmp_path / "cache.json")))
             watcher.refresh_once()
-            assert watcher.client._kept is None
+            assert getattr(watcher.client._walk, "kept", None) is None
             watcher.refresh_once()
             assert (reg.request_count, reg.connections) == (14, 2)
 

@@ -89,10 +89,13 @@ class LayerMetadata(_Record):
 
 class ImageMetadata(_Record):
     """One image's manifest: its layers (``l_meta``, a new empty list if not
-    given), whose sizes add up to ``total_size``."""
+    given), whose sizes add up to ``total_size``. The name and the tag are
+    non-empty, as an :class:`~layersched.model.ImageRef`'s are."""
 
     def __init__(self, id: str, name: str, name_without_repo: str, tag: str, total_size: int,
                  l_meta: list[LayerMetadata] | None = None):
+        if not name or not tag:
+            raise ValueError("image name and tag must be non-empty")
         self.id = id
         self.name = name
         self.name_without_repo = name_without_repo
@@ -455,14 +458,14 @@ class RegistryClient:
                 for entry in manifest.get("layers", [])
             ]
             config_digest = _json_str(manifest.get("config", {}).get("digest", ""), "digest")
-        return ImageMetadata(
-            id=config_digest,
-            name=name,
-            name_without_repo=strip_repo_host(name),
-            tag=tag,
-            total_size=sum(layer.size for layer in layers),
-            l_meta=layers,
-        )
+            return ImageMetadata(
+                id=config_digest,
+                name=name,
+                name_without_repo=strip_repo_host(name),
+                tag=tag,
+                total_size=sum(layer.size for layer in layers),
+                l_meta=layers,
+            )
 
     def _fetch_manifest(self, name: str, reference: str) -> dict:
         url = f"{self.config.base_url}/v2/{name}/manifests/{reference}"
@@ -478,7 +481,8 @@ class RegistryClient:
 def _malformed_manifest(name: str, tag: str):
     """Turn a manifest field of the wrong shape (a missing key, a list that
     is not one, a negative size or one that is not a JSON integer, a digest
-    that is not a JSON string) into UnsupportedManifest."""
+    that is not a JSON string), or an empty name or tag the registry listed,
+    into UnsupportedManifest."""
     try:
         yield
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -516,9 +520,6 @@ def load_cache(path: str | Path) -> ImageMetadataLists:
         lists = {
             key: ImageMetadata.from_json_dict(entry) for key, entry in payload.items()
         }
-        for key, image in lists.items():
-            if not image.name or not image.tag:
-                raise CacheCorrupt(f"{path}: {key!r}: image name and tag must be non-empty")
         return ImageMetadataLists(catch_file=str(path), lists=lists)
     except CacheCorrupt:
         raise
@@ -571,16 +572,27 @@ def walk_registry(client: RegistryClient,
     return ImageMetadataLists(lists=lists, warnings=warnings)
 
 
+def _load_prior(cache_path: Path) -> ImageMetadataLists:
+    """:func:`load_cache`, with a file that cannot be read raised as a
+    :class:`LayerSchedError` naming the path, as a failed write is."""
+    try:
+        return load_cache(cache_path)
+    except OSError as exc:
+        raise LayerSchedError(f"cache {cache_path}: {exc.strerror or exc}") from exc
+
+
 def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) -> ImageMetadataLists:
     """Walk the registry (:func:`walk_registry`) and rewrite the cache file.
 
     If the registry is unreachable outright, answers the catalog with a
     transient status (5xx or 429), or nothing at all resolves, a prior cache
     is returned flagged stale instead of being destroyed; with no prior
-    cache the error is raised. Any other catalog error is raised. An image
-    whose tags or manifest failed transiently keeps its prior cache record,
-    and the snapshot is flagged stale; one answered 404 or with an
-    unsupported manifest is dropped.
+    cache the error is raised, and a prior cache that cannot be read raises
+    a :class:`LayerSchedError` naming its path. Any other catalog error is
+    raised. An image whose tags or manifest failed transiently keeps its
+    prior cache record, and the snapshot is flagged stale; one answered 404
+    or with an unsupported manifest is dropped. A prior cache that is
+    corrupt or cannot be read keeps no record then, with a warning.
     """
     client = client or RegistryClient(config)
     cache_path = Path(config.cache_path)
@@ -596,15 +608,15 @@ def refresh_cache(config: RegistryConfig, client: RegistryClient | None = None) 
 
     if not snapshot.lists and snapshot.warnings and cache_path.exists():
         # Nothing resolved at all: keep the previous snapshot.
-        prior = load_cache(cache_path)
+        prior = _load_prior(cache_path)
         prior.stale = True
         prior.warnings.extend(snapshot.warnings)
         return prior
     if missed and cache_path.exists():
         # Keep the prior record of each image a transient failure left out.
         try:
-            prior = load_cache(cache_path).lists
-        except CacheCorrupt as exc:
+            prior = _load_prior(cache_path).lists
+        except LayerSchedError as exc:  # corrupt, or unreadable
             prior = {}
             snapshot.warnings.append(f"{exc}; no prior records kept")
         kept = sorted(key for key, image in prior.items()

@@ -4,7 +4,10 @@ A scenario file is one JSON document describing the cluster, the image
 catalog source, the workload, the schedulers to compare, optional sweep
 axes, and the seed ensemble. Parsing is strict: unknown keys fail with the
 dotted path to the offending field so typos never silently change an
-experiment.
+experiment. Each JSON shape (a non-empty string, a list of strings, a
+bounded integer, one of a fixed set of names, a list without repeats, a
+record that checks its own fields) is read by one reader below, so a bad
+value of that shape gets one wording, whatever field holds it.
 """
 
 from __future__ import annotations
@@ -24,31 +27,22 @@ from .workload import WorkloadSpec
 
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(B|KB|MB|GB|TB)?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3, "TB": 1024**4}
+_WORKLOAD_KINDS = ("random", "trace_file")
 
 
 def parse_size(value: int | float | str, path: str) -> int:
     """Bytes from an int or a string like '200MB' (binary units)."""
-    if isinstance(value, bool):
-        raise ScenarioError(path, "expected a byte size, got a boolean")
-    if isinstance(value, int):
-        if value < 0:
-            raise ScenarioError(path, "size must be >= 0")
-        if not _finite(value):
-            raise ScenarioError(path, "size is beyond the float range")
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value) or value < 0 or value != int(value):
-            raise ScenarioError(path, "fractional byte counts need a unit suffix")
-        return int(value)
-    match = _SIZE_RE.match(value) if isinstance(value, str) else None
-    if not match:
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
+    elif isinstance(value, str) and (match := _SIZE_RE.match(value)):
+        number = float(match.group(1)) * _SIZE_UNITS[(match.group(2) or "B").upper()]
+    if number is None:
         raise ScenarioError(path, f"cannot parse size {value!r}")
-    number = float(match.group(1))
-    unit = (match.group(2) or "B").upper()
-    exact = number * _SIZE_UNITS[unit]
-    if not math.isfinite(exact) or exact != int(exact):
-        raise ScenarioError(path, f"size {value!r} is not a whole number of bytes")
-    return int(exact)
+    if not (number >= 0 and _finite(number) and number == int(number)):
+        raise ScenarioError(path, "size must be a whole number of bytes, >= 0 and "
+                                  "within the float range")
+    return int(number)
 
 
 def _positive_size(value: int | float | str, path: str) -> int:
@@ -62,30 +56,21 @@ def _positive_size(value: int | float | str, path: str) -> int:
 def parse_cpu(value: int | str, path: str) -> int:
     """Millicores from an int (already millicores) or a k8s-style string:
     '500m' is millicores, a bare number is whole cores."""
-    if isinstance(value, bool):
-        raise ScenarioError(path, "expected a cpu quantity, got a boolean")
-    millis = value
-    if isinstance(value, str) and value.strip().endswith("m"):
-        try:
-            millis = int(value.strip()[:-1])
-        except ValueError:
-            raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
-    if isinstance(millis, int):
-        if millis <= 0:
-            raise ScenarioError(path, "cpu must be > 0")
-        if not _finite(millis):
-            raise ScenarioError(path, "cpu is beyond the float range")
-        return millis
+    millis = None
     if isinstance(value, str):
+        text = value.strip()
         try:
-            cores = float(value)
+            millis = int(text[:-1]) if text.endswith("m") else float(text) * 1000
         except ValueError:
-            raise ScenarioError(path, f"cannot parse cpu {value!r}") from None
-        millis = cores * 1000
-        if not math.isfinite(millis) or millis <= 0 or millis != int(millis):
-            raise ScenarioError(path, f"cpu {value!r} is not a whole number of millicores")
-        return int(millis)
-    raise ScenarioError(path, f"cannot parse cpu {value!r}")
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        millis = value
+    if millis is None:
+        raise ScenarioError(path, f"cannot parse cpu {value!r}")
+    if not (millis > 0 and _finite(millis) and millis == int(millis)):
+        raise ScenarioError(path, "cpu must be a whole number of millicores, > 0 and "
+                                  "within the float range")
+    return int(millis)
 
 
 def _number(value, path: str) -> float:
@@ -95,9 +80,59 @@ def _number(value, path: str) -> float:
     raise ScenarioError(path, "must be a finite number")
 
 
-def _image_ref(key: str, path: str) -> ImageRef:
+def _string(value, path: str) -> str:
+    """A non-empty JSON string."""
+    if isinstance(value, str) and value:
+        return value
+    raise ScenarioError(path, "must be a non-empty string")
+
+
+def _strings(value, path: str) -> list[str]:
+    """A JSON list of strings."""
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return value
+    raise ScenarioError(path, "must be a list of strings")
+
+
+def _list(value, path: str, empty: bool = True) -> list:
+    """A JSON list; an empty one only if ``empty``."""
+    if isinstance(value, list) and (empty or value):
+        return value
+    raise ScenarioError(path, "must be a list" if empty else "must be a non-empty list")
+
+
+def _integer(value, path: str, low: int, high: float = math.inf) -> int:
+    """A JSON integer within ``low..high``; a boolean is not one."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    at_most = "" if high == math.inf else f" and <= {high}"
+    raise ScenarioError(path, f"must be an integer >= {low}{at_most}")
+
+
+def _integers(value, path: str, low: int, empty: bool = True) -> list[int]:
+    """A JSON list of integers >= ``low``, a new list; a bad item is named by
+    the list's path."""
+    return [_integer(item, path, low) for item in _list(value, path, empty)]
+
+
+def _choice(value, path: str, choices: tuple):
+    """One of ``choices``."""
+    if value in choices:
+        return value
+    raise ScenarioError(path, f"must be one of {choices}, not {value!r}")
+
+
+def _unique(values: list, path: str, what: str) -> None:
+    """Refuse ``values`` if one of them repeats."""
+    if len(set(values)) != len(values):
+        raise ScenarioError(path, f"{what} must be unique")
+
+
+def _build(record, path: str, *args, **fields):
+    """``record(*args, **fields)``, whose ValueError becomes a ScenarioError
+    at ``path``: a record checks its own fields."""
     try:
-        return ImageRef.parse(key)
+        return record(*args, **fields)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
@@ -120,17 +155,10 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRef]]:
     _check_keys(obj, {"id", "cpu", "memory", "bandwidth", "storage",
                       "max_containers", "preloaded_layers", "preloaded_images"}, path)
-    node_id = _require(obj, "id", path)
-    if not isinstance(node_id, str) or not node_id:
-        raise ScenarioError(f"{path}.id", "must be a non-empty string")
+    node_id = _string(_require(obj, "id", path), f"{path}.id")
     kwargs = {}
     if "max_containers" in obj:
-        max_containers = obj["max_containers"]
-        if not isinstance(max_containers, int) or isinstance(max_containers, bool):
-            raise ScenarioError(f"{path}.max_containers", "must be an integer")
-        if max_containers < 1:
-            raise ScenarioError(f"{path}.max_containers", "must be >= 1")
-        kwargs["max_containers"] = max_containers
+        kwargs["max_containers"] = _integer(obj["max_containers"], f"{path}.max_containers", 1)
     spec = NodeSpec(
         id=node_id,
         cpu_capacity=parse_cpu(_require(obj, "cpu", path), f"{path}.cpu"),
@@ -139,43 +167,30 @@ def _parse_node(obj: dict, path: str) -> tuple[NodeSpec, list[str], list[ImageRe
         storage_capacity=_positive_size(_require(obj, "storage", path), f"{path}.storage"),
         **kwargs,
     )
-    layers = obj.get("preloaded_layers", [])
-    images = obj.get("preloaded_images", [])
-    if not isinstance(layers, list) or not all(isinstance(x, str) for x in layers):
-        raise ScenarioError(f"{path}.preloaded_layers", "must be a list of digests")
-    if not isinstance(images, list) or not all(isinstance(x, str) for x in images):
-        raise ScenarioError(f"{path}.preloaded_images", "must be a list of name:tag keys")
-    refs = [_image_ref(key, f"{path}.preloaded_images[{j}]") for j, key in enumerate(images)]
+    layers = _strings(obj.get("preloaded_layers", []), f"{path}.preloaded_layers")
+    images = _strings(obj.get("preloaded_images", []), f"{path}.preloaded_images")
+    refs = [_build(ImageRef.parse, f"{path}.preloaded_images[{j}]", key)
+            for j, key in enumerate(images)]
     return spec, layers, refs
 
 
 def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
     _check_keys(obj, {"kind", "count", "images", "cpu_request", "mem_request",
                       "trace_file"}, path)
-    if obj.get("kind") == "trace_file":
-        trace = _require(obj, "trace_file", path)
-        if not isinstance(trace, str) or not trace:
-            raise ScenarioError(f"{path}.trace_file", "must be a non-empty path string")
-        return WorkloadSpec(kind="trace_file", trace_path=trace)
+    kind = _choice(obj.get("kind", "random"), f"{path}.kind", _WORKLOAD_KINDS)
+    if kind == "trace_file":
+        trace = _string(_require(obj, "trace_file", path), f"{path}.trace_file")
+        return WorkloadSpec(kind=kind, trace_path=trace)
     kwargs = {}
-    if "kind" in obj:
-        if obj["kind"] != "random":
-            raise ScenarioError(f"{path}.kind", "must be 'random' or 'trace_file'")
-        kwargs["kind"] = obj["kind"]
     if "count" in obj:
-        count = obj["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ScenarioError(f"{path}.count", "must be a non-negative integer")
-        if count > sys.maxsize:
-            raise ScenarioError(f"{path}.count", f"must be at most {sys.maxsize}")
-        kwargs["count"] = count
+        kwargs["count"] = _integer(obj["count"], f"{path}.count", 0, sys.maxsize)
     if "images" in obj:
         raw = obj["images"]
         if not isinstance(raw, dict) or not raw:
             raise ScenarioError(f"{path}.images", "must be a non-empty map of name:tag to weight")
         weights = {}
         for key, prob in raw.items():
-            _image_ref(key, f"{path}.images.{key}")
+            _build(ImageRef.parse, f"{path}.images.{key}", key)
             weights[key] = _number(prob, f"{path}.images.{key}")
             if weights[key] < 0:
                 raise ScenarioError(f"{path}.images.{key}", "weight must be a number >= 0")
@@ -188,19 +203,14 @@ def _parse_workload(obj: dict, path: str) -> WorkloadSpec:
                 raise ScenarioError(f"{path}.{key}", "must be a [min, max] pair")
             low = parse(pair[0], f"{path}.{key}[0]")
             kwargs[field] = (low, parse(pair[1], f"{path}.{key}[1]"))
-    try:
-        return WorkloadSpec(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    return _build(WorkloadSpec, path, kind=kind, **kwargs)
 
 
 def _parse_weights(obj: dict, path: str) -> WeightPolicy:
     _check_keys(obj, set(WeightPolicy._fields), path)
     kwargs = {}
     if "mode" in obj:
-        if obj["mode"] not in WEIGHT_MODES:
-            raise ScenarioError(f"{path}.mode", f"must be one of {WEIGHT_MODES}")
-        kwargs["mode"] = obj["mode"]
+        kwargs["mode"] = _choice(obj["mode"], f"{path}.mode", WEIGHT_MODES)
     for key in ("omega_static", "omega_high", "omega_low", "h_cpu", "h_std"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"{path}.{key}")
@@ -216,10 +226,7 @@ def _parse_weights(obj: dict, path: str) -> WeightPolicy:
                 raise ScenarioError(f"{path}.custom_table.{key}", "keys must be counts 0..3")
             table[int(key)] = _number(value, f"{path}.custom_table.{key}")
         kwargs["custom_table"] = table
-    try:
-        return WeightPolicy(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    return _build(WeightPolicy, path, **kwargs)
 
 
 def _parse_plugins(obj: dict, path: str) -> PluginConfig:
@@ -242,32 +249,22 @@ class SchedulerEntry(_Record):
 
 def _parse_scheduler(obj, path: str) -> SchedulerEntry:
     if isinstance(obj, str):
-        if obj not in POLICIES:
-            raise ScenarioError(path, f"unknown policy {obj!r}; expected one of {POLICIES}")
-        return SchedulerEntry(label=obj, config=SchedulerConfig(policy=obj))
+        policy = _choice(obj, path, POLICIES)
+        return SchedulerEntry(label=policy, config=SchedulerConfig(policy=policy))
     if not isinstance(obj, dict):
         raise ScenarioError(path, "must be a policy name or an object")
     _check_keys(obj, {"policy", "label", "tie_break", "weights", "plugins"}, path)
-    policy = _require(obj, "policy", path)
-    if policy not in POLICIES:
-        raise ScenarioError(f"{path}.policy", f"unknown policy {policy!r}")
+    policy = _choice(_require(obj, "policy", path), f"{path}.policy", POLICIES)
     kwargs = {}
     if "tie_break" in obj:
-        if obj["tie_break"] not in TIE_BREAKS:
-            raise ScenarioError(f"{path}.tie_break", f"must be one of {TIE_BREAKS}")
-        kwargs["tie_break"] = obj["tie_break"]
+        kwargs["tie_break"] = _choice(obj["tie_break"], f"{path}.tie_break", TIE_BREAKS)
     if "weights" in obj:
         kwargs["weight_policy"] = _parse_weights(obj["weights"], f"{path}.weights")
     if "plugins" in obj:
         kwargs["plugins"] = _parse_plugins(obj["plugins"], f"{path}.plugins")
-    label = obj.get("label", policy)
-    if not isinstance(label, str) or not label:
-        raise ScenarioError(f"{path}.label", "must be a non-empty string")
-    try:
-        config = SchedulerConfig(policy=policy, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
-    return SchedulerEntry(label=label, config=config)
+    label = _string(obj.get("label", policy), f"{path}.label")
+    return SchedulerEntry(label=label,
+                          config=_build(SchedulerConfig, path, policy=policy, **kwargs))
 
 
 class CatalogSource(_Record):
@@ -293,13 +290,9 @@ def _parse_catalog_inline(obj: dict, path: str) -> LayerCatalog:
         layers[digest] = _positive_size(size, f"{path}.layers.{digest}")
     images: dict[ImageRef, tuple[LayerId, ...]] = {}
     for key, stack in raw_images.items():
-        if not isinstance(stack, list) or not all(isinstance(x, str) for x in stack):
-            raise ScenarioError(f"{path}.images.{key}", "must be a list of digests")
-        images[_image_ref(key, f"{path}.images.{key}")] = tuple(stack)
-    try:
-        return LayerCatalog(layers=layers, images=images)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+        stack = tuple(_strings(stack, f"{path}.images.{key}"))
+        images[_build(ImageRef.parse, f"{path}.images.{key}", key)] = stack
+    return _build(LayerCatalog, path, layers=layers, images=images)
 
 
 class Sweeps(_Record):
@@ -313,18 +306,11 @@ class Sweeps(_Record):
 
 def _parse_sweeps(obj: dict, path: str) -> Sweeps:
     _check_keys(obj, {"bandwidth", "node_count"}, path)
-    raw_bandwidth = obj.get("bandwidth", [])
-    if not isinstance(raw_bandwidth, list):
-        raise ScenarioError(f"{path}.bandwidth", "must be a list of sizes")
-    bandwidth = []
-    for i, value in enumerate(raw_bandwidth):
-        bandwidth.append(_positive_size(value, f"{path}.bandwidth[{i}]"))
-    node_count = obj.get("node_count", [])
-    if not isinstance(node_count, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in node_count
-    ):
-        raise ScenarioError(f"{path}.node_count", "must be a list of positive integers")
-    return Sweeps(bandwidth=bandwidth, node_count=list(node_count))
+    raw_bandwidth = _list(obj.get("bandwidth", []), f"{path}.bandwidth")
+    bandwidth = [_positive_size(value, f"{path}.bandwidth[{i}]")
+                 for i, value in enumerate(raw_bandwidth)]
+    node_count = _integers(obj.get("node_count", []), f"{path}.node_count", 1)
+    return Sweeps(bandwidth=bandwidth, node_count=node_count)
 
 
 class ScenarioFile(_Record):
@@ -356,9 +342,7 @@ TOP_KEYS = {"nodes", "catalog", "registry", "workload", "schedulers",
 def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
     _check_keys(data, TOP_KEYS, "")
 
-    raw_nodes = _require(data, "nodes", "")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ScenarioError("nodes", "must be a non-empty list")
+    raw_nodes = _list(_require(data, "nodes", ""), "nodes", empty=False)
     nodes, pre_layers, pre_images = [], {}, {}
     for i, entry in enumerate(raw_nodes):
         spec, layers, images = _parse_node(entry, f"nodes[{i}]")
@@ -367,8 +351,7 @@ def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
             pre_layers[spec.id] = layers
         if images:
             pre_images[spec.id] = images
-    if len({n.id for n in nodes}) != len(nodes):
-        raise ScenarioError("nodes", "node ids must be unique")
+    _unique([n.id for n in nodes], "nodes", "node ids")
 
     if ("catalog" in data) == ("registry" in data):
         raise ScenarioError("catalog", "exactly one of 'catalog' or 'registry' is required")
@@ -380,9 +363,7 @@ def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
     else:
         raw = data["catalog"]
         if isinstance(raw, dict) and set(raw) == {"cache_file"}:
-            if not isinstance(raw["cache_file"], str):
-                raise ScenarioError("catalog.cache_file", "must be a path string")
-            source = CatalogSource(cache_file=raw["cache_file"])
+            source = CatalogSource(cache_file=_string(raw["cache_file"], "catalog.cache_file"))
         elif isinstance(raw, dict):
             source = CatalogSource(inline=_parse_catalog_inline(raw, "catalog"))
         else:
@@ -390,28 +371,15 @@ def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
 
     workload = _parse_workload(_require(data, "workload", ""), "workload")
 
-    raw_sched = data.get("schedulers", list(POLICIES))
-    if not isinstance(raw_sched, list) or not raw_sched:
-        raise ScenarioError("schedulers", "must be a non-empty list")
+    raw_sched = _list(data.get("schedulers", list(POLICIES)), "schedulers", empty=False)
     schedulers = [_parse_scheduler(entry, f"schedulers[{i}]")
                   for i, entry in enumerate(raw_sched)]
-    labels = [entry.label for entry in schedulers]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("schedulers", "labels must be unique")
+    _unique([entry.label for entry in schedulers], "schedulers", "labels")
 
     sweeps = _parse_sweeps(data.get("sweeps", {}), "sweeps")
 
-    seeds = data.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in seeds
-    ):
-        raise ScenarioError("seeds", "must be a non-empty list of non-negative integers")
-    if len(set(seeds)) != len(seeds):
-        raise ScenarioError("seeds", "seeds must be unique")
-
-    output = data.get("output", "out")
-    if not isinstance(output, str) or not output:
-        raise ScenarioError("output", "must be a non-empty path string")
+    seeds = _integers(data.get("seeds", [0]), "seeds", 0, empty=False)
+    _unique(seeds, "seeds", "seeds")
 
     return ScenarioFile(
         nodes=nodes,
@@ -421,8 +389,8 @@ def parse_scenario_data(data: dict, base_dir: Path | str = ".") -> ScenarioFile:
         workload=workload,
         schedulers=schedulers,
         sweeps=sweeps,
-        seeds=list(seeds),
-        output=output,
+        seeds=seeds,
+        output=_string(data.get("output", "out"), "output"),
         base_dir=Path(base_dir),
     )
 

@@ -541,6 +541,15 @@ class TestValidate:
         (lambda d: d.update(seeds=["1"]), "seeds"),
         (lambda d: d.update(workload={"kind": "trace_file", "trace_file": ""}),
          "workload.trace_file"),
+        (lambda d: d.update(seeds=[]), "seeds"),
+        (lambda d: d["nodes"][0].update(preloaded_layers=[1]), "nodes[0].preloaded_layers"),
+        (lambda d: d["catalog"]["images"].update({"web:1": ["sha256:base", 5]}),
+         "catalog.images.web:1"),
+        (lambda d: d.update(schedulers=["fastest"]), "schedulers[0]"),
+        (lambda d: d["nodes"][0].update(id=""), "nodes[0].id"),
+        (lambda d: d["workload"].update(count=True), "workload.count"),
+        (lambda d: d["workload"].update(cpu_request="100m"), "workload.cpu_request"),
+        (lambda d: d["catalog"].update(layers=["sha256:base"]), "catalog.layers"),
     ], ids=["cpu-inf", "cpu-1e999", "cpu-nan", "cpu-request-1e999",
             "custom-table-string", "custom-table-list", "custom-table-bool",
             "missing-cache-file", "missing-trace-file", "trace-file-is-a-directory",
@@ -556,7 +565,10 @@ class TestValidate:
             "empty-output", "layer-size-beyond-float", "storage-beyond-float",
             "cpu-beyond-float", "count-beyond-maxsize", "negative-count",
             "unknown-tie-break", "catalog-images-not-an-object", "omega-high-below-low",
-            "negative-seed", "boolean-seed", "string-seed", "empty-trace-file"])
+            "negative-seed", "boolean-seed", "string-seed", "empty-trace-file",
+            "no-seeds", "preloaded-layer-not-a-string", "digest-stack-holds-a-number",
+            "unknown-policy-name", "empty-node-id", "boolean-count", "cpu-request-not-a-pair",
+            "catalog-layers-not-an-object"])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                 mutate, field, verb):
         (tmp_path / "a-directory").mkdir()

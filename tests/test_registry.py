@@ -636,6 +636,123 @@ class TestTransientImageFailure:
         assert not snapshot.stale
         assert snapshot.warnings[-1].endswith("; no prior records kept")
 
+    def test_unreadable_prior_cache_keeps_nothing(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        self.refresh(tmp_path)
+        monkeypatch.setattr(registry_module, "load_cache", unreadable)
+        snapshot = self.refresh(tmp_path, **{"/v2/b/manifests/1": 503})
+        assert list(snapshot.lists) == ["a:1"]
+        assert not snapshot.stale
+        assert snapshot.warnings[-1] == (f"cache {cache}: {os.strerror(errno.EACCES)}; "
+                                         f"no prior records kept")
+        monkeypatch.undo()
+        assert load_cache(cache) == snapshot
+
+
+def unreadable(path):
+    """A :func:`load_cache` whose read of ``path`` is refused, as the read of
+    a file the process may not read is."""
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
+class TestUnreadablePriorCache:
+    """A prior cache that exists but cannot be read, while the registry's
+    catalog fails transiently: an error naming the cache, not an OSError."""
+
+    @pytest.fixture(params=["is-a-directory", "permission-denied"])
+    def cache(self, request, tmp_path, monkeypatch):
+        """The unreadable cache's path, and the strerror its read gives."""
+        path = tmp_path / "cache.json"
+        if request.param == "is-a-directory":
+            path.mkdir()
+            return path, os.strerror(errno.EISDIR)
+        path.write_text("{}")
+        monkeypatch.setattr(registry_module, "load_cache", unreadable)
+        return path, os.strerror(errno.EACCES)
+
+    def test_refresh_raises_naming_the_path(self, cache):
+        path, strerror = cache
+        config = RegistryConfig(base_url=STUB_URL, cache_path=str(path))
+        with pytest.raises(LayerSchedError) as caught:
+            refresh_cache(config, stub_client({"/v2/_catalog": 503}))
+        assert str(caught.value) == f"cache {path}: {strerror}"
+
+    def test_the_watcher_passes_it_to_on_error_and_keeps_polling(self, cache):
+        path, strerror = cache
+        errors, ticks = [], threading.Semaphore(0)
+
+        def on_error(exc):
+            errors.append(exc)
+            ticks.release()
+
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url=STUB_URL, poll_interval=0.01, cache_path=str(path)),
+            client=stub_client({"/v2/_catalog": 503}), on_error=on_error)
+        watcher.start()
+        try:
+            assert ticks.acquire(timeout=5) and ticks.acquire(timeout=5)
+            assert watcher._thread.is_alive()
+        finally:
+            watcher.stop()
+        assert {str(exc) for exc in errors} == {f"cache {path}: {strerror}"}
+
+    def test_fetch_registry_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # fetch-registry refuses an --out that is a directory before any GET,
+        # so only a file it cannot read gets this far.
+        path = tmp_path / "cache.json"
+        path.write_text("{}")
+        monkeypatch.setattr(registry_module, "load_cache", unreadable)
+        monkeypatch.setattr(registry_module, "RegistryClient", partial(
+            RegistryClient, connect=StubRegistry({"/v2/_catalog": 503})))
+        assert main(["fetch-registry", "--registry", STUB_URL, "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cache {path}: {os.strerror(errno.EACCES)}\n"
+
+
+class TestEmptyNames:
+    """A tag or repository name that a registry lists empty makes no record:
+    the image becomes one warning, and the other tags still resolve."""
+
+    REPLIES = {"/v2/_catalog": {"repositories": ["", "a"]},
+               "/v2//tags/list": {"tags": ["1"]},
+               "/v2/a/tags/list": {"tags": ["", "1"]},
+               "/v2//manifests/1": MANIFEST,
+               "/v2/a/manifests/": MANIFEST,
+               "/v2/a/manifests/1": MANIFEST}
+
+    @pytest.mark.parametrize("name, tag", [("", "1"), ("a", "")], ids=["name", "tag"])
+    def test_the_record_refuses_them(self, name, tag):
+        with pytest.raises(ValueError, match="^image name and tag must be non-empty$"):
+            ImageMetadata(id="sha256:cfg", name=name, name_without_repo=name, tag=tag,
+                          total_size=0)
+
+    def test_the_walk_warns_and_resolves_the_rest(self):
+        snapshot = walk_registry(stub_client(self.REPLIES))
+        assert list(snapshot.lists) == ["a:1"]
+        assert snapshot.warnings == [
+            f"manifest {key}: {key}: malformed manifest "
+            f"(ValueError: image name and tag must be non-empty)" for key in (":1", "a:")]
+
+    def test_the_cache_written_loads(self, tmp_path):
+        config = RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json"))
+        snapshot = refresh_cache(config, stub_client(self.REPLIES))
+        assert load_cache(config.cache_path) == snapshot
+
+    @pytest.mark.parametrize("verb", [["validate", "--fetch"], ["simulate"]],
+                             ids=["validate", "simulate"])
+    def test_scenario_verbs_warn_and_exit_0(self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.setattr(registry_module, "RegistryClient", partial(
+            RegistryClient, connect=StubRegistry(self.REPLIES)))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "nodes": [{"id": "n0", "cpu": "4", "memory": "4GB",
+                       "bandwidth": "10MB", "storage": "30GB"}],
+            "registry": STUB_URL,
+            "workload": {"count": 2},
+        }))
+        assert main([verb[0], str(scenario), *verb[1:]]) == 0
+        err = capsys.readouterr().err
+        assert [line.partition(":")[0] for line in err.splitlines()] == ["warning"] * 2
+
 
 class TestTransport:
     """What the client's one GET does for every request, seen through the

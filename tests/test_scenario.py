@@ -89,6 +89,7 @@ class TestParseCpu:
     @pytest.mark.parametrize("value", [
         True, 0, -3, "0m", "-100m", "0.0005", "abc", "m", None,
         "inf", "nan", "1e999", pytest.param(10 ** 400, id="int-beyond-float"),
+        pytest.param(4000.0, id="json-float-4000.0"), pytest.param(1.5, id="json-float-1.5"),
         pytest.param("1" + "0" * 400 + "m", id="millicores-beyond-float"),
     ])
     def test_rejected(self, value):

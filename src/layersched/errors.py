@@ -67,4 +67,4 @@ class ScenarioError(LayerSchedError):
 
 
 class ComparisonError(LayerSchedError):
-    """compare() was given no schedulers or no seeds."""
+    """compare() was given no schedulers, no seeds or a negative seed."""

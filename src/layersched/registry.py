@@ -547,23 +547,29 @@ def walk_registry(client: RegistryClient,
     that fail to resolve become ``warnings``; only a failure to list the
     catalog itself is raised. Each failure that is :func:`_transient` also
     adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag list.
-    The client keeps one connection per origin for the whole walk."""
+    A repository name or tag listed empty is one warning, and is never
+    fetched. The client keeps one connection per origin for the whole walk."""
     lists: dict[str, ImageMetadata] = {}
     warnings: list[str] = []
     with client._keeping():
         for name in client.fetch_catalog():
+            if not name:  # an empty name or tag makes no record: send no GET for it
+                warnings.append("catalog lists an empty repository name; skipped")
+                continue
             try:
                 tags = client.fetch_tags(name)
-            except (RegistryUnavailable, RegistryProtocolError, UnknownImage) as exc:
+            except LayerSchedError as exc:
                 warnings.append(f"tags for {name}: {exc}")
                 if missed is not None and _transient(exc):
                     missed.add((name, None))
                 continue
             for tag in tags:
+                if not tag:
+                    warnings.append(f"tags for {name} list an empty tag; skipped")
+                    continue
                 try:
                     image = client.fetch_image_metadata(name, tag)
-                except (RegistryUnavailable, RegistryProtocolError, UnknownImage,
-                        UnsupportedManifest) as exc:
+                except LayerSchedError as exc:
                     warnings.append(f"manifest {name}:{tag}: {exc}")
                     if missed is not None and _transient(exc):
                         missed.add((name, tag))

@@ -149,8 +149,8 @@ def commit_placement(node: NodeState, task: TaskRequest, catalog: LayerCatalog) 
     """Place ``task`` on ``node``, returning the successor state; ``node`` is
     left untouched. A one-node kernel's :meth:`_Kernel.commit`, behind a
     :class:`CapacityViolation` that names the constraint the placement breaks
-    (the :func:`filter_node` verdict; no score is computed), so a caller that
-    skipped filtering cannot corrupt node state."""
+    (the :func:`filter_node` verdict), so a caller that skipped filtering
+    cannot corrupt node state."""
     kernel = _Kernel([node], catalog, SchedulerConfig(), None)
     violated = kernel.verdicts(task)[0]
     if violated is not None:
@@ -192,10 +192,10 @@ class _Kernel:
     scores a row in full only while its layer term plus the baseline ceiling
     (``bound``) can still reach the best score so far. :meth:`pick` returns
     the chosen row and its download bytes; :meth:`decide` records them with a
-    snapshot of the nodes, the task, the catalog and the config, and the
-    record's audit is built when read, as the :meth:`verdicts` or the
-    :meth:`breakdowns` of a kernel over the snapshot, from the same code as
-    the decision, which scan every row in index order.
+    snapshot of the nodes, the task, the catalog and the config. Its audit,
+    built when read, is the :meth:`verdicts` or :meth:`breakdowns` of a kernel
+    over the snapshot: both read one :meth:`_audit`, the decision's scan in
+    index order over the rows with disk room, with their verdicts and scores.
     """
 
     def __init__(self, nodes: list[NodeState], catalog: LayerCatalog,
@@ -320,42 +320,39 @@ class _Kernel:
             map(self.storage_cap.__getitem__, order)))
 
     def _score(self, task: TaskRequest, image: list, rows: Iterable[int],
-               top: float | None = None, filtered: bool = True, parts: list | None = None,
-               reasons: list | None = None) -> list[int]:
+               top: float | None = None, filtered: bool = True,
+               parts: list | None = None) -> list[int]:
         """Score ``task``, whose image's entry is ``image``, on each of
         ``rows``; return the rows that tie for the best final score.
 
         With ``filtered``, a row without a free container slot
         (``container_count``), or without room for the task's CPU
-        (``cpu_fit``) or memory (``mem_fit``), is skipped. With ``reasons``,
-        each row's first failing test in that order, or None, is written to
-        ``reasons[row]``, and no row is scored. The baseline is the
+        (``cpu_fit``) or memory (``mem_fit``), is rejected by the first of
+        those tests it fails and is never scored. The baseline is the
         enabled plugins (:func:`baseline_score`) weighted, added in
         :data:`PLUGIN_NAMES` order and averaged. The gate counts three strict
         conditions: overlap above ``h_size``, CPU below ``h_cpu``, imbalance
         below ``h_std`` (the last two are the load count). The final score is
         ``term + baseline``, with ``term = omegas[count] * layer``: the same
         two float operations as ``omegas[count] * layer + baseline``.
-        ``parts``, if given, gets ``(row, layer, baseline, count, final)`` per
-        scored row.
+        ``parts``, if given, gets ``(row, rejected_by, layer, baseline, count,
+        final)`` per row: ``rejected_by`` None if scored, else no scores.
 
-        Without ``parts``, a filtered row is skipped, before its filter tests
-        and baseline, when ``term + bound`` is below the best final so far: it
-        can neither win nor tie. Why: each plugin score of a feasible row lies
-        in [0, 100], since its CPU and memory tests passed, ``TaskRequest``
-        refuses a CPU request at or below 0 and a memory request below 0, and
-        no committed amount is negative: ``NodeState`` refuses a negative one,
-        and a commit only adds the placed task's requests to it. Float
-        rounding is monotone, so ``w * score <= max(w * 100.0, 0.0)`` for any
-        weight ``w``; the sums in the same order, the division by the enabled
-        count and the addition of ``term`` keep the order, so
-        ``final <= term + bound < best``. ``best`` only rises, so a skipped
-        row ends below it; the strict ``<`` drops no tie, and the tied rows,
-        in order, are those of a full scan. Nothing is skipped while ``best``
-        is ``-inf``, before a feasible row has scored, and a NaN final never
-        wins or ties either way. With ``parts``, or unfiltered, every row is
-        scored; with ``reasons`` none is, so ``best`` stays ``-inf`` and every
-        row is filtered.
+        Only a filtered scan without ``parts`` skips a row: it skips one,
+        before its filter tests and baseline, when ``term + bound`` is below
+        the best final so far, as it can neither win nor tie. Why: each plugin
+        score of a feasible row lies in [0, 100], since its CPU and memory
+        tests passed, ``TaskRequest`` refuses a CPU request at or below 0 and
+        a memory request below 0, and no committed amount is negative:
+        ``NodeState`` refuses a negative one, and a commit only adds the
+        placed task's requests to it. Float rounding is monotone, so
+        ``w * score <= max(w * 100.0, 0.0)`` for any weight ``w``; the sums in
+        the same order, the division by the enabled count and the addition of
+        ``term`` keep the order, so ``final <= term + bound < best``. ``best``
+        only rises, so a skipped row ends below it; the strict ``<`` drops no
+        tie, and the tied rows, in order, are those of a full scan. Nothing is
+        skipped while ``best`` is ``-inf``, before a feasible row has scored,
+        and a NaN final never wins or ties either way.
 
         With ``top``, the largest weight, the rows must come by descending
         overlap, and where a row is skipped the scan stops for good once
@@ -399,10 +396,9 @@ class _Kernel:
                 reason = ("container_count" if slots[i] <= 0
                           else "cpu_fit" if cpu + cpu_request > cpu_capacity
                           else "mem_fit" if mem + mem_request > mem_capacity else None)
-                if reasons is not None:  # verdicts only: no score can refuse a fit
-                    reasons[i] = reason
-                    continue
                 if reason:
+                    if parts is not None:  # audited, never scored
+                        parts.append((i, reason, layer, None, count, None))
                     continue
             weighted = 0.0
             if least is not None:
@@ -419,35 +415,39 @@ class _Kernel:
             baseline = weighted / enabled if enabled else 0.0
             final = term + baseline
             if parts is not None:
-                parts.append((i, layer, baseline, count, final))
+                parts.append((i, None, layer, baseline, count, final))
             if final > best:
                 best, tied = final, [i]
             elif final == best:
                 tied.append(i)
         return tied
 
+    def _audit(self, task: TaskRequest, filtered: bool = True) -> list[tuple]:
+        """:meth:`_score`'s ``parts`` for ``task``, in index order, over the
+        rows with disk room for its image (:meth:`_room`), or over every row
+        if not ``filtered``."""
+        image = column, _, total, _, _ = self._image(task.image)
+        parts: list[tuple] = []
+        self._score(task, image, self._room(column, total) if filtered
+                    else range(len(self.ids)), None, filtered, parts)
+        return parts
+
     def breakdowns(self, task: TaskRequest, filtered: bool = True) -> dict[str, ScoreBreakdown]:
         """Each scored node's :class:`ScoreBreakdown` by id, in node order:
         the nodes that pass the filter, or with ``filtered`` false every node."""
-        image = column, _, total, _, _ = self._image(task.image)
-        rows = self._room(column, total) if filtered else range(len(self.ids))
-        parts = []
-        self._score(task, image, rows, None, filtered, parts)
         std, cpu_used, cpu_cap, omegas = self.std, self.cpu_used, self.cpu_cap, self.omegas
         return {self.ids[i]: ScoreBreakdown(
                     layer_score=layer, baseline_score=baseline,
                     std_score=std[i], cpu_score=cpu_used[i] / cpu_cap[i],
                     weight_gate=int(count == 3), omega_used=omegas[count], final=final)
-                for i, layer, baseline, count, final in parts}
+                for i, rejected_by, layer, baseline, count, final in self._audit(task, filtered)
+                if rejected_by is None}
 
     def verdicts(self, task: TaskRequest) -> list[str | None]:
-        """Each row's first failing filter constraint for ``task``, in the
-        order ``storage``, ``container_count``, ``cpu_fit``, ``mem_fit``, or
-        None for a row that fits."""
-        image = column, _, total, _, _ = self._image(task.image)
-        reasons: list[str | None] = ["storage"] * len(self.ids)
-        self._score(task, image, self._room(column, total), reasons=reasons)
-        return reasons
+        """Each row's first failing filter constraint for ``task``, in the order
+        ``storage``, ``container_count``, ``cpu_fit``, ``mem_fit``, or None."""
+        found = {row[0]: row[1] for row in self._audit(task)}
+        return [found.get(i, "storage") for i in range(len(self.ids))]
 
     def pick(self, task: TaskRequest) -> tuple[int | None, int]:
         """Filter, score and pick a row for ``task``, changing no state: the

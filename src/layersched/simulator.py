@@ -19,7 +19,16 @@ from pathlib import Path
 
 from ._jsonout import iter_indented_json
 from .errors import ComparisonError, ScenarioError
-from .model import LayerCatalog, LayerId, NodeSpec, NodeState, TaskRequest, _Record, replace
+from .model import (
+    LayerCatalog,
+    LayerId,
+    NodeSpec,
+    NodeState,
+    TaskRequest,
+    _finite,
+    _Record,
+    replace,
+)
 from .scheduler import SchedulerConfig, _Kernel
 from .workload import WorkloadSpec, generate, stream
 
@@ -64,8 +73,13 @@ class Scenario(_Record):
         if not self.nodes:
             raise ScenarioError("nodes", "at least one node required")
         position = {node.id: i for i, node in enumerate(self.nodes)}
-        if self.bandwidth_override is not None and self.bandwidth_override <= 0:
+        override = self.bandwidth_override
+        if override is not None and not _finite(override):
+            raise ScenarioError("bandwidth_override", "must be finite")
+        if override is not None and override <= 0:
             raise ScenarioError("bandwidth_override", "must be > 0")
+        if self.seed < 0:  # random.Random would draw what abs(seed) draws
+            raise ScenarioError("seed", "must be >= 0")
         for node_id, layers in self.preloaded.items():
             if node_id not in position:
                 raise ScenarioError(f"preloaded.{node_id}", "unknown node id")
@@ -116,6 +130,9 @@ def fingerprint(scenario: Scenario) -> str:
 
 
 def initial_nodes(scenario: Scenario) -> list[NodeState]:
+    """The scenario's nodes at the start of a run, once it is valid
+    (:meth:`Scenario.validate`); every simulator entry builds its nodes here."""
+    scenario.validate()
     specs = scenario.nodes
     if scenario.bandwidth_override is not None:
         specs = [replace(spec, bandwidth=scenario.bandwidth_override) for spec in specs]
@@ -209,8 +226,12 @@ def replay(scenario: Scenario, tasks: list[TaskRequest], record: bool = False) -
     list they stay the int ``0``. The steps and the cumulative download
     after each are recorded only if ``record``.
     """
-    return _replay(_Kernel(initial_nodes(scenario), scenario.catalog, scenario.scheduler,
-                           random.Random(scenario.seed)), tasks, scenario.label, record)
+    return _replay(_seeded(scenario, initial_nodes(scenario)), tasks, scenario.label, record)
+
+
+def _seeded(scenario: Scenario, nodes: list[NodeState]) -> _Kernel:
+    """A kernel over ``nodes`` under the scenario's scheduler and seed."""
+    return _Kernel(nodes, scenario.catalog, scenario.scheduler, random.Random(scenario.seed))
 
 
 def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
@@ -263,8 +284,9 @@ def _tasks(scenario: Scenario) -> list[TaskRequest]:
 def run(scenario: Scenario) -> SimulationReport:
     """Replay the scenario's workload, report every step (see
     :func:`replay`) and fingerprint the scenario."""
-    scenario.validate()
-    report = replay(scenario, _tasks(scenario), record=True)
+    nodes = initial_nodes(scenario)  # refuses an invalid scenario before a task is drawn
+    tasks = _tasks(scenario)
+    report = _replay(_seeded(scenario, nodes), tasks, scenario.label, True)
     report.scenario_fingerprint = fingerprint(scenario)
     return report
 
@@ -286,14 +308,12 @@ def max_pods(scenario: Scenario, limit: int = 100_000) -> MaxPodsResult:
     metric is relative to the same task distribution as the main run.
     ``limit`` guards scenarios with no binding constraint.
     """
-    scenario.validate()
+    nodes = initial_nodes(scenario)
     if scenario.workload.kind != "random":
         raise ScenarioError("workload.kind", "max_pods needs a random workload generator")
-    catalog = scenario.catalog
-    kernel = _Kernel(initial_nodes(scenario), catalog, scenario.scheduler,
-                     random.Random(scenario.seed))
+    kernel = _seeded(scenario, nodes)
     workload = replace(scenario.workload, seed=scenario.seed)
-    for task in islice(stream(workload, catalog), limit):
+    for task in islice(stream(workload, scenario.catalog), limit):
         i, _ = kernel.pick(task)
         if i is None:
             per_node = {node_id: len(placed)
@@ -328,7 +348,8 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
     """
     if not schedulers or not seeds:
         raise ComparisonError("nothing to compare: no schedulers or no seeds")
-    scenario.validate()
+    if min(seeds) < 0:  # random.Random would draw what abs(seed) draws
+        raise ComparisonError(f"seed {min(seeds)}: must be >= 0")
     # Legs copy one kernel over the initial cluster, so each image is filled in once.
     start = _Kernel(initial_nodes(scenario), scenario.catalog, scenario.scheduler, None)
     per_seed: dict[str, list[dict]] = {label: [] for label in schedulers}

@@ -726,11 +726,14 @@ class TestEmptyNames:
                           total_size=0)
 
     def test_the_walk_warns_and_resolves_the_rest(self):
-        snapshot = walk_registry(stub_client(self.REPLIES))
+        client = stub_client(self.REPLIES)
+        snapshot = walk_registry(client)
         assert list(snapshot.lists) == ["a:1"]
-        assert snapshot.warnings == [
-            f"manifest {key}: {key}: malformed manifest "
-            f"(ValueError: image name and tag must be non-empty)" for key in (":1", "a:")]
+        assert snapshot.warnings == ["catalog lists an empty repository name; skipped",
+                                     "tags for a list an empty tag; skipped"]
+        # No GET for an empty name or tag.
+        assert [url.removeprefix(STUB_URL) for url, _ in client.connect.requests] == [
+            "/v2/_catalog", "/v2/a/tags/list", "/v2/a/manifests/1"]
 
     def test_the_cache_written_loads(self, tmp_path):
         config = RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json"))
@@ -1646,6 +1649,29 @@ class TestWatcher:
         loop.join(timeout=5)
         assert not loop.is_alive()
         assert watcher.snapshot() == ImageMetadataLists()
+
+    def test_a_second_start_leaves_one_loop(self, monkeypatch):
+        # start() on a running watcher returns at once: the one loop thread
+        # keeps its stop event, and a tick still refreshes once. A second
+        # loop would refresh at its start, well inside the 60 s interval.
+        refreshed_by = []
+        monkeypatch.setattr(registry_module, "refresh_cache", lambda config, client: (
+            refreshed_by.append(threading.current_thread()) or ImageMetadataLists()))
+        ticked = threading.Semaphore(0)
+        watcher = RegistryWatcher(
+            RegistryConfig(base_url="http://127.0.0.1:1", poll_interval=60),
+            on_refresh=lambda snapshot: ticked.release())
+        watcher.start()
+        first = watcher._thread
+        try:
+            assert ticked.acquire(timeout=5)
+            watcher.start()
+            assert watcher._thread is first
+            assert not ticked.acquire(timeout=0.2)
+            assert refreshed_by == [first]
+        finally:
+            watcher.stop()
+        assert not first.is_alive()
 
     def test_loop_survives_protocol_errors(self, registry, tmp_path):
         config = RegistryConfig(base_url=f"{registry.url}/nope", poll_interval=0.01,

@@ -992,6 +992,33 @@ class TestScoreAudit:
                 before = after
         assert rejected > 0
 
+    def test_one_audit_gives_each_row_its_verdict_and_scores(self):
+        # The rows with disk room, in index order, each with its verdict; a
+        # row that passes has its oracle scores, one the filter rejects none.
+        scored = rejected = 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
+            cd, pd = catalog_dict(catalog), params_dict(config)
+            for t in tasks:
+                td, current = task_dict(t), kernel.nodes
+                verdicts = [oracle_filter(cd, node_dict(n), td) for n in current]
+                audit = kernel._audit(t)
+                assert [row[:2] for row in audit] == [
+                    (i, v) for i, v in enumerate(verdicts) if v != "storage"], f"seed {seed}"
+                for i, rejected_by, layer, baseline, count, final in audit:
+                    want = oracle_final(cd, node_dict(current[i]), td, pd)
+                    assert layer == want["layer_score"], f"seed {seed} {t.task_id} {i}"
+                    if rejected_by is None:
+                        scored += 1
+                        assert (baseline, kernel.omegas[count], final) == (
+                            want["baseline_score"], want["omega_used"], want["final"])
+                    else:
+                        rejected += 1
+                        assert (baseline, final) == (None, None)
+                kernel.step(t)
+        assert scored > 0 and rejected > 0
+
     def test_decide_builds_no_breakdown(self, monkeypatch):
         calls = []
         breakdown = scheduler.ScoreBreakdown

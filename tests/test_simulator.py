@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from layersched.simulator import (
     fingerprint,
     max_pods,
     ordered_sum,
+    replay,
     run,
     write_report_json,
     write_steps_csv,
@@ -53,6 +55,33 @@ def ample_node(node_id="node-0", **overrides) -> NodeSpec:
 def scenario_for(catalog, nodes, workload, policy="default", **kwargs) -> Scenario:
     return Scenario(nodes=nodes, catalog=catalog, workload=workload,
                     scheduler=SchedulerConfig(policy=policy), **kwargs)
+
+
+# Each bad scenario, and the field and message every simulator entry
+# refuses it with: Scenario.validate, or (two nodes under one id) the
+# kernel each entry builds. A case's id names the entry, run's is bare.
+BAD_SCENARIOS = [
+    ("duplicate-ids", [ample_node("n"), ample_node("n")], {}, "nodes",
+     "node ids must be unique"),
+    ("zero-bandwidth", [ample_node()], {"bandwidth_override": 0}, "bandwidth_override",
+     "must be > 0"),
+    ("no-nodes", [], {}, "nodes", "at least one node required"),
+    ("unknown-preload", [ample_node()], {"preloaded": {"ghost": ("sha256:a",)}},
+     "preloaded.ghost", "unknown node id"),
+    ("inf-bandwidth", [ample_node()], {"bandwidth_override": float("inf")},
+     "bandwidth_override", "must be finite"),
+    ("nan-bandwidth", [ample_node()], {"bandwidth_override": float("nan")},
+     "bandwidth_override", "must be finite"),
+    ("huge-bandwidth", [ample_node()], {"bandwidth_override": 10 ** 400},
+     "bandwidth_override", "must be finite"),
+    ("negative-seed", [ample_node()], {"seed": -3}, "seed", "must be >= 0"),
+]
+ENTRIES = [
+    ("", run),
+    ("-replay", lambda s: replay(s, [TaskRequest("t0", ImageRef("web", "1"), 100, MB)])),
+    ("-compare", lambda s: compare(s, {"default": s.scheduler}, [1])),
+    ("-max-pods", max_pods),
+]
 
 
 class TestRun:
@@ -183,17 +212,9 @@ class TestRun:
             run(scenario)
         assert "ghost" in err.value.field
 
-    # Two nodes under one id are refused by the kernel each verb builds.
     @pytest.mark.parametrize("call, nodes, kwargs, field, message", [
-        (run, [ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
-        (run, [ample_node()], {"bandwidth_override": 0}, "bandwidth_override",
-         "must be > 0"),
-        (lambda s: compare(s, {"default": s.scheduler}, [1]),
-         [ample_node("n"), ample_node("n")], {}, "nodes", "node ids must be unique"),
-        (max_pods, [ample_node("n"), ample_node("n")], {}, "nodes",
-         "node ids must be unique"),
-    ], ids=["duplicate-ids", "zero-bandwidth", "duplicate-ids-compare",
-            "duplicate-ids-max-pods"])
+        (call, *bad) for (_, *bad), (_, call) in product(BAD_SCENARIOS, ENTRIES)
+    ], ids=[bad[0] + entry for bad, (entry, _) in product(BAD_SCENARIOS, ENTRIES)])
     def test_validate_refuses(self, call, nodes, kwargs, field, message):
         scenario = scenario_for(single_image_catalog(), nodes, WorkloadSpec(count=1), **kwargs)
         with pytest.raises(ScenarioError) as err:
@@ -314,8 +335,9 @@ class TestCompare:
         table = compare(self.make(), self.configs("lr_dynamic", "layer_static"), [5])
         assert table["reference"] == "lr_dynamic"
 
-    @pytest.mark.parametrize("schedulers, seeds", [({}, [1]), ({"a": SchedulerConfig()}, [])],
-                             ids=["no-schedulers", "no-seeds"])
+    @pytest.mark.parametrize("schedulers, seeds", [
+        ({}, [1]), ({"a": SchedulerConfig()}, []), ({"a": SchedulerConfig()}, [-3, 3]),
+    ], ids=["no-schedulers", "no-seeds", "negative-seed"])
     def test_nothing_to_compare_rejected(self, schedulers, seeds):
         with pytest.raises(ComparisonError):
             compare(self.make(), schedulers, seeds)

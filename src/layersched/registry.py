@@ -5,10 +5,11 @@ exact field names ``id``, ``name``, ``name_without_repo``, ``tag``,
 ``total_size`` and ``l_meta`` (with ``size`` and ``layer`` per layer), the
 fields of :class:`ImageMetadata` and :class:`LayerMetadata`, so the file
 interoperates with other tooling that reads the same schema. Only
-metadata moves over the wire, by plain ``http.client`` GETs whose replies
-are read without the ``email`` header parser; blobs are never downloaded.
-The HTTP stack is imported when the first client is made, so offline
-callers never load it.
+metadata moves over the wire, by plain HTTP/1.1 GETs on the client's own
+socket connections; blobs are never downloaded. No HTTP library is
+loaded: ``socket`` loads with the first connection, ``ssl`` with the first
+``https`` one, and ``urllib.request`` only when a proxy variable is set,
+so offline callers load none of them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
 
@@ -47,6 +49,10 @@ _NEXT_LINK = re.compile(r'<([^>]*)>[^<]*\brel="?next\b')  # in a Link header
 _FIELD_NAME = re.compile(r"([!-9;-~]*):")  # a header line's name: visible ASCII but ":"
 MAX_PAGES = 10_000  # per listing, so a registry that never ends one cannot hang a walk
 MAX_REDIRECTS = 10  # per GET, as urllib allowed
+MAX_LINE = 65_536  # bytes per status, header or chunk size line, as http.client allows
+MAX_HEADERS = 100  # lines per header block, its end included, as http.client allows
+MAX_BODY = 16 << 20  # bytes per reply body, far above any page or manifest
+_UNSENDABLE_TARGET = re.compile("[\x00-\x20\x7f]")  # as http.client refuses
 _REDIRECTS = frozenset((301, 302, 303, 307, 308))
 
 
@@ -193,89 +199,289 @@ def _origin(url: str) -> tuple[str, str | None, int | None]:
     return parts.scheme, parts.hostname, port
 
 
-@cache
-def _response_class():
-    """The client's own connections' response class, built on first use:
-    its ``begin`` reads the headers into a dict of lower-cased names to lists
-    of values, without the :mod:`email` parser that is most of the Python
-    cost of a stock reply; the rest is as in the stock ``begin``."""
-    from http.client import CONTINUE, HTTPResponse, UnknownProtocol, _read_headers
+class _BadReply(ValueError):
+    """A reply that breaks HTTP/1.1 framing or one of the reader's limits."""
 
-    class Response(HTTPResponse):
-        def begin(self):
-            version, status, reason = self._read_status()
-            while status == CONTINUE:
-                _read_headers(self.fp)
-                version, status, reason = self._read_status()
-            self.code = self.status = status
-            self.reason = reason.strip()
-            if not version.startswith("HTTP/1.") and version != "HTTP/0.9":
-                raise UnknownProtocol(version)
-            self.version = 10 if version in ("HTTP/1.0", "HTTP/0.9") else 11
-            lines = []  # a folded line is joined to the one before
-            for line in _read_headers(self.fp)[:-1]:  # less the line that ends them
-                line = line.decode("iso-8859-1")
-                if line[0] not in " \t":
-                    lines.append(line)
-                elif lines:
-                    lines[-1] += line
-            self.headers = self.msg = headers = {}
-            for line in lines:
-                name = _FIELD_NAME.match(line)
-                if not name:  # as in the email parser, no header follows a line that is none
-                    break
-                value = line[name.end():].lstrip(" \t").rstrip("\r\n")
-                headers.setdefault(name[1].lower(), []).append(value)
-            first = {name: values[0] for name, values in headers.items()}.get
-            self.chunked = first("transfer-encoding", "").lower() == "chunked"
-            if self.chunked:
-                self.chunk_left = None
-            connection = first("connection", "").lower()
-            if self.version == 11:
-                self.will_close = "close" in connection
-            else:  # HTTP/1.0 closes unless a keep-alive header says it stays open
-                self.will_close = not (first("keep-alive") or "keep-alive" in connection
-                                       or "keep-alive" in first("proxy-connection", "").lower())
-            length, self.length = first("content-length"), None
-            with suppress(ValueError):  # a length that is no integer, or negative, is none
-                if length and not self.chunked and int(length) >= 0:
-                    self.length = int(length)
-            if status in (204, 304) or status < 200 or self._method == "HEAD":
-                self.length = 0
-            if not self.chunked and self.length is None:  # the body ends with the connection
-                self.will_close = True
 
-        def getheader(self, name, default=None):
-            values = self.headers.get(name.lower())
-            return ", ".join(values) if values else default
+class _NoReply(ConnectionResetError):
+    """The connection closed before a status line: a kept connection that the
+    server dropped while idle, so its GET may be sent once more."""
 
-    return Response
+
+def _line(fp, what: str) -> bytes:
+    """One line of ``fp``, CRLF and all; ``b""`` at the close."""
+    line = fp.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise _BadReply(f"{what} longer than {MAX_LINE} bytes")
+    return line
+
+
+def _status(fp) -> tuple[bytes, int]:
+    """The version and the status code of the status line that ``fp`` reads next."""
+    line = _line(fp, "status line")
+    if not line:
+        raise _NoReply("the connection closed before a status line")
+    version, status = (line.split(None, 2) + [b"", b""])[:2]
+    try:
+        code = int(status)
+    except ValueError:
+        code = 0
+    if not (version.startswith(b"HTTP/1.") or version == b"HTTP/0.9") or not 100 <= code <= 999:
+        raise _BadReply(f"bad status line {line[:80]!r}")
+    return version, code
+
+
+def _header_lines(fp) -> list[bytes]:
+    """The lines of a header block, with the empty line that ends it."""
+    lines = []
+    while True:
+        lines.append(_line(fp, "header line"))
+        if len(lines) > MAX_HEADERS:
+            raise _BadReply(f"more than {MAX_HEADERS} headers")
+        if lines[-1] in (b"\r\n", b"\n", b""):
+            return lines
+
+
+def _cap(size: int) -> None:
+    if size > MAX_BODY:
+        raise _BadReply(f"body of more than {MAX_BODY} bytes")
+
+
+class _Reply:
+    """One reply of a :class:`_Connection`. The status line and the header
+    block are read when it is made: the headers go into a dict of lower-cased
+    names to lists of values, as the ``email`` parser would read them (a
+    folded line is joined to the one before, and no header follows a line
+    that is none). :meth:`read` reads the body, framed as RFC 9112 section 6
+    says: chunked wins over a length, a 1xx, 204 or 304 reply has none, and a
+    missing or invalid length reads to the close."""
+
+    def __init__(self, fp):
+        self._fp = fp
+        version, status = _status(fp)
+        while status == 100:  # 100 Continue: its headers are skipped, a reply follows
+            _header_lines(fp)
+            version, status = _status(fp)
+        self.status = status
+        lines = []  # a folded line is joined to the one before
+        for line in _header_lines(fp)[:-1]:  # less the line that ends them
+            line = line.decode("iso-8859-1")
+            if line[0] not in " \t":
+                lines.append(line)
+            elif lines:
+                lines[-1] += line
+        self.headers = headers = {}
+        for line in lines:
+            name = _FIELD_NAME.match(line)
+            if not name:  # as in the email parser, no header follows a line that is none
+                break
+            value = line[name.end():].lstrip(" \t").rstrip("\r\n")
+            headers.setdefault(name[1].lower(), []).append(value)
+        first = {name: values[0] for name, values in headers.items()}.get
+        self.chunked = first("transfer-encoding", "").lower() == "chunked"
+        connection = first("connection", "").lower()
+        if version not in (b"HTTP/1.0", b"HTTP/0.9"):
+            self.will_close = "close" in connection
+        else:  # HTTP/1.0 closes unless a keep-alive header says it stays open
+            self.will_close = not (first("keep-alive") or "keep-alive" in connection
+                                   or "keep-alive" in first("proxy-connection", "").lower())
+        length, self.length = first("content-length"), None
+        with suppress(ValueError):  # a length that is no integer, or negative, is none
+            if length and not self.chunked and int(length) >= 0:
+                self.length = int(length)
+        if status in (204, 304) or status < 200:
+            self.length = 0
+        if not self.chunked and self.length is None:  # the body ends with the connection
+            self.will_close = True
+
+    def getheader(self, name, default=None):
+        values = self.headers.get(name.lower())
+        return ", ".join(values) if values else default
+
+    def read(self) -> bytes:
+        """The whole body. One cut short, or longer than :data:`MAX_BODY`,
+        is refused; a length past the cap before any of it is read."""
+        if self.chunked:
+            return self._read_chunked()
+        if self.length is None:
+            body = self._fp.read(MAX_BODY + 1)
+            _cap(len(body))
+            return body
+        _cap(self.length)
+        return self._exactly(self.length)
+
+    def _exactly(self, size: int) -> bytes:
+        data = self._fp.read(size)
+        if len(data) < size:
+            raise _BadReply(f"body cut short: {len(data)} of {size} bytes")
+        return data
+
+    def _read_chunked(self) -> bytes:
+        chunks, total = [], 0
+        while True:
+            line = _line(self._fp, "chunk size line")
+            try:  # an extension after ";" is dropped
+                size = int(line.partition(b";")[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise _BadReply(f"bad chunk size line {line[:80]!r}")
+            if not size:
+                break
+            total += size
+            _cap(total)
+            chunks.append(self._exactly(size))
+            self._exactly(2)  # the CRLF that ends the chunk
+        while _line(self._fp, "trailer line") not in (b"\r\n", b"\n", b""):
+            pass  # trailer fields are dropped
+        return b"".join(chunks)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+
+def _host_port(netloc: str, default: int) -> tuple[str, int]:
+    """Host and port of ``host[:port]``, as ``http.client`` splits them: an
+    IPv6 literal loses its brackets, and an empty port is the default."""
+    host, colon, port = netloc.rpartition(":")
+    if not colon or "]" in port:
+        host, port = netloc, ""
+    if host[:1] == "[" and host[-1:] == "]":
+        host = host[1:-1]
+    return host, int(port) if port else default
+
+
+def _host_header(host: str, port: int, default: int) -> str:
+    """The ``Host`` value that ``http.client`` sends for ``host`` and ``port``:
+    ASCII, else IDNA; an IPv6 literal bracketed; ``:port`` unless it is the
+    default."""
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    host = f"[{host}]" if ":" in host else host
+    return host if port == default else f"{host}:{port}"
+
+
+class _Connection:
+    """The client's default connection: one HTTP/1.1 socket, TLS for
+    ``https`` (:mod:`ssl` loads only then), with the parts of
+    ``http.client.HTTPConnection`` that :meth:`RegistryClient._get` uses.
+    ``request`` writes the bytes ``HTTPConnection.request`` writes, in one
+    ``sendall``; ``getresponse`` returns a :class:`_Reply` read through the
+    connection's one buffered reader. It connects on its first request."""
+
+    def __init__(self, host: str, timeout: float = 30, tls: bool = False):
+        self._default = 443 if tls else 80
+        self.host, self.port = _host_port(host, self._default)
+        self._host = _host_header(self.host, self.port, self._default)
+        self.timeout, self.tls = timeout, tls
+        self._tunnel = None  # (host, port, CONNECT headers)
+        self._sock = self._fp = None
+
+    def set_tunnel(self, host: str, port: int | None = None, headers: dict | None = None):
+        """Reach ``host`` through a ``CONNECT`` to this connection's proxy."""
+        host, port = _host_port(host if port is None else f"{host}:{port}", self._default)
+        self._tunnel = host, port, headers or {}
+        self._host = _host_header(host, port, self._default)
+
+    def _connect(self):
+        import socket
+
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            server = self.host
+            if self._tunnel:
+                server, port, headers = self._tunnel
+                sock.sendall(f"CONNECT {server}:{port} HTTP/1.0\r\n".encode("ascii") + "".join(
+                    f"{name}: {value}\r\n" for name, value in headers.items()
+                ).encode("latin-1") + b"\r\n")
+                with sock.makefile("rb") as fp:
+                    _, status = _status(fp)
+                    _header_lines(fp)
+                if status != 200:
+                    raise OSError(f"tunnel connection failed: {status}")
+            if self.tls:
+                import ssl
+
+                context = ssl.create_default_context()
+                context.set_alpn_protocols(["http/1.1"])
+                sock = context.wrap_socket(sock, server_hostname=server)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._fp = sock, sock.makefile("rb")
+
+    def request(self, method: str, target: str, headers: dict | None = None):
+        if _UNSENDABLE_TARGET.search(target):
+            raise ValueError(f"request target {target!r} holds a control character or a space")
+        host = urlsplit(target).netloc if "://" in target else self._host  # a proxy's: the URL's
+        fields = [f"Host: {host}", "Accept-Encoding: identity"]
+        fields += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        for field in fields:  # named, not shown: a value may be a credential
+            if "\r" in field or "\n" in field:
+                raise ValueError(f"header {field.partition(':')[0]} holds CR or LF")
+        head = f"{method} {target} HTTP/1.1\r\n".encode("ascii") + (
+            "\r\n".join(fields) + "\r\n\r\n").encode("latin-1")
+        if self._sock is None:
+            self._connect()
+        self._sock.sendall(head)
+
+    def getresponse(self) -> _Reply:
+        return _Reply(self._fp)
+
+    def close(self):
+        if self._sock is not None:
+            self._fp.close()
+            self._sock.close()
+            self._sock = self._fp = None
+
+
+def _bypassed(host: str, proxies: dict) -> bool:
+    """Whether ``NO_PROXY`` (in ``proxies``) covers ``host``, as urllib reads it."""
+    from urllib.request import proxy_bypass_environment
+
+    return proxy_bypass_environment(host, proxies)
+
+
+def _transport_errors() -> tuple:
+    """What a GET raises as :class:`RegistryUnavailable`: an ``OSError`` or a
+    ``ValueError``, and, if ``http.client`` is loaded, the ``HTTPException``
+    that a stock connection from ``connect=`` raises."""
+    stock = sys.modules.get("http.client")
+    return (OSError, ValueError) + ((stock.HTTPException,) if stock else ())
 
 
 class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
-    Each GET goes through :mod:`http.client`. While :func:`walk_registry`
-    runs, the client keeps one open connection per scheme, host and proxy
-    tunnel, and reuses it for every GET and redirect hop there until a reply
-    says it closes (``will_close``); the walk closes them all when it ends.
-    Outside a walk each GET closes its connections. Each thread's walk keeps
-    its own connections, so walks on one client may overlap across threads.
-    ``connect(host, timeout=)`` opens a connection and returns an object with
-    ``HTTPConnection``'s ``request``, ``getresponse``, ``close`` and
-    ``set_tunnel``; by default ``HTTPConnection`` or ``HTTPSConnection`` by
-    scheme, whose replies :func:`_response_class` reads. A reply without
-    ``will_close`` is taken to close its connection. The proxy
-    variables (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) are read once,
-    here, as ``urllib`` reads them."""
+    While :func:`walk_registry` runs, the client keeps one open connection
+    per scheme, host and proxy tunnel, and reuses it for every GET and
+    redirect hop there until a reply says it closes (``will_close``); the
+    walk closes them all when it ends. Outside a walk each GET closes its
+    connections. Each thread's walk keeps its own connections, so walks on
+    one client may overlap across threads. ``connect(host, timeout=)`` opens
+    a connection and returns an object with ``http.client.HTTPConnection``'s
+    ``request``, ``getresponse``, ``close`` and ``set_tunnel``; by default a
+    :class:`_Connection`, over TLS for ``https``. A reply without
+    ``will_close`` is taken to close its connection. The proxy variables
+    (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) are read once, here, as
+    ``urllib`` reads them; ``urllib.request`` loads only if one is set, or
+    on macOS and Windows, where it also reads the system settings."""
 
     def __init__(self, config: RegistryConfig, connect=None):
-        from urllib.request import getproxies
-
         self.config = config
         self.connect = connect
         self._walk = threading.local()  # .kept: origin -> open connection, while a walk runs
-        self._proxies = getproxies()
+        self._proxies = {}
+        # Elsewhere getproxies reads only these variables; there, system settings too.
+        if sys.platform in ("darwin", "win32") or any(
+                name[-6:].lower() == "_proxy" for name in os.environ):
+            from urllib.request import getproxies
+
+            self._proxies = getproxies()
         self._authorization = None
         if config.token:
             self._authorization = f"Bearer {config.token}"
@@ -304,9 +510,7 @@ class RegistryClient:
         times, without ``Authorization``. A kept connection that the server
         has dropped before replying (reset, broken pipe or no status line)
         gets the GET once more on a new connection; nothing else is resent."""
-        from http.client import HTTPConnection, HTTPException, HTTPSConnection
         from urllib.parse import unquote, urljoin
-        from urllib.request import proxy_bypass_environment
 
         sent = {**(headers or {}), "User-Agent": "layersched"}
         if self._authorization:  # first hop only: not sent on to where a redirect points
@@ -321,7 +525,7 @@ class RegistryClient:
                 target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
                 hop_headers = sent
                 proxy = self._proxies.get(parts.scheme)
-                if proxy and not proxy_bypass_environment(host, self._proxies):
+                if proxy and not _bypassed(host, self._proxies):
                     via = urlsplit(proxy if "://" in proxy else f"//{proxy}")
                     auth = {}
                     if via.username and via.password:
@@ -341,8 +545,7 @@ class RegistryClient:
                     if fresh and self.connect:
                         connection = self.connect(host, timeout=30)
                     elif fresh:
-                        connection = (HTTPSConnection if tls else HTTPConnection)(host, timeout=30)
-                        connection.response_class = _response_class()
+                        connection = _Connection(host, timeout=30, tls=tls)
                     try:
                         if fresh and tunnel:
                             connection.set_tunnel(*tunnel)
@@ -366,7 +569,7 @@ class RegistryClient:
                     return status, link, body
                 hop = urljoin(hop, location)
                 sent.pop("Authorization", None)
-        except (OSError, ValueError, HTTPException) as exc:
+        except _transport_errors() as exc:
             where = url if hop == url else f"{url} (redirected to {hop})"
             raise RegistryUnavailable(f"GET {where}: {exc}") from exc
 

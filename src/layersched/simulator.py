@@ -344,10 +344,14 @@ def compare(scenario: Scenario, schedulers: Mapping[str, SchedulerConfig],
     exactly. ``results[label]`` holds the ``per_seed`` rows in seed order and
     their ``mean``; ``deltas_pct`` is each mean's percentage delta of the
     :data:`DELTA_METRICS` against the ``reference`` scheduler, labelled
-    ``default`` if there is one, else the first.
+    ``default`` if there is one, else the first. The seeds must be unique
+    integers >= 0, as a scenario file's are; else :class:`ComparisonError`.
     """
     if not schedulers or not seeds:
         raise ComparisonError("nothing to compare: no schedulers or no seeds")
+    # A bool is no seed, and a repeated one would count twice in each mean.
+    if any(type(seed) is not int for seed in seeds) or len(set(seeds)) != len(seeds):
+        raise ComparisonError(f"seeds {list(seeds)}: must be unique integers")
     if min(seeds) < 0:  # random.Random would draw what abs(seed) draws
         raise ComparisonError(f"seed {min(seeds)}: must be >= 0")
     # Legs copy one kernel over the initial cluster, so each image is filled in once.

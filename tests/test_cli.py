@@ -742,6 +742,36 @@ def test_registry_verbs_run_in_a_plain_interpreter(tmp_path):
     assert len(warnings) == 1 and "alpine-db:1.0" in warnings[0]
 
 
+def test_fetch_registry_loads_no_http_library(tmp_path, monkeypatch):
+    # The client's own connection needs no http.client (nor the email
+    # package it imports), and with no proxy variable set no urllib.request
+    # (nor its hashlib); a fetch over http:// needs no ssl. Through a proxy,
+    # urllib reads the settings: the fake, sent absolute URLs, serves as one.
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    code = ("import json, sys; from layersched.cli import main; status = main(sys.argv[1:]); "
+            "print(json.dumps([status, sorted(sys.modules)]))")
+    loaded = []
+    with FakeRegistry(bundled_images()) as registry:
+        for via_proxy in (False, True):
+            if via_proxy:
+                monkeypatch.setenv("http_proxy", registry.url)
+            cache = tmp_path / f"{via_proxy}.json"
+            base_url = "http://127.0.0.1:9" if via_proxy else registry.url  # only the proxy serves it
+            fetched = run_python(code, "fetch-registry", "--registry", base_url,
+                                 "--out", str(cache))
+            assert fetched.returncode == 0, fetched.stderr
+            status, modules = json.loads(fetched.stdout.splitlines()[-1])
+            assert status == 0
+            assert cache.read_bytes() == GOLDEN_CACHE.read_bytes()
+            loaded.append({name.partition(".")[0] for name in modules} | set(modules))
+        assert registry.request_count == 14
+    assert not loaded[0] & {"http.client", "email", "urllib.request", "ssl", "hashlib"}
+    assert "socket" in loaded[0]
+    assert "urllib.request" in loaded[1]
+
+
 def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path, monkeypatch):
     # Image refs and layer sets hash their strings; no report may show it.
     scenario = ROOT / "src" / "layersched" / "scenarios" / "shared_layers.json"

@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import re
+import select
 import shutil
 import socket
 import threading
@@ -811,7 +812,9 @@ class TestTransport:
 
     def test_a_walk_reads_the_proxy_settings_once(self, monkeypatch):
         # Work count: getproxies scans the whole environment, so a client
-        # reads it when built, not once per GET.
+        # reads it when built, not once per GET. With no proxy variable set
+        # it is not called at all, so one is set here.
+        monkeypatch.setenv("no_proxy", "elsewhere.stub")
         calls = []
         getproxies = urllib.request.getproxies
 
@@ -1164,28 +1167,28 @@ def raw_server(*replies, received: list | None = None):
         listener.close()
 
 
-def read_reply(raw: bytes, response_class):
-    """``(status, Link, Location, body, framing)`` of ``raw`` read through a
-    real ``HTTPConnection`` whose replies are ``response_class``, where
-    ``framing`` is what ``begin`` set for ``read``, or the class of the error
-    reading it raised."""
+def read_reply(raw: bytes, connect):
+    """``(status, Link, Location, body, will_close)`` of ``raw``, read through
+    a connection that ``connect(host, timeout=)`` opens, or the class of the
+    error that reading it raised."""
     with raw_server(raw) as url:
-        connection = http.client.HTTPConnection(url.removeprefix("http://"), timeout=5)
-        connection.response_class = response_class
+        connection = connect(url.removeprefix("http://"), timeout=5)
         try:
             connection.request("GET", "/v2/_catalog", headers={"Connection": "close"})
             with connection.getresponse() as reply:
-                framing = reply.chunked, reply.length, reply.will_close
                 return (reply.status, reply.getheader("Link"), reply.getheader("Location"),
-                        reply.read(), framing)
-        except (OSError, http.client.HTTPException) as exc:
+                        reply.read(), reply.will_close)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             return type(exc)
         finally:
             connection.close()
 
 
+OWN = registry_module._Connection
+BAD_REPLY = registry_module._BadReply
+CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
 NEXT = b'</v2/_catalog?last=a>; rel="next"'
-# name -> (a raw reply, and its status or the error reading it raises)
+# name -> (a raw reply, and its status or the error the stock connection raises reading it)
 RAW_REPLIES = {
     "plain": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n"
               b"Connection: close\r\n\r\n{}", 200),
@@ -1222,31 +1225,59 @@ RAW_REPLIES = {
     "70000-byte-line": (b"HTTP/1.0 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n{}",
                         http.client.LineTooLong),
     "empty": (b"", http.client.RemoteDisconnected),
+    "chunk-extension": (CHUNKED + b"2;name=value\r\n{}\r\n0;last\r\n\r\n", 200),
+    "chunk-trailer": (CHUNKED + b"2\r\n{}\r\n0\r\nX-Trailer: 1\r\n\r\n", 200),
+    "chunked-over-a-length": (b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n"
+                              b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 200),
+    "bad-chunk-size": (CHUNKED + b"zz\r\n{}\r\n0\r\n\r\n", http.client.IncompleteRead),
+    "cut-mid-chunk": (CHUNKED + b"9\r\n{}", http.client.IncompleteRead),
+}
+# name -> (the error the client's own connection raises, and a fragment of its message)
+OWN_REFUSALS = {
+    "short-body": (BAD_REPLY, "body cut short: 2 of 10 bytes"),
+    "bad-status-line": (BAD_REPLY, "bad status line b'ICY 200 OK"),
+    "unknown-version": (BAD_REPLY, "bad status line b'HTTP/2 200 OK"),
+    "101-headers": (BAD_REPLY, "more than 100 headers"),
+    "70000-byte-line": (BAD_REPLY, "header line longer than 65536 bytes"),
+    "empty": (registry_module._NoReply, "closed before a status line"),
+    "bad-chunk-size": (BAD_REPLY, "bad chunk size line b'zz"),
+    "cut-mid-chunk": (BAD_REPLY, "body cut short: 2 of 9 bytes"),
 }
 REFUSED = [name for name, (_, outcome) in RAW_REPLIES.items() if isinstance(outcome, type)]
 
 
+def page_framed(framing: str, body: bytes) -> bytes:
+    """A raw reply of ``body``: with a length, in two chunks, or to the close."""
+    if framing == "length":
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    if framing == "chunked":
+        return CHUNKED + b"".join(b"%x\r\n%s\r\n" % (len(part), part)
+                                  for part in (body[:4], body[4:])) + b"0\r\n\r\n"
+    return b"HTTP/1.0 200 OK\r\n\r\n" + body
+
+
 @pytest.mark.usefixtures("no_proxy_variables")
 class TestReplyReader:
-    """The client's own response class reads each reply as the stock
-    ``HTTPResponse`` does, without the email parser."""
+    """The client's own connection reads each reply as a stock
+    ``http.client.HTTPConnection`` does, and sends the same request bytes;
+    ``http.client`` is only the tests' oracle."""
 
     @pytest.mark.parametrize("name", RAW_REPLIES)
     def test_it_reads_what_the_stock_reader_reads(self, name):
         raw, outcome = RAW_REPLIES[name]
-        lean = read_reply(raw, registry_module._response_class())
-        assert lean == read_reply(raw, http.client.HTTPResponse)
-        assert (lean if name in REFUSED else lean[0]) == outcome
+        stock = read_reply(raw, http.client.HTTPConnection)
+        assert (stock if name in REFUSED else stock[0]) == outcome
+        own = read_reply(raw, OWN)
+        assert own == (OWN_REFUSALS[name][0] if name in REFUSED else stock)
 
     def test_repeated_and_folded_values(self):
-        reader = registry_module._response_class()
-        _, link, _, _, _ = read_reply(RAW_REPLIES["two-link-lines"][0], reader)
+        _, link, _, _, _ = read_reply(RAW_REPLIES["two-link-lines"][0], OWN)
         assert link == '</v2/_catalog>; rel="prev", ' + NEXT.decode()
-        _, link, _, _, _ = read_reply(RAW_REPLIES["folded-link"][0], reader)
+        _, link, _, _, _ = read_reply(RAW_REPLIES["folded-link"][0], OWN)
         assert link == '</v2/_catalog?last=a>;\r\n rel="next"'
         # No header after a line that is none: neither Location nor
         # Content-Length, so the body runs to the close.
-        _, link, location, body, _ = read_reply(RAW_REPLIES["no-colon-line"][0], reader)
+        _, link, location, body, _ = read_reply(RAW_REPLIES["no-colon-line"][0], OWN)
         assert (link, location, body) == (NEXT.decode(), None, b"{}")
 
     @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
@@ -1260,29 +1291,186 @@ class TestReplyReader:
 
     @pytest.mark.parametrize("name", REFUSED)
     def test_a_refused_reply_is_unavailable(self, name):
-        raw, error = RAW_REPLIES[name]
+        raw, _ = RAW_REPLIES[name]
+        error, message = OWN_REFUSALS[name]
         with raw_server(raw) as url:
             client = RegistryClient(RegistryConfig(base_url=url))
             with pytest.raises(RegistryUnavailable, match=f"^GET {url}/v2/_catalog: ") as caught:
                 client.fetch_catalog()
         assert type(caught.value.__cause__) is error
+        assert message in str(caught.value)
 
-    def test_a_walk_runs_no_email_parser(self, registry, monkeypatch):
-        # Work count: the stock reader hands each reply's headers to
-        # http.client.parse_headers, the email feed parser; the client's own
-        # reader never calls it. The fake's handler threads parse their
-        # requests with it too, so only calls on this thread count.
-        calls = []
-        parse_headers = http.client.parse_headers
+    @pytest.mark.parametrize("case", ["plain", "authorization", "proxy"])
+    def test_the_request_head_is_the_stock_one(self, monkeypatch, case):
+        heads = []  # one connection for each side
+        with raw_server(page(["a"]), page(["a"]), received=heads) as url:
+            base_url = url
+            if case == "proxy":  # the proxy is sent the absolute URL
+                monkeypatch.setenv("http_proxy", url)
+                base_url = "http://registry.stub:5000"
+            for connect in (None, http.client.HTTPConnection):
+                client = RegistryClient(RegistryConfig(
+                    base_url=base_url, token="t0k" if case == "authorization" else None),
+                    connect=connect)
+                assert client.fetch_catalog() == ["a"]
+        assert len(heads) == 2 and heads[0] == heads[1]
+        target, host = "/v2/_catalog", url.removeprefix("http://")
+        if case == "proxy":
+            target, host = "http://registry.stub:5000/v2/_catalog", "registry.stub:5000"
+        authorization = b"Authorization: Bearer t0k\r\n" if case == "authorization" else b""
+        assert heads[0] == (b"GET %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+                            b"User-Agent: layersched\r\n%s\r\n"
+                            % (target.encode(), host.encode(), authorization))
 
-        def counting(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
-                calls.append(1)
-            return parse_headers(*args, **kwargs)
+    @pytest.mark.parametrize("location", [b"/v2/moved here", b"/v2/moved\r\n here"],
+                             ids=["space", "folded-crlf"])
+    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
+                             ids=["own", "stock"])
+    def test_a_location_that_cannot_be_sent_is_refused(self, location, connect):
+        received = []
+        redirect = b"HTTP/1.1 302 Found\r\nLocation: %s\r\nContent-Length: 0\r\n\r\n" % location
+        with raw_server(redirect, received=received) as url:
+            client = RegistryClient(RegistryConfig(base_url=url), connect=connect)
+            with pytest.raises(RegistryUnavailable, match="redirected to"):
+                client.fetch_catalog()
+        assert len(received) == 1
 
-        monkeypatch.setattr(http.client, "parse_headers", counting)
-        assert len(walk_registry(client_for(registry)).lists) == 3
-        assert calls == []  # 0; 7 with the stock reader, one per GET
+    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
+                             ids=["own", "stock"])
+    def test_a_header_value_with_crlf_is_not_sent(self, connect):
+        with raw_server() as url:
+            client = RegistryClient(RegistryConfig(base_url=url, token="t0k\r\nX-Injected: 1"),
+                                    connect=connect)
+            with pytest.raises(RegistryUnavailable) as caught:
+                client.fetch_catalog()
+        assert type(caught.value.__cause__) is ValueError
+        if connect is None:  # the token is not shown
+            assert str(caught.value).endswith("header Authorization holds CR or LF")
+
+    @pytest.mark.parametrize("framing", ["length", "chunked", "to-the-close"])
+    def test_a_body_past_the_cap_is_refused(self, monkeypatch, framing):
+        monkeypatch.setattr(registry_module, "MAX_BODY", 8)
+        assert read_reply(page_framed(framing, b"12345678"), OWN)[3] == b"12345678"
+        assert read_reply(page_framed(framing, b"123456789"), OWN) is BAD_REPLY
+        # A length past the cap is refused before any of the body is read:
+        # this one would otherwise be cut short.
+        raw = page_framed(framing, b"123456789")
+        if framing == "length":
+            raw = raw[:-7]
+        with raw_server(raw) as url:
+            with pytest.raises(RegistryUnavailable, match="body of more than 8 bytes") as caught:
+                RegistryClient(RegistryConfig(base_url=url)).fetch_catalog()
+        assert type(caught.value.__cause__) is BAD_REPLY
+
+    def test_a_refused_tunnel_is_unavailable(self, monkeypatch):
+        received = []
+        with raw_server(b"HTTP/1.0 407 Proxy Authentication Required\r\n\r\n",
+                        received=received) as url:
+            monkeypatch.setenv("https_proxy", url.replace("//", "//u:p@"))
+            client = RegistryClient(RegistryConfig(base_url="https://registry.stub"))
+            with pytest.raises(RegistryUnavailable, match="tunnel connection failed: 407"):
+                client.fetch_catalog()
+        assert received == [b"CONNECT registry.stub:443 HTTP/1.0\r\n"
+                            b"Proxy-Authorization: Basic dTpw\r\n\r\n"]
+
+
+CERT = Path(__file__).parent / "data" / "localhost.pem"  # self-signed: localhost, 127.0.0.1
+CERT_KEY = Path(__file__).parent / "data" / "localhost.key"
+
+
+@pytest.fixture
+def tls_wire(monkeypatch):
+    """A started :class:`WireServer` that speaks TLS with the test
+    certificate, which ``SSL_CERT_FILE`` makes the only one trusted."""
+    import ssl
+
+    server = WireServer()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(CERT, CERT_KEY)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@contextmanager
+def connect_proxy(received: list):
+    """A proxy on 127.0.0.1 that answers one ``CONNECT`` with 200, then relays
+    bytes both ways between its client and the CONNECT's port on 127.0.0.1
+    until either side closes. The CONNECT head goes into ``received``; yields
+    the proxy's URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def relay():
+        client, _ = listener.accept()
+        with client:
+            client.settimeout(5)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += client.recv(65536)
+            received.append(head)
+            port = int(head.split(b" ")[1].rpartition(b":")[2])
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as upstream:
+                client.sendall(b"HTTP/1.0 200 Connection established\r\n\r\n")
+                other = {client: upstream, upstream: client}
+                while True:
+                    ready, _, _ = select.select(list(other), [], [], 5)
+                    for end in ready:
+                        data = end.recv(65536)
+                        if not data:
+                            return
+                        other[end].sendall(data)
+                    if not ready:
+                        return
+
+    thread = threading.Thread(target=relay)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        thread.join(timeout=30)
+        listener.close()
+
+
+@pytest.mark.usefixtures("no_proxy_variables")
+class TestTLS:
+    """``https`` against a local TLS server whose certificate the client
+    checks, with no network."""
+
+    def test_a_catalog_over_https(self, tls_wire):
+        tls_wire.routes["/v2/_catalog"] = CATALOG_A
+        port = tls_wire.server_address[1]
+        client = RegistryClient(RegistryConfig(base_url=f"https://localhost:{port}"))
+        assert client.fetch_catalog() == ["a"]
+        assert tls_wire.requests[0][0] == "/v2/_catalog"
+        assert tls_wire.requests[0][1]["Host"] == f"localhost:{port}"
+
+    def test_a_name_the_certificate_lacks_is_unavailable(self, tls_wire):
+        # 127.1 is 127.0.0.1, but the certificate names only localhost and 127.0.0.1.
+        client = RegistryClient(RegistryConfig(
+            base_url=f"https://127.1:{tls_wire.server_address[1]}"))
+        with pytest.raises(RegistryUnavailable, match="certificate verify failed"):
+            client.fetch_catalog()
+        assert tls_wire.requests == []
+
+    def test_https_through_a_proxy_tunnel(self, tls_wire, monkeypatch):
+        # The proxy sees only the CONNECT; TLS runs end to end, to the name localhost.
+        tls_wire.routes["/v2/_catalog"] = CATALOG_A
+        port = tls_wire.server_address[1]
+        received = []
+        with connect_proxy(received) as proxy:
+            monkeypatch.setenv("https_proxy", proxy)
+            client = RegistryClient(RegistryConfig(base_url=f"https://localhost:{port}"))
+            assert client.fetch_catalog() == ["a"]
+        assert received == [b"CONNECT localhost:%d HTTP/1.0\r\n\r\n" % port]
+        assert tls_wire.requests[0][1]["Host"] == f"localhost:{port}"
 
 
 GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
@@ -1441,7 +1629,8 @@ class TestKeptConnections:
                         received=received) as url:
             with pytest.raises(RegistryUnavailable) as caught:
                 walk_registry(RegistryClient(RegistryConfig(base_url=url)))
-        assert type(caught.value.__cause__) is http.client.IncompleteRead
+        assert type(caught.value.__cause__) is registry_module._BadReply
+        assert "body cut short: 15 of 40 bytes" in str(caught.value)
         assert len(received) == 2
 
     def test_a_reply_without_will_close_closes_its_connection(self):

@@ -337,7 +337,10 @@ class TestCompare:
 
     @pytest.mark.parametrize("schedulers, seeds", [
         ({}, [1]), ({"a": SchedulerConfig()}, []), ({"a": SchedulerConfig()}, [-3, 3]),
-    ], ids=["no-schedulers", "no-seeds", "negative-seed"])
+        ({"a": SchedulerConfig()}, [1, 2, 1]), ({"a": SchedulerConfig()}, [True]),
+        ({"a": SchedulerConfig()}, [1.0]), ({"a": SchedulerConfig()}, ["1"]),
+    ], ids=["no-schedulers", "no-seeds", "negative-seed", "repeated-seed", "bool-seed",
+            "float-seed", "string-seed"])
     def test_nothing_to_compare_rejected(self, schedulers, seeds):
         with pytest.raises(ComparisonError):
             compare(self.make(), schedulers, seeds)

@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import threading
+from collections import deque
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from functools import partial
@@ -52,8 +53,11 @@ MAX_REDIRECTS = 10  # per GET, as urllib allowed
 MAX_LINE = 65_536  # bytes per status, header or chunk size line, as http.client allows
 MAX_HEADERS = 100  # lines per header block, its end included, as http.client allows
 MAX_BODY = 16 << 20  # bytes per reply body, far above any page or manifest
-_UNSENDABLE_TARGET = re.compile("[\x00-\x20\x7f]")  # as http.client refuses
+PIPELINE = 16  # GETs written at once on a kept connection; a few KiB of request heads
+_UNSENDABLE_TARGET = re.compile("[\x00-\x20\x7f]")
+_USERINFO = re.compile(r"^([^/?#]*//)[^/?#]*@")  # a URL's "user:password@"
 _REDIRECTS = frozenset((301, 302, 303, 307, 308))
+_ACCEPT = {"Accept": ACCEPT_MANIFESTS}  # the headers of a manifest's GET
 
 
 def _json_int(value) -> int:
@@ -157,7 +161,8 @@ class ImageMetadataLists(_Record):
 class RegistryConfig(_Record):
     """Where the registry is, how often a watcher polls it (seconds), where
     the cache file goes, and the credentials; the repr leaves out the token
-    and the password."""
+    and the password. A base URL with user info is refused: the credentials
+    go in ``username`` and ``password``."""
 
     _hidden = ("token", "password")
 
@@ -168,6 +173,9 @@ class RegistryConfig(_Record):
             raise ValueError("poll_interval must be a positive, finite number of seconds")
         if poll_interval > threading.TIMEOUT_MAX:  # the longest wait a thread takes
             raise ValueError(f"poll_interval must be at most {threading.TIMEOUT_MAX:g} seconds")
+        if _USERINFO.match(base_url):
+            raise LayerSchedError(f"registry URL {_shown(base_url)}: user info in a URL is not "
+                                  f"sent; set username and password instead")
         self.base_url = base_url.rstrip("/")
         self.poll_interval = poll_interval
         self.cache_path = cache_path
@@ -190,6 +198,19 @@ def _basic(pair: bytes) -> str:
     import base64
 
     return f"Basic {base64.b64encode(pair).decode('ascii')}"
+
+
+def _shown(url: str) -> str:
+    """``url`` without its user info, for a message."""
+    return _USERINFO.sub(r"\1", url)
+
+
+def _unavailable(url: str, hop: str, exc: BaseException) -> RegistryUnavailable:
+    """What the GET of ``url`` ends in when its hop ``hop`` fails with ``exc``."""
+    where = _shown(url) if hop == url else f"{_shown(url)} (redirected to {_shown(hop)})"
+    error = RegistryUnavailable(f"GET {where}: {exc}")
+    error.__cause__ = exc
+    return error
 
 
 def _origin(url: str) -> tuple[str, str | None, int | None]:
@@ -249,17 +270,20 @@ def _cap(size: int) -> None:
 
 class _Reply:
     """One reply of a :class:`_Connection`. The status line and the header
-    block are read when it is made: the headers go into a dict of lower-cased
-    names to lists of values, as the ``email`` parser would read them (a
-    folded line is joined to the one before, and no header follows a line
-    that is none). :meth:`read` reads the body, framed as RFC 9112 section 6
-    says: chunked wins over a length, a 1xx, 204 or 304 reply has none, and a
-    missing or invalid length reads to the close."""
+    block are read when it is made, past every 1xx before them (a 101 is
+    refused): the headers go into a dict of lower-cased names to lists of
+    values, as the ``email`` parser would read them (a folded line is joined
+    to the one before, and no header follows a line that is none).
+    :meth:`read` reads the body, framed as RFC 9112 section 6 says: chunked
+    wins over a length, a 204 or 304 reply has none, and a missing or invalid
+    length reads to the close."""
 
     def __init__(self, fp):
         self._fp = fp
         version, status = _status(fp)
-        while status == 100:  # 100 Continue: its headers are skipped, a reply follows
+        while status < 200:  # RFC 9110 section 15.2: each 1xx is skipped, a reply follows
+            if status == 101:  # no GET asks to switch protocols
+                raise _BadReply("101 Switching Protocols to a GET without Upgrade")
             _header_lines(fp)
             version, status = _status(fp)
         self.status = status
@@ -280,7 +304,8 @@ class _Reply:
         first = {name: values[0] for name, values in headers.items()}.get
         self.chunked = first("transfer-encoding", "").lower() == "chunked"
         connection = first("connection", "").lower()
-        if version not in (b"HTTP/1.0", b"HTTP/0.9"):
+        http11 = version not in (b"HTTP/1.0", b"HTTP/0.9")
+        if http11:
             self.will_close = "close" in connection
         else:  # HTTP/1.0 closes unless a keep-alive header says it stays open
             self.will_close = not (first("keep-alive") or "keep-alive" in connection
@@ -289,10 +314,11 @@ class _Reply:
         with suppress(ValueError):  # a length that is no integer, or negative, is none
             if length and not self.chunked and int(length) >= 0:
                 self.length = int(length)
-        if status in (204, 304) or status < 200:
+        if status in (204, 304):
             self.length = 0
         if not self.chunked and self.length is None:  # the body ends with the connection
             self.will_close = True
+        self.pipelines = http11 and not self.will_close  # the connection may take a pipeline
 
     def getheader(self, name, default=None):
         values = self.headers.get(name.lower())
@@ -367,10 +393,13 @@ def _host_header(host: str, port: int, default: int) -> str:
 class _Connection:
     """The client's default connection: one HTTP/1.1 socket, TLS for
     ``https`` (:mod:`ssl` loads only then), with the parts of
-    ``http.client.HTTPConnection`` that :meth:`RegistryClient._get` uses.
-    ``request`` writes the bytes ``HTTPConnection.request`` writes, in one
-    ``sendall``; ``getresponse`` returns a :class:`_Reply` read through the
-    connection's one buffered reader. It connects on its first request."""
+    ``http.client.HTTPConnection`` that :meth:`RegistryClient._exchange`
+    uses. ``request`` writes the bytes ``HTTPConnection.request`` writes, in
+    one ``sendall``, and :meth:`send` those of many requests; ``getresponse``
+    returns the next :class:`_Reply`, read through the connection's one
+    buffered reader, and ``pipelines`` says whether the last one came over
+    HTTP/1.1 and keeps the connection open. It connects on its first
+    request."""
 
     def __init__(self, host: str, timeout: float = 30, tls: bool = False):
         self._default = 443 if tls else 80
@@ -379,6 +408,7 @@ class _Connection:
         self.timeout, self.tls = timeout, tls
         self._tunnel = None  # (host, port, CONNECT headers)
         self._sock = self._fp = None
+        self.pipelines = False
 
     def set_tunnel(self, host: str, port: int | None = None, headers: dict | None = None):
         """Reach ``host`` through a ``CONNECT`` to this connection's proxy."""
@@ -415,22 +445,29 @@ class _Connection:
         self._sock, self._fp = sock, sock.makefile("rb")
 
     def request(self, method: str, target: str, headers: dict | None = None):
-        if _UNSENDABLE_TARGET.search(target):
-            raise ValueError(f"request target {target!r} holds a control character or a space")
-        host = urlsplit(target).netloc if "://" in target else self._host  # a proxy's: the URL's
+        self.send([target], headers, method)
+
+    def send(self, targets: list[str], headers: dict | None = None, method: str = "GET"):
+        """Write one request per target, each with ``headers``, in one
+        ``sendall``. The targets are sendable (:meth:`RegistryClient._hop`);
+        an absolute one, for a proxy, is sent alone, with its URL's host."""
+        host = urlsplit(targets[0]).netloc if "://" in targets[0] else self._host
         fields = [f"Host: {host}", "Accept-Encoding: identity"]
         fields += [f"{name}: {value}" for name, value in (headers or {}).items()]
         for field in fields:  # named, not shown: a value may be a credential
             if "\r" in field or "\n" in field:
                 raise ValueError(f"header {field.partition(':')[0]} holds CR or LF")
-        head = f"{method} {target} HTTP/1.1\r\n".encode("ascii") + (
-            "\r\n".join(fields) + "\r\n\r\n").encode("latin-1")
+        tail = (" HTTP/1.1\r\n" + "\r\n".join(fields) + "\r\n\r\n").encode("latin-1")
+        method = f"{method} ".encode("ascii")
+        heads = b"".join(method + target.encode("ascii") + tail for target in targets)
         if self._sock is None:
             self._connect()
-        self._sock.sendall(head)
+        self._sock.sendall(heads)
 
     def getresponse(self) -> _Reply:
-        return _Reply(self._fp)
+        reply = _Reply(self._fp)
+        self.pipelines = reply.pipelines
+        return reply
 
     def close(self):
         if self._sock is not None:
@@ -458,11 +495,12 @@ class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
     While :func:`walk_registry` runs, the client keeps one open connection
-    per scheme, host and proxy tunnel, and reuses it for every GET and
-    redirect hop there until a reply says it closes (``will_close``); the
-    walk closes them all when it ends. Outside a walk each GET closes its
-    connections. Each thread's walk keeps its own connections, so walks on
-    one client may overlap across threads. ``connect(host, timeout=)`` opens
+    per scheme, host and proxy tunnel, and reuses it, pipelined if it is its
+    own (:meth:`_exchange`), for every GET and redirect hop there until a
+    reply says it closes (``will_close``); the walk closes them all when it
+    ends. Outside a walk each GET closes its connections. Each thread's walk
+    keeps its own connections, so walks on one client may overlap across
+    threads. ``connect(host, timeout=)`` opens
     a connection and returns an object with ``http.client.HTTPConnection``'s
     ``request``, ``getresponse``, ``close`` and ``set_tunnel``; by default a
     :class:`_Connection`, over TLS for ``https``. A reply without
@@ -503,75 +541,171 @@ class RegistryClient:
             for connection in kept.values():
                 connection.close()
 
-    def _get(self, url: str, headers: dict | None = None) -> tuple[int, str, bytes]:
-        """Status, ``Link`` header and body, of any status; the only code
-        that opens a connection. Every hop must be an http:// or https://
-        URL; a 301/302/303/307/308 is followed at most :data:`MAX_REDIRECTS`
-        times, without ``Authorization``. A kept connection that the server
-        has dropped before replying (reset, broken pipe or no status line)
-        gets the GET once more on a new connection; nothing else is resent."""
-        from urllib.parse import unquote, urljoin
+    def _route(self, scheme: str, netloc: str) -> tuple:
+        """How a GET reaches ``scheme://netloc``: the origin its connection is
+        kept under, the host to connect to, the ``CONNECT`` tunnel if any, and
+        the headers a plain HTTP proxy, which is sent absolute URLs, is also
+        sent (``None`` when there is no such proxy)."""
+        from urllib.parse import unquote
+
+        tls, host, tunnel, proxied = scheme == "https", netloc, None, None
+        proxy = self._proxies.get(scheme)
+        if proxy and not _bypassed(netloc, self._proxies):
+            via = urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            auth = {}
+            if via.username and via.password:
+                pair = f"{unquote(via.username)}:{unquote(via.password)}".encode()
+                auth["Proxy-Authorization"] = _basic(pair)
+            if tls:  # CONNECT through the proxy, then TLS to the registry
+                tunnel = netloc, None, auth
+            else:  # the proxy is sent the absolute URL
+                tls, proxied = via.scheme == "https", auth
+            host = via.netloc.rpartition("@")[2]
+        return (tls, host, tunnel and netloc), host, tunnel, proxied
+
+    def _hop(self, hop: str, routes: dict) -> tuple:
+        """The route (:meth:`_route`, settled once per scheme and host in
+        ``routes``) and the request target of ``hop``. It must be an http:// or
+        https:// URL with a host and a non-zero port and no user info, whose
+        target holds no control character, space or non-ASCII character; else
+        ``ValueError``."""
+        parts = urlsplit(hop)  # raises ValueError on a malformed host; .port on a bad port
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+            raise ValueError("not an http:// or https:// URL")
+        if _USERINFO.match(hop):  # no host name, and a password must not be shown
+            raise ValueError("user info in a URL is not sent; set username and password instead")
+        route = routes.get(parts[:2])
+        if route is None:
+            route = routes[parts[:2]] = self._route(parts.scheme, parts.netloc)
+        if route[3] is not None:
+            target = urlunsplit(parts[:4] + ("",))
+        else:
+            target = f"{parts.path or '/'}?{parts.query}" if parts.query else parts.path or "/"
+        if _UNSENDABLE_TARGET.search(target):  # as http.client refuses
+            raise ValueError(f"request target {target!r} holds a control character or a space")
+        target.encode("ascii")  # a non-ASCII target fails its own GET, not a pipelined batch
+        return route, target
+
+    def _exchange(self, urls: list[str], headers: dict | None = None):
+        """Yield ``(i, outcome)`` for each of ``urls``, a batch at a time: the
+        ``(status, Link, body)`` of its reply, of any status, or the
+        :class:`RegistryUnavailable` its GET ended in. The only code that
+        opens a connection. Each hop passes :meth:`_hop`; a 301/302/303/307/308
+        is followed after its batch, alone, at most :data:`MAX_REDIRECTS`
+        times, without ``Authorization``. A new connection's first GET goes
+        alone. In a walk, once a reply on the client's own connection (direct
+        or tunnelled) came over HTTP/1.1 without a close, up to
+        :data:`PIPELINE` GETs to its origin are written at once and their
+        replies read in order (RFC 9112 section 9.3.2); a ``connect=`` factory
+        or a plain HTTP proxy gets one at a time. GETs that a closing
+        connection left unanswered (a reply that closes or is HTTP/1.0, or no
+        status line) are each sent once more, alone; a drop on a new
+        connection is not, nor is a body cut short."""
+        from urllib.parse import urljoin
 
         sent = {**(headers or {}), "User-Agent": "layersched"}
-        if self._authorization:  # first hop only: not sent on to where a redirect points
-            sent["Authorization"] = self._authorization
-        hop = url
-        try:
-            for redirects in range(MAX_REDIRECTS + 1):
-                parts = urlsplit(hop)  # raises ValueError on a malformed host; .port on a bad port
-                if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
-                    raise ValueError("not an http:// or https:// URL")
-                tls, host, tunnel = parts.scheme == "https", parts.netloc, None
-                target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-                hop_headers = sent
-                proxy = self._proxies.get(parts.scheme)
-                if proxy and not _bypassed(host, self._proxies):
-                    via = urlsplit(proxy if "://" in proxy else f"//{proxy}")
-                    auth = {}
-                    if via.username and via.password:
-                        pair = f"{unquote(via.username)}:{unquote(via.password)}".encode()
-                        auth["Proxy-Authorization"] = _basic(pair)
-                    if tls:  # CONNECT through the proxy, then TLS to the registry
-                        tunnel = host, None, auth
-                    else:  # the proxy is sent the absolute URL
-                        tls = via.scheme == "https"
-                        target, hop_headers = urlunsplit(parts[:4] + ("",)), {**sent, **auth}
-                    host = via.netloc.rpartition("@")[2]
-                kept = getattr(self._walk, "kept", None)  # None outside a walk
-                origin = tls, host, tunnel and tunnel[0]
-                while True:  # twice at most: a kept connection, then a new one
-                    connection = kept.pop(origin, None) if kept else None
-                    fresh, reply = connection is None, None
-                    if fresh and self.connect:
-                        connection = self.connect(host, timeout=30)
-                    elif fresh:
-                        connection = _Connection(host, timeout=30, tls=tls)
+        first = {**sent, "Authorization": self._authorization} if self._authorization else sent
+        kept = getattr(self._walk, "kept", None)  # None outside a walk
+        routes, queue = {}, deque((i, url, 0, False) for i, url in enumerate(urls))
+        while queue:  # (index, hop, redirects so far, whether it goes alone)
+            index, hop, redirects, alone = queue.popleft()
+            try:
+                route, target = self._hop(hop, routes)
+            except ValueError as exc:
+                yield index, _unavailable(urls[index], hop, exc)
+                continue
+            origin, host, tunnel, proxied = route
+            connection = kept.pop(origin, None) if kept else None
+            batch, outcomes, later = [(index, hop, redirects, target)], [], []
+            if (connection is not None and self.connect is None and proxied is None
+                    and not (redirects or alone) and connection.pipelines):
+                while queue and len(batch) < PIPELINE and not (queue[0][2] or queue[0][3]):
+                    item = queue.popleft()
                     try:
-                        if fresh and tunnel:
-                            connection.set_tunnel(*tunnel)
-                        connection.request("GET", target, headers=hop_headers)
-                        reply = connection.getresponse()
-                        with reply:
-                            status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
-                            location = reply.getheader("Location")
-                    except BaseException as exc:
-                        connection.close()
-                        if fresh or reply is not None or not isinstance(
-                                exc, (ConnectionResetError, BrokenPipeError)):
-                            raise
-                        continue  # dropped while idle (RemoteDisconnected is a reset too)
-                    break
-                if kept is None or getattr(reply, "will_close", True):
-                    connection.close()
+                        route, target = self._hop(item[1], routes)
+                    except ValueError as exc:
+                        outcomes.append((item[0], _unavailable(urls[item[0]], item[1], exc)))
+                        continue
+                    if route[0] != origin:
+                        queue.appendleft(item)
+                        break
+                    batch.append((item[0], item[1], 0, target))
+            fresh, answered, reply = connection is None, 0, None
+            hop_headers = {**(sent if redirects else first), **(proxied or {})}
+            try:
+                if fresh:
+                    connection = (self.connect(host, timeout=30) if self.connect
+                                  else _Connection(host, timeout=30, tls=origin[0]))
+                    if tunnel:
+                        connection.set_tunnel(*tunnel)
+                if len(batch) > 1:
+                    connection.send([item[3] for item in batch], hop_headers)
                 else:
-                    kept[origin] = connection
-                if status not in _REDIRECTS or not location or redirects == MAX_REDIRECTS:
-                    return status, link, body
-                hop = urljoin(hop, location)
-                sent.pop("Authorization", None)
-        except _transport_errors() as exc:
-            where = url if hop == url else f"{url} (redirected to {hop})"
-            raise RegistryUnavailable(f"GET {where}: {exc}") from exc
+                    connection.request("GET", batch[0][3], headers=hop_headers)
+                for index, hop, redirects, _ in batch:
+                    reply = None
+                    reply = connection.getresponse()
+                    with reply:
+                        status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
+                        location = reply.getheader("Location")
+                    answered += 1
+                    try:
+                        if status in _REDIRECTS and location and redirects < MAX_REDIRECTS:
+                            later.append((index, urljoin(hop, location), redirects + 1, False))
+                        else:
+                            outcomes.append((index, (status, link, body)))
+                    except ValueError as exc:  # a Location with a malformed host ends its GET only
+                        outcomes.append((index, _unavailable(urls[index], hop, exc)))
+                    if answered < len(batch) and not reply.pipelines:  # it closes, or is HTTP/1.0
+                        break
+            except BaseException as exc:
+                if connection is not None:
+                    connection.close()
+                if not isinstance(exc, _transport_errors()):
+                    raise
+                index, hop = batch[answered][:2]
+                if fresh or reply is not None or not isinstance(
+                        exc, (ConnectionResetError, BrokenPipeError)):
+                    outcomes.append((index, _unavailable(urls[index], hop, exc)))
+                    answered += 1
+                reply = None  # else dropped while idle (RemoteDisconnected is a reset too)
+            if answered == len(batch) and kept is not None and not getattr(
+                    reply, "will_close", True):
+                kept[origin] = connection
+            elif connection is not None:
+                connection.close()
+            queue.extendleft(reversed(later + [(*item[:3], True) for item in batch[answered:]]))
+            yield from outcomes
+
+    def _run(self, tasks: dict, headers: dict | None = None) -> dict:
+        """Run each of ``tasks`` (key -> a generator that yields the URL of
+        each GET it needs and is sent its ``(status, Link, body)``, or has the
+        GET's error raised in it) to its end, in stages: one :meth:`_exchange`,
+        with ``headers``, of the GETs that the unfinished tasks wait on. Each
+        reply is parsed by its task as it is read. Returns key -> the task's
+        return value, or the :class:`LayerSchedError` that ended it."""
+        results, waiting = {}, {key: next(task) for key, task in tasks.items()}
+        while waiting:
+            keys, urls, waiting = list(waiting), list(waiting.values()), {}
+            for index, outcome in self._exchange(urls, headers):
+                key = keys[index]
+                try:
+                    if isinstance(outcome, LayerSchedError):
+                        waiting[key] = tasks[key].throw(outcome)
+                    else:
+                        waiting[key] = tasks[key].send(outcome)
+                except StopIteration as stop:
+                    results[key] = stop.value
+                except LayerSchedError as exc:
+                    results[key] = exc
+        return results
+
+    def _one(self, task, headers: dict | None = None):
+        """The return value of one task of :meth:`_run`; its error is raised."""
+        result = self._run({None: task}, headers)[None]
+        if isinstance(result, LayerSchedError):
+            raise result
+        return result
 
     @staticmethod
     def _json_object(body: bytes, what: str,
@@ -586,11 +720,12 @@ class RegistryClient:
                             f"not an object")
         return body
 
-    def _get_paginated(self, path: str, list_key: str) -> list[str]:
-        """Every page's ``list_key`` names. A reply of another shape, a
-        ``next`` link to another origin than the base URL's (it would be sent
-        the credentials), a page already fetched, or more than
-        :data:`MAX_PAGES` pages raise :class:`RegistryProtocolError`."""
+    def _pages(self, path: str, list_key: str):
+        """A task (:meth:`_run`) that GETs every page of a listing and returns
+        its ``list_key`` names. A reply of another shape, a ``next`` link to
+        another origin than the base URL's (it would be sent the credentials),
+        a page already fetched, or more than :data:`MAX_PAGES` pages raise
+        :class:`RegistryProtocolError`."""
         items: list[str] = []
         url = f"{self.config.base_url}{path}"
         seen = set()
@@ -598,7 +733,7 @@ class RegistryClient:
             if url in seen:
                 raise RegistryProtocolError(200, f"next link {url} repeats an earlier page")
             seen.add(url)
-            status, link, body = self._get(url)
+            status, link, body = yield url
             if status != 200:
                 raise RegistryProtocolError(status, f"GET {url}: HTTP {status}")
             body = self._json_object(body, f"GET {url}",
@@ -622,24 +757,30 @@ class RegistryClient:
                 foreign = True
             if foreign:
                 raise RegistryProtocolError(
-                    200, f"next link {url} leaves {self.config.base_url}")
+                    200, f"next link {_shown(url)} leaves {self.config.base_url}")
         raise RegistryProtocolError(200, f"{path}: more than {MAX_PAGES} pages")
 
     def fetch_catalog(self) -> list[str]:
         """All repository names, following pagination Link headers."""
-        return self._get_paginated("/v2/_catalog", "repositories")
+        return self._one(self._pages("/v2/_catalog", "repositories"))
 
     def fetch_tags(self, name: str) -> list[str]:
-        return self._get_paginated(f"/v2/{name}/tags/list", "tags")
+        return self._one(self._pages(f"/v2/{name}/tags/list", "tags"))
 
     def fetch_image_metadata(self, name: str, tag: str) -> ImageMetadata:
-        """Resolve the image's v2 manifest into layer digests and sizes.
+        """Resolve the image's v2 manifest into layer digests and sizes
+        (:meth:`_image`)."""
+        return self._one(self._image(name, tag), _ACCEPT)
+
+    def _image(self, name: str, tag: str):
+        """A task (:meth:`_run`, with :data:`_ACCEPT`) that resolves the
+        image's v2 manifest into an :class:`ImageMetadata`.
 
         Manifest lists (multi-arch) resolve through their first platform
         entry. The record id is the manifest's config digest. A reply that is
         not such a manifest raises :class:`UnsupportedManifest`.
         """
-        manifest = self._fetch_manifest(name, tag)
+        manifest = yield from self._manifest(name, tag)
         media_type = manifest.get("mediaType", "")
         if media_type in (MANIFEST_LIST_V2, OCI_INDEX):
             entries = manifest.get("manifests") or []
@@ -647,7 +788,7 @@ class RegistryClient:
                 raise UnsupportedManifest(f"{name}:{tag}: empty manifest list")
             with _malformed_manifest(name, tag):
                 digest = _json_str(entries[0]["digest"], "digest")
-            manifest = self._fetch_manifest(name, digest)
+            manifest = yield from self._manifest(name, digest)
             media_type = manifest.get("mediaType", "")
         if manifest.get("schemaVersion") != 2 or media_type not in (MANIFEST_V2, OCI_MANIFEST):
             raise UnsupportedManifest(
@@ -670,9 +811,9 @@ class RegistryClient:
                 l_meta=layers,
             )
 
-    def _fetch_manifest(self, name: str, reference: str) -> dict:
+    def _manifest(self, name: str, reference: str):
         url = f"{self.config.base_url}/v2/{name}/manifests/{reference}"
-        status, _, body = self._get(url, headers={"Accept": ACCEPT_MANIFESTS})
+        status, _, body = yield url
         if status == 404:
             raise UnknownImage(f"{name}:{reference} not in registry")
         if status != 200:
@@ -746,39 +887,46 @@ def _transient(exc: LayerSchedError) -> bool:
 
 def walk_registry(client: RegistryClient,
                   missed: set[tuple[str, str | None]] | None = None) -> ImageMetadataLists:
-    """Walk catalog -> tags -> manifests into an unsaved snapshot. Images
-    that fail to resolve become ``warnings``; only a failure to list the
-    catalog itself is raised. Each failure that is :func:`_transient` also
-    adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag list.
-    A repository name or tag listed empty is one warning, and is never
+    """Walk catalog -> tags -> manifests into an unsaved snapshot, in stages
+    (:meth:`RegistryClient._run`): the catalog's pages, then every
+    repository's tag list and its next pages, then every tag's manifest, then
+    each index's platform manifest. Images that fail to resolve become
+    ``warnings``, in catalog order and then tag order; only a failure to list
+    the catalog itself is raised. Each failure that is :func:`_transient`
+    also adds ``(name, tag)`` to ``missed``, or ``(name, None)`` for a tag
+    list. A repository name or tag listed empty is one warning, and is never
     fetched. The client keeps one connection per origin for the whole walk."""
-    lists: dict[str, ImageMetadata] = {}
-    warnings: list[str] = []
+    images, notes = {}, {}  # by (catalog place, tag place); -1 for the tag list
     with client._keeping():
-        for name in client.fetch_catalog():
-            if not name:  # an empty name or tag makes no record: send no GET for it
-                warnings.append("catalog lists an empty repository name; skipped")
+        names = client.fetch_catalog()
+        listings = {}
+        for i, name in enumerate(names):
+            if name:
+                listings[i] = client._pages(f"/v2/{name}/tags/list", "tags")
+            else:  # an empty name or tag makes no record: send no GET for it
+                notes[i, -1] = "catalog lists an empty repository name; skipped"
+        listed, manifests = client._run(listings), {}
+        for i in listings:  # in catalog order, as each stage is sent
+            tags = listed[i]
+            if isinstance(tags, LayerSchedError):
+                notes[i, -1] = f"tags for {names[i]}: {tags}"
+                if missed is not None and _transient(tags):
+                    missed.add((names[i], None))
                 continue
-            try:
-                tags = client.fetch_tags(name)
-            except LayerSchedError as exc:
-                warnings.append(f"tags for {name}: {exc}")
-                if missed is not None and _transient(exc):
-                    missed.add((name, None))
-                continue
-            for tag in tags:
-                if not tag:
-                    warnings.append(f"tags for {name} list an empty tag; skipped")
-                    continue
-                try:
-                    image = client.fetch_image_metadata(name, tag)
-                except LayerSchedError as exc:
-                    warnings.append(f"manifest {name}:{tag}: {exc}")
-                    if missed is not None and _transient(exc):
-                        missed.add((name, tag))
-                    continue
-                lists[image.key] = image
-    return ImageMetadataLists(lists=lists, warnings=warnings)
+            for j, tag in enumerate(tags):
+                if tag:
+                    manifests[i, j] = client._image(names[i], tag)
+                else:
+                    notes[i, j] = f"tags for {names[i]} list an empty tag; skipped"
+        for (i, j), image in client._run(manifests, _ACCEPT).items():
+            if isinstance(image, LayerSchedError):
+                notes[i, j] = f"manifest {names[i]}:{listed[i][j]}: {image}"
+                if missed is not None and _transient(image):
+                    missed.add((names[i], listed[i][j]))
+            else:
+                images[i, j] = image
+    lists = {images[place].key: images[place] for place in sorted(images)}
+    return ImageMetadataLists(lists=lists, warnings=[notes[place] for place in sorted(notes)])
 
 
 def _load_prior(cache_path: Path) -> ImageMetadataLists:

@@ -65,8 +65,8 @@ def _scalar(value) -> str | None:
 def _entries(obj, plans: dict) -> tuple[str, str, list[str] | None, list | tuple]:
     """A container's brackets, its labels (``'"key": '`` for each dict
     entry, ``None`` for a list) and its children, in output order. ``plans``
-    keeps each key order's sorted keys and labels for the whole write, so
-    dicts with equal key orders share one label list."""
+    keeps each key order's sorted keys (None if it is sorted) and labels for
+    the whole write, so dicts with equal key orders share one label list."""
     if isinstance(obj, dict):
         keys = tuple(obj)
         plan = plans.get(keys)
@@ -75,9 +75,10 @@ def _entries(obj, plans: dict) -> tuple[str, str, list[str] | None, list | tuple
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
             order = sorted(keys)
-            plan = plans[keys] = order, [_encode_str(key) + ": " for key in order]
+            plan = plans[keys] = (order if order != list(keys) else None,
+                                  [_encode_str(key) + ": " for key in order])
         order, labels = plan
-        return "{", "}", labels, list(map(obj.__getitem__, order))
+        return "{", "}", labels, list(map(obj.__getitem__, order) if order else obj.values())
     if isinstance(obj, (list, tuple)):
         return "[", "]", None, obj
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -141,7 +142,7 @@ def iter_indented_json(payload) -> Iterator[str]:
     while the generator runs, and ``payload`` must not change until the
     generator is exhausted.
     """
-    plans: dict[tuple, tuple[list, list[str]]] = {}
+    plans: dict[tuple, tuple[list | None, list[str]]] = {}
     # Keyed by depth (a container's indentation depends on it): the labels,
     # children and entries of the last container rendered there.
     records: dict[int, tuple] = {}

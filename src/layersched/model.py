@@ -11,12 +11,20 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
+from functools import reduce
 
 from .errors import UnknownImage
 
 # Content digest of a layer, e.g. "sha256:abcd...". Opaque; compared by
 # exact string equality.
 LayerId = str
+
+
+def ordered_sum(values):
+    """Add ``values`` left to right, rounding after each addition, as
+    ``sum`` did before Python 3.12; since then ``sum`` compensates float
+    rounding, which would make reports differ across Python versions."""
+    return reduce(operator.add, values, 0)
 
 
 def _finite(number) -> bool:
@@ -139,8 +147,8 @@ class LayerCatalog(_Record):
                     )
 
     def image_total_size(self, image: ImageRef) -> int:
-        """Sum of the image's layer sizes in bytes."""
-        return sum(size for _, size in layers_of(self, image))
+        """Sum of the image's layer sizes in bytes, in stack order."""
+        return ordered_sum(size for _, size in layers_of(self, image))
 
 
 class NodeSpec(_Frozen):
@@ -196,8 +204,9 @@ class NodeState(_Frozen):
                           mem_committed=mem_committed)
 
     def stored_layer_bytes(self, catalog: LayerCatalog) -> int:
-        """Bytes currently occupied by cached layers, per catalog sizes."""
-        return sum(catalog.layers[digest] for digest in self.local_layers)
+        """Bytes currently occupied by cached layers, per catalog sizes,
+        added in sorted digest order."""
+        return ordered_sum(map(catalog.layers.__getitem__, sorted(self.local_layers)))
 
     def cpu_ratio(self) -> float:
         return self.cpu_committed / self.spec.cpu_capacity

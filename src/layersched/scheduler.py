@@ -172,11 +172,14 @@ class _Kernel:
     container slots, committed and total CPU and memory, the balance score,
     the load count (how many of the gate's CPU and balance conditions hold),
     and per image an entry ``[column, holds, total, order, stale]``: the
-    overlap column and the "holds the image" column (0.0 or 100.0), both
-    filled for every node when the image is first seen, the image's total
-    bytes, and its rows by descending overlap unless ``stale``. A commit
-    (:meth:`commit`) writes only the committed row's columns; the order of
-    each image whose overlap column it changes goes stale, to be re-sorted by
+    overlap column and the "holds the image" column (0.0 or 100.0), the
+    image's total bytes, and its rows by descending overlap unless ``stale``.
+    An entry is filled in when the image is first seen, from two indexes
+    rather than a test of every node: each layer digest to the rows holding
+    it, and each image to the rows of the input nodes holding it. A commit
+    (:meth:`commit`) writes only the committed row's columns and adds the row
+    to the holders of each layer it newly holds; the order of each image
+    whose overlap column it changes goes stale, to be re-sorted by
     :meth:`_rows` when next walked. A ``NodeState`` is built, by its
     constructor, only when :attr:`nodes` is read. The weight table
     (:meth:`SchedulerConfig.omegas`), the gate thresholds and the plugin
@@ -209,6 +212,14 @@ class _Kernel:
             raise ScenarioError("nodes", "node ids must be unique")
         self.local_layers = [set(node.local_layers) for node in self._nodes]
         self.local_images = [set(node.local_images) for node in self._nodes]
+        # Each layer digest and image to the rows holding it, for _image.
+        self.layer_rows: dict[str, list[int]] = {}
+        self.image_rows: dict[ImageRef, list[int]] = {}
+        for i, (layers, images) in enumerate(zip(self.local_layers, self.local_images)):
+            for digest in layers:
+                self.layer_rows.setdefault(digest, []).append(i)
+            for image in images:
+                self.image_rows.setdefault(image, []).append(i)
         self.running = [list(node.running) for node in self._nodes]
         self.stored = []
         for node in self._nodes:
@@ -232,14 +243,16 @@ class _Kernel:
         self.std, self.calm = [0] * len(self.ids), [0] * len(self.ids)
         for i in range(len(self.ids)):
             self._load(i)  # NodeState holds each commitment finite: no ratio raises
-        # The most a feasible row's baseline can be, added as _score adds it;
-        # see _score for why it holds.
-        weights = [w for w in (getattr(config.plugins, name) for name in PLUGIN_NAMES)
-                   if w is not None]
+        # The plugin weights in PLUGIN_NAMES order (None where disabled) and
+        # how many are enabled, for _score; and the most a feasible row's
+        # baseline can be, added as _score adds it (see _score for why).
+        self.plugin_weights = tuple(getattr(config.plugins, name) for name in PLUGIN_NAMES)
+        weights = [w for w in self.plugin_weights if w is not None]
+        self.enabled = len(weights)
         ceiling = 0.0
         for w in weights:
             ceiling += max(w * 100.0, 0.0)
-        self.bound = ceiling / len(weights) if weights else 0.0
+        self.bound = ceiling / self.enabled if self.enabled else 0.0
         # The largest weight, for _score's stop over rows by descending
         # overlap; None where no weight is above 0 (as under default), so
         # the stop could never fire and keeping the order would be waste.
@@ -284,17 +297,22 @@ class _Kernel:
         self.calm[i] = (cpu < self.h_cpu) + (std < self.h_std)
 
     def _image(self, image: ImageRef) -> list:
-        """The image's entry ``[column, holds, total, order, stale]``."""
+        """The image's entry ``[column, holds, total, order, stale]``. A new
+        one adds each stack layer's size to its holders' overlaps in stack
+        order; the input rows holding the image are all that can, as a
+        commit adds an image to a row only once its entry exists."""
         entry = self.images.get(image)
         if entry is None:
-            stack = layers_of(self.catalog, image)
-            column = [sum(size for digest, size in stack if digest in held)
-                      for held in self.local_layers]
-            holds = [100.0 if image in held else 0.0 for held in self.local_images]
-            entry = self.images[image] = [column, holds, sum(size for _, size in stack),
-                                          list(range(len(self.ids))), True]
-            for digest, _ in stack:
+            stack, n = layers_of(self.catalog, image), len(self.ids)
+            entry = self.images[image] = [[0] * n, [0.0] * n, 0, list(range(n)), True]
+            column, holds = entry[0], entry[1]
+            for digest, size in stack:
+                entry[2] += size
+                for i in self.layer_rows.get(digest, ()):
+                    column[i] += size
                 self.users.setdefault(digest, []).append(entry)
+            for i in self.image_rows.get(image, ()):
+                holds[i] = 100.0
         return entry
 
     def _room(self, column: list[int], total: int) -> Iterator[int]:
@@ -374,10 +392,7 @@ class _Kernel:
         cpu_used, cpu_cap, mem_used, mem_cap = (
             self.cpu_used, self.cpu_cap, self.mem_used, self.mem_cap)
         cpu_request, mem_request = task.cpu_request, task.mem_request
-        plugins = self.config.plugins
-        least, balanced, locality = (
-            plugins.least_allocated, plugins.balanced_allocation, plugins.image_locality)
-        enabled = (least is not None) + (balanced is not None) + (locality is not None)
+        (least, balanced, locality), enabled = self.plugin_weights, self.enabled
         bound = self.bound if filtered and parts is None else float("inf")
 
         best, tied = float("-inf"), []
@@ -485,13 +500,14 @@ class _Kernel:
         self.mem_used[i] += task.mem_request
         self._load(i)
         self.images[task.image][1][i] = 100.0  # the filter filled the entry in
-        # Each newly held layer adds its bytes to the row's stored bytes and
-        # to the overlap column of every image using it, whose order goes
-        # stale.
-        sizes = self.catalog.layers
+        # Each newly held layer adds the row to its holders and its bytes to
+        # the row's stored bytes and to the overlap column of every image
+        # using it, whose order goes stale.
+        sizes, layer_rows = self.catalog.layers, self.layer_rows
         for digest in need:
             size = sizes[digest]
             self.stored[i] += size
+            layer_rows.setdefault(digest, []).append(i)
             for entry in self.users[digest]:
                 entry[0][i] += size
                 entry[4] = True

@@ -13,7 +13,8 @@ import math
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .model import ImageRef, LayerCatalog, NodeState, TaskRequest, _finite, _Frozen, layers_of
+from .model import (ImageRef, LayerCatalog, NodeState, TaskRequest, _finite, _Frozen, layers_of,
+                    ordered_sum)
 
 MB = 1024 * 1024
 
@@ -107,8 +108,8 @@ def download_cost(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> in
 
 
 def local_layer_size(catalog: LayerCatalog, node: NodeState, image: ImageRef) -> int:
-    """Bytes of the image's layers the node already holds."""
-    return sum(
+    """Bytes of the image's layers the node already holds, in stack order."""
+    return ordered_sum(
         size for digest, size in layers_of(catalog, image)
         if digest in node.local_layers
     )

@@ -12,9 +12,7 @@ import csv
 import json
 import random
 from collections.abc import Mapping, Sequence
-from functools import reduce
 from itertools import islice
-from operator import add
 from pathlib import Path
 
 from ._jsonout import iter_indented_json
@@ -27,17 +25,11 @@ from .model import (
     TaskRequest,
     _finite,
     _Record,
+    ordered_sum,
     replace,
 )
 from .scheduler import SchedulerConfig, _Kernel
 from .workload import WorkloadSpec, generate, stream
-
-
-def ordered_sum(values):
-    """Add ``values`` left to right, rounding after each addition, as
-    ``sum`` did before Python 3.12; since then ``sum`` compensates float
-    rounding, which would make reports differ across Python versions."""
-    return reduce(add, values, 0)
 
 
 # The run totals of a report, in the column order of the ensemble CSV.
@@ -89,7 +81,7 @@ class Scenario(_Record):
                     raise ScenarioError(
                         f"nodes[{i}].preloaded_layers", f"layer {digest!r} not in catalog"
                     )
-            stored = sum(self.catalog.layers[digest] for digest in set(layers))
+            stored = ordered_sum(map(self.catalog.layers.__getitem__, sorted(set(layers))))
             if stored > self.nodes[i].storage_capacity:
                 raise ScenarioError(f"nodes[{i}].storage", "preloaded layers exceed storage")
 
@@ -241,17 +233,18 @@ def _replay(kernel: _Kernel, tasks: list[TaskRequest], label: str,
     # stored bytes and balance score, and a recording replay only that node's
     # usage dict. The usage dicts are never mutated, so steps may share them.
     stds, ids, specs = kernel.std, kernel.ids, kernel.specs
+    pick, commit = kernel.pick, kernel.commit
     usage = {node_id: _node_usage(kernel, i) for i, node_id in enumerate(ids)} if record else {}
     steps: list[StepMetrics] = []
     cumulative: list[int] = []
     download_bytes = download_seconds = std_total = unschedulable = 0
     for step_index, task in enumerate(tasks):
-        i, download = kernel.pick(task)
+        i, download = pick(task)
         if i is None:
             node_id, seconds = None, 0.0
             unschedulable += 1
         else:
-            kernel.commit(i, task)
+            commit(i, task)
             node_id, seconds = ids[i], download / specs[i].bandwidth
             if record:
                 usage[node_id] = _node_usage(kernel, i)

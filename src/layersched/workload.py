@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from bisect import bisect
 from collections.abc import Iterator
 from itertools import accumulate, islice
 from pathlib import Path
@@ -42,9 +43,15 @@ class WorkloadSpec(_Record):
             raise ValueError("trace_file workload needs trace_path")
         if not 0 <= count <= sys.maxsize:
             raise ValueError(f"count must be within 0..{sys.maxsize}")
-        for name, (lo, hi) in (("cpu_range", cpu_range), ("mem_range", mem_range)):
-            if lo > hi or lo < 0:
-                raise ValueError(f"{name} must satisfy 0 <= min <= max")
+        # What a draw (int bounds, no bool) or a task (CPU above 0, memory at
+        # or above 0, both in the float range) would refuse.
+        for name, (lo, hi), least in (("cpu_range", cpu_range, 1), ("mem_range", mem_range, 0)):
+            if type(lo) is not int or type(hi) is not int:
+                raise ValueError(f"{name} bounds must be integers")
+            if lo > hi or lo < least:
+                raise ValueError(f"{name} must satisfy {least} <= min <= max")
+            if not _finite(hi):
+                raise ValueError(f"{name} must be within the float range")
         if image_weights is not None:
             for key, weight in image_weights.items():
                 # An image of negative weight is never drawn, though the
@@ -78,19 +85,21 @@ def stream(spec: WorkloadSpec, catalog: LayerCatalog) -> Iterator[TaskRequest]:
     """Unbounded seeded task stream; ``generate`` is a finite prefix of it.
 
     Per task the draw order is image, then CPU, then memory; that order is
-    part of the determinism contract. The cumulative weights are summed
-    once, as ``choices(weights=)`` would sum them for every draw, so the
-    draws are the same.
+    part of the determinism contract. The image is drawn by the operations
+    of ``choices(weights=)``, whose cumulative weights, total and last index
+    are computed once, not per draw, so the draws are the same.
     """
     images, weights = _image_population(spec, catalog)
     cum_weights = list(accumulate(weights))
+    total, hi = cum_weights[-1] + 0.0, len(cum_weights) - 1
     rng = random.Random(spec.seed)
+    draw, randint, cpu_range, mem_range = rng.random, rng.randint, spec.cpu_range, spec.mem_range
     counter = 0
     while True:
         counter += 1
-        image = rng.choices(images, cum_weights=cum_weights)[0]
-        cpu = rng.randint(*spec.cpu_range)
-        mem = rng.randint(*spec.mem_range)
+        image = images[bisect(cum_weights, draw() * total, 0, hi)]
+        cpu = randint(*cpu_range)
+        mem = randint(*mem_range)
         yield TaskRequest(
             task_id=f"task-{counter:04d}",
             image=image,

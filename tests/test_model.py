@@ -140,6 +140,45 @@ class TestLayerCatalog:
             )
 
 
+class TestFloatSizeOrder:
+    """Float layer sizes add left to right in one fixed order: a node's in
+    sorted digest order, an image's in stack order. A set's hash order moved
+    a node's stored bytes, and with them the preloaded storage check, with
+    the hash seed; the compensated ``sum`` of Python 3.12+ moved an image's
+    bytes with the version."""
+
+    CHILD = """
+from layersched.errors import ScenarioError
+from layersched.model import ImageRef, LayerCatalog, NodeSpec, NodeState
+from layersched.scoring import local_layer_size
+from layersched.simulator import Scenario
+from layersched.workload import WorkloadSpec
+sizes = {"sha256:a": 0.1, "sha256:b": 0.2, "sha256:c": 0.3}
+image = ImageRef("web", "1")
+catalog = LayerCatalog(dict(sizes), {image: ("sha256:a", "sha256:b", "sha256:c")})
+spec = NodeSpec("n", 1000, 1000, 1000, storage_capacity=0.6)
+node = NodeState(spec, local_layers=frozenset(sizes))
+try:
+    Scenario([spec], catalog, WorkloadSpec(count=0), preloaded={"n": tuple(sizes)}).validate()
+    checked = "fits"
+except ScenarioError:
+    checked = "refused"
+print(repr(node.stored_layer_bytes(catalog)), repr(catalog.image_total_size(image)),
+      repr(local_layer_size(catalog, node, image)), checked)
+"""
+
+    def test_sums_do_not_depend_on_the_hash_seed(self):
+        outputs = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            result = subprocess.run(
+                [sys.executable, "-c", self.CHILD], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed})
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        # 0.1 + 0.2 + 0.3 left to right, which exceeds a 0.6 disk.
+        assert outputs == {"0.6000000000000001 0.6000000000000001 0.6000000000000001 refused\n"}
+
+
 class TestMissingLayers:
     def test_all_missing_on_empty_node(self):
         catalog = small_catalog()

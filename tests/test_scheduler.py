@@ -503,6 +503,26 @@ class TestKernelArithmetic:
             catalog_dict(catalog), node_dict(steps[1][1][0]), task_dict(tasks[2])),)
 
 
+def scanned_columns(nodes, catalog, image):
+    """The image's overlap and holds columns over ``nodes``, by testing every
+    node's layer and image sets: the reference for the kernel's columns,
+    which it fills in from its held-layer and held-image indexes."""
+    stack = model.layers_of(catalog, image)
+    return ([sum(size for digest, size in stack if digest in n.local_layers) for n in nodes],
+            [100.0 if image in n.local_images else 0.0 for n in nodes])
+
+
+def fill_checked(kernel, image, where):
+    """Fill in ``image``'s entry if ``kernel`` has none, and check that its
+    columns are those of a scan of the kernel's current nodes."""
+    if image not in kernel.images:
+        column, holds, _, _, _ = kernel._image(image)
+        assert (column, holds) == scanned_columns(kernel.nodes, kernel.catalog, image), \
+            f"{where} {image.key}"
+        return 1
+    return 0
+
+
 class TestKernelColumns:
     """The audit rebuilds breakdowns from the nodes, not from the kernel's
     columns, so the columns are pinned here: after every commit every node
@@ -547,6 +567,37 @@ class TestKernelColumns:
                     assert stale or [column[i] for i in order] == sorted(column, reverse=True), \
                         f"{where} {image.key}"
         assert commits > 0
+
+    def test_images_first_seen_after_commits_fill_as_a_scan(self):
+        # The warm nodes preload layers and hold images; as in a replay, an
+        # image's entry is filled in when a task first runs it, after the
+        # commits before it, and the images no task runs after the last.
+        fills = late = 0
+        for seed in range(160):
+            catalog, nodes, tasks, config = kernel_instance(seed)
+            kernel = scheduler._Kernel(nodes, catalog, config, random.Random(seed))
+            for t in tasks:
+                fills += fill_checked(kernel, t.image, f"seed {seed} {t.task_id}")
+                i, _ = kernel.pick(t)
+                if i is not None:
+                    kernel.commit(i, t)
+            for image in sorted(catalog.images, key=lambda ref: ref.key):
+                late += fill_checked(kernel, image, f"seed {seed} after the trace")
+        assert fills > 160 and late > 0
+
+    def test_float_sizes_add_in_stack_order(self):
+        # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001; the
+        # compensated sum of Python 3.12+ gives 0.6.
+        sizes = {"sha256:c": 0.3, "sha256:a": 0.1, "sha256:b": 0.2}
+        catalog = LayerCatalog(sizes, {WEB: ("sha256:a", "sha256:b", "sha256:c")})
+        nodes = [node("n0", local_layers=frozenset(sizes)),
+                 node("n1", local_layers=frozenset({"sha256:b", "sha256:c"})), node("n2")]
+        kernel = scheduler._Kernel(nodes, catalog, SchedulerConfig(), None)
+        column, _, total, _, _ = kernel._image(WEB)
+        assert column == [local_layer_size(catalog, n, WEB) for n in nodes]
+        assert column == [0.1 + 0.2 + 0.3, 0.2 + 0.3, 0]
+        assert total == catalog.image_total_size(WEB) == 0.1 + 0.2 + 0.3
+        assert kernel.stored == [n.stored_layer_bytes(catalog) for n in nodes]
 
 
 class TestKernelCopy:
@@ -595,8 +646,11 @@ class TestKernelCopy:
                 assert self.state(leg) == self.state(new), where
                 assert list(leg.images) == images
                 for name in ("_nodes", "local_layers", "local_images", "running", "stored",
-                             "slots", "cpu_used", "mem_used", "std", "calm", "images", "users"):
+                             "slots", "cpu_used", "mem_used", "std", "calm", "images", "users",
+                             "layer_rows", "image_rows"):
                     assert getattr(leg, name) is not getattr(base, name), (where, name)
+                for digest, rows in leg.layer_rows.items():  # a commit appends to them
+                    assert rows is not base.layer_rows[digest], where
                 for name in ("local_layers", "local_images", "running"):  # and their rows
                     for row, base_row in zip(getattr(leg, name), getattr(base, name)):
                         assert row is not base_row, (where, name)
@@ -632,6 +686,24 @@ class TestKernelCopy:
                  for j, image in enumerate([WEB, ImageRef("db", "1")] * 6)]
         seen = self.assert_copies_equal_new_kernels(initial_nodes(scenario), catalog, tasks)
         assert seen["default"][1] is None and seen["lr_dynamic"][1] is not None
+
+    def test_legs_fill_images_first_seen_after_commits_as_a_scan(self):
+        # The original fills in only the images of the first half of the
+        # trace; a leg fills in each other image when a task first runs it,
+        # after the leg's commits before it.
+        fills = 0
+        for seed in range(24):
+            catalog, nodes, tasks, _ = kernel_instance(seed)
+            early = list(dict.fromkeys(t.image for t in tasks[:len(tasks) // 2]))
+            for base_config in (SchedulerConfig(policy="default"), SchedulerConfig()):
+                base = self.new_kernel(nodes, catalog, base_config, None, early)
+                for label, config in self.CONFIGS.items():
+                    leg = base.copy(config, random.Random(7))
+                    for t in tasks:
+                        fills += fill_checked(leg, t.image, f"seed {seed} {label} {t.task_id}")
+                        leg.step(t)
+                    assert list(base.images) == early, (seed, label)
+        assert fills > 0
 
     def test_negative_commitment(self):
         # No node starts with a negative commitment, so no kernel, new or
@@ -794,8 +866,9 @@ class TestKernelWork:
     the rows each policy's decisions draw for scoring (the bounded argmax
     and its stop), the overlap columns one compare builds (one per image,
     shared by every leg), the orders the walks sort (only those a commit
-    made stale, and none where no weight is above 0), and the image hashes
-    it computes (one per ``ImageRef`` built). Each bound is at or a little
+    made stale, and none where no weight is above 0), the tests of node
+    sets an image's fill makes (none), and the image hashes it computes (one
+    per ``ImageRef`` built). Each bound is at or a little
     above the count measured on these fixed instances, given in its
     comment."""
 
@@ -861,6 +934,38 @@ class TestKernelWork:
         assert sorts["default"] == 0  # its rows come in index order
         assert sorts["layer_static"] <= 130  # 118; 300 if every walk sorted
         assert sorts["lr_dynamic"] <= 130  # 118
+
+    def test_a_fill_tests_no_node_set(self, monkeypatch):
+        # An image's entry is filled in from the held-layer and held-image
+        # indexes, which touch only the nodes holding one of its layers; a
+        # fill that tested every node's sets would make nodes x layers tests.
+        tests, fills = [0], []
+
+        class Counting(set):
+            def __contains__(self, item):
+                tests[0] += 1
+                return super().__contains__(item)
+
+        fill = scheduler._Kernel._image
+
+        def filling(self, image):
+            if image in self.images:
+                return fill(self, image)
+            before = tests[0]
+            entry = fill(self, image)
+            fills.append(tests[0] - before)
+            return entry
+
+        scenario = sharing_scenario(1)
+        base = sorted(layer for layer in scenario.catalog.layers if "base" in layer)
+        warm = replace(scenario, preloaded={f"n{i:02d}": (base[i % len(base)],)
+                                            for i in range(0, 40, 3)})
+        monkeypatch.setattr(scheduler, "set", Counting, raising=False)  # the kernel's rows
+        monkeypatch.setattr(scheduler._Kernel, "_image", filling)
+        compare(warm, {policy: SchedulerConfig(policy=policy) for policy in POLICIES}, [1, 2])
+        assert len(fills) == 24  # one per image, shared by every leg
+        assert fills == [0] * 24
+        assert tests[0] > 0  # a commit's test for the layers a node lacks is counted
 
     def test_one_compare_hashes_each_image_ref_once(self, monkeypatch):
         # An ImageRef's hash is computed when it is built, not at each of

@@ -76,7 +76,19 @@ class TestGenerate:
         ({"kind": "trace_file"}, "trace_file workload needs trace_path"),
         ({"count": -1}, f"count must be within 0..{sys.maxsize}"),
         ({"count": sys.maxsize + 1}, f"count must be within 0..{sys.maxsize}"),
-    ], ids=["no-trace-path", "negative-count", "count-beyond-maxsize"])
+        # Each range below failed only in generate: a float bound in the
+        # draw, a zero CPU or a memory beyond the float range in the task.
+        ({"cpu_range": (1.0, 3.0)}, "cpu_range bounds must be integers"),
+        ({"mem_range": (0, True)}, "mem_range bounds must be integers"),
+        ({"cpu_range": (False, 5)}, "cpu_range bounds must be integers"),
+        ({"cpu_range": (0, 1)}, "cpu_range must satisfy 1 <= min <= max"),
+        ({"cpu_range": (5, 4)}, "cpu_range must satisfy 1 <= min <= max"),
+        ({"mem_range": (-1, 4)}, "mem_range must satisfy 0 <= min <= max"),
+        ({"mem_range": (10 ** 400, 10 ** 400)}, "mem_range must be within the float range"),
+        ({"cpu_range": (1, 10 ** 400)}, "cpu_range must be within the float range"),
+    ], ids=["no-trace-path", "negative-count", "count-beyond-maxsize", "float-bounds",
+            "bool-max", "bool-min", "zero-cpu", "min-above-max", "negative-mem",
+            "mem-beyond-float", "cpu-beyond-float"])
     def test_spec_refuses(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             WorkloadSpec(**kwargs)
@@ -136,11 +148,17 @@ class TestStream:
         {"a:1": 0.5, "b:1": 0.0, "c:1": 0.5},
     ], ids=["unweighted", "weighted", "weighted-subset", "zero-weight"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_draws_equal_a_per_task_weighted_choice(self, weights, seed):
+    @pytest.mark.parametrize("ranges", [
+        {},
+        {"cpu_range": (250, 250), "mem_range": (MB, MB)},
+        {"mem_range": (0, 3)},
+        {"cpu_range": (1, 2 ** 70), "mem_range": (2 ** 64, 2 ** 66 + 5)},
+    ], ids=["default-ranges", "one-value", "mem-from-0", "beyond-2**64"])
+    def test_draws_equal_a_per_task_weighted_choice(self, weights, seed, ranges):
         catalog = LayerCatalog(
             layers={"sha256:x": MB},
             images={ImageRef(name, "1"): ("sha256:x",) for name in "dcba"})
-        spec = WorkloadSpec(count=1000, image_weights=weights, seed=seed)
+        spec = WorkloadSpec(count=1000, image_weights=weights, seed=seed, **ranges)
         expected = list(islice(reference_stream(spec, catalog), 1000))
         assert list(islice(stream(spec, catalog), 1000)) == expected
         assert generate(spec, catalog) == expected

@@ -25,7 +25,7 @@ from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import unquote, urljoin, urlsplit, urlunsplit
 
 from ._jsonout import iter_indented_json
 from .errors import (
@@ -362,12 +362,6 @@ class _Reply:
             pass  # trailer fields are dropped
         return b"".join(chunks)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        pass
-
 
 def _host_port(netloc: str, default: int) -> tuple[str, int]:
     """Host and port of ``host[:port]``, as ``http.client`` splits them: an
@@ -391,30 +385,26 @@ def _host_header(host: str, port: int, default: int) -> str:
 
 
 class _Connection:
-    """The client's default connection: one HTTP/1.1 socket, TLS for
-    ``https`` (:mod:`ssl` loads only then), with the parts of
-    ``http.client.HTTPConnection`` that :meth:`RegistryClient._exchange`
-    uses. ``request`` writes the bytes ``HTTPConnection.request`` writes, in
-    one ``sendall``, and :meth:`send` those of many requests; ``getresponse``
-    returns the next :class:`_Reply`, read through the connection's one
-    buffered reader, and ``pipelines`` says whether the last one came over
-    HTTP/1.1 and keeps the connection open. It connects on its first
-    request."""
+    """One HTTP/1.1 socket to ``host``, TLS for ``https`` (:mod:`ssl` loads
+    only then), and through it a ``CONNECT`` tunnel to ``tunnel``'s
+    ``(netloc, headers)`` if given; it connects on its first :meth:`send`.
+    ``getresponse`` returns the next :class:`_Reply`, read through the
+    connection's one buffered reader, and ``pipelines`` says whether the
+    last one came over HTTP/1.1 and keeps the connection open. A
+    ``connect=`` factory's connections keep this contract."""
 
-    def __init__(self, host: str, timeout: float = 30, tls: bool = False):
-        self._default = 443 if tls else 80
-        self.host, self.port = _host_port(host, self._default)
-        self._host = _host_header(self.host, self.port, self._default)
-        self.timeout, self.tls = timeout, tls
+    def __init__(self, host: str, timeout: float = 30, tls: bool = False,
+                 tunnel: tuple | None = None):
+        default = 443 if tls else 80
+        self.host, self.port = server = _host_port(host, default)
         self._tunnel = None  # (host, port, CONNECT headers)
+        if tunnel:
+            server = _host_port(tunnel[0], default)
+            self._tunnel = *server, tunnel[1]
+        self._host = _host_header(*server, default)
+        self.timeout, self.tls = timeout, tls
         self._sock = self._fp = None
         self.pipelines = False
-
-    def set_tunnel(self, host: str, port: int | None = None, headers: dict | None = None):
-        """Reach ``host`` through a ``CONNECT`` to this connection's proxy."""
-        host, port = _host_port(host if port is None else f"{host}:{port}", self._default)
-        self._tunnel = host, port, headers or {}
-        self._host = _host_header(host, port, self._default)
 
     def _connect(self):
         import socket
@@ -444,22 +434,19 @@ class _Connection:
             raise
         self._sock, self._fp = sock, sock.makefile("rb")
 
-    def request(self, method: str, target: str, headers: dict | None = None):
-        self.send([target], headers, method)
-
-    def send(self, targets: list[str], headers: dict | None = None, method: str = "GET"):
-        """Write one request per target, each with ``headers``, in one
-        ``sendall``. The targets are sendable (:meth:`RegistryClient._hop`);
-        an absolute one, for a proxy, is sent alone, with its URL's host."""
+    def send(self, targets: list[str], headers: dict):
+        """Write a GET per target, each with ``headers``, in one ``sendall``:
+        the bytes ``http.client.HTTPConnection.request`` writes for each. The
+        targets are sendable (:meth:`RegistryClient._hop`); an absolute one,
+        for a proxy, is sent alone, with its URL's host."""
         host = urlsplit(targets[0]).netloc if "://" in targets[0] else self._host
         fields = [f"Host: {host}", "Accept-Encoding: identity"]
-        fields += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        fields += [f"{name}: {value}" for name, value in headers.items()]
         for field in fields:  # named, not shown: a value may be a credential
             if "\r" in field or "\n" in field:
                 raise ValueError(f"header {field.partition(':')[0]} holds CR or LF")
         tail = (" HTTP/1.1\r\n" + "\r\n".join(fields) + "\r\n\r\n").encode("latin-1")
-        method = f"{method} ".encode("ascii")
-        heads = b"".join(method + target.encode("ascii") + tail for target in targets)
+        heads = b"".join(b"GET " + target.encode("ascii") + tail for target in targets)
         if self._sock is None:
             self._connect()
         self._sock.sendall(heads)
@@ -483,31 +470,18 @@ def _bypassed(host: str, proxies: dict) -> bool:
     return proxy_bypass_environment(host, proxies)
 
 
-def _transport_errors() -> tuple:
-    """What a GET raises as :class:`RegistryUnavailable`: an ``OSError`` or a
-    ``ValueError``, and, if ``http.client`` is loaded, the ``HTTPException``
-    that a stock connection from ``connect=`` raises."""
-    stock = sys.modules.get("http.client")
-    return (OSError, ValueError) + ((stock.HTTPException,) if stock else ())
-
-
 class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
-    While :func:`walk_registry` runs, the client keeps one open connection
-    per scheme, host and proxy tunnel, and reuses it, pipelined if it is its
-    own (:meth:`_exchange`), for every GET and redirect hop there until a
-    reply says it closes (``will_close``); the walk closes them all when it
-    ends. Outside a walk each GET closes its connections. Each thread's walk
-    keeps its own connections, so walks on one client may overlap across
-    threads. ``connect(host, timeout=)`` opens
-    a connection and returns an object with ``http.client.HTTPConnection``'s
-    ``request``, ``getresponse``, ``close`` and ``set_tunnel``; by default a
-    :class:`_Connection`, over TLS for ``https``. A reply without
-    ``will_close`` is taken to close its connection. The proxy variables
-    (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) are read once, here, as
-    ``urllib`` reads them; ``urllib.request`` loads only if one is set, or
-    on macOS and Windows, where it also reads the system settings."""
+    While :func:`walk_registry` runs, the client keeps one connection per
+    scheme, host and proxy tunnel for every GET and redirect hop there,
+    pipelined (:meth:`_exchange`), until a reply says it closes; the walk
+    closes them all when it ends, and each thread's walk keeps its own.
+    Outside a walk each GET closes its connections. ``connect`` opens each
+    connection; it is :class:`_Connection`, or a fake with its contract. The
+    proxy variables are read once, here, as ``urllib`` reads them;
+    ``urllib.request`` loads only if one is set, or on macOS and Windows,
+    where it also reads the system settings."""
 
     def __init__(self, config: RegistryConfig, connect=None):
         self.config = config
@@ -543,24 +517,27 @@ class RegistryClient:
 
     def _route(self, scheme: str, netloc: str) -> tuple:
         """How a GET reaches ``scheme://netloc``: the origin its connection is
-        kept under, the host to connect to, the ``CONNECT`` tunnel if any, and
-        the headers a plain HTTP proxy, which is sent absolute URLs, is also
-        sent (``None`` when there is no such proxy)."""
-        from urllib.parse import unquote
-
+        kept under, the host to connect to, the ``CONNECT`` tunnel's
+        ``(netloc, headers)`` if any, and the headers a plain HTTP proxy,
+        which is sent absolute URLs, is also sent (``None`` when there is no
+        such proxy). A proxy port out of range raises ``ValueError``."""
         tls, host, tunnel, proxied = scheme == "https", netloc, None, None
         proxy = self._proxies.get(scheme)
         if proxy and not _bypassed(netloc, self._proxies):
             via = urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            host = via.netloc.rpartition("@")[2]
+            try:  # else the socket would wrap the port modulo 65536
+                via.port
+            except ValueError as exc:
+                raise ValueError(f"proxy {host}: {exc}") from None
             auth = {}
             if via.username and via.password:
                 pair = f"{unquote(via.username)}:{unquote(via.password)}".encode()
                 auth["Proxy-Authorization"] = _basic(pair)
             if tls:  # CONNECT through the proxy, then TLS to the registry
-                tunnel = netloc, None, auth
+                tunnel = netloc, auth
             else:  # the proxy is sent the absolute URL
                 tls, proxied = via.scheme == "https", auth
-            host = via.netloc.rpartition("@")[2]
         return (tls, host, tunnel and netloc), host, tunnel, proxied
 
     def _hop(self, hop: str, routes: dict) -> tuple:
@@ -593,19 +570,17 @@ class RegistryClient:
         opens a connection. Each hop passes :meth:`_hop`; a 301/302/303/307/308
         is followed after its batch, alone, at most :data:`MAX_REDIRECTS`
         times, without ``Authorization``. A new connection's first GET goes
-        alone. In a walk, once a reply on the client's own connection (direct
-        or tunnelled) came over HTTP/1.1 without a close, up to
+        alone; in a walk, once the connection ``pipelines``, up to
         :data:`PIPELINE` GETs to its origin are written at once and their
-        replies read in order (RFC 9112 section 9.3.2); a ``connect=`` factory
-        or a plain HTTP proxy gets one at a time. GETs that a closing
-        connection left unanswered (a reply that closes or is HTTP/1.0, or no
-        status line) are each sent once more, alone; a drop on a new
-        connection is not, nor is a body cut short."""
-        from urllib.parse import urljoin
-
+        replies read in order (RFC 9112 section 9.3.2), except through a plain
+        HTTP proxy. GETs that a closing connection left unanswered (a reply
+        that closes or is HTTP/1.0, or no status line) are each sent once
+        more, alone; a drop on a new connection is not, nor is a body cut
+        short."""
         sent = {**(headers or {}), "User-Agent": "layersched"}
         first = {**sent, "Authorization": self._authorization} if self._authorization else sent
         kept = getattr(self._walk, "kept", None)  # None outside a walk
+        connect = self.connect or _Connection
         routes, queue = {}, deque((i, url, 0, False) for i, url in enumerate(urls))
         while queue:  # (index, hop, redirects so far, whether it goes alone)
             index, hop, redirects, alone = queue.popleft()
@@ -617,8 +592,8 @@ class RegistryClient:
             origin, host, tunnel, proxied = route
             connection = kept.pop(origin, None) if kept else None
             batch, outcomes, later = [(index, hop, redirects, target)], [], []
-            if (connection is not None and self.connect is None and proxied is None
-                    and not (redirects or alone) and connection.pipelines):
+            if (connection is not None and proxied is None and not (redirects or alone)
+                    and connection.pipelines):
                 while queue and len(batch) < PIPELINE and not (queue[0][2] or queue[0][3]):
                     item = queue.popleft()
                     try:
@@ -634,20 +609,13 @@ class RegistryClient:
             hop_headers = {**(sent if redirects else first), **(proxied or {})}
             try:
                 if fresh:
-                    connection = (self.connect(host, timeout=30) if self.connect
-                                  else _Connection(host, timeout=30, tls=origin[0]))
-                    if tunnel:
-                        connection.set_tunnel(*tunnel)
-                if len(batch) > 1:
-                    connection.send([item[3] for item in batch], hop_headers)
-                else:
-                    connection.request("GET", batch[0][3], headers=hop_headers)
+                    connection = connect(host, timeout=30, tls=origin[0], tunnel=tunnel)
+                connection.send([item[3] for item in batch], hop_headers)
                 for index, hop, redirects, _ in batch:
                     reply = None
                     reply = connection.getresponse()
-                    with reply:
-                        status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
-                        location = reply.getheader("Location")
+                    status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
+                    location = reply.getheader("Location")
                     answered += 1
                     try:
                         if status in _REDIRECTS and location and redirects < MAX_REDIRECTS:
@@ -661,19 +629,19 @@ class RegistryClient:
             except BaseException as exc:
                 if connection is not None:
                     connection.close()
-                if not isinstance(exc, _transport_errors()):
+                if not isinstance(exc, (OSError, ValueError)):
                     raise
                 index, hop = batch[answered][:2]
                 if fresh or reply is not None or not isinstance(
                         exc, (ConnectionResetError, BrokenPipeError)):
                     outcomes.append((index, _unavailable(urls[index], hop, exc)))
                     answered += 1
-                reply = None  # else dropped while idle (RemoteDisconnected is a reset too)
-            if answered == len(batch) and kept is not None and not getattr(
-                    reply, "will_close", True):
-                kept[origin] = connection
-            elif connection is not None:
-                connection.close()
+                # else dropped while idle: this GET is sent once more
+            else:
+                if answered == len(batch) and kept is not None and not reply.will_close:
+                    kept[origin] = connection
+                else:
+                    connection.close()
             queue.extendleft(reversed(later + [(*item[:3], True) for item in batch[answered:]]))
             yield from outcomes
 

@@ -13,6 +13,7 @@ import threading
 import time
 import urllib.request
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -369,69 +370,77 @@ INDEX = {"schemaVersion": 2,
 
 
 class StubRegistry:
-    """A connection factory, called as ``HTTPConnection`` is, whose
-    connections answer each GET from a path -> reply table with 200, else
-    with a 404, and which keeps the URL and headers of every request. A reply
-    is a body or a ``(body, Link header)`` pair; a body that is not a string
-    is sent as its JSON encoding. An int reply is that status. A connection
-    stays open until its reply says it closes (``will_close``): after
-    ``close_after`` replies, if given. ``faults`` maps the index of a request
-    (from 0, over every connection) to ``(step, error)``: that GET raises
-    ``error`` from its ``request``, ``getresponse`` or ``read``."""
+    """A connection factory, called as :class:`registry._Connection` is,
+    whose connections answer each GET from a path -> reply table with 200,
+    else with a 404, and which keeps the URL and headers of every request. A
+    reply is a body or a ``(body, Link header)`` pair; a body that is not a
+    string is sent as its JSON encoding. An int reply is that status. A
+    connection stays open until its reply says it closes (``will_close``):
+    after ``close_after`` replies, if given. Its replies say it takes a
+    pipeline (``pipelines``) if ``pipelines`` is set and they do not close.
+    ``faults`` maps the index of a request (from 0, over every connection)
+    to ``(step, error)``: that GET raises ``error`` from its ``send``,
+    ``getresponse`` or ``read``."""
 
     def __init__(self, replies: dict, close_after: int | None = None,
-                 faults: dict | None = None):
+                 faults: dict | None = None, pipelines: bool = False):
         self.replies = replies
         self.close_after = close_after
         self.faults = faults or {}
+        self.pipelines = pipelines
         self.requests = []  # (url, headers) per GET
         self.tunnels = []  # (proxy host, tunnel host, CONNECT headers) per tunnel
         self.connections = []  # every connection opened
         self.most_in_flight = 0  # GETs sent on one connection and not yet answered
 
-    def __call__(self, host, timeout=None):
-        connection = StubConnection(self, host)
+    def __call__(self, host, timeout=30, tls=False, tunnel=None):
+        connection = StubConnection(self, host, tunnel)
         self.connections.append(connection)
+        if tunnel:
+            self.tunnels.append((host, *tunnel))
         return connection
 
 
 class StubConnection:
-    """One connection of a :class:`StubRegistry`; it is its own reply."""
+    """One connection of a :class:`StubRegistry`; it is its own reply, the
+    one that :meth:`getresponse` read last."""
 
-    def __init__(self, registry: StubRegistry, host: str):
+    pipelines = False  # until a reply says it takes a pipeline
+
+    def __init__(self, registry: StubRegistry, host: str, tunnel: tuple | None):
         self.registry = registry
         self.host = host
-        self.tunnel = None
-        self.replies = self.in_flight = 0
+        self.tunnel = tunnel and tunnel[0]
+        self.sent = deque()  # (fault, status, headers, body) per GET not yet answered
+        self.batches = []  # the number of GETs of each send
+        self.replies = 0
         self.will_close = self.closed = False
 
-    def set_tunnel(self, host, port=None, headers=None):
-        self.tunnel = host
-        self.registry.tunnels.append((self.host, host, headers))
-
-    def request(self, method, target, headers=None):
-        assert method == "GET" and not (self.closed or self.will_close)
-        url = target if "://" in target else f"http://{self.tunnel or self.host}{target}"
-        self.fault = self.registry.faults.get(len(self.registry.requests), (None, None))
-        self.registry.requests.append((url, headers))
-        self._fail("request")
-        self.in_flight += 1
-        self.registry.most_in_flight = max(self.registry.most_in_flight, self.in_flight)
-        reply = self.registry.replies.get(url.removeprefix(STUB_URL), 404)
-        self.status, reply = (reply, "{}") if isinstance(reply, int) else (200, reply)
-        body, link = reply if isinstance(reply, tuple) else (reply, None)
-        self.headers = {"Link": link} if link else {}
-        self.body = (body if isinstance(body, str) else json.dumps(body)).encode()
-        self.replies += 1
-        self.will_close = self.replies == self.registry.close_after
+    def send(self, targets, headers):
+        assert not (self.closed or self.will_close)
+        self.batches.append(len(targets))
+        for target in targets:
+            url = target if "://" in target else f"http://{self.tunnel or self.host}{target}"
+            self.fault = self.registry.faults.get(len(self.registry.requests), (None, None))
+            self.registry.requests.append((url, headers))
+            self._fail("send")
+            reply = self.registry.replies.get(url.removeprefix(STUB_URL), 404)
+            status, reply = (reply, "{}") if isinstance(reply, int) else (200, reply)
+            body, link = reply if isinstance(reply, tuple) else (reply, None)
+            self.sent.append((self.fault, status, {"Link": link} if link else {},
+                              (body if isinstance(body, str) else json.dumps(body)).encode()))
+        self.registry.most_in_flight = max(self.registry.most_in_flight, len(self.sent))
 
     def _fail(self, step):
         if self.fault[0] == step:
             raise self.fault[1]
 
     def getresponse(self):
-        self.in_flight -= 1
+        self.fault, self.status, self.headers, self.body = self.sent.popleft()
         self._fail("getresponse")
+        self.replies += 1
+        self.will_close = self.replies == self.registry.close_after
+        self.pipelines = self.registry.pipelines and not self.will_close
         return self
 
     def getheader(self, name, default=None):
@@ -443,12 +452,6 @@ class StubConnection:
 
     def close(self):
         self.closed = True
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        pass
 
 
 def stub_client(replies: dict, **credentials) -> RegistryClient:
@@ -813,7 +816,7 @@ class TestTransport:
         assert sorted(snapshot.lists) == ["a:1", "a:2", "c:1", "team/b:1", "team/b:2"]
         assert snapshot.warnings == []
         assert len(client.connect.requests) == 2 + 4 + 5 + 1
-        assert client.connect.most_in_flight == 1  # a connect= factory gets one GET at a time
+        assert client.connect.most_in_flight == 1  # the stub's connections take no pipeline
 
     def test_a_walk_reads_the_proxy_settings_once(self, monkeypatch):
         # Work count: getproxies scans the whole environment, so a client
@@ -1133,6 +1136,26 @@ class TestWire:
         assert registry.targets == ["/v2/_catalog"]
         assert proxy.requests == []
 
+    @pytest.mark.parametrize("port,message", [
+        (65536, "Port out of range 0-65535"),
+        ("x", "Port could not be cast to integer value as 'x'"),
+    ], ids=["out-of-range", "not-a-number"])
+    def test_an_unusable_proxy_port_exits_2_and_reaches_no_port(self, monkeypatch, tmp_path,
+                                                                capsys, port, message):
+        # A port 65536 above the listener's would reach it, wrapped by the socket.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            proxy = f"127.0.0.1:{listener.getsockname()[1] + port if port == 65536 else port}"
+            monkeypatch.setenv("http_proxy", f"http://u:secret@{proxy}")
+            cache = tmp_path / "cache.json"
+            assert main(["fetch-registry", "--registry", "http://registry.stub:5000",
+                         "--out", str(cache)]) == 2
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+        assert capsys.readouterr().err == (
+            f"error: GET http://registry.stub:5000/v2/_catalog: proxy {proxy}: {message}\n")
+        assert not cache.exists()
+
 
 @contextmanager
 def raw_server(*replies, received: list | None = None):
@@ -1175,15 +1198,19 @@ def raw_server(*replies, received: list | None = None):
 
 def read_reply(raw: bytes, connect):
     """``(status, Link, Location, body, will_close)`` of ``raw``, read through
-    a connection that ``connect(host, timeout=)`` opens, or the class of the
-    error that reading it raised."""
+    a connection that ``connect(host, timeout=)`` opens, the client's own
+    (``OWN``) or a stock ``HTTPConnection``, or the class of the error that
+    reading it raised."""
     with raw_server(raw) as url:
         connection = connect(url.removeprefix("http://"), timeout=5)
         try:
-            connection.request("GET", "/v2/_catalog", headers={"Connection": "close"})
-            with connection.getresponse() as reply:
-                return (reply.status, reply.getheader("Link"), reply.getheader("Location"),
-                        reply.read(), reply.will_close)
+            if connect is OWN:
+                connection.send(["/v2/_catalog"], {"Connection": "close"})
+            else:
+                connection.request("GET", "/v2/_catalog", headers={"Connection": "close"})
+            reply = connection.getresponse()
+            return (reply.status, reply.getheader("Link"), reply.getheader("Location"),
+                    reply.read(), reply.will_close)
         except (OSError, ValueError, http.client.HTTPException) as exc:
             return type(exc)
         finally:
@@ -1301,13 +1328,11 @@ class TestReplyReader:
         _, link, location, body, _ = read_reply(RAW_REPLIES["no-colon-line"][0], OWN)
         assert (link, location, body) == (NEXT.decode(), None, b"{}")
 
-    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
-                             ids=["own-reader", "stock-reader"])
-    def test_a_folded_next_link_is_followed(self, connect):
+    def test_a_folded_next_link_is_followed(self):
         page = b'HTTP/1.0 200 OK\r\n%s\r\n\r\n{"repositories": ["%s"]}'
         first = page % (b'Link: </v2/_catalog?last=a>;\r\n rel="next"', b"a")
         with raw_server(first, page % (b"Server: x", b"b")) as url:
-            client = RegistryClient(RegistryConfig(base_url=url), connect=connect)
+            client = RegistryClient(RegistryConfig(base_url=url))
             assert client.fetch_catalog() == ["a", "b"]
 
     @pytest.mark.parametrize("name", REFUSED)
@@ -1325,19 +1350,24 @@ class TestReplyReader:
     def test_the_request_head_is_the_stock_one(self, monkeypatch, case):
         heads = []  # one connection for each side
         with raw_server(page(["a"]), page(["a"]), received=heads) as url:
+            target, host = "/v2/_catalog", url.removeprefix("http://")
             base_url = url
             if case == "proxy":  # the proxy is sent the absolute URL
                 monkeypatch.setenv("http_proxy", url)
                 base_url = "http://registry.stub:5000"
-            for connect in (None, http.client.HTTPConnection):
-                client = RegistryClient(RegistryConfig(
-                    base_url=base_url, token="t0k" if case == "authorization" else None),
-                    connect=connect)
-                assert client.fetch_catalog() == ["a"]
+                target, host = f"{base_url}/v2/_catalog", "registry.stub:5000"
+            token = "t0k" if case == "authorization" else None
+            client = RegistryClient(RegistryConfig(base_url=base_url, token=token))
+            assert client.fetch_catalog() == ["a"]
+            stock = http.client.HTTPConnection(url.removeprefix("http://"), timeout=5)
+            try:
+                stock.request("GET", target, headers={
+                    "User-Agent": "layersched",
+                    **({"Authorization": f"Bearer {token}"} if token else {})})
+                stock.getresponse().read()
+            finally:
+                stock.close()
         assert len(heads) == 2 and heads[0] == heads[1]
-        target, host = "/v2/_catalog", url.removeprefix("http://")
-        if case == "proxy":
-            target, host = "http://registry.stub:5000/v2/_catalog", "registry.stub:5000"
         authorization = b"Authorization: Bearer t0k\r\n" if case == "authorization" else b""
         assert heads[0] == (b"GET %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
                             b"User-Agent: layersched\r\n%s\r\n"
@@ -1345,28 +1375,22 @@ class TestReplyReader:
 
     @pytest.mark.parametrize("location", [b"/v2/moved here", b"/v2/moved\r\n here"],
                              ids=["space", "folded-crlf"])
-    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
-                             ids=["own", "stock"])
-    def test_a_location_that_cannot_be_sent_is_refused(self, location, connect):
+    def test_a_location_that_cannot_be_sent_is_refused(self, location):
         received = []
         redirect = b"HTTP/1.1 302 Found\r\nLocation: %s\r\nContent-Length: 0\r\n\r\n" % location
         with raw_server(redirect, received=received) as url:
-            client = RegistryClient(RegistryConfig(base_url=url), connect=connect)
+            client = RegistryClient(RegistryConfig(base_url=url))
             with pytest.raises(RegistryUnavailable, match="redirected to"):
                 client.fetch_catalog()
         assert len(received) == 1
 
-    @pytest.mark.parametrize("connect", [None, http.client.HTTPConnection],
-                             ids=["own", "stock"])
-    def test_a_header_value_with_crlf_is_not_sent(self, connect):
+    def test_a_header_value_with_crlf_is_not_sent(self):
         with raw_server() as url:
-            client = RegistryClient(RegistryConfig(base_url=url, token="t0k\r\nX-Injected: 1"),
-                                    connect=connect)
+            client = RegistryClient(RegistryConfig(base_url=url, token="t0k\r\nX-Injected: 1"))
             with pytest.raises(RegistryUnavailable) as caught:
                 client.fetch_catalog()
         assert type(caught.value.__cause__) is ValueError
-        if connect is None:  # the token is not shown
-            assert str(caught.value).endswith("header Authorization holds CR or LF")
+        assert str(caught.value).endswith("header Authorization holds CR or LF")  # no token
 
     @pytest.mark.parametrize("framing", ["length", "chunked", "to-the-close"])
     def test_a_body_past_the_cap_is_refused(self, monkeypatch, framing):
@@ -1496,10 +1520,10 @@ class TestTLS:
 
 GOLDEN_CACHE = Path(__file__).parent / "data" / "cache_golden.json"
 # (step, error) of a connection the server dropped before replying
-DROPS = [("getresponse", http.client.RemoteDisconnected),
+DROPS = [("getresponse", registry_module._NoReply),
          ("getresponse", ConnectionResetError),
-         ("request", BrokenPipeError)]
-DROP_IDS = ["remote-disconnected", "reset", "broken-pipe"]
+         ("send", BrokenPipeError)]
+DROP_IDS = ["no-reply", "reset", "broken-pipe"]
 
 
 def page(names, next_link=b"", key="repositories"):
@@ -1519,18 +1543,16 @@ def all_closed(stub: StubRegistry) -> bool:
     return all(connection.closed for connection in stub.connections)
 
 
-class ReplyWithoutWillClose:
-    """A reply with only ``status``, ``getheader`` and ``read``, as a
-    ``connect=`` factory written for one GET per connection may give."""
-
-    def __init__(self, reply):
-        self.status, self.getheader, self.read = reply.status, reply.getheader, reply.read
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        pass
+def pipelined_refreshes(tmp_path, faults: dict) -> tuple:
+    """Two refreshes of one cache from pipelining stubs serving
+    ``TestTransport.PAGED``, the second with ``faults``: the cache the first
+    wrote, and the second's snapshot and stub. The second walk sends GETs 6
+    to 10, its five manifests, in one batch on the kept connection."""
+    config = RegistryConfig(base_url=STUB_URL, cache_path=str(tmp_path / "cache.json"))
+    refresh_cache(config, stub_walk_client(pipelines=True))
+    unfaulted = Path(config.cache_path).read_bytes()
+    client = stub_walk_client(pipelines=True, faults=faults)
+    return unfaulted, refresh_cache(config, client), client.connect
 
 
 class Http10Handler(fake_registry._Handler):
@@ -1654,7 +1676,7 @@ class TestKeptConnections:
         assert len(client.connect.requests) == faulty[-1] + 1
         assert all_closed(client.connect)
 
-    @pytest.mark.parametrize("error", [partial(http.client.IncompleteRead, b"{"),
+    @pytest.mark.parametrize("error", [partial(BAD_REPLY, "body cut short: 1 of 9 bytes"),
                                        ConnectionResetError], ids=["incomplete", "reset"])
     def test_a_body_cut_short_is_not_resent(self, error):
         # GET 6, a:1's manifest, loses its body on the kept connection: the
@@ -1689,27 +1711,14 @@ class TestKeptConnections:
         assert "body cut short: 15 of 40 bytes" in str(caught.value)
         assert len(received) == 2
 
-    def test_a_reply_without_will_close_closes_its_connection(self):
-        stub = StubRegistry(TestTransport.PAGED)
-
-        def connect(host, timeout=None):
-            connection = stub(host, timeout)
-            connection.getresponse = lambda: ReplyWithoutWillClose(connection)
-            return connection
-
-        client = RegistryClient(RegistryConfig(base_url=STUB_URL), connect=connect)
-        assert len(walk_registry(client).lists) == 5
-        assert (len(stub.requests), len(stub.connections)) == (12, 12)
-        assert all_closed(stub)
-
     def test_walks_on_one_client_may_overlap_across_threads(self):
         # Both walks wait at their first connection until the other is inside
         # its walk too; each keeps and closes its own connection.
         met = threading.Barrier(2, timeout=5)
 
-        def connect(host, timeout=None):
+        def connect(host, **options):
             met.wait()
-            return http.client.HTTPConnection(host, timeout=timeout)
+            return OWN(host, **options)
 
         snapshots, errors = [], []
 
@@ -1836,6 +1845,16 @@ class CloseAfterHandler(fake_registry._Handler):
 MISSING = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 
 
+class OneAtATime(OWN):
+    """The client's own connection, but one that never takes a pipeline, so
+    that a walk sends it one GET at a time."""
+
+    def getresponse(self):
+        reply = super().getresponse()
+        self.pipelines = False
+        return reply
+
+
 @pytest.mark.usefixtures("no_proxy_variables")
 class TestPipeline:
     """A walk sends each stage's GETs to one origin pipelined on the kept
@@ -1844,7 +1863,7 @@ class TestPipeline:
 
     def test_a_benchmark_sized_walk_pipelines_its_605_gets_on_one_connection(self, sends):
         paths = []
-        for connect in (OWN, None):  # a factory gets one GET at a time; the default pipelines
+        for connect in (OneAtATime, None):
             reg = CountingRegistry(edge_images(), page_size=20)
             reg.RequestHandlerClass, reg.paths = PathLogHandler, []
             with reg:
@@ -1947,7 +1966,7 @@ class TestPipeline:
             "/v2/_catalog", "/v2/a/tags/list", "/v2/b/tags/list", "/v2/c/tags/list"]
         assert [[gets(data) for data in log] for log in sends] == [[1, 3]]
 
-    @pytest.mark.parametrize("connect", [OWN, None], ids=["one-at-a-time", "pipelined"])
+    @pytest.mark.parametrize("connect", [OneAtATime, None], ids=["one-at-a-time", "pipelined"])
     def test_a_103_before_a_page_leaves_each_get_its_own_page(self, connect, sends):
         received = []
         replies = (page(["a", "b"]), EARLY_HINTS + page(["1"], key="tags"),
@@ -1962,6 +1981,38 @@ class TestPipeline:
             b"/v2/a/manifests/1", b"/v2/b/manifests/2"]
         assert [[gets(data) for data in log] for log in sends] == \
             [[1] * 5 if connect else [1, 2, 2]]
+
+    @pytest.mark.parametrize("faulty", [6, 8, 10])
+    @pytest.mark.parametrize("error", [registry_module._NoReply, ConnectionResetError],
+                             ids=["no-reply", "reset"])
+    def test_a_drop_in_a_batch_resends_each_unanswered_get_alone(self, tmp_path, error,
+                                                                  faulty):
+        unfaulted, snapshot, stub = pipelined_refreshes(
+            tmp_path, {faulty: ("getresponse", error())})
+        assert (snapshot.warnings, snapshot.stale) == ([], False)
+        assert Path(snapshot.catch_file).read_bytes() == unfaulted
+        urls = [url for url, _ in stub.requests]
+        assert urls[11:-1] == urls[faulty:11]  # then c's platform manifest
+        assert [connection.batches for connection in stub.connections] == \
+            [[1, 1, 3, 1, 5], [1] * (12 - faulty)]
+        assert stub.most_in_flight == 5
+        assert all_closed(stub)
+
+    @pytest.mark.parametrize("faulty", [6, 8])
+    def test_a_body_cut_short_in_a_batch_ends_only_its_get(self, tmp_path, faulty):
+        unfaulted, snapshot, stub = pipelined_refreshes(
+            tmp_path, {faulty: ("read", BAD_REPLY("body cut short: 1 of 9 bytes"))})
+        key = ["a:1", "a:2", "team/b:1"][faulty - 6]
+        url = f"{STUB_URL}/v2/{key.replace(':', '/manifests/')}"
+        assert snapshot.warnings == [
+            f"manifest {key}: GET {url}: body cut short: 1 of 9 bytes",
+            f"serving 1 image(s) from the prior cache after a transient failure: {key}"]
+        assert Path(snapshot.catch_file).read_bytes() == unfaulted  # its prior record kept
+        urls = [url for url, _ in stub.requests]
+        assert urls[11:-1] == urls[faulty + 1:11]
+        assert [connection.batches for connection in stub.connections] == \
+            [[1, 1, 3, 1, 5], [1] * (11 - faulty)]
+        assert all_closed(stub)
 
     def test_an_error_that_is_no_transport_error_ends_the_walk(self):
         client = stub_walk_client(faults={6: ("read", RuntimeError("a defect"))})

@@ -389,9 +389,8 @@ class _Connection:
     only then), and through it a ``CONNECT`` tunnel to ``tunnel``'s
     ``(netloc, headers)`` if given; it connects on its first :meth:`send`.
     ``getresponse`` returns the next :class:`_Reply`, read through the
-    connection's one buffered reader, and ``pipelines`` says whether the
-    last one came over HTTP/1.1 and keeps the connection open. A
-    ``connect=`` factory's connections keep this contract."""
+    connection's one buffered reader. A ``connect=`` factory's connections
+    keep this contract: ``send``, ``getresponse`` and ``close``."""
 
     def __init__(self, host: str, timeout: float = 30, tls: bool = False,
                  tunnel: tuple | None = None):
@@ -404,7 +403,6 @@ class _Connection:
         self._host = _host_header(*server, default)
         self.timeout, self.tls = timeout, tls
         self._sock = self._fp = None
-        self.pipelines = False
 
     def _connect(self):
         import socket
@@ -452,9 +450,7 @@ class _Connection:
         self._sock.sendall(heads)
 
     def getresponse(self) -> _Reply:
-        reply = _Reply(self._fp)
-        self.pipelines = reply.pipelines
-        return reply
+        return _Reply(self._fp)
 
     def close(self):
         if self._sock is not None:
@@ -473,12 +469,12 @@ def _bypassed(host: str, proxies: dict) -> bool:
 class RegistryClient:
     """Thin HTTP(S) client for the v2 catalog, tags, and manifest endpoints.
 
-    While :func:`walk_registry` runs, the client keeps one connection per
-    scheme, host and proxy tunnel for every GET and redirect hop there,
-    pipelined (:meth:`_exchange`), until a reply says it closes; the walk
-    closes them all when it ends, and each thread's walk keeps its own.
-    Outside a walk each GET closes its connections. ``connect`` opens each
-    connection; it is :class:`_Connection`, or a fake with its contract. The
+    Each call keeps one connection per scheme, host and proxy tunnel for
+    every GET and redirect hop there, pipelined (:meth:`_exchange`), until a
+    reply says it closes, and closes them all when it ends; a walk
+    (:func:`walk_registry`) keeps them across its calls, and each thread's
+    walk keeps its own. ``connect`` opens each connection; it is
+    :class:`_Connection`, or a fake with its contract. The
     proxy variables are read once, here, as ``urllib`` reads them;
     ``urllib.request`` loads only if one is set, or on macOS and Windows,
     where it also reads the system settings."""
@@ -486,7 +482,7 @@ class RegistryClient:
     def __init__(self, config: RegistryConfig, connect=None):
         self.config = config
         self.connect = connect
-        self._walk = threading.local()  # .kept: origin -> open connection, while a walk runs
+        self._walk = threading.local()  # .kept: the table of the outermost _keeping block
         self._proxies = {}
         # Elsewhere getproxies reads only these variables; there, system settings too.
         if sys.platform in ("darwin", "win32") or any(
@@ -503,16 +499,20 @@ class RegistryClient:
 
     @contextmanager
     def _keeping(self):
-        """Keep each origin's connection open for the next GET until the
-        block ends, then close every kept one, on error too. The table is
-        this thread's, for this block."""
-        outer = getattr(self._walk, "kept", None)
+        """Yield this thread's table of kept connections: origin ->
+        ``(connection, whether its last reply pipelines)``. A block inside
+        another uses the outer block's table; the outermost closes every kept
+        connection when it ends, on error too."""
+        kept = getattr(self._walk, "kept", None)
+        if kept is not None:
+            yield kept
+            return
         self._walk.kept = kept = {}
         try:
-            yield
+            yield kept
         finally:
-            self._walk.kept = outer
-            for connection in kept.values():
+            self._walk.kept = None
+            for connection, _ in kept.values():
                 connection.close()
 
     def _route(self, scheme: str, netloc: str) -> tuple:
@@ -563,55 +563,45 @@ class RegistryClient:
         target.encode("ascii")  # a non-ASCII target fails its own GET, not a pipelined batch
         return route, target
 
-    def _exchange(self, urls: list[str], headers: dict | None = None):
+    def _exchange(self, urls: list[str], kept: dict, headers: dict | None = None):
         """Yield ``(i, outcome)`` for each of ``urls``, a batch at a time: the
         ``(status, Link, body)`` of its reply, of any status, or the
         :class:`RegistryUnavailable` its GET ended in. The only code that
-        opens a connection. Each hop passes :meth:`_hop`; a 301/302/303/307/308
-        is followed after its batch, alone, at most :data:`MAX_REDIRECTS`
-        times, without ``Authorization``. A new connection's first GET goes
-        alone; in a walk, once the connection ``pipelines``, up to
-        :data:`PIPELINE` GETs to its origin are written at once and their
-        replies read in order (RFC 9112 section 9.3.2), except through a plain
-        HTTP proxy. GETs that a closing connection left unanswered (a reply
-        that closes or is HTTP/1.0, or no status line) are each sent once
-        more, alone; a drop on a new connection is not, nor is a body cut
-        short."""
+        opens a connection; ``kept`` (:meth:`_keeping`) holds each origin's
+        between GETs. Each hop passes :meth:`_hop` as it is queued, so a URL
+        it refuses yields before any GET is sent. A 301/302/303/307/308 is
+        followed after its batch, alone, at most :data:`MAX_REDIRECTS` times,
+        without ``Authorization``. A new connection's first GET goes alone;
+        once its last reply ``pipelines``, up to :data:`PIPELINE` queued GETs
+        to its origin are written at once and their replies read in order
+        (RFC 9112 section 9.3.2), except through a plain HTTP proxy. GETs
+        that a closing connection left unanswered (a reply that closes or is
+        HTTP/1.0, or no status line) are each sent once more, alone; a drop
+        on a new connection is not, nor is a body cut short."""
         sent = {**(headers or {}), "User-Agent": "layersched"}
         first = {**sent, "Authorization": self._authorization} if self._authorization else sent
-        kept = getattr(self._walk, "kept", None)  # None outside a walk
         connect = self.connect or _Connection
-        routes, queue = {}, deque((i, url, 0, False) for i, url in enumerate(urls))
-        while queue:  # (index, hop, redirects so far, whether it goes alone)
-            index, hop, redirects, alone = queue.popleft()
+        routes, queue = {}, deque()  # (index, hop, redirects so far, alone, route, target)
+        for index, url in enumerate(urls):
             try:
-                route, target = self._hop(hop, routes)
+                queue.append((index, url, 0, False, *self._hop(url, routes)))
             except ValueError as exc:
-                yield index, _unavailable(urls[index], hop, exc)
-                continue
-            origin, host, tunnel, proxied = route
-            connection = kept.pop(origin, None) if kept else None
-            batch, outcomes, later = [(index, hop, redirects, target)], [], []
-            if (connection is not None and proxied is None and not (redirects or alone)
-                    and connection.pipelines):
-                while queue and len(batch) < PIPELINE and not (queue[0][2] or queue[0][3]):
-                    item = queue.popleft()
-                    try:
-                        route, target = self._hop(item[1], routes)
-                    except ValueError as exc:
-                        outcomes.append((item[0], _unavailable(urls[item[0]], item[1], exc)))
-                        continue
-                    if route[0] != origin:
-                        queue.appendleft(item)
-                        break
-                    batch.append((item[0], item[1], 0, target))
+                yield index, _unavailable(url, url, exc)
+        while queue:
+            batch, outcomes, later = [queue.popleft()], [], []
+            origin, host, tunnel, proxied = batch[0][4]
+            connection, pipelines = kept.pop(origin, (None, False))
+            if pipelines and proxied is None and not batch[0][3]:
+                while (queue and len(batch) < PIPELINE and not queue[0][3]
+                       and queue[0][4][0] == origin):
+                    batch.append(queue.popleft())
             fresh, answered, reply = connection is None, 0, None
-            hop_headers = {**(sent if redirects else first), **(proxied or {})}
+            hop_headers = {**(sent if batch[0][2] else first), **(proxied or {})}
             try:
                 if fresh:
                     connection = connect(host, timeout=30, tls=origin[0], tunnel=tunnel)
-                connection.send([item[3] for item in batch], hop_headers)
-                for index, hop, redirects, _ in batch:
+                connection.send([item[5] for item in batch], hop_headers)
+                for index, hop, redirects, *_ in batch:
                     reply = None
                     reply = connection.getresponse()
                     status, link, body = reply.status, reply.getheader("Link", ""), reply.read()
@@ -619,10 +609,12 @@ class RegistryClient:
                     answered += 1
                     try:
                         if status in _REDIRECTS and location and redirects < MAX_REDIRECTS:
-                            later.append((index, urljoin(hop, location), redirects + 1, False))
+                            hop = urljoin(hop, location)
+                            later.append((index, hop, redirects + 1, True,
+                                          *self._hop(hop, routes)))
                         else:
                             outcomes.append((index, (status, link, body)))
-                    except ValueError as exc:  # a Location with a malformed host ends its GET only
+                    except ValueError as exc:  # a Location that cannot be sent ends its GET only
                         outcomes.append((index, _unavailable(urls[index], hop, exc)))
                     if answered < len(batch) and not reply.pipelines:  # it closes, or is HTTP/1.0
                         break
@@ -638,34 +630,37 @@ class RegistryClient:
                     answered += 1
                 # else dropped while idle: this GET is sent once more
             else:
-                if answered == len(batch) and kept is not None and not reply.will_close:
-                    kept[origin] = connection
+                if answered == len(batch) and not reply.will_close:
+                    kept[origin] = connection, reply.pipelines
                 else:
                     connection.close()
-            queue.extendleft(reversed(later + [(*item[:3], True) for item in batch[answered:]]))
+            queue.extendleft(reversed(later + [(*item[:3], True, *item[4:])
+                                               for item in batch[answered:]]))
             yield from outcomes
 
     def _run(self, tasks: dict, headers: dict | None = None) -> dict:
         """Run each of ``tasks`` (key -> a generator that yields the URL of
         each GET it needs and is sent its ``(status, Link, body)``, or has the
         GET's error raised in it) to its end, in stages: one :meth:`_exchange`,
-        with ``headers``, of the GETs that the unfinished tasks wait on. Each
-        reply is parsed by its task as it is read. Returns key -> the task's
-        return value, or the :class:`LayerSchedError` that ended it."""
+        with ``headers``, of the GETs that the unfinished tasks wait on, over
+        the connections of one :meth:`_keeping` block. Each reply is parsed
+        by its task as it is read. Returns key -> the task's return value, or
+        the :class:`LayerSchedError` that ended it."""
         results, waiting = {}, {key: next(task) for key, task in tasks.items()}
-        while waiting:
-            keys, urls, waiting = list(waiting), list(waiting.values()), {}
-            for index, outcome in self._exchange(urls, headers):
-                key = keys[index]
-                try:
-                    if isinstance(outcome, LayerSchedError):
-                        waiting[key] = tasks[key].throw(outcome)
-                    else:
-                        waiting[key] = tasks[key].send(outcome)
-                except StopIteration as stop:
-                    results[key] = stop.value
-                except LayerSchedError as exc:
-                    results[key] = exc
+        with self._keeping() as kept:
+            while waiting:
+                keys, urls, waiting = list(waiting), list(waiting.values()), {}
+                for index, outcome in self._exchange(urls, kept, headers):
+                    key = keys[index]
+                    try:
+                        if isinstance(outcome, LayerSchedError):
+                            waiting[key] = tasks[key].throw(outcome)
+                        else:
+                            waiting[key] = tasks[key].send(outcome)
+                    except StopIteration as stop:
+                        results[key] = stop.value
+                    except LayerSchedError as exc:
+                        results[key] = exc
         return results
 
     def _one(self, task, headers: dict | None = None):

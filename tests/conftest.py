@@ -1,12 +1,14 @@
 """With ``LAYERSCHED_RAISE_TRACE=1`` set, list at the end of the session every
 ``raise`` statement in ``src/layersched/`` that no test executed, and fail the
-session if there is one.
+session if there is one. Then list every statement there that no test
+executed, docstrings aside: a report only, which fails nothing.
 
 A ``sys.settrace`` hook, set on every thread, records the lines run in the
-package's files; ``ast`` finds the ``raise`` statements. A raise reached only
-in a child process (a test that runs the CLI in a subprocess) counts as not
-executed. Without the variable nothing is installed, so tier-1 runs at full
-speed.
+package's files; ``ast`` finds the statements. A statement counts as executed
+if a line of it ran; a compound one's lines are those before its body. One
+reached only in a child process (a test that runs the CLI in a subprocess)
+counts as not executed. Without the variable nothing is installed, so tier-1
+runs at full speed.
 """
 
 import ast
@@ -50,10 +52,28 @@ def pytest_configure(config):
 
 _missed: list[str] = []  # "path:line: raise ..." of each raise never executed
 _total = 0  # raise statements in the package
+_unrun: list[str] = []  # "path:line: ..." of each statement never executed
+_statements = 0  # statements in the package, docstrings aside
+
+
+def _docstring(node: ast.stmt, parent: ast.AST) -> bool:
+    return (isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node is parent.body[0] and isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
+
+
+def _lines(node: ast.stmt) -> range:
+    """The lines of ``node`` that run when it does: all of a simple
+    statement; a compound one's decorators and header, before its body."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    body = getattr(node, "body", None)
+    if not body or not isinstance(body, list):
+        return range(first, node.end_lineno + 1)
+    return range(first, max(first, body[0].lineno - 1) + 1)
 
 
 def pytest_sessionfinish(session):
-    global _total
+    global _total, _statements
     if not ENABLED:
         return
     sys.settrace(None)
@@ -61,13 +81,23 @@ def pytest_sessionfinish(session):
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         run = _executed.get(str(path), set())
-        raises = sorted((node for node in ast.walk(ast.parse(source))
+        tree = ast.parse(source)
+        raises = sorted((node for node in ast.walk(tree)
                          if isinstance(node, ast.Raise)), key=lambda node: node.lineno)
         _total += len(raises)
         _missed.extend(f"{path.relative_to(ROOT)}:{node.lineno}: "
                        f"{ast.get_source_segment(source, node).splitlines()[0]}"
                        for node in raises
                        if run.isdisjoint(range(node.lineno, node.end_lineno + 1)))
+        statements = sorted((node for parent in ast.walk(tree)
+                             for node in ast.iter_child_nodes(parent)
+                             if isinstance(node, ast.stmt) and not _docstring(node, parent)
+                             and not isinstance(node, (ast.Global, ast.Nonlocal))),
+                            key=lambda node: node.lineno)
+        _statements += len(statements)
+        _unrun.extend(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                      f"{ast.get_source_segment(source, node).splitlines()[0].strip()}"
+                      for node in statements if run.isdisjoint(_lines(node)))
     if _missed and session.exitstatus == 0:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
@@ -78,4 +108,8 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", f"{len(_missed)} of {_total} raise statements in "
                                     f"src/layersched/ never executed")
     for line in _missed:
+        terminalreporter.write_line(line)
+    terminalreporter.write_sep("-", f"{len(_unrun)} of {_statements} statements in "
+                                    f"src/layersched/ never executed (a report; fails nothing)")
+    for line in _unrun:
         terminalreporter.write_line(line)

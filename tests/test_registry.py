@@ -405,8 +405,6 @@ class StubConnection:
     """One connection of a :class:`StubRegistry`; it is its own reply, the
     one that :meth:`getresponse` read last."""
 
-    pipelines = False  # until a reply says it takes a pipeline
-
     def __init__(self, registry: StubRegistry, host: str, tunnel: tuple | None):
         self.registry = registry
         self.host = host
@@ -1253,6 +1251,7 @@ RAW_REPLIES = {
     "short-body": (b"HTTP/1.0 200 OK\r\nContent-Length: 10\r\n\r\n{}",
                    http.client.IncompleteRead),
     "bad-status-line": (b"ICY 200 OK\r\n\r\n{}", http.client.BadStatusLine),
+    "non-numeric-status": (b"HTTP/1.1 2x0 OK\r\n\r\n{}", http.client.BadStatusLine),
     "unknown-version": (b"HTTP/2 200 OK\r\n\r\n{}", http.client.UnknownProtocol),
     "101-headers": (b"HTTP/1.0 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) +
                     b"\r\n{}", http.client.HTTPException),
@@ -1282,6 +1281,7 @@ OWN_READS_PAST = {
 OWN_REFUSALS = {
     "short-body": (BAD_REPLY, "body cut short: 2 of 10 bytes"),
     "bad-status-line": (BAD_REPLY, "bad status line b'ICY 200 OK"),
+    "non-numeric-status": (BAD_REPLY, "bad status line b'HTTP/1.1 2x0 OK"),
     "unknown-version": (BAD_REPLY, "bad status line b'HTTP/2 200 OK"),
     "101-headers": (BAD_REPLY, "more than 100 headers"),
     "70000-byte-line": (BAD_REPLY, "header line longer than 65536 bytes"),
@@ -1372,6 +1372,24 @@ class TestReplyReader:
         assert heads[0] == (b"GET %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
                             b"User-Agent: layersched\r\n%s\r\n"
                             % (target.encode(), host.encode(), authorization))
+
+    @pytest.mark.parametrize("netloc", ["[::1]:8080", "[::1]", "[::1]:", "registry.stub:5000",
+                                        "registry.stub:", "bücher.example:8080"])
+    def test_a_host_splits_as_the_stock_connection_splits_it(self, netloc):
+        stock = http.client.HTTPConnection(netloc)
+        assert registry_module._host_port(netloc, 80) == (stock.host, stock.port)
+
+    @pytest.mark.parametrize("netloc", ["bücher.example", "bücher.example:8080", "[::1]:8080",
+                                        "[::1]:80", "registry.stub:80", "registry.stub:5000"])
+    def test_the_host_header_is_the_stock_one(self, netloc):
+        stock = http.client.HTTPConnection(netloc)
+        try:
+            stock.putrequest("GET", "/v2/_catalog")  # into its buffer; nothing is sent
+            [line] = [line for line in stock._buffer if line.startswith(b"Host: ")]
+        finally:
+            stock.close()
+        host = registry_module._host_header(*registry_module._host_port(netloc, 80), 80)
+        assert b"Host: " + host.encode("ascii") == line
 
     @pytest.mark.parametrize("location", [b"/v2/moved here", b"/v2/moved\r\n here"],
                              ids=["space", "folded-crlf"])
@@ -1700,6 +1718,37 @@ class TestKeptConnections:
         assert [request.split(b" ")[1] for request in received] == \
             [b"/v2/_catalog", b"/v2/_catalog?last=a"]
 
+    def test_a_direct_fetch_keeps_its_connection(self):
+        # Work count: 4 catalog pages on 1 connection, and an index and its
+        # platform manifest on 1; 4 and 2 if each GET closed its connection.
+        multi = FakeImage(name="multi", tag="1.0", config_digest="sha256:cfgmulti",
+                          layers=[("sha256:multi000", 1024)], multi_arch=True)
+        opened = []
+
+        def connect(host, **options):
+            opened.append(OWN(host, **options))
+            return opened[-1]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CountingRegistry(bundled_images() + [multi], page_size=1) as reg:
+                client = RegistryClient(RegistryConfig(base_url=reg.url), connect=connect)
+                assert client.fetch_catalog() == ["alpine-cache", "alpine-db", "alpine-web",
+                                                  "multi"]
+                assert (reg.request_count, reg.connections, len(opened)) == (4, 1, 1)
+                assert client.fetch_image_metadata("multi", "1.0").id == "sha256:cfgmulti"
+                assert (reg.request_count, reg.connections, len(opened)) == (6, 2, 2)
+                assert all(connection._sock is None for connection in opened)  # closed
+                with client._keeping():
+                    assert client.fetch_tags("alpine-web") == ["1.0"]
+                    assert client.fetch_image_metadata("alpine-web", "1.0").tag == "1.0"
+                    assert opened[-1]._sock is not None  # kept for the block's next GET
+                assert (reg.request_count, reg.connections, len(opened)) == (8, 3, 3)
+                assert all(connection._sock is None for connection in opened)
+                del client, opened
+                gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_a_server_that_closes_mid_body_is_unavailable_and_not_resent(self):
         received = []
         cut = b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"repositories"'
@@ -1851,7 +1900,7 @@ class OneAtATime(OWN):
 
     def getresponse(self):
         reply = super().getresponse()
-        self.pipelines = False
+        reply.pipelines = False
         return reply
 
 
@@ -2020,6 +2069,69 @@ class TestPipeline:
             walk_registry(client)
         assert len(client.connect.requests) == 7
         assert all_closed(client.connect)
+
+    def test_one_origin_spelled_two_ways_keeps_each_spelling_on_its_connection(self, wire,
+                                                                                tmp_path, sends):
+        # The base URL's host is localhost; the next links of a and c spell it
+        # LocalHost, which _origin takes as the same origin but the client
+        # keeps as another connection. The second tag-list stage alternates
+        # the two spellings, so each batch ends at the other spelling's GET.
+        registry, _ = wire
+        port = registry.server_address[1]
+        base, other = f"http://localhost:{port}", f"http://LocalHost:{port}"
+        names = ["a", "b", "c", "d"]
+        registry.routes["/v2/_catalog"] = (200, {}, {"repositories": names})
+        for name in names:
+            spelling = other if name in ("a", "c") else ""
+            next_link = f'<{spelling}/v2/{name}/tags/list?page=2>; rel="next"'
+            registry.routes[f"/v2/{name}/tags/list"] = (200, {"Link": next_link}, {"tags": ["1"]})
+            registry.routes[f"/v2/{name}/tags/list?page=2"] = (200, {}, {"tags": ["2"]})
+            for tag in ("1", "2"):
+                registry.routes[f"/v2/{name}/manifests/{tag}"] = (200, {}, MANIFEST)
+        caches = []
+        for connect in (OneAtATime, None):
+            registry.requests.clear()
+            config = RegistryConfig(base_url=base, cache_path=str(tmp_path / f"{connect}.json"))
+            snapshot = refresh_cache(config, RegistryClient(config, connect=connect))
+            assert (len(snapshot.lists), snapshot.warnings) == (8, [])
+            caches.append(Path(config.cache_path).read_bytes())
+            hosts = {target: headers["Host"] for target, headers in registry.requests}
+            assert len(registry.requests) == len(hosts) == 17  # each path sent once
+            assert {target for target, host in hosts.items() if host != f"localhost:{port}"} \
+                == {"/v2/a/tags/list?page=2", "/v2/c/tags/list?page=2"}
+            assert set(hosts.values()) == {f"localhost:{port}", f"LocalHost:{port}"}
+        assert caches[1] == caches[0]
+        assert registry.connections == 4
+        assert [[gets(data) for data in log] for log in sends] == [
+            [1] * 15, [1, 1],  # one at a time: localhost, then LocalHost
+            [1, 4, 1, 1, 8], [1, 1]]  # pipelined: b's and d's second pages go alone
+
+    @pytest.mark.parametrize("name,refusal", [
+        ("b c", "request target '/v2/b c/tags/list' holds a control character or a space"),
+        ("bé", "'ascii' codec can't encode character '\\xe9' in position 5: "
+               "ordinal not in range(128)"),
+    ], ids=["space", "non-ascii"])
+    def test_a_repository_name_that_cannot_be_sent_ends_in_one_warning(self, wire, tmp_path,
+                                                                       capsys, sends, name,
+                                                                       refusal):
+        # Its tag list is refused before the stage's first GET; the rest of
+        # the stage still goes out pipelined.
+        registry, _ = wire
+        registry.routes.update({
+            "/v2/_catalog": (200, {}, {"repositories": ["a", name, "d"]}),
+            "/v2/a/tags/list": (200, {}, {"tags": ["1"]}),
+            "/v2/d/tags/list": (200, {}, {"tags": ["1"]}),
+            "/v2/d/manifests/1": (200, {}, MANIFEST),
+        })
+        cache = tmp_path / "cache.json"
+        assert main(["fetch-registry", "--registry", registry.url, "--out", str(cache)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: manifest a:1: a:1 not in registry\n"
+            f"warning: tags for {name}: GET {registry.url}/v2/{name}/tags/list: {refusal}\n")
+        assert list(load_cache(cache).lists) == ["d:1"]
+        assert registry.targets == ["/v2/_catalog", "/v2/a/tags/list", "/v2/d/tags/list",
+                                    "/v2/a/manifests/1", "/v2/d/manifests/1"]
+        assert [[gets(data) for data in log] for log in sends] == [[1, 2, 2]]
 
     def test_warnings_keep_catalog_then_tag_order(self, wire, tmp_path, capsys):
         # The tag-list stage ends before any manifest is fetched, yet the
